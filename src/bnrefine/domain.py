@@ -78,6 +78,11 @@ class DomainSchema:
     def name(self, x: int) -> str:
         return self.variables[x].name
 
+    @property
+    def value_dtype(self) -> np.dtype:
+        """Narrowest unsigned integer type that holds every value index."""
+        return np.min_scalar_type(max((v.arity for v in self.variables), default=2) - 1)
+
     def predecessors(self, x: int) -> range:
         """Variables allowed to be parents of ``x`` (all earlier positions)."""
         return range(x)
@@ -160,7 +165,7 @@ class CountTable:
         self.total = 0
         self.config_len: int | None = None
 
-    def increment(self, config: tuple[int, ...], value: int) -> None:
+    def _row_for(self, config: tuple[int, ...]) -> np.ndarray:
         if self.config_len is None:
             self.config_len = len(config)
         elif len(config) != self.config_len:
@@ -172,25 +177,22 @@ class CountTable:
         if row is None:
             row = np.zeros(self.m_x, dtype=np.int64)
             self.rows[config] = row
-        row[value] += 1
+        return row
+
+    def increment(self, config: tuple[int, ...], value: int) -> None:
+        self._row_for(config)[value] += 1
         self.total += 1
+
+    def add(self, config: tuple[int, ...], row: np.ndarray) -> None:
+        """Add a vector of per-value counts to one configuration's row."""
+        self._row_for(config)[:] += row
+        self.total += int(row.sum())
 
     def row(self, config: tuple[int, ...]) -> np.ndarray:
         row = self.rows.get(config)
         if row is None:
             return np.zeros(self.m_x, dtype=np.int64)
         return row
-
-    def row_total(self, config: tuple[int, ...]) -> int:
-        row = self.rows.get(config)
-        return 0 if row is None else int(row.sum())
-
-    def copy(self) -> "CountTable":
-        fresh = CountTable(self.m_x)
-        fresh.rows = {cfg: row.copy() for cfg, row in self.rows.items()}
-        fresh.total = self.total
-        fresh.config_len = self.config_len
-        return fresh
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):

@@ -1,13 +1,16 @@
 """Observation ingestion and the any-time beam search over parent lattices.
 
 The combined network holds one parent lattice per variable plus the full
-example log.  Two kinds of update:
+example log, a 2-D integer array with one row per example.  Counts are the
+single source of truth: ``sync_node`` is the only place examples enter a
+node.  It counts the rows the node has not absorbed yet in one vectorised
+pass and sets the node's log marginal likelihood from its counts, so a
+score depends only on the counts, never on how the data was split into
+batches.  Two kinds of update:
 
-- ``observe``: cheap per-example parameter update.  Every alive node's
-  counts absorb the example and its log marginal likelihood grows by the
-  log posterior-predictive factor (with pre-increment counts), which makes
-  streaming exactly equivalent to batch rescoring.  Asleep and closed
-  nodes are left stale and replayed lazily from the example log.
+- ``observe_batch``: validate a batch, append it to the log, then sync
+  every alive node once.  Asleep nodes are left stale and catch up from
+  the log the next time the search touches their lattice.
 
 - ``refine``: beam search per variable, driven by three thresholds
   relative to the best score found (1 > c_alive >= d_open >= e_dead > 0):
@@ -31,6 +34,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .domain import (
     ArcPriorMatrix,
     ConcreteNetwork,
@@ -40,14 +45,13 @@ from .domain import (
     Example,
     PriorConfig,
     config_count,
-    project,
 )
 from .kernels import (
     NEG_INF,
     alpha_for,
     expected_theta,
+    log_marginal_likelihood,
     log_structure_prior,
-    predictive_log_prob,
 )
 from .lattice import (
     ExpansionFlag,
@@ -109,18 +113,29 @@ class SearchParams:
 
 @dataclass
 class CombinedNetwork:
-    """All parent lattices plus the retained example log and global priors."""
+    """All parent lattices plus the retained example log and global priors.
+
+    ``example_log`` is an (n, V) array of value indices whose dtype is the
+    schema's ``value_dtype``; any sequence of examples given here is
+    converted to it.
+    """
 
     schema: DomainSchema
     priors: ArcPriorMatrix
     config: PriorConfig
     lattices: list[ParentLattice]
-    example_log: list[Example] = field(default_factory=list)
+    example_log: np.ndarray | None = None
     scoring_model: str = "table"
+
+    def __post_init__(self) -> None:
+        rows = () if self.example_log is None else self.example_log
+        self.example_log = np.asarray(rows, dtype=self.schema.value_dtype).reshape(
+            -1, len(self.schema)
+        )
 
     @property
     def n_total(self) -> int:
-        return len(self.example_log)
+        return self.example_log.shape[0]
 
 
 @dataclass
@@ -157,44 +172,51 @@ def init(
 
 
 def observe(net: CombinedNetwork, example: Example) -> None:
-    """Absorb one fully specified example into every alive node.
-
-    Rejects invalid examples before touching any state.  Counts and
-    log marginal likelihoods of alive nodes are updated in place; other
-    nodes catch up lazily via ``sync_node``.
-    """
-    example = tuple(example)
-    net.schema.validate_example(example)
-    net.example_log.append(example)
-    n = net.n_total
-    for lattice in net.lattices:
-        m_x = lattice.root.counts.m_x
-        value = example[lattice.x]
-        for node in lattice.nodes.values():
-            if node.status is not NodeStatus.ALIVE:
-                continue
-            cfg = project(example, node.parents)
-            node.log_ml += predictive_log_prob(node.counts.row(cfg), value, node.alpha_x, m_x)
-            node.counts.increment(cfg, value)
-            node.synced_through = n
-        lattice.recompute_best()
+    """Absorb one fully specified example: ``observe_batch`` of one."""
+    observe_batch(net, [example])
 
 
 def observe_batch(net: CombinedNetwork, examples) -> None:
-    """Absorb a sequence of examples one at a time (atomic per example)."""
-    for example in examples:
-        observe(net, example)
+    """Absorb a batch of examples into the log and every alive node.
+
+    Atomic per batch: every example is validated before any state changes,
+    so one invalid example rejects the whole batch.
+    """
+    batch = [tuple(example) for example in examples]
+    for example in batch:
+        net.schema.validate_example(example)
+    if not batch:
+        return
+    rows = np.array(batch, dtype=net.schema.value_dtype)
+    net.example_log = np.concatenate((net.example_log, rows))
+    for lattice in net.lattices:
+        for node in lattice.nodes.values():
+            if node.status is NodeStatus.ALIVE:
+                sync_node(net, lattice, node)
+        lattice.recompute_best()
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Replay the example log from the node's sync point to the present."""
+    """Count the logged examples the node has not absorbed yet, then rescore it.
+
+    Rows are grouped by their parent configuration's mixed-radix code (as
+    in ``config_index``) and counted per child value in one pass; the
+    node's log marginal likelihood is then recomputed from its counts.
+    """
+    block = net.example_log[node.synced_through :]
+    if not len(block):
+        return
+    parents = list(node.parents)
+    code = np.zeros(len(block), dtype=np.int64)
+    for p in parents:
+        code = code * net.schema.arity(p) + block[:, p]
+    codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     m_x = node.counts.m_x
-    x = lattice.x
-    for t in range(node.synced_through, net.n_total):
-        example = net.example_log[t]
-        cfg = project(example, node.parents)
-        node.log_ml += predictive_log_prob(node.counts.row(cfg), example[x], node.alpha_x, m_x)
-        node.counts.increment(cfg, example[x])
+    cells = np.bincount(inverse * m_x + block[:, lattice.x], minlength=len(codes) * m_x)
+    configs = block[first][:, parents].tolist()
+    for config, row in zip(configs, cells.reshape(len(codes), m_x)):
+        node.counts.add(tuple(config), row)
+    node.log_ml = log_marginal_likelihood(node.counts, node.alpha_x)
     node.synced_through = net.n_total
 
 
@@ -298,8 +320,6 @@ def _create_child(
         key,
         counts=CountTable(net.schema.arity(x)),
         log_prior=log_structure_prior(x, parents, net.priors, net.schema),
-        log_ml=0.0,
-        synced_through=0,
         alpha_x=alpha_for(x, parents, net.config, net.schema),
     )
     sync_node(net, lattice, node)
@@ -384,6 +404,8 @@ def _refine_lattice(
                 child = _create_child(net, lattice, child_key)
                 fresh.append(child)
                 report.nodes_created += 1
+            elif child.status is NodeStatus.DEAD:
+                continue  # never synced again: its score lags the log
             scores[child_key] = _node_score(net, lattice, child)
         top = max(scores.values(), default=NEG_INF)
         if top > best:
@@ -440,8 +462,7 @@ def best_network(net: CombinedNetwork) -> ConcreteNetwork:
                 f"no alive parent set for {net.schema.name(lattice.x)!r}"
             )
         node = min(alive, key=lambda n: (-_node_score(net, lattice, n), n.key))
-        if node.synced_through != net.n_total:
-            sync_node(net, lattice, node)
+        sync_node(net, lattice, node)
         parent_arities = tuple(net.schema.arity(p) for p in node.parents)
         parents.append(node.parents)
         tables.append(

@@ -233,10 +233,7 @@ def _counts_from_doc(doc: dict, m_x: int) -> CountTable:
     counts = CountTable(m_x)
     for cfg_text, row in doc.items():
         cfg = tuple(int(v) for v in cfg_text.split(",")) if cfg_text else ()
-        arr = np.array(row, dtype=np.int64)
-        counts.rows[cfg] = arr
-        counts.total += int(arr.sum())
-        counts.config_len = len(cfg)
+        counts.add(cfg, np.array(row, dtype=np.int64))
     return counts
 
 
@@ -262,7 +259,7 @@ def session_to_document(net: CombinedNetwork) -> dict:
         "version": FORMAT_VERSION,
         "spec": json.loads(print_spec(net.schema, net.priors, net.config)),
         "scoring_model": net.scoring_model,
-        "example_log": [list(example) for example in net.example_log],
+        "example_log": net.example_log.tolist(),
         "lattices": [
             {
                 "x": lattice.x,
@@ -298,7 +295,6 @@ def session_from_document(doc: dict) -> CombinedNetwork:
             for node_doc in lattice_doc["nodes"]:
                 node = _node_from_doc(node_doc, lattice, schema, config)
                 lattice.nodes[node.key] = node
-            _rewire_links(lattice)
             lattice.recompute_best()
             lattices.append(lattice)
         if [lat.x for lat in lattices] != list(range(len(schema))):
@@ -345,19 +341,6 @@ def _node_from_doc(
     node.model_synced = {str(k): int(v) for k, v in doc["model_synced"].items()}
     node.model_params = {str(k): [float(v) for v in vs] for k, vs in doc["model_params"].items()}
     return node
-
-
-def _rewire_links(lattice: ParentLattice) -> None:
-    for key, node in lattice.nodes.items():
-        node.sub_links.clear()
-        node.super_links.clear()
-    for key, node in lattice.nodes.items():
-        for i in range(len(lattice.candidates)):
-            bit = 1 << i
-            if key & bit and (key ^ bit) in lattice.nodes:
-                node.sub_links.add(key ^ bit)
-            elif not key & bit and (key | bit) in lattice.nodes:
-                node.super_links.add(key | bit)
 
 
 def serialize_session(net: CombinedNetwork) -> str:

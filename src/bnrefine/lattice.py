@@ -4,8 +4,10 @@ Each stored node is one candidate parent set for the variable, keyed by a
 bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
 a finite structure prior).  A node carries its sufficient statistics, its
-log prior and log marginal likelihood, a lifecycle status, and links to
-stored neighbours one element away.
+log prior, its log marginal likelihood (a function of the counts), the
+number of logged examples its counts have absorbed, and a lifecycle
+status.  Subsets and supersets are found from the keys themselves; no
+links between nodes are stored.
 
 Lifecycle:
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import prod
 
 from .domain import (
     ArcPriorMatrix,
@@ -60,8 +61,6 @@ class LatticeNode:
     expansion: ExpansionFlag = ExpansionFlag.CLOSED
     expanded: bool = False        # children generated at least once
     synced_through: int = 0       # examples absorbed into counts/log_ml
-    sub_links: set[int] = field(default_factory=set)
-    super_links: set[int] = field(default_factory=set)
     model_ml: dict[str, float] = field(default_factory=dict)
     model_synced: dict[str, int] = field(default_factory=dict)
     model_params: dict[str, list[float]] = field(default_factory=dict)
@@ -76,7 +75,6 @@ class ParentLattice:
     x: int
     candidates: tuple[int, ...]   # uncertain predecessors, ascending position
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
-    parent_arities_mandatory: int
     nodes: dict[int, LatticeNode] = field(default_factory=dict)
     best_log_score: float = NEG_INF
     last_refine_n: int = 0
@@ -112,12 +110,7 @@ def new_lattice(
     """
     mandatory = priors.mandatory_parents(x, schema)
     candidates = priors.candidate_parents(x, schema)
-    lattice = ParentLattice(
-        x=x,
-        candidates=candidates,
-        mandatory=mandatory,
-        parent_arities_mandatory=prod(schema.arity(p) for p in mandatory),
-    )
+    lattice = ParentLattice(x=x, candidates=candidates, mandatory=mandatory)
     root_prior = log_structure_prior(x, mandatory, priors, schema)
     if root_prior == NEG_INF:
         raise ConfigurationError(
@@ -153,11 +146,12 @@ def insert_node(
     key: int,
     counts: CountTable,
     log_prior: float,
-    log_ml: float,
-    synced_through: int,
     alpha_x: float,
 ) -> LatticeNode:
-    """Store a node and wire subset/superset links; idempotent on duplicates."""
+    """Store a node that has absorbed no examples yet; idempotent on duplicates.
+
+    ``sync_node`` fills its counts and log marginal likelihood from the log.
+    """
     existing = lattice.nodes.get(key)
     if existing is not None:
         return existing
@@ -167,30 +161,16 @@ def insert_node(
         alpha_x=alpha_x,
         counts=counts,
         log_prior=log_prior,
-        log_ml=log_ml,
-        synced_through=synced_through,
     )
     lattice.nodes[key] = node
-    for i in range(len(lattice.candidates)):
-        bit = 1 << i
-        if key & bit:
-            sub = lattice.nodes.get(key ^ bit)
-            if sub is not None:
-                node.sub_links.add(sub.key)
-                sub.super_links.add(key)
-        else:
-            sup = lattice.nodes.get(key | bit)
-            if sup is not None:
-                node.super_links.add(sup.key)
-                sup.sub_links.add(key)
     return node
 
 
 def alive_leaves(lattice: ParentLattice) -> list[LatticeNode]:
     """Alive nodes with no alive strict superset stored anywhere in the lattice.
 
-    Checked against all stored alive nodes, not only linked neighbours: a
-    superset can be stored before the intermediate sets that would link it.
+    Checked against all stored alive nodes, not only neighbours one element
+    away: a superset can be stored before the intermediate sets.
     """
     alive = lattice.alive_nodes()
     keys = [n.key for n in alive]
@@ -216,6 +196,3 @@ def set_status(lattice: ParentLattice, node: LatticeNode, status: NodeStatus) ->
     if changed:
         lattice.recompute_best()
 
-
-def stored_node_count(lattice: ParentLattice) -> int:
-    return len(lattice.nodes)

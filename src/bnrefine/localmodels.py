@@ -409,11 +409,7 @@ def boolean_node_data(
         names = ", ".join(schema.name(v) for v in bad)
         raise UnsupportedModelError(f"noisy-or/logistic need boolean variables; not boolean: {names}")
     log = net.example_log
-    x_values = np.array([ex[x] == 1 for ex in log], dtype=bool)
-    rows = np.array([[ex[p] == 1 for p in parents] for ex in log], dtype=bool).reshape(
-        len(log), len(parents)
-    )
-    return x_values, rows
+    return log[:, x] == 1, log[:, list(parents)] == 1
 
 
 def score_node_with_model(
@@ -428,14 +424,14 @@ def score_node_with_model(
 
     The table kind reproduces the node's exact Dirichlet marginal; the
     restricted kinds fit their parameters (warm-started from the previous
-    fit, if any) and store the normal-expansion marginal in the node's
+    fit, if any, and refitted once from a cold start if that fit does not
+    converge) and store the normal-expansion marginal in the node's
     parallel score slot, leaving the structure prior and the exact table
     score untouched.
     """
     lattice = net.lattices[x]
     if kind == "table":
-        if node.synced_through != net.n_total:
-            sync_node(net, lattice, node)
+        sync_node(net, lattice, node)
         return LocalModelScore(kind="table", params=None, log_marginal=node.log_ml)
     if kind not in ("noisy-or", "logistic"):
         raise ValueError(f"unknown model kind {kind!r}")
@@ -448,7 +444,14 @@ def score_node_with_model(
             if kind == "logistic"
             else NoisyOrParams(tuple(warm_list))
         )
-    fit = fit_map(kind, x_values, rows, prior_scale=prior_scale, warm_start=warm)
+    try:
+        fit = fit_map(kind, x_values, rows, prior_scale=prior_scale, warm_start=warm)
+    except FitConvergenceError:
+        if warm is None:
+            raise
+        # a warm start far from the new optimum can stall where a cold one
+        # converges in a few steps; retry once from the origin
+        fit = fit_map(kind, x_values, rows, prior_scale=prior_scale)
     marginal = laplace_log_marginal(
         kind, x_values, rows, prior_scale=prior_scale, warm_start=fit.params
     )

@@ -74,6 +74,15 @@ def _alive_weights(
     return alive, weights
 
 
+def _arc_mass(alive: list[LatticeNode], weights: np.ndarray, bit: int) -> float:
+    """Summed weight of the alive sets containing the candidate ``bit``.
+
+    Summed exactly and capped at 1: the weights are normalized, so any
+    excess over 1 is rounding.
+    """
+    return min(1.0, math.fsum(w for n, w in zip(alive, weights) if n.key & bit))
+
+
 def arc_posterior(net: CombinedNetwork, y: int, x: int) -> float:
     """Posterior probability that y is a parent of x.
 
@@ -90,7 +99,7 @@ def arc_posterior(net: CombinedNetwork, y: int, x: int) -> float:
     lattice = net.lattices[x]
     bit = 1 << lattice.candidate_bit(y)
     alive, weights = _alive_weights(net, lattice)
-    return float(sum(w for n, w in zip(alive, weights) if n.key & bit))
+    return _arc_mass(alive, weights, bit)
 
 
 def all_arc_posteriors(net: CombinedNetwork) -> ArcPosteriorMatrix:
@@ -106,10 +115,7 @@ def all_arc_posteriors(net: CombinedNetwork) -> ArcPosteriorMatrix:
             elif p == 0.0:
                 entries[(y, x)] = 0.0
             else:
-                bit = 1 << lattice.candidate_bit(y)
-                entries[(y, x)] = float(
-                    sum(w for n, w in zip(alive, weights) if n.key & bit)
-                )
+                entries[(y, x)] = _arc_mass(alive, weights, 1 << lattice.candidate_bit(y))
     return ArcPosteriorMatrix(schema=net.schema, entries=entries)
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 from bnrefine import (
     ArcPriorMatrix,
     ConfigurationError,
+    DomainSchema,
     ExampleError,
     NodeStatus,
     PriorConfig,
     SearchParams,
+    VariableSpec,
+    all_arc_posteriors,
     best_network,
     init,
     network_stats,
@@ -19,6 +23,7 @@ from bnrefine import (
     observe_batch,
     refine,
     rethreshold,
+    sample_smoothed,
     sync_node,
 )
 from bnrefine.engine import dead_condition
@@ -26,7 +31,15 @@ from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
-from helpers import binary_schema, five_var_truth, fresh_net, node_state, sampled_net
+from helpers import (
+    DeadNodeMonitor,
+    binary_schema,
+    chain_v_truth,
+    five_var_truth,
+    fresh_net,
+    node_state,
+    sampled_net,
+)
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
 
@@ -139,6 +152,25 @@ class TestObserveBatch:
         observe_batch(two, data[split:])
         assert node_state(one) == node_state(two)
 
+    def test_invalid_example_rejects_the_whole_batch(self):
+        net = fresh_net("ab")
+        observe_batch(net, [(0, 1)])
+        before = node_state(net)
+        with pytest.raises(ExampleError):
+            observe_batch(net, [(1, 1), (0, 0), (0, 2), (1, 0)])
+        assert node_state(net) == before
+        assert net.n_total == 1
+
+    def test_log_uses_the_narrowest_unsigned_type(self):
+        assert fresh_net("ab").example_log.dtype == np.uint8
+        wide = DomainSchema(
+            (VariableSpec("a", ("f", "t")), VariableSpec("w", tuple(f"v{i}" for i in range(300))))
+        )
+        net = init(wide, ArcPriorMatrix(), PriorConfig())
+        observe_batch(net, [(1, 299), (0, 7)])
+        assert net.example_log.dtype == np.uint16
+        assert net.example_log.tolist() == [[1, 299], [0, 7]]
+
 
 class TestSync:
     def test_noop_when_current(self):
@@ -172,6 +204,30 @@ class TestSync:
         counts, log_ml = recompute_node(net, lattice, node)
         assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
         assert node.synced_through == always_alive.synced_through == net.n_total
+
+
+    def test_multivalued_counts_match_a_recount(self):
+        schema = DomainSchema(
+            (
+                VariableSpec("a", ("x", "y", "z")),
+                VariableSpec("b", ("f", "t")),
+                VariableSpec("c", ("p", "q", "r", "s")),
+            )
+        )
+        rng = np.random.default_rng(8)
+        data = [tuple(int(rng.integers(schema.arity(x))) for x in range(3)) for _ in range(90)]
+        net = init(schema, ArcPriorMatrix(), PriorConfig())
+        observe_batch(net, data[:40])
+        refine(net, PERMISSIVE)
+        observe_batch(net, data[40:])
+        refine(net, PERMISSIVE)
+        assert set(net.lattices[2].nodes) == {0, 0b01, 0b10, 0b11}
+        for lattice in net.lattices:
+            for node in lattice.nodes.values():
+                counts, log_ml = recompute_node(net, lattice, node)
+                assert node.synced_through == net.n_total
+                assert counts == node.counts
+                assert node.log_ml == log_ml
 
 
 class TestDeadCondition:
@@ -271,6 +327,50 @@ class TestRefine:
             node = net.lattices[x].nodes[key]
             assert node.status is NodeStatus.DEAD
             assert node.expanded == was_expanded
+
+
+class TestStreaming:
+    def test_recovery_demo_stream_keeps_every_true_arc(self):
+        # the scripts/recovery_demo.py run: a dead node's stale score used to
+        # win a lattice's best and get every live node in it killed
+        truth = chain_v_truth()
+        data = forward_sample(truth, 5000, seed=2026)
+        net = init(truth.schema, ArcPriorMatrix(default_prior=0.5), PriorConfig(1.0))
+        for start in range(0, len(data), 500):
+            observe_batch(net, data[start : start + 500])
+            refine(net, SearchParams())
+        entries = all_arc_posteriors(net).entries
+        for x, parents in enumerate(truth.parents):
+            for y in parents:
+                assert entries[(y, x)] > 0.95, (y, x)
+        best_network(net)
+        sample_smoothed(net, seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_batch_splits_keep_the_lattice_invariants(self, sizes, seed):
+        data = forward_sample(five_var_truth(), sum(sizes), seed=seed)
+        net = fresh_net("abcde")
+        monitor = DeadNodeMonitor()
+        start = 0
+        for size in sizes:
+            observe_batch(net, data[start : start + size])
+            start += size
+            refine(net, SearchParams())
+            monitor.check(net)
+            assert monitor.violations == []
+            for lattice in net.lattices:
+                assert lattice.alive_nodes()
+                for node in lattice.nodes.values():
+                    if node.status is NodeStatus.DEAD:
+                        continue
+                    assert node.synced_through == net.n_total
+                    counts, log_ml = recompute_node(net, lattice, node)
+                    assert counts == node.counts
+                    assert node.log_ml == log_ml
 
 
 class TestRethreshold:

@@ -12,7 +12,6 @@ from bnrefine.kernels import (
     expected_theta,
     joint_log_likelihood,
     log_beta_multi,
-    log_gamma,
     log_marginal_likelihood,
     log_structure_prior,
     log_sum_exp,
@@ -30,26 +29,6 @@ def table_from_rows(m_x, rows):
             for _ in range(c):
                 counts.increment(cfg, value)
     return counts
-
-
-class TestLogGamma:
-    def test_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_factorial(self):
-        assert log_gamma(4.0) == pytest.approx(math.log(6.0), abs=1e-12)
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_domain_error(self, z):
-        with pytest.raises(ValueError):
-            log_gamma(z)
-
-    @given(st.floats(min_value=0.05, max_value=60.0))
-    def test_recursion(self, z):
-        assert log_gamma(z + 1.0) == pytest.approx(math.log(z) + log_gamma(z), rel=1e-12, abs=1e-12)
 
 
 class TestLogBetaMulti:

@@ -23,6 +23,7 @@ from bnrefine.localmodels import (
     score_node_with_model,
 )
 from bnrefine.oracle import quadrature_marginal_1d
+from bnrefine.sampling import forward_sample
 
 from helpers import fresh_net
 
@@ -284,6 +285,14 @@ class TestScoreNodeWithModel:
             approx = laplace_log_marginal(kind, x_values, rows, prior_scale=2.5)
             assert abs(approx - exact) < 1.0
 
+    def test_boolean_node_data_reads_the_log_columns(self):
+        net = self._noisyor_net(50, seed=43)
+        x_values, rows = boolean_node_data(net, 3, (0, 2))
+        log = net.example_log.tolist()
+        assert x_values.tolist() == [ex[3] == 1 for ex in log]
+        assert rows.tolist() == [[ex[0] == 1, ex[2] == 1] for ex in log]
+        assert boolean_node_data(net, 3, ())[1].shape == (50, 0)
+
     def test_non_boolean_variable_is_rejected(self):
         from bnrefine import ArcPriorMatrix, DomainSchema, VariableSpec, init
 
@@ -335,6 +344,25 @@ class TestModelDrivenSearch:
         twin = with_table.lattices[2].nodes[0b11]
         assert node.model_ml["noisy-or"] != twin.log_ml
         assert twin.model_ml == {}
+
+    def test_stalled_warm_start_is_refitted_from_cold(self):
+        # the benchmark's restricted noisy-or session (seed 1, session 1):
+        # on the third batch a warm start near q = 0.99 used to stall at
+        # the 500-iteration cap where a cold start converges
+        from bnrefine import ArcPriorMatrix, init
+
+        from helpers import chain_v_truth
+
+        truth = chain_v_truth()
+        priors = ArcPriorMatrix(entries={(0, 1): 1.0, (0, 5): 0.0}, default_prior=0.5)
+        net = init(truth.schema, priors, PriorConfig(alpha=1.0))
+        net.scoring_model = "noisy-or"
+        data = forward_sample(truth, 600, seed=7920)
+        for start in range(0, len(data), 200):
+            observe_batch(net, data[start : start + 200])
+            refine(net, SearchParams())
+        for lattice in net.lattices:
+            assert lattice.alive_nodes()
 
     def test_model_scored_search_is_reproducible(self):
         from bnrefine.fileio import serialize_session

@@ -27,6 +27,17 @@ PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
 
 
 class TestArcPosterior:
+    def test_never_exceeds_one(self):
+        # normalized weights can sum past 1 by a few ulps; seeds 8, 11, 15,
+        # 26, 32 and 38 here did before the sum was made exact and capped
+        for seed in range(40):
+            net, _ = sampled_net(five_var_truth(), 200, seed=seed)
+            refine(net, SearchParams())
+            entries = all_arc_posteriors(net).entries
+            assert all(p <= 1.0 for p in entries.values()), seed
+            for (y, x) in entries:
+                assert arc_posterior(net, y, x) <= 1.0
+
     def test_fresh_lattices_report_zero(self):
         net = fresh_net("abc")
         for x in range(3):
