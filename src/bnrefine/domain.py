@@ -7,13 +7,15 @@ positions.  Expert knowledge enters as per-arc prior probabilities
 (0 = forbidden, 1 = mandatory, anything in between = uncertain).
 
 Examples are plain tuples of value indices, one per variable in schema
-order.  Sufficient statistics live in sparse ``CountTable`` objects keyed
-by parent-configuration tuples.
+order; ``DomainSchema.encode_rows`` validates a block of them at once and
+codes it as an (n, V) integer array.  Sufficient statistics live in sparse
+``CountTable`` objects keyed by parent-configuration tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -62,6 +64,7 @@ class DomainSchema:
         if len(set(names)) != len(names):
             raise ConfigurationError("variable names must be unique")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_arities", np.array([v.arity for v in self.variables]))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -88,18 +91,56 @@ class DomainSchema:
         return range(x)
 
     def validate_example(self, example: Example) -> None:
+        """Raise ``ExampleError`` unless the example conforms: ``encode_rows`` of one."""
+        self.encode_rows([example])
+
+    def encode_rows(self, examples) -> np.ndarray:
+        """Validate a block of examples and return it as an (n, V) array.
+
+        ``examples`` is an iterable of examples; an integer (n, V) array is
+        read row by row like any other.  Every example needs one value per
+        variable, each an integer index (``bool`` excluded) in
+        ``[0, arity)``; one bad value rejects the whole block with an
+        ``ExampleError`` naming the first one.  An
+        accepted block runs no Python loop per value: the set of value types
+        is checked, then the whole array against the arities.  Only a
+        rejected block is walked row by row, to name its first bad value.
+        """
+        width = len(self.variables)
+        rows = list(map(tuple, examples))
+        fits = set(map(len, rows)) <= {width} and all(
+            map(_is_index_type, set(map(type, chain.from_iterable(rows))))
+        )
+        block = np.empty((0, width), dtype=np.int64)
+        if fits:
+            try:
+                block = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+            except OverflowError:  # an integer beyond int64 is out of range
+                fits = False
+            block = block.reshape(-1, width)
+        if fits:
+            fits = not ((block < 0) | (block >= self._arities)).any()  # type: ignore[attr-defined]
+        if not fits:
+            raise ExampleError(next(filter(None, map(self._example_fault, rows))))
+        return block.astype(self.value_dtype)
+
+    def _example_fault(self, example) -> str | None:
+        """What is wrong with one example, or None: walked on the error path only."""
         if len(example) != len(self.variables):
-            raise ExampleError(
-                f"example has {len(example)} values, schema has {len(self.variables)}"
-            )
+            return f"example has {len(example)} values, schema has {len(self.variables)}"
         for x, value in enumerate(example):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ExampleError(f"value for {self.name(x)!r} is not an index: {value!r}")
+            if not _is_index_type(type(value)):
+                return f"value for {self.name(x)!r} is not an index: {value!r}"
             if not 0 <= value < self.arity(x):
-                raise ExampleError(
+                return (
                     f"value index {value} out of range for {self.name(x)!r} "
                     f"(arity {self.arity(x)})"
                 )
+        return None
+
+
+def _is_index_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 @dataclass(frozen=True)
@@ -224,6 +265,14 @@ def config_index(example: Example, parents: tuple[int, ...], schema: DomainSchem
     for p in parents:
         idx = idx * schema.arity(p) + example[p]
     return idx
+
+
+def config_codes(rows: np.ndarray, parents: tuple[int, ...], schema: DomainSchema) -> np.ndarray:
+    """``config_index`` of every row of an (n, V) array, as an int64 vector."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for p in parents:
+        code = code * schema.arity(p) + rows[:, p]
+    return code
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .domain import (
     DomainSchema,
     Example,
     PriorConfig,
+    config_codes,
     config_count,
 )
 from .kernels import (
@@ -116,8 +117,8 @@ class CombinedNetwork:
     """All parent lattices plus the retained example log and global priors.
 
     ``example_log`` is an (n, V) array of value indices whose dtype is the
-    schema's ``value_dtype``; any sequence of examples given here is
-    converted to it.
+    schema's ``value_dtype``; any examples given here are validated and
+    converted by ``DomainSchema.encode_rows``.
     """
 
     schema: DomainSchema
@@ -129,9 +130,7 @@ class CombinedNetwork:
 
     def __post_init__(self) -> None:
         rows = () if self.example_log is None else self.example_log
-        self.example_log = np.asarray(rows, dtype=self.schema.value_dtype).reshape(
-            -1, len(self.schema)
-        )
+        self.example_log = self.schema.encode_rows(rows)
 
     @property
     def n_total(self) -> int:
@@ -140,6 +139,14 @@ class CombinedNetwork:
 
 @dataclass
 class SearchReport:
+    """What one ``refine`` call did.
+
+    ``best_scores`` maps each variable to the best score of its alive parent
+    sets under the active scoring model.  For a lattice the call did not
+    search (a zero budget, or a budget spent before reaching it) this is
+    the cached best: refitting nothing, it may lag the log (``_cached_best``).
+    """
+
     expansions: int = 0
     nodes_created: int = 0
     nodes_killed: int = 0
@@ -179,21 +186,18 @@ def observe(net: CombinedNetwork, example: Example) -> None:
 def observe_batch(net: CombinedNetwork, examples) -> None:
     """Absorb a batch of examples into the log and every alive node.
 
-    Atomic per batch: every example is validated before any state changes,
-    so one invalid example rejects the whole batch.
+    ``examples`` is an iterable of examples or an integer (n, V) array.
+    Atomic per batch: the whole batch is validated (``encode_rows``) before
+    any state changes, so one invalid example rejects it.
     """
-    batch = [tuple(example) for example in examples]
-    for example in batch:
-        net.schema.validate_example(example)
-    if not batch:
+    rows = net.schema.encode_rows(examples)
+    if not len(rows):
         return
-    rows = np.array(batch, dtype=net.schema.value_dtype)
     net.example_log = np.concatenate((net.example_log, rows))
     for lattice in net.lattices:
         for node in lattice.nodes.values():
             if node.status is NodeStatus.ALIVE:
                 sync_node(net, lattice, node)
-        lattice.recompute_best()
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
@@ -206,14 +210,11 @@ def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -
     block = net.example_log[node.synced_through :]
     if not len(block):
         return
-    parents = list(node.parents)
-    code = np.zeros(len(block), dtype=np.int64)
-    for p in parents:
-        code = code * net.schema.arity(p) + block[:, p]
+    code = config_codes(block, node.parents, net.schema)
     codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
     m_x = node.counts.m_x
     cells = np.bincount(inverse * m_x + block[:, lattice.x], minlength=len(codes) * m_x)
-    configs = block[first][:, parents].tolist()
+    configs = block[first][:, list(node.parents)].tolist()
     for config, row in zip(configs, cells.reshape(len(codes), m_x)):
         node.counts.add(tuple(config), row)
     node.log_ml = log_marginal_likelihood(node.counts, node.alpha_x)
@@ -240,12 +241,16 @@ def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode)
 
 
 def _scored_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
+    return max((_node_score(net, lattice, n) for n in lattice.alive_nodes()), default=NEG_INF)
+
+
+def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
+    """``_scored_best`` from the cached scores, refitting nothing: a model
+    score may lag the log, and a node never scored under the model is -inf."""
+    if net.scoring_model == "table":
+        return max((n.log_score for n in lattice.alive_nodes()), default=NEG_INF)
     return max(
-        (
-            _node_score(net, lattice, n)
-            for n in lattice.nodes.values()
-            if n.status is NodeStatus.ALIVE
-        ),
+        (n.log_prior + n.model_ml.get(net.scoring_model, NEG_INF) for n in lattice.alive_nodes()),
         default=NEG_INF,
     )
 
@@ -301,7 +306,6 @@ def _rethreshold_lattice(
             pass
         else:
             node.expansion = ExpansionFlag.CLOSED
-    lattice.recompute_best()
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
@@ -346,7 +350,6 @@ def _mark_fresh_child(
         heapq.heappush(queue, (-score, node.key))
     else:
         node.expansion = ExpansionFlag.CLOSED
-    lattice.recompute_best()
 
 
 def _refine_lattice(
@@ -431,23 +434,28 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
     """
     report = SearchReport()
     if params.budget == 0:
-        # a zero budget is a pure no-op, not even parameter syncing
+        # a zero budget is a pure no-op, not even parameter syncing or refitting
         report.exhausted = False
         for lattice in net.lattices:
-            report.best_scores[net.schema.name(lattice.x)] = lattice.best_log_score
+            report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
         return report
     budget_left: int | None = params.budget
-    killed_before = {lat.x: sum(1 for n in lat.nodes.values() if n.status is NodeStatus.DEAD)
-                     for lat in net.lattices}
+    dead_before = _dead_count(net)
     for lattice in net.lattices:
         budget_left = _refine_lattice(net, lattice, params, budget_left, report)
+        report.best_scores[net.schema.name(lattice.x)] = _scored_best(net, lattice)
         if budget_left == 0 and not report.exhausted:
             break
-    for lattice in net.lattices:
-        dead = sum(1 for n in lattice.nodes.values() if n.status is NodeStatus.DEAD)
-        report.nodes_killed += dead - killed_before[lattice.x]
-        report.best_scores[net.schema.name(lattice.x)] = lattice.best_log_score
+    report.nodes_killed = _dead_count(net) - dead_before
+    for lattice in net.lattices:  # those the budget did not reach: nothing is refitted
+        name = net.schema.name(lattice.x)
+        if name not in report.best_scores:
+            report.best_scores[name] = _cached_best(net, lattice)
     return report
+
+
+def _dead_count(net: CombinedNetwork) -> int:
+    return sum(n.status is NodeStatus.DEAD for lat in net.lattices for n in lat.nodes.values())
 
 
 def best_network(net: CombinedNetwork) -> ConcreteNetwork:

@@ -283,9 +283,6 @@ def session_from_document(doc: dict) -> CombinedNetwork:
         scoring_model = doc["scoring_model"]
         if scoring_model not in SCORING_MODELS:
             raise SessionFormatError(f"unknown scoring model {scoring_model!r}")
-        example_log = [tuple(int(v) for v in row) for row in doc["example_log"]]
-        for example in example_log:
-            schema.validate_example(example)
         lattices = []
         for lattice_doc in doc["lattices"]:
             x = lattice_doc["x"]
@@ -295,16 +292,17 @@ def session_from_document(doc: dict) -> CombinedNetwork:
             for node_doc in lattice_doc["nodes"]:
                 node = _node_from_doc(node_doc, lattice, schema, config)
                 lattice.nodes[node.key] = node
-            lattice.recompute_best()
             lattices.append(lattice)
         if [lat.x for lat in lattices] != list(range(len(schema))):
             raise SessionFormatError("lattices do not cover the schema variables")
+        if not isinstance(doc["example_log"], list):
+            raise SessionFormatError("example log is not a list of rows")
         net = CombinedNetwork(
             schema=schema,
             priors=priors,
             config=config,
             lattices=lattices,
-            example_log=example_log,
+            example_log=doc["example_log"],
             scoring_model=scoring_model,
         )
         for lattice in net.lattices:

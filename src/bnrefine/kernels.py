@@ -36,6 +36,7 @@ from .domain import (
     DomainSchema,
     Example,
     PriorConfig,
+    config_codes,
     config_count,
 )
 
@@ -154,15 +155,24 @@ def expected_theta(
 def joint_log_likelihood(network: ConcreteNetwork, example: Example) -> float:
     """Log probability of a complete assignment under a concrete network.
 
-    A zero CPT entry yields -inf rather than an error.
+    ``rows_log_likelihood`` of one validated row; a zero CPT entry yields
+    -inf rather than an error.
     """
-    network.schema.validate_example(example)
+    return rows_log_likelihood(network, network.schema.encode_rows([example]))
+
+
+def rows_log_likelihood(network: ConcreteNetwork, rows: np.ndarray) -> float:
+    """Summed log probability of the rows of an (n, V) array of value indices.
+
+    Per variable, one gather of ``theta[parent configuration, value]`` over
+    every row; -inf as soon as one gathered entry is zero.
+    """
     total = 0.0
-    for x in range(len(network.schema)):
-        p = network.theta(x, example)
-        if p <= 0.0:
+    for x, (parents, table) in enumerate(zip(network.parents, network.tables)):
+        theta = table[config_codes(rows, parents, network.schema), rows[:, x]]
+        if not theta.all():
             return NEG_INF
-        total += math.log(p)
+        total += float(np.log(theta).sum())
     return total
 
 

@@ -76,7 +76,6 @@ class ParentLattice:
     candidates: tuple[int, ...]   # uncertain predecessors, ascending position
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
     nodes: dict[int, LatticeNode] = field(default_factory=dict)
-    best_log_score: float = NEG_INF
     last_refine_n: int = 0
 
     @property
@@ -92,12 +91,6 @@ class ParentLattice:
 
     def alive_nodes(self) -> list[LatticeNode]:
         return [n for n in self.nodes.values() if n.status is NodeStatus.ALIVE]
-
-    def recompute_best(self) -> None:
-        self.best_log_score = max(
-            (n.log_score for n in self.nodes.values() if n.status is NodeStatus.ALIVE),
-            default=NEG_INF,
-        )
 
 
 def new_lattice(
@@ -126,7 +119,6 @@ def new_lattice(
         expansion=ExpansionFlag.OPEN,
     )
     lattice.nodes[0] = root
-    lattice.best_log_score = root.log_score
     return lattice
 
 
@@ -189,10 +181,7 @@ def set_status(lattice: ParentLattice, node: LatticeNode, status: NodeStatus) ->
         raise LatticeStateError(
             f"node {node.key:#x} is dead; dead nodes are never revived"
         )
-    changed = node.status is not status
     node.status = status
     if status is NodeStatus.DEAD:
         node.expansion = ExpansionFlag.CLOSED
-    if changed:
-        lattice.recompute_best()
 

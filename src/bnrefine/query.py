@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import ConcreteNetwork, DomainSchema
 from .engine import CombinedNetwork, _node_score
-from .kernels import joint_log_likelihood, log_sum_exp, posterior_mean_row
+from .kernels import log_sum_exp, posterior_mean_row, rows_log_likelihood
 from .lattice import LatticeNode, LatticeStateError, ParentLattice, alive_leaves
 
 
@@ -66,8 +66,14 @@ class SmoothedNetwork:
 def _alive_weights(
     net: CombinedNetwork, lattice: ParentLattice
 ) -> tuple[list[LatticeNode], np.ndarray]:
-    """Alive nodes with their scores normalized to probabilities (log-sum-exp)."""
+    """Alive nodes with their scores normalized to probabilities (log-sum-exp).
+
+    Raises ``LatticeStateError`` when the lattice has no alive node: there
+    is then no distribution to normalize, and every posterior would read 0.
+    """
     alive = sorted(lattice.alive_nodes(), key=lambda n: n.key)
+    if not alive:
+        raise LatticeStateError(f"no alive parent set for {net.schema.name(lattice.x)!r}")
     scores = [_node_score(net, lattice, n) for n in alive]
     norm = log_sum_exp(scores)
     weights = np.array([math.exp(s - norm) for s in scores])
@@ -133,8 +139,6 @@ def leaf_masses(
     alive, weights = _alive_weights(net, lattice)
     weight_of = {n.key: w for n, w in zip(alive, weights)}
     leaves = sorted(alive_leaves(lattice), key=lambda n: n.key)
-    if not leaves:
-        raise LatticeStateError(f"no alive parent set for {net.schema.name(x)!r}")
     families = [
         [n for n in alive if n.key & leaf.key == n.key]
         for leaf in leaves
@@ -198,5 +202,9 @@ def sample_smoothed(net: CombinedNetwork, seed: int) -> SmoothedNetwork:
 
 
 def loglik_dataset(network: ConcreteNetwork, data) -> float:
-    """Total log likelihood of a dataset under one concrete network."""
-    return sum(joint_log_likelihood(network, example) for example in data)
+    """Total log likelihood of a dataset under one concrete network.
+
+    ``data`` is an iterable of examples or an integer (n, V) array; it is
+    validated and coded once (``encode_rows``), then scored per variable.
+    """
+    return rows_log_likelihood(network, network.schema.encode_rows(data))

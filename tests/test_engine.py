@@ -26,7 +26,7 @@ from bnrefine import (
     sample_smoothed,
     sync_node,
 )
-from bnrefine.engine import dead_condition
+from bnrefine.engine import _scored_best, dead_condition
 from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -298,12 +298,12 @@ class TestRefine:
 
     def test_best_monotone_under_budget_steps(self):
         net, _ = sampled_net(five_var_truth(), 150, seed=15)
-        last = {x: net.lattices[x].best_log_score for x in range(5)}
+        last = {x: _scored_best(net, net.lattices[x]) for x in range(5)}
         for _ in range(40):
             report = refine(net, SearchParams(budget=1))
             for x in range(5):
-                assert net.lattices[x].best_log_score >= last[x] - 1e-12
-                last[x] = net.lattices[x].best_log_score
+                assert _scored_best(net, net.lattices[x]) >= last[x] - 1e-12
+                last[x] = _scored_best(net, net.lattices[x])
             if report.exhausted:
                 break
 
@@ -386,7 +386,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
-        node.log_ml = params.log_c + lattice.best_log_score - node.log_prior
+        node.log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior
         node.status = NodeStatus.ASLEEP
         rethreshold(net, params)
         assert node.status is NodeStatus.ALIVE
@@ -397,7 +397,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        node.log_ml = params.log_c + lattice.best_log_score - node.log_prior - 1e-6
+        node.log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior - 1e-6
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
 
@@ -407,7 +407,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ASLEEP
-        boundary = params.log_c + lattice.best_log_score - node.log_prior
+        boundary = params.log_c + _scored_best(net, lattice) - node.log_prior
         changes = 0
         last = node.status
         for step in range(12):

@@ -14,6 +14,7 @@ from bnrefine import (
     refine,
 )
 from bnrefine.dotexport import export_dot
+from bnrefine.engine import _scored_best
 from bnrefine.fileio import (
     CsvFormatError,
     SessionFormatError,
@@ -181,7 +182,7 @@ class TestSession:
         assert serialize_session(loaded) == serialize_session(net)
         assert node_state(loaded) == node_state(net)
         for a, b in zip(net.lattices, loaded.lattices):
-            assert a.best_log_score == b.best_log_score
+            assert _scored_best(net, a) == _scored_best(loaded, b)
             assert a.last_refine_n == b.last_refine_n
 
     def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
@@ -226,6 +227,30 @@ class TestSession:
         doc["version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(SessionFormatError, match="version"):
+            load_session(path)
+
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            ([[0, 1], [0, 2]], "value index 2 out of range for 'b'"),
+            ([[0, 1], [0]], "example has 1 values, schema has 2"),
+            ([[0, 1], [True, 1]], "value for 'a' is not an index: True"),
+            ([[0, 1], [0, 1.5]], "value for 'b' is not an index: 1.5"),
+            ([[0, 1], ["1", 0]], "value for 'a' is not an index: '1'"),
+            ([[0, 1], [2**70, 0]], f"value index {2**70} out of range for 'a'"),
+            (None, "example log is not a list of rows"),
+        ],
+    )
+    def test_corrupt_log_cell_is_a_session_format_error(self, tmp_path, log, message):
+        # true, 1.5 and "1" were silently truncated to 1 before the log was
+        # validated as a whole block
+        net = fresh_net("ab")
+        observe_batch(net, [(0, 1), (1, 0)])
+        doc = json.loads(serialize_session(net))
+        doc["example_log"] = log
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SessionFormatError, match=message):
             load_session(path)
 
     def test_load_failure_leaves_original_file(self, tmp_path):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from bnrefine import ArcPriorMatrix, CountTable, PriorConfig
+from bnrefine import ArcPriorMatrix, CombinedNetwork, CountTable, PriorConfig
+from bnrefine.engine import _scored_best
 from bnrefine.kernels import alpha_for, log_structure_prior
 from bnrefine.lattice import (
     ExpansionFlag,
@@ -44,7 +45,6 @@ class TestNewLattice:
         assert lattice.root.status is NodeStatus.ALIVE
         assert lattice.root.expansion is ExpansionFlag.OPEN
         assert lattice.root.log_ml == 0.0
-        assert lattice.best_log_score == lattice.root.log_score
 
     def test_mandatory_arc_joins_the_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 1.0})
@@ -145,12 +145,13 @@ class TestStatus:
 
     def test_best_tracks_alive_set(self):
         lattice, schema, priors = make_lattice()
+        net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
         node = add(lattice, schema, priors, 0b001)
         node.log_ml = 5.0  # force it above the root
         set_status(lattice, node, NodeStatus.ALIVE)
         full_scan = max(
             n.log_score for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE
         )
-        assert lattice.best_log_score == full_scan == node.log_score
+        assert _scored_best(net, lattice) == full_scan == node.log_score
         set_status(lattice, node, NodeStatus.ASLEEP)
-        assert lattice.best_log_score == lattice.root.log_score
+        assert _scored_best(net, lattice) == lattice.root.log_score

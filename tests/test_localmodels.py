@@ -331,6 +331,52 @@ class TestModelDrivenSearch:
         matrix = all_arc_posteriors(net)
         assert matrix.entries[(0, 2)] > 0.5 and matrix.entries[(1, 2)] > 0.5
 
+    @pytest.mark.parametrize("model", ["noisy-or", "logistic"])
+    def test_reported_best_score_uses_the_active_model(self, model):
+        from bnrefine import NodeStatus
+
+        net = fresh_net("abx")
+        net.scoring_model = model
+        observe_batch(net, self._noisyor_examples(400, seed=47))
+        report = refine(net, SearchParams())
+        for lattice in net.lattices:
+            alive = [n for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE]
+            best = max(n.log_prior + n.model_ml[model] for n in alive)
+            assert report.best_scores[net.schema.name(lattice.x)] == best
+        table_best = max(n.log_score for n in net.lattices[2].alive_nodes())
+        assert report.best_scores["x"] != table_best
+
+    def test_zero_budget_refits_nothing(self):
+        from helpers import node_state
+
+        def fits(net):
+            return {
+                (lat.x, n.key): (dict(n.model_ml), dict(n.model_synced))
+                for lat in net.lattices
+                for n in lat.nodes.values()
+            }
+
+        net = fresh_net("abx")
+        net.scoring_model = "noisy-or"
+        observe_batch(net, self._noisyor_examples(200, seed=47))
+        searched = refine(net, SearchParams())
+        observe_batch(net, self._noisyor_examples(200, seed=49))  # every fit is now stale
+        state, fitted = node_state(net), fits(net)
+        report = refine(net, SearchParams(budget=0))
+        assert report.expansions == 0 and not report.exhausted
+        assert node_state(net) == state and fits(net) == fitted
+        assert report.best_scores == searched.best_scores  # the cached, stale scores
+
+    def test_budget_spent_early_leaves_later_lattices_unfitted(self):
+        net = fresh_net("abx")
+        net.scoring_model = "noisy-or"
+        observe_batch(net, self._noisyor_examples(200, seed=47))
+        report = refine(net, SearchParams(budget=1))  # spent on a's root
+        assert report.expansions == 1 and not report.exhausted
+        assert net.lattices[0].root.model_synced == {"noisy-or": net.n_total}
+        assert net.lattices[2].root.model_synced == {}
+        assert report.best_scores["x"] == float("-inf")  # never scored under the model
+
     def test_model_choice_changes_the_ranking_inputs(self):
         examples = self._noisyor_examples(400, seed=48)
         with_table = fresh_net("abx")

@@ -5,9 +5,13 @@ import pytest
 
 from bnrefine import (
     ArcPriorMatrix,
+    ConcreteNetwork,
+    DomainSchema,
+    ExampleError,
     NodeStatus,
     PriorConfig,
     SearchParams,
+    VariableSpec,
     all_arc_posteriors,
     arc_posterior,
     init,
@@ -16,7 +20,9 @@ from bnrefine import (
     refine,
     sample_smoothed,
 )
+from bnrefine.domain import config_index
 from bnrefine.kernels import posterior_mean_row
+from bnrefine.lattice import LatticeStateError, set_status
 from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
@@ -53,6 +59,18 @@ class TestArcPosterior:
         node.log_prior = lattice.root.log_prior
         node.log_ml = lattice.root.log_ml
         assert arc_posterior(net, 0, 1) == pytest.approx(0.5, abs=1e-12)
+
+    def test_lattice_without_an_alive_node_is_an_error(self):
+        net, _ = sampled_net(five_var_truth(), 100, seed=3)
+        refine(net, SearchParams())
+        lattice = net.lattices[3]
+        for node in lattice.nodes.values():
+            set_status(lattice, node, NodeStatus.DEAD)
+        with pytest.raises(LatticeStateError, match="no alive parent set for 'd'"):
+            arc_posterior(net, 1, 3)
+        with pytest.raises(LatticeStateError, match="no alive parent set for 'd'"):
+            all_arc_posteriors(net)
+        assert arc_posterior(net, 1, 2) >= 0.0  # other lattices still answer
 
     def test_hard_arcs_are_exact(self):
         schema = binary_schema("abc")
@@ -195,9 +213,69 @@ class TestSmoothed:
             assert abs(hits[k] / n_draws - p) <= 3 * se + 1e-12
 
 
+def per_example_loglik(network, data):
+    """The per-example sum ``loglik_dataset`` computed before it scored whole
+    columns: the reference here."""
+    total = 0.0
+    for example in data:
+        term = 0.0
+        for x in range(len(network.schema)):
+            row = config_index(example, network.parents[x], network.schema)
+            p = network.tables[x][row, example[x]]
+            if p <= 0.0:
+                return float("-inf")
+            term += math.log(p)
+        total += term
+    return total
+
+
+def mixed_arity_network(seed):
+    schema = DomainSchema(
+        (
+            VariableSpec("a", ("x", "y", "z")),
+            VariableSpec("b", ("f", "t")),
+            VariableSpec("c", tuple("pqrs")),
+            VariableSpec("d", ("f", "t")),
+        )
+    )
+    parents = ((), (0,), (0, 1), (0, 2))
+    rng = np.random.default_rng(seed)
+    tables = []
+    for x, ps in enumerate(parents):
+        shape = (int(np.prod([schema.arity(p) for p in ps])), schema.arity(x))
+        raw = rng.uniform(0.05, 1.0, size=shape)
+        tables.append(raw / raw.sum(axis=1, keepdims=True))
+    return ConcreteNetwork(schema, parents, tuple(tables))
+
+
 class TestLoglikDataset:
     def test_empty_is_zero(self):
         assert loglik_dataset(five_var_truth(), []) == 0.0
+        assert loglik_dataset(five_var_truth(), np.empty((0, 5), dtype=np.int64)) == 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_example_sum(self, seed):
+        network = mixed_arity_network(seed)
+        data = forward_sample(network, 500, seed=seed + 100)
+        expected = per_example_loglik(network, data)
+        assert loglik_dataset(network, data) == pytest.approx(expected, rel=1e-12)
+        as_array = np.array(data, dtype=np.int64)
+        assert loglik_dataset(network, as_array) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_cpt_entry_gives_neg_inf(self):
+        network = mixed_arity_network(0)
+        tables = list(network.tables)
+        tables[3] = tables[3].copy()
+        tables[3][1 * 4 + 2] = (1.0, 0.0)  # a = 1, c = 2: d is never 1
+        network = ConcreteNetwork(network.schema, network.parents, tuple(tables))
+        data = [(0, 0, 0, 1), (1, 1, 2, 1), (2, 0, 3, 0)]
+        assert per_example_loglik(network, data) == float("-inf")
+        assert loglik_dataset(network, data) == float("-inf")
+        assert math.isfinite(loglik_dataset(network, [data[0], data[2]]))
+
+    def test_invalid_row_rejects_the_dataset(self):
+        with pytest.raises(ExampleError, match="value index 3 out of range for 'd'"):
+            loglik_dataset(mixed_arity_network(0), [(0, 0, 0, 1), (0, 0, 0, 3)])
 
     def test_replication_scales_linearly(self):
         truth = five_var_truth()
