@@ -271,47 +271,77 @@ def _kill(lattice: ParentLattice, node: LatticeNode) -> None:
     set_status(lattice, node, NodeStatus.DEAD)
 
 
+def _rethreshold_node(
+    net: CombinedNetwork,
+    lattice: ParentLattice,
+    node: LatticeNode,
+    score: float,
+    best: float,
+    params: SearchParams,
+) -> None:
+    """Recompute a non-dead node's status and open flag against ``best``.
+
+    Admission uses the plain thresholds (boundary inclusive); demotion of a
+    currently alive/open node additionally requires falling below threshold
+    times the hysteresis factor.
+    """
+    if score < params.log_e + best and dead_condition(
+        node, net.schema, lattice.x, params.dead_kappa
+    ):
+        _kill(lattice, node)
+        return
+    if score >= params.log_c + best:
+        node.status = NodeStatus.ALIVE
+    elif node.status is NodeStatus.ALIVE and score >= params.log_c + params.log_h + best:
+        pass  # hysteresis: admitted nodes survive small dips
+    else:
+        node.status = NodeStatus.ASLEEP
+    if node.expanded:
+        node.expansion = ExpansionFlag.CLOSED
+    elif score >= params.log_d + best:
+        node.expansion = ExpansionFlag.OPEN
+    elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
+        pass
+    else:
+        node.expansion = ExpansionFlag.CLOSED
+
+
 def _rethreshold_lattice(
     net: CombinedNetwork,
     lattice: ParentLattice,
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute statuses and open flags of non-dead nodes against ``best``.
-
-    Admission uses the plain thresholds (boundary inclusive); demotion of a
-    currently alive/open node additionally requires falling below threshold
-    times the hysteresis factor.
-    """
+    """Recompute statuses and open flags of non-dead nodes against ``best``."""
     for node in sorted(lattice.nodes.values(), key=lambda n: n.key):
-        if node.status is NodeStatus.DEAD:
-            continue
-        score = _node_score(net, lattice, node)
-        if score < params.log_e + best and dead_condition(
-            node, net.schema, lattice.x, params.dead_kappa
-        ):
-            _kill(lattice, node)
-            continue
-        if score >= params.log_c + best:
-            node.status = NodeStatus.ALIVE
-        elif node.status is NodeStatus.ALIVE and score >= params.log_c + params.log_h + best:
-            pass  # hysteresis: admitted nodes survive small dips
-        else:
-            node.status = NodeStatus.ASLEEP
-        if node.expanded:
-            node.expansion = ExpansionFlag.CLOSED
-        elif score >= params.log_d + best:
-            node.expansion = ExpansionFlag.OPEN
-        elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
-            pass
-        else:
-            node.expansion = ExpansionFlag.CLOSED
+        if node.status is not NodeStatus.DEAD:
+            _rethreshold_node(net, lattice, node, _node_score(net, lattice, node), best, params)
+
+
+def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
+    """Sync every non-dead node with the log, then re-aim every status at
+    the new best, so all the scores compared have absorbed the same examples."""
+    for node in lattice.nodes.values():
+        if node.status is not NodeStatus.DEAD:
+            sync_node(net, lattice, node)
+    _rethreshold_lattice(net, lattice, _best_over_live(net, lattice), params)
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
-    """Re-aim every lattice's statuses at its current best score."""
+    """Catch every lattice up with the log and re-aim its statuses at its best score."""
     for lattice in net.lattices:
-        _rethreshold_lattice(net, lattice, _best_over_live(net, lattice), params)
+        _catch_up(net, lattice, params)
+
+
+def _open_queue(net: CombinedNetwork, lattice: ParentLattice) -> list[tuple[float, int]]:
+    """Heap of the open nodes: best score first, ties by ascending key."""
+    queue = [
+        (-_node_score(net, lattice, n), n.key)
+        for n in lattice.nodes.values()
+        if n.expansion is ExpansionFlag.OPEN
+    ]
+    heapq.heapify(queue)
+    return queue
 
 
 def _create_child(
@@ -330,28 +360,6 @@ def _create_child(
     return node
 
 
-def _mark_fresh_child(
-    net: CombinedNetwork,
-    lattice: ParentLattice,
-    node: LatticeNode,
-    score: float,
-    best: float,
-    params: SearchParams,
-    queue: list[tuple[float, int]],
-) -> None:
-    if score < params.log_e + best and dead_condition(
-        node, net.schema, lattice.x, params.dead_kappa
-    ):
-        _kill(lattice, node)
-        return
-    node.status = NodeStatus.ALIVE if score >= params.log_c + best else NodeStatus.ASLEEP
-    if score >= params.log_d + best:
-        node.expansion = ExpansionFlag.OPEN
-        heapq.heappush(queue, (-score, node.key))
-    else:
-        node.expansion = ExpansionFlag.CLOSED
-
-
 def _refine_lattice(
     net: CombinedNetwork,
     lattice: ParentLattice,
@@ -361,20 +369,11 @@ def _refine_lattice(
 ) -> int | None:
     """Drain one lattice's open queue; returns the remaining budget."""
     if lattice.last_refine_n != net.n_total:
-        # New data arrived since the last search touched this lattice:
-        # catch stale nodes up, then re-aim every status at the new best.
-        for node in lattice.nodes.values():
-            if node.status is not NodeStatus.DEAD:
-                sync_node(net, lattice, node)
-        _rethreshold_lattice(net, lattice, _best_over_live(net, lattice), params)
+        # new data arrived since the last search touched this lattice
+        _catch_up(net, lattice, params)
         lattice.last_refine_n = net.n_total
 
-    queue = [
-        (-_node_score(net, lattice, n), n.key)
-        for n in lattice.nodes.values()
-        if n.expansion is ExpansionFlag.OPEN
-    ]
-    heapq.heapify(queue)
+    queue = _open_queue(net, lattice)
     best = _scored_best(net, lattice)
     while queue:
         if budget_left is not None and budget_left <= 0:
@@ -415,14 +414,11 @@ def _refine_lattice(
             best = top
             _rethreshold_lattice(net, lattice, best, params)
             # re-seed the queue: the rethreshold may have opened or closed nodes
-            queue = [
-                (-_node_score(net, lattice, n), n.key)
-                for n in lattice.nodes.values()
-                if n.expansion is ExpansionFlag.OPEN
-            ]
-            heapq.heapify(queue)
-        for child in fresh:
-            _mark_fresh_child(net, lattice, child, scores[child.key], best, params, queue)
+            queue = _open_queue(net, lattice)
+        for child in fresh:  # a fresh node starts asleep and closed: no hysteresis
+            _rethreshold_node(net, lattice, child, scores[child.key], best, params)
+            if child.expansion is ExpansionFlag.OPEN:
+                heapq.heappush(queue, (-scores[child.key], child.key))
     return budget_left
 
 

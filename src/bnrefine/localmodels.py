@@ -14,6 +14,14 @@ boolean child x with boolean parents x_1..x_n:
   which is plain logistic regression on parent indicators.  The two forms
   approximate each other when the product is small.
 
+Both likelihoods depend on the data only through the node's ``CountTable``:
+one row ``[n_false, n_true]`` per observed parent configuration, at most
+2^n rows however many examples were seen.  Every function here takes those
+counts (``boolean_counts`` builds them from raw boolean rows), and one
+kernel per model turns them into the log likelihood, its gradient and its
+Hessian, so the cost of a fit depends on the number of observed parent
+configurations, not on the number of examples.
+
 Parameters are fitted by maximum posterior in unconstrained coordinates
 (tau for logistic, logit q for noisy-or) under an independent normal prior
 per coordinate, and integrated out with a multivariate normal expansion
@@ -37,6 +45,8 @@ from .lattice import LatticeNode, ParentLattice
 
 LN_2PI = math.log(2.0 * math.pi)
 DEFAULT_PRIOR_SCALE = 10.0
+# a gain below this many ulps of the objective is lost in its rounding
+RESOLUTION = 16.0 * np.finfo(float).eps
 
 
 class UnsupportedModelError(ValueError):
@@ -92,14 +102,38 @@ class LocalModelScore:
     log_marginal: float
 
 
-def _as_data(x_values, parent_rows) -> tuple[np.ndarray, np.ndarray]:
+def boolean_counts(x_values, parent_rows) -> CountTable:
+    """Boolean (child value, parent row) data as the count table a node keeps.
+
+    Rows are grouped by parent configuration (``np.unique`` over a binary
+    code) and counted per child value with one ``np.bincount``; each count
+    row is ``[n_false, n_true]``.
+    """
     x = np.asarray(x_values, dtype=bool)
     rows = np.asarray(parent_rows, dtype=bool)
     if rows.ndim == 1:
         rows = rows.reshape(len(x), -1)
     if rows.shape[0] != x.shape[0]:
         raise ValueError(f"{x.shape[0]} child values but {rows.shape[0]} parent rows")
-    return x, rows
+    counts = CountTable(2)
+    counts.config_len = rows.shape[1]
+    code = rows.astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    cells = np.bincount(2 * inverse + x, minlength=2 * len(first)).reshape(-1, 2)
+    for config, row in zip(rows[first].astype(int).tolist(), cells):
+        counts.add(tuple(config), row)
+    return counts
+
+
+def _blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Activity rows (the always-active leak/intercept column first), n_false
+    and n_true, one entry per observed parent configuration in sorted order."""
+    configs = sorted(counts.rows)
+    n_parents = counts.config_len or 0
+    activity = np.ones((len(configs), n_parents + 1))
+    activity[:, 1:] = np.array(configs, dtype=float).reshape(len(configs), n_parents)
+    cells = np.array([counts.rows[c] for c in configs], dtype=float).reshape(-1, 2)
+    return activity, cells[:, 0], cells[:, 1]
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:
@@ -124,123 +158,38 @@ def _log1mexp(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activity(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Indicator matrix with the always-active leak/intercept column first."""
-    return np.column_stack([np.ones(len(x)), rows.astype(float)])
-
-
-def noisyor_loglik(params: NoisyOrParams, x_values, parent_rows) -> float:
-    """Log likelihood of boolean data under a noisy-or gate."""
-    x, rows = _as_data(x_values, parent_rows)
-    q = np.asarray(params.q)
-    if len(q) != rows.shape[1] + 1:
-        raise ValueError(f"{len(q)} parameters for {rows.shape[1]} parents")
-    s = _activity(x, rows) @ np.log(q)
-    return float(np.sum(s[~x]) + np.sum(_log1mexp(s[x])))
-
-
-def noisyor_loglik_grad(params: NoisyOrParams, x_values, parent_rows) -> np.ndarray:
-    """Gradient of the noisy-or log likelihood with respect to q."""
-    x, rows = _as_data(x_values, parent_rows)
-    q = np.asarray(params.q)
-    a = _activity(x, rows)
-    s = a @ np.log(q)
-    grad = a[~x].sum(axis=0).astype(float)
-    if x.any():
-        # d/dq of log(1 - e^s): -e^s / (1 - e^s) per active coordinate
-        w = 1.0 / np.expm1(-s[x])
-        grad -= (a[x] * w[:, None]).sum(axis=0)
-    return grad / q
-
-
-def logistic_loglik(params: LogisticParams, x_values, parent_rows) -> float:
-    """Log likelihood of boolean data under the multiplicative logistic form."""
-    x, rows = _as_data(x_values, parent_rows)
-    tau = np.asarray(params.tau)
-    if len(tau) != rows.shape[1] + 1:
-        raise ValueError(f"{len(tau)} parameters for {rows.shape[1]} parents")
-    t = _activity(x, rows) @ tau
-    return float(-np.sum(_softplus(-t[~x])) - np.sum(_softplus(t[x])))
-
-
-def logistic_loglik_grad(params: LogisticParams, x_values, parent_rows) -> np.ndarray:
-    """Gradient of the logistic log likelihood with respect to tau."""
-    x, rows = _as_data(x_values, parent_rows)
-    tau = np.asarray(params.tau)
-    a = _activity(x, rows)
-    t = a @ tau
-    sig = _sigmoid(t)
-    grad = (a[~x] * (1.0 - sig[~x])[:, None]).sum(axis=0)
-    grad -= (a[x] * sig[x][:, None]).sum(axis=0)
-    return grad
-
-
-def _unconstrained_problem(kind: str, x: np.ndarray, rows: np.ndarray, prior_scale: float):
-    """Objective/gradient/Hessian of the log posterior in unconstrained coordinates."""
-    a = _activity(x, rows)
-    d = a.shape[1]
-    var = prior_scale * prior_scale
-    log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
-
+def _kernel(
+    kind: str, u: np.ndarray, activity: np.ndarray, n_false: np.ndarray, n_true: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log likelihood, gradient and Hessian in unconstrained coordinates
+    (tau for logistic, logit q for noisy-or) from per-configuration counts."""
     if kind == "logistic":
-
-        def value(u: np.ndarray) -> float:
-            t = a @ u
-            ll = -np.sum(_softplus(-t[~x])) - np.sum(_softplus(t[x]))
-            return float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
-
-        def grad(u: np.ndarray) -> np.ndarray:
-            t = a @ u
-            sig = _sigmoid(t)
-            g = (a[~x] * (1.0 - sig[~x])[:, None]).sum(axis=0)
-            g -= (a[x] * sig[x][:, None]).sum(axis=0)
-            return g - u / var
-
-        def hessian(u: np.ndarray) -> np.ndarray:
-            t = a @ u
-            w = _sigmoid(t) * _sigmoid(-t)
-            return -(a * w[:, None]).T @ a - np.eye(d) / var
-
-    elif kind == "noisy-or":
-
-        def value(u: np.ndarray) -> float:
-            lnq = -_softplus(-u)  # log sigmoid(u), stable for large |u|
-            s = a @ lnq
-            ll = np.sum(s[~x]) + np.sum(_log1mexp(s[x]))
-            return float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
-
-        def grad(u: np.ndarray) -> np.ndarray:
-            lnq = -_softplus(-u)
-            one_minus_q = _sigmoid(-u)
-            s = a @ lnq
-            g = (a[~x] * one_minus_q[None, :]).sum(axis=0)
-            if x.any():
-                w = 1.0 / np.expm1(-s[x])
-                g -= (a[x] * w[:, None] * one_minus_q[None, :]).sum(axis=0)
-            return g - u / var
-
-        def hessian(u: np.ndarray) -> np.ndarray:
-            # central differences of the analytic gradient
-            h = 1e-5
-            out = np.empty((d, d))
-            for j in range(d):
-                shift = np.zeros(d)
-                shift[j] = h
-                out[:, j] = (grad(u + shift) - grad(u - shift)) / (2.0 * h)
-            return (out + out.T) / 2.0
-
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
-    return value, grad, hessian, d
+        t = activity @ u  # log odds of x = false
+        p_false, p_true = _sigmoid(t), _sigmoid(-t)
+        ll = -n_false @ _softplus(-t) - n_true @ _softplus(t)
+        grad = (n_false * p_true - n_true * p_false) @ activity
+        weight = (n_false + n_true) * p_false * p_true
+        return float(ll), grad, -(activity.T * weight) @ activity
+    if kind == "noisy-or":
+        q, one_minus_q = _sigmoid(u), _sigmoid(-u)
+        s = activity @ -_softplus(-u)  # log Pr(x = false), stable for large |u|
+        p_false, p_true = np.exp(s), -np.expm1(s)
+        ll = n_false @ s + n_true @ _log1mexp(s)
+        # r = (ds/du) / Pr(x = true) stays bounded as q -> 1, because
+        # ds/du_j = a_j (1 - q_j) <= -s; the plain second-derivative weight
+        # w (1 + w), w = 1/expm1(-s), overflows there
+        r = activity * one_minus_q / p_true[:, None]
+        weight = n_true * p_false
+        grad = n_false @ activity * one_minus_q - weight @ r
+        # d(1 - q_j)/du_j = -q_j (1 - q_j) puts -q_j grad_j on the diagonal
+        return float(ll), grad, -(r.T * weight) @ r - np.diag(q * grad)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _warm_to_u(kind: str, warm_start) -> np.ndarray | None:
-    if warm_start is None:
-        return None
+def _to_u(kind: str, params) -> np.ndarray:
     if kind == "logistic":
-        return np.asarray(warm_start.tau, dtype=float)
-    q = np.asarray(warm_start.q, dtype=float)
+        return np.asarray(params.tau, dtype=float)
+    q = np.asarray(params.q, dtype=float)
     return np.log(q) - np.log1p(-q)
 
 
@@ -250,10 +199,56 @@ def _u_to_params(kind: str, u: np.ndarray):
     return NoisyOrParams(tuple(_sigmoid(u)))
 
 
+def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.ndarray]:
+    """Log likelihood and its gradient in unconstrained coordinates."""
+    activity, n_false, n_true = _blocks(counts)
+    u = _to_u(kind, params)
+    if len(u) != activity.shape[1]:
+        raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
+    ll, grad, _ = _kernel(kind, u, activity, n_false, n_true)
+    return ll, grad
+
+
+def noisyor_loglik(params: NoisyOrParams, counts: CountTable) -> float:
+    """Log likelihood of boolean counts under a noisy-or gate."""
+    return _natural_loglik("noisy-or", params, counts)[0]
+
+
+def noisyor_loglik_grad(params: NoisyOrParams, counts: CountTable) -> np.ndarray:
+    """Gradient of the noisy-or log likelihood with respect to q."""
+    q = np.asarray(params.q)
+    return _natural_loglik("noisy-or", params, counts)[1] / (q * (1.0 - q))
+
+
+def logistic_loglik(params: LogisticParams, counts: CountTable) -> float:
+    """Log likelihood of boolean counts under the multiplicative logistic form."""
+    return _natural_loglik("logistic", params, counts)[0]
+
+
+def logistic_loglik_grad(params: LogisticParams, counts: CountTable) -> np.ndarray:
+    """Gradient of the logistic log likelihood with respect to tau."""
+    return _natural_loglik("logistic", params, counts)[1]
+
+
+def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
+    """The log posterior as one function of u giving value, gradient and
+    Hessian, and its dimension."""
+    activity, n_false, n_true = _blocks(counts)
+    d = activity.shape[1]
+    var = prior_scale * prior_scale
+    log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
+
+    def evaluate(u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        ll, grad, hess = _kernel(kind, u, activity, n_false, n_true)
+        value = float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
+        return value, grad - u / var, hess - np.eye(d) / var
+
+    return evaluate, d
+
+
 def fit_map(
     kind: str,
-    x_values,
-    parent_rows,
+    counts: CountTable,
     *,
     prior_scale: float = DEFAULT_PRIOR_SCALE,
     warm_start=None,
@@ -263,29 +258,23 @@ def fit_map(
     """Maximum-posterior fit by damped Newton ascent in unconstrained space.
 
     The objective (log likelihood plus normal log prior) is non-decreasing
-    across iterations; convergence means the gradient's max-norm fell below
-    ``tol``.  Deterministic given its inputs.
+    across iterations, up to its float resolution; convergence means the
+    gradient's max-norm fell below ``tol``.  Deterministic given its inputs.
     """
-    x, rows = _as_data(x_values, parent_rows)
-    if len(x) == 0:
+    if not counts.total:
         raise ValueError("fit_map requires at least one data row")
-    value, grad, hessian, d = _unconstrained_problem(kind, x, rows, prior_scale)
-    u = _warm_to_u(kind, warm_start)
-    u = np.zeros(d) if u is None else u.copy()
-    fval = value(u)
+    evaluate, d = _log_posterior(kind, counts, prior_scale)
+    u = np.zeros(d) if warm_start is None else _to_u(kind, warm_start)
+    fval, g, hess = evaluate(u)
     trace = [fval]
     iterations = 0
-    converged = False
     for _ in range(max_iter):
-        g = grad(u)
-        grad_norm = float(np.max(np.abs(g)))
-        if grad_norm < tol:
-            converged = True
+        if float(np.max(np.abs(g))) < tol:
             break
         direction = g
         curvature_ok = False
         try:
-            chol = np.linalg.cholesky(-hessian(u))
+            chol = np.linalg.cholesky(-hess)
             direction = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
             curvature_ok = True
         except np.linalg.LinAlgError:
@@ -294,29 +283,29 @@ def fit_map(
         if slope <= 0:
             direction, slope = g, float(g @ g)
             curvature_ok = False
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            candidate = u + step * direction
-            if np.array_equal(candidate, u):
-                break  # the step rounded away entirely; no progress this way
-            fnew = value(candidate)
-            if fnew >= fval + 1e-4 * step * slope:
-                u, fval, accepted = candidate, fnew, True
-                break
-            step /= 2.0
-        if not accepted:
-            if curvature_ok and float(np.max(np.abs(direction))) < 1e-6:
-                # the true objective gain here is below float resolution, so
-                # backtracking cannot see it; the damped-Newton step is the
-                # reliable way to polish the gradient down to tolerance
-                u = u + direction
-                fval = value(u)
-            else:
+        if curvature_ok and slope < RESOLUTION * abs(fval):
+            # the predicted gain is below the objective's float resolution,
+            # so backtracking cannot see it; the full Newton step polishes
+            # the gradient down to tolerance
+            u = u + direction
+            fval, g, hess = evaluate(u)
+        else:
+            step = 1.0
+            accepted = False
+            for _ in range(60):
+                candidate = u + step * direction
+                if np.array_equal(candidate, u):
+                    break  # the step rounded away entirely; no progress this way
+                point = evaluate(candidate)
+                if point[0] >= fval + 1e-4 * step * slope:
+                    u, (fval, g, hess), accepted = candidate, point, True
+                    break
+                step /= 2.0
+            if not accepted:
                 break
         trace.append(fval)
         iterations += 1
-    grad_norm = float(np.max(np.abs(grad(u))))
+    grad_norm = float(np.max(np.abs(g)))
     fit = MapFit(
         kind=kind,
         params=_u_to_params(kind, u),
@@ -325,7 +314,7 @@ def fit_map(
         iterations=iterations,
         trace=tuple(trace),
     )
-    if not (converged or grad_norm < tol):
+    if grad_norm >= tol:
         raise FitConvergenceError(
             f"{kind} fit stopped after {iterations} iterations with "
             f"gradient norm {grad_norm:.3g}",
@@ -343,27 +332,18 @@ def log_det_neg_hessian(hess: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def _table_alpha(alpha: float, n_parents: int) -> float:
-    return alpha / (2.0 * 2.0**n_parents)
+def _table_alpha(alpha: float, counts: CountTable) -> float:
+    return alpha / (2.0 * 2.0 ** (counts.config_len or 0))
 
 
-def _table_counts(x: np.ndarray, rows: np.ndarray) -> CountTable:
-    counts = CountTable(2)
-    for xi, row in zip(x, rows):
-        counts.increment(tuple(int(v) for v in row), int(xi))
-    return counts
-
-
-def exact_table_log_marginal(x_values, parent_rows, *, alpha: float = 1.0) -> float:
-    """Exact Dirichlet-multinomial marginal of boolean data under the full table."""
-    x, rows = _as_data(x_values, parent_rows)
-    return log_marginal_likelihood(_table_counts(x, rows), _table_alpha(alpha, rows.shape[1]))
+def exact_table_log_marginal(counts: CountTable, *, alpha: float = 1.0) -> float:
+    """Exact Dirichlet-multinomial marginal of boolean counts under the full table."""
+    return log_marginal_likelihood(counts, _table_alpha(alpha, counts))
 
 
 def laplace_log_marginal(
     kind: str,
-    x_values,
-    parent_rows,
+    counts: CountTable,
     *,
     prior_scale: float = DEFAULT_PRIOR_SCALE,
     alpha: float = 1.0,
@@ -377,10 +357,8 @@ def laplace_log_marginal(
     to the Dirichlet integral in logit space (useful as a cross-check
     against the exact value).
     """
-    x, rows = _as_data(x_values, parent_rows)
     if kind == "table":
-        alpha_x = _table_alpha(alpha, rows.shape[1])
-        counts = _table_counts(x, rows)
+        alpha_x = _table_alpha(alpha, counts)
         log_beta_prior = log_beta_multi([alpha_x, alpha_x])
         total = 0.0
         for row in counts.rows.values():
@@ -390,26 +368,25 @@ def laplace_log_marginal(
             curvature = (n0 + n1) * theta * (1.0 - theta)
             total += log_peak + 0.5 * LN_2PI - 0.5 * math.log(curvature)
         return total
-    fit = fit_map(kind, x, rows, prior_scale=prior_scale, warm_start=warm_start)
-    _, _, hessian, d = _unconstrained_problem(kind, x, rows, prior_scale)
-    u = _warm_to_u(kind, fit.params)
-    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(hessian(u))
+    fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm_start)
+    evaluate, d = _log_posterior(kind, counts, prior_scale)
+    _, _, hess = evaluate(_to_u(kind, fit.params))
+    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(hess)
 
 
-def boolean_node_data(
-    net: CombinedNetwork, x: int, parents: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (child values, parent rows) as booleans from the example log.
+def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
+    """The node's counts, synced with the example log, for a boolean family.
 
-    The second value label of a variable is its "true" state.
+    The second value label of a variable is its "true" state, so each count
+    row is ``[n_false, n_true]``.
     """
     schema = net.schema
-    bad = [v for v in (x, *parents) if schema.arity(v) != 2]
+    bad = [v for v in (x, *node.parents) if schema.arity(v) != 2]
     if bad:
         names = ", ".join(schema.name(v) for v in bad)
         raise UnsupportedModelError(f"noisy-or/logistic need boolean variables; not boolean: {names}")
-    log = net.example_log
-    return log[:, x] == 1, log[:, list(parents)] == 1
+    sync_node(net, net.lattices[x], node)
+    return node.counts
 
 
 def score_node_with_model(
@@ -422,20 +399,20 @@ def score_node_with_model(
 ) -> LocalModelScore:
     """Score one lattice node under the chosen model and cache the result.
 
-    The table kind reproduces the node's exact Dirichlet marginal; the
-    restricted kinds fit their parameters (warm-started from the previous
-    fit, if any, and refitted once from a cold start if that fit does not
-    converge) and store the normal-expansion marginal in the node's
-    parallel score slot, leaving the structure prior and the exact table
-    score untouched.
+    The node is synced with the example log first.  The table kind
+    reproduces the node's exact Dirichlet marginal; the restricted kinds
+    fit their parameters to the node's counts (warm-started from the
+    previous fit, if any, and refitted once from a cold start if that fit
+    does not converge) and store the normal-expansion marginal in the
+    node's parallel score slot, leaving the structure prior and the exact
+    table score untouched.
     """
-    lattice = net.lattices[x]
     if kind == "table":
-        sync_node(net, lattice, node)
+        sync_node(net, net.lattices[x], node)
         return LocalModelScore(kind="table", params=None, log_marginal=node.log_ml)
     if kind not in ("noisy-or", "logistic"):
         raise ValueError(f"unknown model kind {kind!r}")
-    x_values, rows = boolean_node_data(net, x, node.parents)
+    counts = boolean_node_data(net, x, node)
     warm_list = node.model_params.get(kind)
     warm = None
     if warm_list is not None:
@@ -445,16 +422,14 @@ def score_node_with_model(
             else NoisyOrParams(tuple(warm_list))
         )
     try:
-        fit = fit_map(kind, x_values, rows, prior_scale=prior_scale, warm_start=warm)
+        fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm)
     except FitConvergenceError:
         if warm is None:
             raise
         # a warm start far from the new optimum can stall where a cold one
         # converges in a few steps; retry once from the origin
-        fit = fit_map(kind, x_values, rows, prior_scale=prior_scale)
-    marginal = laplace_log_marginal(
-        kind, x_values, rows, prior_scale=prior_scale, warm_start=fit.params
-    )
+        fit = fit_map(kind, counts, prior_scale=prior_scale)
+    marginal = laplace_log_marginal(kind, counts, prior_scale=prior_scale, warm_start=fit.params)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
     node.model_ml[kind] = marginal
     node.model_synced[kind] = net.n_total

@@ -36,6 +36,7 @@ from bnrefine.kernels import (
 from bnrefine.localmodels import (
     LogisticParams,
     NoisyOrParams,
+    boolean_counts,
     fit_map,
     laplace_log_marginal,
     logistic_loglik,
@@ -349,23 +350,23 @@ def test_criterion_08_local_models():
         tau = rng.uniform(-2.0, 2.0, n_parents + 1)
         x = rng.random(8) < 0.5
         rows = rng.random((8, n_parents)) < 0.5
-        got_q = noisyor_loglik_grad(NoisyOrParams(tuple(q)), x, rows)
-        got_t = logistic_loglik_grad(LogisticParams(tuple(tau)), x, rows)
+        got_q = noisyor_loglik_grad(NoisyOrParams(tuple(q)), boolean_counts(x, rows))
+        got_t = logistic_loglik_grad(LogisticParams(tuple(tau)), boolean_counts(x, rows))
         for i in range(n_parents + 1):
             hi, lo = q.copy(), q.copy()
             hi[i] += step
             lo[i] -= step
             fd = (
-                noisyor_loglik(NoisyOrParams(tuple(hi)), x, rows)
-                - noisyor_loglik(NoisyOrParams(tuple(lo)), x, rows)
+                noisyor_loglik(NoisyOrParams(tuple(hi)), boolean_counts(x, rows))
+                - noisyor_loglik(NoisyOrParams(tuple(lo)), boolean_counts(x, rows))
             ) / (2 * step)
             assert got_q[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
             hi, lo = tau.copy(), tau.copy()
             hi[i] += step
             lo[i] -= step
             fd = (
-                logistic_loglik(LogisticParams(tuple(hi)), x, rows)
-                - logistic_loglik(LogisticParams(tuple(lo)), x, rows)
+                logistic_loglik(LogisticParams(tuple(hi)), boolean_counts(x, rows))
+                - logistic_loglik(LogisticParams(tuple(lo)), boolean_counts(x, rows))
             ) / (2 * step)
             assert got_t[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -375,14 +376,14 @@ def test_criterion_08_local_models():
     rows = sample_rng.random((10_000, 3)) < 0.5
     p_false = q_true[0] * np.prod(np.where(rows, q_true[1:], 1.0), axis=1)
     x = sample_rng.random(10_000) >= p_false
-    fit = fit_map("noisy-or", x, rows)
+    fit = fit_map("noisy-or", boolean_counts(x, rows))
     for got, want in zip(fit.params.q, q_true):
         assert abs(got - want) < 0.05
 
     # one-parameter marginal against direct quadrature
     bern_rng = np.random.default_rng(62)
     x1 = bern_rng.random(100) < 0.4
-    marginal = laplace_log_marginal("noisy-or", x1, np.empty((100, 0)))
+    marginal = laplace_log_marginal("noisy-or", boolean_counts(x1, np.empty((100, 0))))
     n_true = int(x1.sum())
     scale = 10.0
 
@@ -401,8 +402,8 @@ def test_criterion_08_local_models():
     small_rng = np.random.default_rng(63)
     x2 = small_rng.random(10) < 0.5
     rows2 = small_rng.random((10, 3)) < 0.5
-    a = noisyor_loglik(NoisyOrParams(tuple(q)), x2, rows2)
-    b = logistic_loglik(LogisticParams(tuple(np.log(q))), x2, rows2)
+    a = noisyor_loglik(NoisyOrParams(tuple(q)), boolean_counts(x2, rows2))
+    b = logistic_loglik(LogisticParams(tuple(np.log(q))), boolean_counts(x2, rows2))
     assert abs(a - b) < 1e-2
     _passed(8, "gradients, recovery, Laplace-vs-quadrature, and model agreement")
 

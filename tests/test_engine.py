@@ -419,6 +419,22 @@ class TestRethreshold:
         assert changes <= 1
         assert node.status is NodeStatus.ALIVE
 
+    def test_public_rethreshold_catches_stale_nodes_up(self):
+        # ranking asleep nodes by counts that lag the log used to kill
+        # every node synced at n = 2000 and wake nodes synced at n = 200
+        truth = chain_v_truth()
+        priors = ArcPriorMatrix(entries={(0, 1): 1.0, (0, 5): 0.0}, default_prior=0.5)
+        net = init(truth.schema, priors, PriorConfig(alpha=1.0))
+        data = forward_sample(truth, 2000, seed=5)
+        observe_batch(net, data[:200])
+        refine(net, SearchParams())
+        observe_batch(net, data[200:])
+        rethreshold(net, SearchParams())
+        for lattice in net.lattices:
+            alive = lattice.alive_nodes()
+            assert alive
+            assert all(node.synced_through == net.n_total for node in alive)
+
 
 class TestBestNetwork:
     def test_fresh_net_is_uniform_roots(self):

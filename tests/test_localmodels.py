@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnrefine import PriorConfig, SearchParams, observe_batch, refine
 from bnrefine.localmodels import (
@@ -11,6 +13,9 @@ from bnrefine.localmodels import (
     MapFit,
     NoisyOrParams,
     UnsupportedModelError,
+    _blocks,
+    _kernel,
+    boolean_counts,
     boolean_node_data,
     exact_table_log_marginal,
     fit_map,
@@ -51,7 +56,7 @@ def random_points(seed, n_points, n_parents):
 class TestNoisyOrLoglik:
     def test_leak_only(self):
         params = NoisyOrParams((0.3,))
-        assert noisyor_loglik(params, [False], np.empty((1, 0))) == pytest.approx(
+        assert noisyor_loglik(params, boolean_counts([False], np.empty((1, 0)))) == pytest.approx(
             math.log(0.3)
         )
 
@@ -60,7 +65,7 @@ class TestNoisyOrLoglik:
         rows = np.zeros((4, 2), dtype=bool)
         x = np.array([False, True, False, True])
         expected = 2 * math.log(0.3) + 2 * math.log(0.7)
-        assert noisyor_loglik(params, x, rows) == pytest.approx(expected)
+        assert noisyor_loglik(params, boolean_counts(x, rows)) == pytest.approx(expected)
 
     def test_matches_row_by_row_enumeration(self):
         rng = np.random.default_rng(31)
@@ -72,7 +77,7 @@ class TestNoisyOrLoglik:
             for xi, row in zip(x, rows):
                 p_false = q[0] * np.prod(q[1:][row])
                 direct += math.log(1 - p_false) if xi else math.log(p_false)
-            got = noisyor_loglik(NoisyOrParams(tuple(q)), x, rows)
+            got = noisyor_loglik(NoisyOrParams(tuple(q)), boolean_counts(x, rows))
             assert got == pytest.approx(direct, rel=1e-12)
 
     def test_parameter_validation(self):
@@ -87,12 +92,13 @@ class TestLogisticLoglik:
         params = LogisticParams((0.0, 0.0))
         x = np.array([True, False, True])
         rows = np.array([[True], [False], [False]])
-        assert logistic_loglik(params, x, rows) == pytest.approx(3 * math.log(0.5))
+        assert logistic_loglik(params, boolean_counts(x, rows)) == pytest.approx(3 * math.log(0.5))
 
     def test_large_negative_intercept_makes_true_certain(self):
         params = LogisticParams((-30.0,))
         x = np.array([True] * 5)
-        assert logistic_loglik(params, x, np.empty((5, 0))) == pytest.approx(0.0, abs=1e-10)
+        counts = boolean_counts(x, np.empty((5, 0)))
+        assert logistic_loglik(params, counts) == pytest.approx(0.0, abs=1e-10)
 
     def test_small_product_regime_matches_noisyor(self):
         # with the false-probability product below 1e-3, both forms agree
@@ -101,8 +107,8 @@ class TestLogisticLoglik:
         rng = np.random.default_rng(32)
         x = rng.random(10) < 0.5
         rows = rng.random((10, 3)) < 0.5
-        a = noisyor_loglik(NoisyOrParams(tuple(q)), x, rows)
-        b = logistic_loglik(LogisticParams(tuple(tau)), x, rows)
+        a = noisyor_loglik(NoisyOrParams(tuple(q)), boolean_counts(x, rows))
+        b = logistic_loglik(LogisticParams(tuple(tau)), boolean_counts(x, rows))
         assert abs(a - b) < 1e-2
 
 
@@ -110,28 +116,28 @@ class TestGradients:
     def test_noisyor_matches_finite_differences(self):
         step = 1e-5
         for q, _, x, rows in random_points(33, 25, 3):
-            grad = noisyor_loglik_grad(NoisyOrParams(tuple(q)), x, rows)
+            grad = noisyor_loglik_grad(NoisyOrParams(tuple(q)), boolean_counts(x, rows))
             for i in range(len(q)):
                 hi, lo = q.copy(), q.copy()
                 hi[i] += step
                 lo[i] -= step
                 fd = (
-                    noisyor_loglik(NoisyOrParams(tuple(hi)), x, rows)
-                    - noisyor_loglik(NoisyOrParams(tuple(lo)), x, rows)
+                    noisyor_loglik(NoisyOrParams(tuple(hi)), boolean_counts(x, rows))
+                    - noisyor_loglik(NoisyOrParams(tuple(lo)), boolean_counts(x, rows))
                 ) / (2 * step)
                 assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_logistic_matches_finite_differences(self):
         step = 1e-5
         for _, tau, x, rows in random_points(34, 25, 3):
-            grad = logistic_loglik_grad(LogisticParams(tuple(tau)), x, rows)
+            grad = logistic_loglik_grad(LogisticParams(tuple(tau)), boolean_counts(x, rows))
             for i in range(len(tau)):
                 hi, lo = tau.copy(), tau.copy()
                 hi[i] += step
                 lo[i] -= step
                 fd = (
-                    logistic_loglik(LogisticParams(tuple(hi)), x, rows)
-                    - logistic_loglik(LogisticParams(tuple(lo)), x, rows)
+                    logistic_loglik(LogisticParams(tuple(hi)), boolean_counts(x, rows))
+                    - logistic_loglik(LogisticParams(tuple(lo)), boolean_counts(x, rows))
                 ) / (2 * step)
                 assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -142,31 +148,99 @@ class TestGradients:
         x = rng.random(12) < 0.5
         rows = rng.random((12, 3)) < 0.5
         perm = [2, 0, 1]
-        a = noisyor_loglik(NoisyOrParams(tuple(q)), x, rows)
+        a = noisyor_loglik(NoisyOrParams(tuple(q)), boolean_counts(x, rows))
         b = noisyor_loglik(
-            NoisyOrParams((q[0], *q[1:][perm])), x, rows[:, perm]
+            NoisyOrParams((q[0], *q[1:][perm])), boolean_counts(x, rows[:, perm])
         )
         assert a == pytest.approx(b, rel=1e-12)
-        a = logistic_loglik(LogisticParams(tuple(tau)), x, rows)
+        a = logistic_loglik(LogisticParams(tuple(tau)), boolean_counts(x, rows))
         b = logistic_loglik(
-            LogisticParams((tau[0], *tau[1:][perm])), x, rows[:, perm]
+            LogisticParams((tau[0], *tau[1:][perm])), boolean_counts(x, rows[:, perm])
         )
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@st.composite
+def boolean_blocks(draw, u_bound):
+    """Boolean (child, parent rows) data and an unconstrained parameter vector."""
+    n_parents = draw(st.integers(0, 3))
+    n_rows = draw(st.integers(1, 40))
+    size = n_rows * (n_parents + 1)
+    bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    block = np.array(bits, dtype=bool).reshape(n_rows, n_parents + 1)
+    u = draw(st.lists(st.floats(-u_bound, u_bound), min_size=n_parents + 1, max_size=n_parents + 1))
+    return block[:, 0], block[:, 1:], np.array(u)
+
+
+def per_row_loglik(kind, u, x, rows):
+    """The log likelihood summed one row at a time, in natural parameters."""
+    total = 0.0
+    for xi, row in zip(x, rows):
+        active = [0] + [i + 1 for i, bit in enumerate(row) if bit]
+        if kind == "logistic":
+            t = sum(u[i] for i in active)  # log odds of false
+            total += -math.log1p(math.exp(t)) if xi else -math.log1p(math.exp(-t))
+        else:
+            p_false = math.prod(1.0 / (1.0 + math.exp(-u[i])) for i in active)
+            total += math.log(1.0 - p_false) if xi else math.log(p_false)
+    return total
+
+
+def central_differences(fn, u, h=1e-5):
+    """Columns d fn / d u_j by central differences: the reference for the analytic derivatives."""
+    columns = []
+    for j in range(len(u)):
+        shift = np.zeros(len(u))
+        shift[j] = h
+        columns.append((np.asarray(fn(u + shift)) - np.asarray(fn(u - shift))) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(boolean_blocks(u_bound=5.0), st.sampled_from(["noisy-or", "logistic"]))
+    def test_loglik_matches_per_row_sum(self, data, kind):
+        x, rows, u = data
+        ll, _, _ = _kernel(kind, u, *_blocks(boolean_counts(x, rows)))
+        assert ll == pytest.approx(per_row_loglik(kind, u, x, rows), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(boolean_blocks(u_bound=30.0), st.sampled_from(["noisy-or", "logistic"]))
+    def test_derivatives_match_central_differences(self, data, kind):
+        x, rows, u = data
+        blocks = _blocks(boolean_counts(x, rows))
+        _, grad, hess = _kernel(kind, u, *blocks)
+        fd_grad = central_differences(lambda v: _kernel(kind, v, *blocks)[0], u)
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
+        fd_hess = central_differences(lambda v: _kernel(kind, v, *blocks)[1], u)
+        np.testing.assert_allclose(hess, (fd_hess + fd_hess.T) / 2.0, rtol=1e-6, atol=1e-6)
+
+    def test_noisyor_hessian_is_stable_near_the_bounds(self):
+        # q -> 1 makes w = 1/expm1(-s) huge and w (1 + w) overflow;
+        # q -> 0 makes expm1(-s) overflow
+        x, rows = sample_noisyor((0.7, 0.4, 0.6), 200, seed=50)
+        blocks = _blocks(boolean_counts(x, rows))
+        for u in ([700.0, 400.0, -3.0], [-700.0, 2.0, 400.0], [400.0, -400.0, 700.0]):
+            u = np.array(u)
+            _, _, hess = _kernel("noisy-or", u, *blocks)
+            fd_hess = central_differences(lambda v: _kernel("noisy-or", v, *blocks)[1], u)
+            assert np.all(np.isfinite(hess))
+            np.testing.assert_allclose(hess, (fd_hess + fd_hess.T) / 2.0, rtol=1e-6, atol=1e-6)
 
 
 class TestFitMap:
     def test_recovers_noisyor_parameters(self):
         q_true = (0.85, 0.3, 0.5, 0.6)
         x, rows = sample_noisyor(q_true, 10_000, seed=36)
-        fit = fit_map("noisy-or", x, rows)
+        fit = fit_map("noisy-or", boolean_counts(x, rows))
         assert fit.gradient_norm < 1e-8
         for got, want in zip(fit.params.q, q_true):
             assert abs(got - want) < 0.05
 
     def test_warm_start_at_optimum_converges_immediately(self):
         x, rows = sample_noisyor((0.7, 0.4), 500, seed=37)
-        fit = fit_map("noisy-or", x, rows)
-        again = fit_map("noisy-or", x, rows, warm_start=fit.params)
+        fit = fit_map("noisy-or", boolean_counts(x, rows))
+        again = fit_map("noisy-or", boolean_counts(x, rows), warm_start=fit.params)
         assert again.iterations <= 2
         assert again.log_posterior == pytest.approx(fit.log_posterior, abs=1e-9)
 
@@ -174,26 +248,26 @@ class TestFitMap:
         # child exactly equals its single parent: unregularized MLE diverges
         rows = np.array([[True]] * 20 + [[False]] * 20)
         x = np.array([True] * 20 + [False] * 20)
-        fit = fit_map("logistic", x, rows)
+        fit = fit_map("logistic", boolean_counts(x, rows))
         assert fit.gradient_norm < 1e-8
         assert all(abs(t) < 100 for t in fit.params.tau)
 
     def test_objective_trace_is_nondecreasing(self):
         x, rows = sample_noisyor((0.6, 0.2, 0.8), 300, seed=38)
         for kind in ("noisy-or", "logistic"):
-            fit = fit_map(kind, x, rows)
+            fit = fit_map(kind, boolean_counts(x, rows))
             trace = fit.trace
             assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_iteration_cap_reports_error_with_best(self):
         x, rows = sample_noisyor((0.6, 0.3), 200, seed=39)
         with pytest.raises(FitConvergenceError) as err:
-            fit_map("noisy-or", x, rows, max_iter=1, tol=1e-14)
+            fit_map("noisy-or", boolean_counts(x, rows), max_iter=1, tol=1e-14)
         assert isinstance(err.value.best, MapFit)
 
     def test_requires_data(self):
         with pytest.raises(ValueError):
-            fit_map("logistic", [], np.empty((0, 1)))
+            fit_map("logistic", boolean_counts([], np.empty((0, 1))))
 
 
 class TestLaplace:
@@ -201,7 +275,7 @@ class TestLaplace:
         rng = np.random.default_rng(40)
         x = rng.random(100) < 0.37
         rows = np.empty((100, 0))
-        marginal = laplace_log_marginal("noisy-or", x, rows)
+        marginal = laplace_log_marginal("noisy-or", boolean_counts(x, rows))
         n_true = int(x.sum())
         n_false = 100 - n_true
         scale = 10.0
@@ -220,8 +294,8 @@ class TestLaplace:
         rng = np.random.default_rng(41)
         rows = (rng.random((500, 1)) < 0.5)
         x = np.where(rows[:, 0], rng.random(500) < 0.8, rng.random(500) < 0.2)
-        exact = exact_table_log_marginal(x, rows)
-        approx = laplace_log_marginal("table", x, rows)
+        exact = exact_table_log_marginal(boolean_counts(x, rows))
+        approx = laplace_log_marginal("table", boolean_counts(x, rows))
         assert abs(exact - approx) < 1.0
 
     def test_doubling_data_grows_penalty_by_half_d_log_two(self):
@@ -230,8 +304,9 @@ class TestLaplace:
         d = rows.shape[1] + 1
         penalties = []
         for xs, rs in ((x, rows), (x2, rows2)):
-            fit = fit_map("noisy-or", xs, rs)
-            marginal = laplace_log_marginal("noisy-or", xs, rs, warm_start=fit.params)
+            counts = boolean_counts(xs, rs)
+            fit = fit_map("noisy-or", counts)
+            marginal = laplace_log_marginal("noisy-or", counts, warm_start=fit.params)
             penalties.append(fit.log_posterior + 0.5 * d * math.log(2 * math.pi) - marginal)
         assert penalties[1] - penalties[0] == pytest.approx(0.5 * d * math.log(2), abs=0.2)
 
@@ -243,7 +318,7 @@ class TestLaplace:
         # proper prior + likelihood <= 1 means the marginal cannot exceed 1
         x, rows = sample_noisyor((0.6, 0.4), 50, seed=43)
         for kind in ("noisy-or", "logistic"):
-            assert laplace_log_marginal(kind, x, rows) < 0.0
+            assert laplace_log_marginal(kind, boolean_counts(x, rows)) < 0.0
 
 
 class TestScoreNodeWithModel:
@@ -280,18 +355,20 @@ class TestScoreNodeWithModel:
         net = self._noisyor_net(300, seed=46)
         node = net.lattices[3].nodes[0]
         exact = score_node_with_model(net, 3, node, "table").log_marginal
-        x_values, rows = boolean_node_data(net, 3, ())
+        counts = boolean_node_data(net, 3, node)
         for kind in ("noisy-or", "logistic"):
-            approx = laplace_log_marginal(kind, x_values, rows, prior_scale=2.5)
+            approx = laplace_log_marginal(kind, counts, prior_scale=2.5)
             assert abs(approx - exact) < 1.0
 
     def test_boolean_node_data_reads_the_log_columns(self):
         net = self._noisyor_net(50, seed=43)
-        x_values, rows = boolean_node_data(net, 3, (0, 2))
-        log = net.example_log.tolist()
-        assert x_values.tolist() == [ex[3] == 1 for ex in log]
-        assert rows.tolist() == [[ex[0] == 1, ex[2] == 1] for ex in log]
-        assert boolean_node_data(net, 3, ())[1].shape == (50, 0)
+        observe_batch(net, net.example_log[:10])  # asleep nodes now lag the log
+        log = net.example_log
+        for node in net.lattices[3].nodes.values():
+            counts = boolean_node_data(net, 3, node)
+            assert counts is node.counts and node.synced_through == net.n_total
+            assert counts == boolean_counts(log[:, 3] == 1, log[:, list(node.parents)] == 1)
+        assert boolean_node_data(net, 3, net.lattices[3].root).rows.keys() == {()}
 
     def test_non_boolean_variable_is_rejected(self):
         from bnrefine import ArcPriorMatrix, DomainSchema, VariableSpec, init
@@ -391,10 +468,8 @@ class TestModelDrivenSearch:
         assert node.model_ml["noisy-or"] != twin.log_ml
         assert twin.model_ml == {}
 
-    def test_stalled_warm_start_is_refitted_from_cold(self):
-        # the benchmark's restricted noisy-or session (seed 1, session 1):
-        # on the third batch a warm start near q = 0.99 used to stall at
-        # the 500-iteration cap where a cold start converges
+    def _stream_demo(self, model, seed):
+        """The benchmark's restricted session: 600 rows in batches of 200."""
         from bnrefine import ArcPriorMatrix, init
 
         from helpers import chain_v_truth
@@ -402,11 +477,26 @@ class TestModelDrivenSearch:
         truth = chain_v_truth()
         priors = ArcPriorMatrix(entries={(0, 1): 1.0, (0, 5): 0.0}, default_prior=0.5)
         net = init(truth.schema, priors, PriorConfig(alpha=1.0))
-        net.scoring_model = "noisy-or"
-        data = forward_sample(truth, 600, seed=7920)
+        net.scoring_model = model
+        data = forward_sample(truth, 600, seed=seed)
         for start in range(0, len(data), 200):
             observe_batch(net, data[start : start + 200])
             refine(net, SearchParams())
+        return net
+
+    def test_stalled_warm_start_is_refitted_from_cold(self):
+        # the benchmark's restricted noisy-or session (seed 1, session 1):
+        # on the third batch a warm start near q = 0.99 used to stall at
+        # the 500-iteration cap where a cold start converges
+        net = self._stream_demo("noisy-or", seed=7920)
+        for lattice in net.lattices:
+            assert lattice.alive_nodes()
+
+    def test_converged_fit_is_accepted(self):
+        # the benchmark's restricted logistic session (seed 9, session 5):
+        # Newton converged in 5 steps, then the line search took ulp-sized
+        # steps that left the objective unchanged until the iteration cap
+        net = self._stream_demo("logistic", seed=39604)
         for lattice in net.lattices:
             assert lattice.alive_nodes()
 
