@@ -45,7 +45,8 @@ def main(argv=None) -> int:
     observe_batch(
         net, [tuple(int(v) for v in row) + (int(xi),) for row, xi in zip(rows, x)]
     )
-    refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
+    # expand every parent set and kill none, so that all of them are tabulated
+    refine(net, SearchParams(c_alive=1e-12, d_open=1e-300, e_dead=1e-300, dead_kappa=float("inf")))
 
     child = k
     print(f"\n{'parent set':<20} {'table':>12} {'noisy-or':>12} {'logistic':>12}")

@@ -62,8 +62,8 @@ from .lattice import (
     ParentLattice,
     children_of,
     insert_node,
+    kill,
     new_lattice,
-    set_status,
 )
 
 SCORING_MODELS = ("table", "noisy-or", "logistic")
@@ -255,22 +255,6 @@ def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     )
 
 
-def _best_over_live(net: CombinedNetwork, lattice: ParentLattice) -> float:
-    """Best score over every node still in play (anything not dead)."""
-    return max(
-        (
-            _node_score(net, lattice, n)
-            for n in lattice.nodes.values()
-            if n.status is not NodeStatus.DEAD
-        ),
-        default=NEG_INF,
-    )
-
-
-def _kill(lattice: ParentLattice, node: LatticeNode) -> None:
-    set_status(lattice, node, NodeStatus.DEAD)
-
-
 def _rethreshold_node(
     net: CombinedNetwork,
     lattice: ParentLattice,
@@ -279,7 +263,7 @@ def _rethreshold_node(
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute a non-dead node's status and open flag against ``best``.
+    """Recompute a stored node's status and open flag against ``best``, or kill it.
 
     Admission uses the plain thresholds (boundary inclusive); demotion of a
     currently alive/open node additionally requires falling below threshold
@@ -288,7 +272,7 @@ def _rethreshold_node(
     if score < params.log_e + best and dead_condition(
         node, net.schema, lattice.x, params.dead_kappa
     ):
-        _kill(lattice, node)
+        kill(lattice, node.key)
         return
     if score >= params.log_c + best:
         node.status = NodeStatus.ALIVE
@@ -312,19 +296,18 @@ def _rethreshold_lattice(
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute statuses and open flags of non-dead nodes against ``best``."""
+    """Recompute statuses and open flags of the stored nodes against ``best``."""
     for node in sorted(lattice.nodes.values(), key=lambda n: n.key):
-        if node.status is not NodeStatus.DEAD:
-            _rethreshold_node(net, lattice, node, _node_score(net, lattice, node), best, params)
+        _rethreshold_node(net, lattice, node, _node_score(net, lattice, node), best, params)
 
 
 def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
-    """Sync every non-dead node with the log, then re-aim every status at
-    the new best, so all the scores compared have absorbed the same examples."""
+    """Sync every stored node with the log, then re-aim every status at the
+    new best over them, so all the scores compared have absorbed the same examples."""
     for node in lattice.nodes.values():
-        if node.status is not NodeStatus.DEAD:
-            sync_node(net, lattice, node)
-    _rethreshold_lattice(net, lattice, _best_over_live(net, lattice), params)
+        sync_node(net, lattice, node)
+    best = max((_node_score(net, lattice, n) for n in lattice.nodes.values()), default=NEG_INF)
+    _rethreshold_lattice(net, lattice, best, params)
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
@@ -380,17 +363,15 @@ def _refine_lattice(
             report.exhausted = False
             return 0
         _, key = heapq.heappop(queue)
-        node = lattice.nodes[key]
-        if node.expansion is not ExpansionFlag.OPEN:
-            continue  # closed by a rethreshold while queued
-        if node.status is NodeStatus.DEAD:
-            raise LatticeStateError(f"dead node {key:#x} found on the open queue")
+        node = lattice.nodes.get(key)  # every queued key is a stored open node
+        if node is None or node.expansion is not ExpansionFlag.OPEN:
+            raise LatticeStateError(f"parent set {key:#x} on the open queue is dead or closed")
         node.expansion = ExpansionFlag.CLOSED
         score = _node_score(net, lattice, node)
         if score < params.log_e + best and dead_condition(
             node, net.schema, lattice.x, params.dead_kappa
         ):
-            _kill(lattice, node)
+            kill(lattice, key)
             continue
         if score < params.log_d + best:
             continue  # out of the beam for now; stays asleep unless alive
@@ -401,20 +382,21 @@ def _refine_lattice(
         fresh: list[LatticeNode] = []
         scores: dict[int, float] = {}
         for child_key in children_of(lattice, node):
+            if child_key in lattice.dead:
+                continue
             child = lattice.nodes.get(child_key)
             if child is None:
                 child = _create_child(net, lattice, child_key)
                 fresh.append(child)
                 report.nodes_created += 1
-            elif child.status is NodeStatus.DEAD:
-                continue  # never synced again: its score lags the log
             scores[child_key] = _node_score(net, lattice, child)
         top = max(scores.values(), default=NEG_INF)
         if top > best:
             best = top
+            # fresh children included; it may open, close or kill nodes
             _rethreshold_lattice(net, lattice, best, params)
-            # re-seed the queue: the rethreshold may have opened or closed nodes
             queue = _open_queue(net, lattice)
+            continue
         for child in fresh:  # a fresh node starts asleep and closed: no hysteresis
             _rethreshold_node(net, lattice, child, scores[child.key], best, params)
             if child.expansion is ExpansionFlag.OPEN:
@@ -436,22 +418,18 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
             report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
         return report
     budget_left: int | None = params.budget
-    dead_before = _dead_count(net)
     for lattice in net.lattices:
+        dead_before = len(lattice.dead)
         budget_left = _refine_lattice(net, lattice, params, budget_left, report)
+        report.nodes_killed += len(lattice.dead) - dead_before
         report.best_scores[net.schema.name(lattice.x)] = _scored_best(net, lattice)
         if budget_left == 0 and not report.exhausted:
             break
-    report.nodes_killed = _dead_count(net) - dead_before
     for lattice in net.lattices:  # those the budget did not reach: nothing is refitted
         name = net.schema.name(lattice.x)
         if name not in report.best_scores:
             report.best_scores[name] = _cached_best(net, lattice)
     return report
-
-
-def _dead_count(net: CombinedNetwork) -> int:
-    return sum(n.status is NodeStatus.DEAD for lat in net.lattices for n in lat.nodes.values())
 
 
 def best_network(net: CombinedNetwork) -> ConcreteNetwork:
@@ -484,7 +462,7 @@ def network_stats(net: CombinedNetwork) -> NetworkStats:
         name = net.schema.name(lattice.x)
         stored[name] = len(lattice.nodes)
         alive[name] = sum(1 for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE)
-        dead[name] = sum(1 for n in lattice.nodes.values() if n.status is NodeStatus.DEAD)
+        dead[name] = len(lattice.dead)
         open_[name] = sum(
             1 for n in lattice.nodes.values() if n.expansion is ExpansionFlag.OPEN
         )

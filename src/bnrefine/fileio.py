@@ -47,7 +47,8 @@ SPEC_FORMAT = "bnrefine-spec"
 SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # spec, network and smoothed documents
+SESSION_VERSION = 2  # version 1 stored dead parent sets as full nodes
 
 
 class SpecFormatError(ValueError):
@@ -256,7 +257,7 @@ def _node_to_doc(node: LatticeNode) -> dict:
 def session_to_document(net: CombinedNetwork) -> dict:
     return {
         "format": SESSION_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": SESSION_VERSION,
         "spec": json.loads(print_spec(net.schema, net.priors, net.config)),
         "scoring_model": net.scoring_model,
         "example_log": net.example_log.tolist(),
@@ -264,6 +265,7 @@ def session_to_document(net: CombinedNetwork) -> dict:
             {
                 "x": lattice.x,
                 "last_refine_n": lattice.last_refine_n,
+                "dead": sorted(lattice.dead),
                 "nodes": [
                     _node_to_doc(lattice.nodes[key]) for key in sorted(lattice.nodes)
                 ],
@@ -276,23 +278,18 @@ def session_to_document(net: CombinedNetwork) -> dict:
 def session_from_document(doc: dict) -> CombinedNetwork:
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise SessionFormatError(f"unsupported session version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in (1, SESSION_VERSION):
+        raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
         scoring_model = doc["scoring_model"]
         if scoring_model not in SCORING_MODELS:
             raise SessionFormatError(f"unknown scoring model {scoring_model!r}")
-        lattices = []
-        for lattice_doc in doc["lattices"]:
-            x = lattice_doc["x"]
-            lattice = new_lattice(x, schema, priors, config)
-            lattice.nodes.clear()
-            lattice.last_refine_n = int(lattice_doc["last_refine_n"])
-            for node_doc in lattice_doc["nodes"]:
-                node = _node_from_doc(node_doc, lattice, schema, config)
-                lattice.nodes[node.key] = node
-            lattices.append(lattice)
+        lattices = [
+            _lattice_from_doc(lattice_doc, version, schema, priors, config)
+            for lattice_doc in doc["lattices"]
+        ]
         if [lat.x for lat in lattices] != list(range(len(schema))):
             raise SessionFormatError("lattices do not cover the schema variables")
         if not isinstance(doc["example_log"], list):
@@ -316,12 +313,38 @@ def session_from_document(doc: dict) -> CombinedNetwork:
         raise SessionFormatError(f"malformed session document: {err}") from None
 
 
+def _lattice_from_doc(
+    doc: dict, version: int, schema: DomainSchema, priors: ArcPriorMatrix, config: PriorConfig
+) -> ParentLattice:
+    lattice = new_lattice(doc["x"], schema, priors, config)
+    lattice.last_refine_n = int(doc["last_refine_n"])
+    stored = [d for d in doc["nodes"] if d["status"] != "dead"]
+    keys = [d["key"] for d in stored]
+    # version 1 kept a dead parent set as a node with status "dead"
+    dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]
+    dead += doc["dead"] if version == SESSION_VERSION else []
+    where = f"lattice {schema.name(lattice.x)!r}"
+    for key in keys + dead:
+        if type(key) is not int or not 0 <= key < 1 << len(lattice.candidates):
+            raise SessionFormatError(f"{where}: node key {key!r} names no parent set")
+    if len(set(keys)) < len(keys) or len(set(dead)) < len(dead):
+        raise SessionFormatError(f"{where}: a node key is repeated")
+    both = sorted(set(keys) & set(dead))
+    if both:
+        raise SessionFormatError(f"{where}: keys {both} are stored and dead")
+    if not keys:
+        raise SessionFormatError(f"{where}: no stored node")
+    lattice.nodes = {k: _node_from_doc(d, lattice, schema, config) for k, d in zip(keys, stored)}
+    lattice.dead = set(dead)
+    return lattice
+
+
 def _node_from_doc(
     doc: dict, lattice: ParentLattice, schema: DomainSchema, config: PriorConfig
 ) -> LatticeNode:
     from .kernels import alpha_for
 
-    key = int(doc["key"])
+    key = doc["key"]
     parents = lattice.parents_of_key(key)
     node = LatticeNode(
         key=key,

@@ -13,10 +13,12 @@ Lifecycle:
 
 - alive:  currently a reasonable parent set; included in posteriors.
 - asleep: shelved for now, revivable when the score landscape shifts.
-- dead:   permanently pruned; absorbing, never expanded or revived.
+- dead:   permanently pruned by ``kill``, which drops the node and keeps
+          only its key in ``ParentLattice.dead``; ``insert_node`` refuses
+          a dead key, so a dead set is never stored, expanded or revived.
 
-Independently of status, a node is *open* while it still awaits child
-expansion during search, and closed otherwise.
+Independently of status, a stored node is *open* while it still awaits
+child expansion during search, and closed otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class LatticeStateError(RuntimeError):
 class NodeStatus(enum.Enum):
     ALIVE = "alive"
     ASLEEP = "asleep"
-    DEAD = "dead"
 
 
 class ExpansionFlag(enum.Enum):
@@ -75,7 +76,8 @@ class ParentLattice:
     x: int
     candidates: tuple[int, ...]   # uncertain predecessors, ascending position
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
-    nodes: dict[int, LatticeNode] = field(default_factory=dict)
+    nodes: dict[int, LatticeNode] = field(default_factory=dict)  # alive and asleep
+    dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     last_refine_n: int = 0
 
     @property
@@ -143,7 +145,10 @@ def insert_node(
     """Store a node that has absorbed no examples yet; idempotent on duplicates.
 
     ``sync_node`` fills its counts and log marginal likelihood from the log.
+    A dead key is refused: dead is absorbing.
     """
+    if key in lattice.dead:
+        raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
     existing = lattice.nodes.get(key)
     if existing is not None:
         return existing
@@ -173,15 +178,7 @@ def alive_leaves(lattice: ParentLattice) -> list[LatticeNode]:
     ]
 
 
-def set_status(lattice: ParentLattice, node: LatticeNode, status: NodeStatus) -> None:
-    """Change a node's lifecycle status; dead is absorbing and forces closed."""
-    if lattice.nodes.get(node.key) is not node:
-        raise LatticeStateError("node is not stored in this lattice")
-    if node.status is NodeStatus.DEAD and status is not NodeStatus.DEAD:
-        raise LatticeStateError(
-            f"node {node.key:#x} is dead; dead nodes are never revived"
-        )
-    node.status = status
-    if status is NodeStatus.DEAD:
-        node.expansion = ExpansionFlag.CLOSED
-
+def kill(lattice: ParentLattice, key: int) -> None:
+    """Prune a stored parent set for good: drop its node, keep its key in ``dead``."""
+    del lattice.nodes[key]
+    lattice.dead.add(key)

@@ -10,7 +10,6 @@ from bnrefine import (
     ConcreteNetwork,
     DomainSchema,
     ExpansionFlag,
-    NodeStatus,
     PriorConfig,
     VariableSpec,
     init,
@@ -74,9 +73,10 @@ def sampled_net(
 
 
 def node_state(net: CombinedNetwork) -> dict:
-    """Comparable snapshot of every node's observable state."""
+    """Comparable snapshot of every node's observable state and every dead key."""
     state = {}
     for lattice in net.lattices:
+        state[(lattice.x, "dead")] = frozenset(lattice.dead)
         for key, node in lattice.nodes.items():
             state[(lattice.x, key)] = (
                 node.status,
@@ -91,27 +91,21 @@ def node_state(net: CombinedNetwork) -> dict:
 
 
 class DeadNodeMonitor:
-    """Asserts dead nodes are absorbing: never revived, re-expanded, or touched."""
+    """Asserts dead is absorbing: a lattice's dead keys only grow, and no dead
+    key is ever stored again."""
 
     def __init__(self):
-        self.snapshots: dict[tuple[int, int], tuple] = {}
+        self.dead: dict[int, frozenset[int]] = {}
         self.violations: list[str] = []
 
     def check(self, net: CombinedNetwork) -> None:
-        seen = {}
         for lattice in net.lattices:
-            for key, node in lattice.nodes.items():
-                if node.status is NodeStatus.DEAD:
-                    seen[(lattice.x, key)] = (
-                        node.expanded,
-                        node.expansion,
-                        node.synced_through,
-                        node.counts.total,
-                    )
-        for ident, before in self.snapshots.items():
-            after = seen.get(ident)
-            if after is None:
-                self.violations.append(f"dead node {ident} was revived or removed")
-            elif after != before:
-                self.violations.append(f"dead node {ident} changed: {before} -> {after}")
-        self.snapshots = seen
+            dead = frozenset(lattice.dead)
+            where = f"lattice {lattice.x}: dead keys"
+            lost = self.dead.get(lattice.x, frozenset()) - dead
+            if lost:
+                self.violations.append(f"{where} {sorted(lost)} were removed")
+            stored = dead & lattice.nodes.keys()
+            if stored:
+                self.violations.append(f"{where} {sorted(stored)} are stored")
+            self.dead[lattice.x] = dead

@@ -16,7 +16,6 @@ import pytest
 from bnrefine import (
     ArcPriorMatrix,
     CountTable,
-    NodeStatus,
     PriorConfig,
     SearchParams,
     all_arc_posteriors,
@@ -225,18 +224,18 @@ def test_criterion_02_incremental_equals_batch(crit2_run):
     single, batched = crit2_run["single"], crit2_run["batch"]
     for lat_s, lat_b in zip(single.lattices, batched.lattices):
         assert lat_s.nodes.keys() == lat_b.nodes.keys()
+        assert lat_s.dead == lat_b.dead
         for key, node_s in lat_s.nodes.items():
             node_b = lat_b.nodes[key]
             assert node_s.counts == node_b.counts
             assert node_s.log_ml == pytest.approx(node_b.log_ml, abs=1e-9)
             # both match a from-scratch rescoring of the retained log
-            if node_s.status is not NodeStatus.DEAD:
-                counts = CountTable(single.schema.arity(lat_s.x))
-                for example in single.example_log[: node_s.synced_through]:
-                    counts.increment(project(example, node_s.parents), example[lat_s.x])
-                assert node_s.log_ml == pytest.approx(
-                    log_marginal_likelihood(counts, node_s.alpha_x), abs=1e-9
-                )
+            counts = CountTable(single.schema.arity(lat_s.x))
+            for example in single.example_log[: node_s.synced_through]:
+                counts.increment(project(example, node_s.parents), example[lat_s.x])
+            assert node_s.log_ml == pytest.approx(
+                log_marginal_likelihood(counts, node_s.alpha_x), abs=1e-9
+            )
     arcs_s = all_arc_posteriors(single).entries
     arcs_b = all_arc_posteriors(batched).entries
     for pair, p in arcs_s.items():

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from bnrefine import (
     sync_node,
 )
 from bnrefine.engine import _scored_best, dead_condition
+from bnrefine.fileio import serialize_session, session_from_document
 from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -287,8 +289,6 @@ class TestRefine:
 
     @pytest.mark.parametrize("budget", [1, 3, 7, 50])
     def test_resumable(self, budget):
-        from bnrefine.fileio import serialize_session
-
         net_a, _ = sampled_net(five_var_truth(), 100, seed=14)
         net_b = copy.deepcopy(net_a)
         refine(net_a, SearchParams(budget=budget))
@@ -314,19 +314,19 @@ class TestRefine:
 
     def test_dead_nodes_stay_dead_and_unexpanded(self):
         net, _ = sampled_net(five_var_truth(), 400, seed=17)
-        refine(net, SearchParams())
-        dead = {
-            (lat.x, key): node.expanded
-            for lat in net.lattices
-            for key, node in lat.nodes.items()
-            if node.status is NodeStatus.DEAD
-        }
+        report = refine(net, SearchParams())
+        dead = [set(lat.dead) for lat in net.lattices]
+        assert report.nodes_killed == sum(map(len, dead)) > 0
         observe_batch(net, forward_sample(five_var_truth(), 200, seed=18))
-        refine(net, SearchParams())
-        for (x, key), was_expanded in dead.items():
-            node = net.lattices[x].nodes[key]
-            assert node.status is NodeStatus.DEAD
-            assert node.expanded == was_expanded
+        report = refine(net, SearchParams())
+        for lat, before in zip(net.lattices, dead):
+            assert before <= lat.dead  # a dead set is never stored, so never expanded
+            assert not lat.dead & lat.nodes.keys()
+        killed = sum(len(lat.dead - before) for lat, before in zip(net.lattices, dead))
+        assert report.nodes_killed == killed
+        assert network_stats(net).dead == {
+            net.schema.name(lat.x): len(lat.dead) for lat in net.lattices
+        }
 
 
 class TestStreaming:
@@ -354,19 +354,22 @@ class TestStreaming:
     def test_random_batch_splits_keep_the_lattice_invariants(self, sizes, seed):
         data = forward_sample(five_var_truth(), sum(sizes), seed=seed)
         net = fresh_net("abcde")
+        twin = fresh_net("abcde")  # saved and loaded after every batch
         monitor = DeadNodeMonitor()
         start = 0
         for size in sizes:
             observe_batch(net, data[start : start + size])
+            observe_batch(twin, data[start : start + size])
+            twin = session_from_document(json.loads(serialize_session(twin)))
             start += size
             refine(net, SearchParams())
+            refine(twin, SearchParams())
+            assert serialize_session(twin) == serialize_session(net)
             monitor.check(net)
             assert monitor.violations == []
             for lattice in net.lattices:
                 assert lattice.alive_nodes()
                 for node in lattice.nodes.values():
-                    if node.status is NodeStatus.DEAD:
-                        continue
                     assert node.synced_through == net.n_total
                     counts, log_ml = recompute_node(net, lattice, node)
                     assert counts == node.counts

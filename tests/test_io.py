@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bnrefine.fileio import (
     print_spec,
     save_session,
     serialize_session,
+    session_from_document,
     write_csv,
 )
 from bnrefine.query import sample_smoothed
@@ -52,6 +54,23 @@ LIST_LOG_SESSION = (
     '"variables":[{"name":"a","values":["f","t"]},{"name":"b","values":["f","t"]},'
     '{"name":"c","values":["f","t"]}],"version":1},"version":1}\n'
 )
+
+# written by the release that kept dead parent sets as full nodes: five_var_truth,
+# 150 rows of seed 1, one default refine; 12 of the 22 stored nodes are dead
+V1_DEAD_SESSION = Path(__file__).parent / "data" / "session_v1_dead.json"
+# what that release answers after it also observes 100 rows of seed 2 and refines
+V1_CONTINUED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.22737218241152188,
+    (1, 2): 0.9999999999999992,
+    (0, 3): 1.0,
+    (1, 3): 0.0,
+    (2, 3): 1.0,
+    (0, 4): 0.0,
+    (1, 4): 0.0,
+    (2, 4): 1.0,
+    (3, 4): 0.0,
+}
 
 SPEC_DOC = {
     "format": "bnrefine-spec",
@@ -197,18 +216,72 @@ class TestSession:
         assert serialize_session(resumed) == serialize_session(net_b)
 
     def test_session_with_a_half_searched_lattice_loads_and_resaves(self, tmp_path):
-        # written by the release that kept the log as a list of tuples and
-        # absorbed examples one at a time; lattice c was never refined
+        # a version 1 file, written by the release that kept the log as a list
+        # of tuples and absorbed examples one at a time; lattice c was never refined
         path = tmp_path / "old.json"
         path.write_text(LIST_LOG_SESSION, encoding="utf-8")
         net = load_session(path)
         assert net.n_total == 6 and net.example_log.dtype == np.uint8
-        assert serialize_session(net) == LIST_LOG_SESSION
         observe_batch(net, [(1, 0, 1), (0, 1, 0)])
         refine(net, SearchParams())
         for lattice in net.lattices:
             for node in lattice.nodes.values():
                 assert node.synced_through == 8
+        save_session(path, net)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text)["version"] == 2
+        assert serialize_session(load_session(path)) == text
+
+    def test_version_1_dead_nodes_load_as_tombstones(self):
+        text = V1_DEAD_SESSION.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert doc["version"] == 1
+        net = session_from_document(doc)
+        for lattice, lattice_doc in zip(net.lattices, doc["lattices"]):
+            dead = {d["key"] for d in lattice_doc["nodes"] if d["status"] == "dead"}
+            assert lattice.dead == dead
+            assert set(lattice.nodes) == {d["key"] for d in lattice_doc["nodes"]} - dead
+        assert sum(len(lattice.dead) for lattice in net.lattices) == 12
+        observe_batch(net, forward_sample(five_var_truth(), 100, seed=2))
+        refine(net, SearchParams())
+        assert all_arc_posteriors(net).entries == V1_CONTINUED_ARCS
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("key beyond the lattice", "node key 4 names no parent set"),
+            ("negative key", "node key -1 names no parent set"),
+            ("dead key beyond the lattice", "node key 2 names no parent set"),
+            ("repeated key", "a node key is repeated"),
+            ("stored and dead", r"keys \[1\] are stored and dead"),
+            ("no stored node", "no stored node"),
+        ],
+    )
+    def test_malformed_node_keys_are_a_session_format_error(self, tmp_path, fault, message):
+        # the first two used to load and move the a->b arc posterior
+        net = fresh_net("ab")
+        observe_batch(net, [(0, 0), (1, 1), (1, 1), (0, 1)] * 5)
+        refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
+        doc = json.loads(serialize_session(net))
+        lattice = doc["lattices"][1]
+        assert [n["key"] for n in lattice["nodes"]] == [0, 1] and lattice["dead"] == []
+        extra = copy.deepcopy(lattice["nodes"][1])
+        if fault == "key beyond the lattice":
+            lattice["nodes"].append(dict(extra, key=4))
+        elif fault == "negative key":
+            lattice["nodes"].append(dict(extra, key=-1))
+        elif fault == "dead key beyond the lattice":
+            lattice["dead"] = [2]
+        elif fault == "repeated key":
+            lattice["nodes"].append(extra)
+        elif fault == "stored and dead":
+            lattice["dead"] = [1]
+        else:
+            lattice["nodes"] = []
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
+            load_session(path)
 
     def test_truncated_file_is_a_clean_error(self, tmp_path):
         net = fresh_net("ab")

@@ -12,8 +12,8 @@ from bnrefine.lattice import (
     alive_leaves,
     children_of,
     insert_node,
+    kill,
     new_lattice,
-    set_status,
 )
 
 from helpers import binary_schema
@@ -99,59 +99,62 @@ class TestAliveLeaves:
         lattice, schema, priors = make_lattice()
         a = add(lattice, schema, priors, 0b001)
         ab = add(lattice, schema, priors, 0b011)
-        set_status(lattice, a, NodeStatus.ALIVE)
-        set_status(lattice, ab, NodeStatus.ALIVE)
+        a.status = ab.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [ab]
 
     def test_incomparable_sets(self):
         lattice, schema, priors = make_lattice()
         a = add(lattice, schema, priors, 0b001)
         b = add(lattice, schema, priors, 0b010)
-        set_status(lattice, a, NodeStatus.ALIVE)
-        set_status(lattice, b, NodeStatus.ALIVE)
-        set_status(lattice, lattice.root, NodeStatus.ASLEEP)
+        a.status = b.status = NodeStatus.ALIVE
+        lattice.root.status = NodeStatus.ASLEEP
         assert {n.key for n in alive_leaves(lattice)} == {0b001, 0b010}
 
     def test_superset_counts_even_without_links(self):
         lattice, schema, priors = make_lattice()
         top = add(lattice, schema, priors, 0b111)  # no intermediate sets stored
-        set_status(lattice, top, NodeStatus.ALIVE)
+        top.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [top]
 
 
 class TestStatus:
     def test_sleep_and_wake(self):
         lattice, _, _ = make_lattice()
-        set_status(lattice, lattice.root, NodeStatus.ASLEEP)
-        set_status(lattice, lattice.root, NodeStatus.ALIVE)
-        assert lattice.root.status is NodeStatus.ALIVE
+        lattice.root.status = NodeStatus.ASLEEP
+        assert alive_leaves(lattice) == []
+        lattice.root.status = NodeStatus.ALIVE
+        assert alive_leaves(lattice) == [lattice.root]
 
     def test_dead_is_absorbing(self):
         lattice, schema, priors = make_lattice()
-        node = add(lattice, schema, priors, 0b001)
-        set_status(lattice, node, NodeStatus.DEAD)
-        with pytest.raises(LatticeStateError):
-            set_status(lattice, node, NodeStatus.ALIVE)
-        with pytest.raises(LatticeStateError):
-            set_status(lattice, node, NodeStatus.ASLEEP)
-        set_status(lattice, node, NodeStatus.DEAD)  # no-op is fine
+        add(lattice, schema, priors, 0b001)
+        kill(lattice, 0b001)
+        with pytest.raises(LatticeStateError, match="0x1 is dead"):
+            add(lattice, schema, priors, 0b001)
+        assert 0b001 not in lattice.nodes and lattice.dead == {0b001}
 
-    def test_death_closes(self):
+    def test_kill_moves_the_key_from_nodes_to_dead(self):
         lattice, schema, priors = make_lattice()
-        node = add(lattice, schema, priors, 0b001)
-        node.expansion = ExpansionFlag.OPEN
-        set_status(lattice, node, NodeStatus.DEAD)
-        assert node.expansion is ExpansionFlag.CLOSED
+        add(lattice, schema, priors, 0b001)
+        add(lattice, schema, priors, 0b010)
+        kill(lattice, 0b001)
+        assert set(lattice.nodes) == {0, 0b010}
+        assert lattice.dead == {0b001}
+        with pytest.raises(KeyError):
+            kill(lattice, 0b100)  # never stored
+        with pytest.raises(KeyError):
+            kill(lattice, 0b001)  # already dead
+        assert lattice.dead == {0b001}
 
     def test_best_tracks_alive_set(self):
         lattice, schema, priors = make_lattice()
         net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
         node = add(lattice, schema, priors, 0b001)
         node.log_ml = 5.0  # force it above the root
-        set_status(lattice, node, NodeStatus.ALIVE)
+        node.status = NodeStatus.ALIVE
         full_scan = max(
             n.log_score for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE
         )
         assert _scored_best(net, lattice) == full_scan == node.log_score
-        set_status(lattice, node, NodeStatus.ASLEEP)
+        node.status = NodeStatus.ASLEEP
         assert _scored_best(net, lattice) == lattice.root.log_score

@@ -398,13 +398,12 @@ class TestModelDrivenSearch:
         observe_batch(net, self._noisyor_examples(400, seed=47))
         report = refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
         assert report.exhausted
-        from bnrefine import NodeStatus, all_arc_posteriors
+        from bnrefine import all_arc_posteriors
 
         lattice = net.lattices[2]
-        assert set(lattice.nodes) == {0, 0b01, 0b10, 0b11}
+        assert set(lattice.nodes) | lattice.dead == {0, 0b01, 0b10, 0b11}
         for node in lattice.nodes.values():
-            if node.status is not NodeStatus.DEAD:
-                assert node.model_synced.get("noisy-or") == net.n_total
+            assert node.model_synced.get("noisy-or") == net.n_total
         matrix = all_arc_posteriors(net)
         assert matrix.entries[(0, 2)] > 0.5 and matrix.entries[(1, 2)] > 0.5
 

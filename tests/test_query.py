@@ -22,7 +22,7 @@ from bnrefine import (
 )
 from bnrefine.domain import config_index
 from bnrefine.kernels import posterior_mean_row
-from bnrefine.lattice import LatticeStateError, set_status
+from bnrefine.lattice import LatticeStateError
 from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
@@ -65,7 +65,7 @@ class TestArcPosterior:
         refine(net, SearchParams())
         lattice = net.lattices[3]
         for node in lattice.nodes.values():
-            set_status(lattice, node, NodeStatus.DEAD)
+            node.status = NodeStatus.ASLEEP
         with pytest.raises(LatticeStateError, match="no alive parent set for 'd'"):
             arc_posterior(net, 1, 3)
         with pytest.raises(LatticeStateError, match="no alive parent set for 'd'"):
