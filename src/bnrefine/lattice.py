@@ -80,10 +80,6 @@ class ParentLattice:
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     last_refine_n: int = 0
 
-    @property
-    def root(self) -> LatticeNode:
-        return self.nodes[0]
-
     def parents_of_key(self, key: int) -> tuple[int, ...]:
         chosen = tuple(c for i, c in enumerate(self.candidates) if key >> i & 1)
         return tuple(sorted(self.mandatory + chosen))

@@ -24,17 +24,18 @@ configurations, not on the number of examples.
 
 Parameters are fitted by maximum posterior in unconstrained coordinates
 (tau for logistic, logit q for noisy-or) under an independent normal prior
-per coordinate, and integrated out with a multivariate normal expansion
-around the fitted point to give a log marginal likelihood comparable to
-the exact Dirichlet table score.  The fitted point of a previous call can
-seed the next one, so refreshing a score after a few new examples is
-cheap.
+per coordinate, by Newton steps where the observed curvature allows and
+Fisher scoring steps elsewhere, and integrated out with a multivariate
+normal expansion at the fitted point (one fit per score) to give a log
+marginal likelihood comparable to the exact Dirichlet table score.  The
+fitted point of a previous call can seed the next one, so refreshing a
+score after a few new examples is cheap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +94,7 @@ class MapFit:
     gradient_norm: float
     iterations: int
     trace: tuple[float, ...]
+    hessian: np.ndarray = field(compare=False)  # observed, of the log posterior at params
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,8 @@ def _softplus(t: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    ez = np.exp(t[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log1mexp(s: np.ndarray) -> np.ndarray:
@@ -160,8 +158,9 @@ def _log1mexp(s: np.ndarray) -> np.ndarray:
 
 def _kernel(
     kind: str, u: np.ndarray, activity: np.ndarray, n_false: np.ndarray, n_true: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log likelihood, gradient and Hessian in unconstrained coordinates
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Log likelihood, gradient, Hessian and expected information (``-H`` at
+    the expected counts, positive semidefinite) in unconstrained coordinates
     (tau for logistic, logit q for noisy-or) from per-configuration counts."""
     if kind == "logistic":
         t = activity @ u  # log odds of x = false
@@ -169,7 +168,8 @@ def _kernel(
         ll = -n_false @ _softplus(-t) - n_true @ _softplus(t)
         grad = (n_false * p_true - n_true * p_false) @ activity
         weight = (n_false + n_true) * p_false * p_true
-        return float(ll), grad, -(activity.T * weight) @ activity
+        info = (activity.T * weight) @ activity  # canonical link: -H itself
+        return float(ll), grad, -info, info
     if kind == "noisy-or":
         q, one_minus_q = _sigmoid(u), _sigmoid(-u)
         s = activity @ -_softplus(-u)  # log Pr(x = false), stable for large |u|
@@ -182,7 +182,9 @@ def _kernel(
         weight = n_true * p_false
         grad = n_false @ activity * one_minus_q - weight @ r
         # d(1 - q_j)/du_j = -q_j (1 - q_j) puts -q_j grad_j on the diagonal
-        return float(ll), grad, -(r.T * weight) @ r - np.diag(q * grad)
+        hess = -(r.T * weight) @ r - np.diag(q * grad)
+        info = (r.T * ((n_false + n_true) * p_false * p_true)) @ r
+        return float(ll), grad, hess, info
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -205,7 +207,7 @@ def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.nd
     u = _to_u(kind, params)
     if len(u) != activity.shape[1]:
         raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
-    ll, grad, _ = _kernel(kind, u, activity, n_false, n_true)
+    ll, grad, _, _ = _kernel(kind, u, activity, n_false, n_true)
     return ll, grad
 
 
@@ -231,17 +233,18 @@ def logistic_loglik_grad(params: LogisticParams, counts: CountTable) -> np.ndarr
 
 
 def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
-    """The log posterior as one function of u giving value, gradient and
-    Hessian, and its dimension."""
+    """The log posterior as one function of u giving value, gradient, Hessian
+    and expected information (positive definite by the prior), and its dimension."""
     activity, n_false, n_true = _blocks(counts)
     d = activity.shape[1]
     var = prior_scale * prior_scale
     log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
 
-    def evaluate(u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        ll, grad, hess = _kernel(kind, u, activity, n_false, n_true)
+    def evaluate(u: np.ndarray):
+        ll, grad, hess, info = _kernel(kind, u, activity, n_false, n_true)
         value = float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
-        return value, grad - u / var, hess - np.eye(d) / var
+        prior_info = np.eye(d) / var
+        return value, grad - u / var, hess - prior_info, info + prior_info
 
     return evaluate, d
 
@@ -255,40 +258,37 @@ def fit_map(
     max_iter: int = 500,
     tol: float = 1e-8,
 ) -> MapFit:
-    """Maximum-posterior fit by damped Newton ascent in unconstrained space.
+    """Maximum-posterior fit by damped Newton-or-Fisher ascent in unconstrained space.
 
-    The objective (log likelihood plus normal log prior) is non-decreasing
-    across iterations, up to its float resolution; convergence means the
-    gradient's max-norm fell below ``tol``.  Deterministic given its inputs.
+    A step solves against ``-H`` where it has a Cholesky factor and against
+    the expected information elsewhere; both are then positive definite, so
+    every direction ascends.  The objective (log likelihood plus normal log
+    prior) is non-decreasing across iterations, up to its float resolution;
+    convergence means the gradient's max-norm fell below ``tol``.  The fit
+    carries the observed Hessian at its point.  Deterministic given its inputs.
     """
     if not counts.total:
         raise ValueError("fit_map requires at least one data row")
     evaluate, d = _log_posterior(kind, counts, prior_scale)
     u = np.zeros(d) if warm_start is None else _to_u(kind, warm_start)
-    fval, g, hess = evaluate(u)
+    fval, g, hess, info = evaluate(u)
     trace = [fval]
     iterations = 0
     for _ in range(max_iter):
         if float(np.max(np.abs(g))) < tol:
             break
-        direction = g
-        curvature_ok = False
         try:
-            chol = np.linalg.cholesky(-hess)
-            direction = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-            curvature_ok = True
+            chol, newton = np.linalg.cholesky(-hess), True
         except np.linalg.LinAlgError:
-            pass  # curvature not usable here; fall back to the raw gradient
+            chol, newton = np.linalg.cholesky(info), False
+        direction = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
         slope = float(g @ direction)
-        if slope <= 0:
-            direction, slope = g, float(g @ g)
-            curvature_ok = False
-        if curvature_ok and slope < RESOLUTION * abs(fval):
+        if newton and slope < RESOLUTION * abs(fval):
             # the predicted gain is below the objective's float resolution,
             # so backtracking cannot see it; the full Newton step polishes
             # the gradient down to tolerance
             u = u + direction
-            fval, g, hess = evaluate(u)
+            fval, g, hess, info = evaluate(u)
         else:
             step = 1.0
             accepted = False
@@ -298,7 +298,7 @@ def fit_map(
                     break  # the step rounded away entirely; no progress this way
                 point = evaluate(candidate)
                 if point[0] >= fval + 1e-4 * step * slope:
-                    u, (fval, g, hess), accepted = candidate, point, True
+                    u, (fval, g, hess, info), accepted = candidate, point, True
                     break
                 step /= 2.0
             if not accepted:
@@ -313,6 +313,7 @@ def fit_map(
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
+        hessian=hess,
     )
     if grad_norm >= tol:
         raise FitConvergenceError(
@@ -339,6 +340,12 @@ def _table_alpha(alpha: float, counts: CountTable) -> float:
 def exact_table_log_marginal(counts: CountTable, *, alpha: float = 1.0) -> float:
     """Exact Dirichlet-multinomial marginal of boolean counts under the full table."""
     return log_marginal_likelihood(counts, _table_alpha(alpha, counts))
+
+
+def _laplace(fit: MapFit) -> float:
+    """The normal expansion of the log marginal around a converged fit."""
+    d = len(fit.hessian)
+    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
 
 
 def laplace_log_marginal(
@@ -368,10 +375,7 @@ def laplace_log_marginal(
             curvature = (n0 + n1) * theta * (1.0 - theta)
             total += log_peak + 0.5 * LN_2PI - 0.5 * math.log(curvature)
         return total
-    fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm_start)
-    evaluate, d = _log_posterior(kind, counts, prior_scale)
-    _, _, hess = evaluate(_to_u(kind, fit.params))
-    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(hess)
+    return _laplace(fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm_start))
 
 
 def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
@@ -401,11 +405,10 @@ def score_node_with_model(
 
     The node is synced with the example log first.  The table kind
     reproduces the node's exact Dirichlet marginal; the restricted kinds
-    fit their parameters to the node's counts (warm-started from the
-    previous fit, if any, and refitted once from a cold start if that fit
-    does not converge) and store the normal-expansion marginal in the
-    node's parallel score slot, leaving the structure prior and the exact
-    table score untouched.
+    fit their parameters to the node's counts once (warm-started from the
+    previous fit, if any) and store the normal-expansion marginal at that
+    fit in the node's parallel score slot, leaving the structure prior and
+    the exact table score untouched.
     """
     if kind == "table":
         sync_node(net, net.lattices[x], node)
@@ -421,15 +424,8 @@ def score_node_with_model(
             if kind == "logistic"
             else NoisyOrParams(tuple(warm_list))
         )
-    try:
-        fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm)
-    except FitConvergenceError:
-        if warm is None:
-            raise
-        # a warm start far from the new optimum can stall where a cold one
-        # converges in a few steps; retry once from the origin
-        fit = fit_map(kind, counts, prior_scale=prior_scale)
-    marginal = laplace_log_marginal(kind, counts, prior_scale=prior_scale, warm_start=fit.params)
+    fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm)
+    marginal = _laplace(fit)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
     node.model_ml[kind] = marginal
     node.model_synced[kind] = net.n_total

@@ -62,7 +62,7 @@ class TestInit:
         assert len(net.lattices) == 3
         for lattice in net.lattices:
             assert set(lattice.nodes) == {0}
-            assert lattice.root.log_ml == 0.0
+            assert lattice.nodes[0].log_ml == 0.0
 
     def test_first_variable_never_gains_parents(self):
         net = fresh_net("abc")
@@ -89,7 +89,7 @@ class TestObserve:
     def test_first_observation_moves_root_by_log_half(self):
         net = fresh_net("a")
         observe(net, (1,))
-        assert net.lattices[0].root.log_ml == pytest.approx(math.log(0.5))
+        assert net.lattices[0].nodes[0].log_ml == pytest.approx(math.log(0.5))
 
     def test_rejection_leaves_state_untouched(self):
         net = fresh_net("ab")
@@ -180,7 +180,7 @@ class TestSync:
         observe_batch(net, [(0, 1), (1, 0)])
         lattice = net.lattices[1]
         before = node_state(net)
-        sync_node(net, lattice, lattice.root)
+        sync_node(net, lattice, lattice.nodes[0])
         assert node_state(net) == before
 
     def test_fresh_node_absorbs_whole_log(self):
@@ -202,7 +202,7 @@ class TestSync:
         node.status = NodeStatus.ASLEEP  # force it to lag behind
         observe_batch(net, forward_sample(five_var_truth(), 100, seed=7))
         sync_node(net, lattice, node)
-        always_alive = net.lattices[2].root  # stayed in the update path
+        always_alive = net.lattices[2].nodes[0]  # stayed in the update path
         counts, log_ml = recompute_node(net, lattice, node)
         assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
         assert node.synced_through == always_alive.synced_through == net.n_total
@@ -235,7 +235,7 @@ class TestSync:
 class TestDeadCondition:
     def test_zero_observations(self):
         net = fresh_net("ab")
-        assert not dead_condition(net.lattices[1].root, net.schema, 1, 5.0)
+        assert not dead_condition(net.lattices[1].nodes[0], net.schema, 1, 5.0)
 
     def test_threshold_is_kappa_times_table_size(self):
         net = fresh_net("ab")
@@ -249,7 +249,7 @@ class TestDeadCondition:
 
     def test_kappa_zero_always_true(self):
         net = fresh_net("ab")
-        assert dead_condition(net.lattices[1].root, net.schema, 1, 0.0)
+        assert dead_condition(net.lattices[1].nodes[0], net.schema, 1, 0.0)
 
 
 class TestRefine:
@@ -464,8 +464,8 @@ class TestBestNetwork:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        node.log_prior = lattice.root.log_prior  # exact score tie, bit for bit
-        node.log_ml = lattice.root.log_ml
+        node.log_prior = lattice.nodes[0].log_prior  # exact score tie, bit for bit
+        node.log_ml = lattice.nodes[0].log_ml
         assert best_network(net).parents[1] == ()
 
 

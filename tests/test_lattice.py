@@ -41,28 +41,28 @@ def add(lattice, schema, priors, key):
 class TestNewLattice:
     def test_root_is_empty_set(self):
         lattice, _, _ = make_lattice()
-        assert lattice.root.parents == ()
-        assert lattice.root.status is NodeStatus.ALIVE
-        assert lattice.root.expansion is ExpansionFlag.OPEN
-        assert lattice.root.log_ml == 0.0
+        assert lattice.nodes[0].parents == ()
+        assert lattice.nodes[0].status is NodeStatus.ALIVE
+        assert lattice.nodes[0].expansion is ExpansionFlag.OPEN
+        assert lattice.nodes[0].log_ml == 0.0
 
     def test_mandatory_arc_joins_the_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 1.0})
-        assert lattice.root.parents == (0,)
+        assert lattice.nodes[0].parents == (0,)
         assert lattice.candidates == (1, 2)
-        assert math.isfinite(lattice.root.log_prior)
+        assert math.isfinite(lattice.nodes[0].log_prior)
 
     def test_all_forbidden_leaves_a_bare_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 0.0, (1, 3): 0.0, (2, 3): 0.0})
-        assert lattice.root.parents == ()
+        assert lattice.nodes[0].parents == ()
         assert lattice.candidates == ()
-        assert children_of(lattice, lattice.root) == []
+        assert children_of(lattice, lattice.nodes[0]) == []
 
 
 class TestChildren:
     def test_root_children(self):
         lattice, _, _ = make_lattice()
-        assert children_of(lattice, lattice.root) == [0b001, 0b010, 0b100]
+        assert children_of(lattice, lattice.nodes[0]) == [0b001, 0b010, 0b100]
 
     def test_top_has_no_children(self):
         lattice, schema, priors = make_lattice()
@@ -93,7 +93,7 @@ class TestInsert:
 class TestAliveLeaves:
     def test_root_only(self):
         lattice, _, _ = make_lattice()
-        assert alive_leaves(lattice) == [lattice.root]
+        assert alive_leaves(lattice) == [lattice.nodes[0]]
 
     def test_chain(self):
         lattice, schema, priors = make_lattice()
@@ -107,7 +107,7 @@ class TestAliveLeaves:
         a = add(lattice, schema, priors, 0b001)
         b = add(lattice, schema, priors, 0b010)
         a.status = b.status = NodeStatus.ALIVE
-        lattice.root.status = NodeStatus.ASLEEP
+        lattice.nodes[0].status = NodeStatus.ASLEEP
         assert {n.key for n in alive_leaves(lattice)} == {0b001, 0b010}
 
     def test_superset_counts_even_without_links(self):
@@ -120,10 +120,10 @@ class TestAliveLeaves:
 class TestStatus:
     def test_sleep_and_wake(self):
         lattice, _, _ = make_lattice()
-        lattice.root.status = NodeStatus.ASLEEP
+        lattice.nodes[0].status = NodeStatus.ASLEEP
         assert alive_leaves(lattice) == []
-        lattice.root.status = NodeStatus.ALIVE
-        assert alive_leaves(lattice) == [lattice.root]
+        lattice.nodes[0].status = NodeStatus.ALIVE
+        assert alive_leaves(lattice) == [lattice.nodes[0]]
 
     def test_dead_is_absorbing(self):
         lattice, schema, priors = make_lattice()
@@ -157,4 +157,4 @@ class TestStatus:
         )
         assert _scored_best(net, lattice) == full_scan == node.log_score
         node.status = NodeStatus.ASLEEP
-        assert _scored_best(net, lattice) == lattice.root.log_score
+        assert _scored_best(net, lattice) == lattice.nodes[0].log_score

@@ -56,8 +56,8 @@ class TestArcPosterior:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        node.log_prior = lattice.root.log_prior
-        node.log_ml = lattice.root.log_ml
+        node.log_prior = lattice.nodes[0].log_prior
+        node.log_ml = lattice.nodes[0].log_ml
         assert arc_posterior(net, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_lattice_without_an_alive_node_is_an_error(self):
@@ -132,7 +132,7 @@ class TestSmoothed:
         var = smoothed.variables[1]
         assert var.leaf == ()
         assert var.mass == pytest.approx(1.0)
-        root = net.lattices[1].root
+        root = net.lattices[1].nodes[0]
         assert np.allclose(var.table[0], posterior_mean_row(root.counts, (), root.alpha_x))
 
     def test_two_set_merge_is_the_stated_mixture(self):
