@@ -8,8 +8,10 @@ positions.  Expert knowledge enters as per-arc prior probabilities
 
 Examples are plain tuples of value indices, one per variable in schema
 order; ``DomainSchema.encode_rows`` validates a block of them at once and
-codes it as an (n, V) integer array.  Sufficient statistics live in sparse
-``CountTable`` objects keyed by parent-configuration tuples.
+codes it as an (n, V) integer array.  A parent configuration is its
+mixed-radix code (``config_index``, ``config_codes`` for whole arrays);
+sufficient statistics live in sparse ``CountTable`` objects, one count row
+per observed code.
 """
 
 from __future__ import annotations
@@ -190,64 +192,49 @@ class ArcPriorMatrix:
 
 
 class CountTable:
-    """Sparse per-parent-configuration counts for one variable.
+    """Per-value counts of one variable, one row per observed parent configuration.
 
-    Rows are created on first increment; configurations never observed
-    are absent and implicitly all-zero.  ``total`` is the number of
-    examples the table has absorbed.  All configurations must have the
-    same length (the table belongs to one parent set).
+    ``codes`` holds the ascending ``config_index`` of every observed
+    configuration of the parents, whose ``arities`` the table is
+    conditioned on (first parent most significant); ``cells[i]`` holds
+    the count of each value of the variable under ``codes[i]``.
+    Configurations never observed are absent and implicitly all-zero, so
+    storage grows with the observed configurations only.
     """
 
-    __slots__ = ("m_x", "rows", "total", "config_len")
+    __slots__ = ("arities", "codes", "cells")
 
-    def __init__(self, m_x: int):
-        self.m_x = m_x
-        self.rows: dict[tuple[int, ...], np.ndarray] = {}
-        self.total = 0
-        self.config_len: int | None = None
+    def __init__(self, m_x: int, arities: tuple[int, ...]):
+        self.arities = tuple(arities)
+        self.codes = np.empty(0, dtype=np.int64)
+        self.cells = np.empty((0, m_x), dtype=np.int64)
 
-    def _row_for(self, config: tuple[int, ...]) -> np.ndarray:
-        if self.config_len is None:
-            self.config_len = len(config)
-        elif len(config) != self.config_len:
-            raise ValueError(
-                f"configuration {config} has {len(config)} values; this table "
-                f"is conditioned on {self.config_len} parents"
-            )
-        row = self.rows.get(config)
-        if row is None:
-            row = np.zeros(self.m_x, dtype=np.int64)
-            self.rows[config] = row
-        return row
+    @property
+    def m_x(self) -> int:
+        return self.cells.shape[1]
 
-    def increment(self, config: tuple[int, ...], value: int) -> None:
-        self._row_for(config)[value] += 1
-        self.total += 1
+    @property
+    def total(self) -> int:
+        """The number of examples the table has absorbed."""
+        return int(self.cells.sum())
 
-    def add(self, config: tuple[int, ...], row: np.ndarray) -> None:
-        """Add a vector of per-value counts to one configuration's row."""
-        self._row_for(config)[:] += row
-        self.total += int(row.sum())
-
-    def row(self, config: tuple[int, ...]) -> np.ndarray:
-        row = self.rows.get(config)
-        if row is None:
-            return np.zeros(self.m_x, dtype=np.int64)
-        return row
+    def add(self, codes: np.ndarray, values: np.ndarray) -> None:
+        """Count one example per (configuration code, value) pair, as one block."""
+        merged, inverse = np.unique(np.concatenate((self.codes, codes)), return_inverse=True)
+        m_x, old = self.m_x, len(self.codes)
+        cells = np.bincount(inverse[old:] * m_x + values, minlength=len(merged) * m_x)
+        cells = cells.reshape(len(merged), m_x)
+        cells[inverse[:old]] += self.cells
+        self.codes, self.cells = merged, cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        if self.m_x != other.m_x or self.total != other.total:
-            return False
-        if self.rows.keys() != other.rows.keys():
-            return False
-        return all(np.array_equal(self.rows[c], other.rows[c]) for c in self.rows)
-
-
-def project(example: Example, parents: tuple[int, ...]) -> tuple[int, ...]:
-    """Restrict an example to the given parent positions."""
-    return tuple(example[p] for p in parents)
+        return (
+            self.arities == other.arities
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.cells, other.cells)
+        )
 
 
 def config_count(schema: DomainSchema, parents: tuple[int, ...]) -> int:

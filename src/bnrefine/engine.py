@@ -3,10 +3,12 @@
 The combined network holds one parent lattice per variable plus the full
 example log, a 2-D integer array with one row per example.  Counts are the
 single source of truth: ``sync_node`` is the only place examples enter a
-node.  It counts the rows the node has not absorbed yet in one vectorised
-pass and sets the node's log marginal likelihood from its counts, so a
-score depends only on the counts, never on how the data was split into
-batches.  Two kinds of update:
+node (a loaded session recounts its nodes from the log through the same
+code).  It codes the rows the node has not absorbed yet by parent
+configuration, adds them to the node's ``CountTable`` as one block and sets
+the node's log marginal likelihood from its counts, so a score depends
+only on the counts, never on how the data was split into batches.  Two
+kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then sync
   every alive node once.  Asleep nodes are left stale and catch up from
@@ -201,24 +203,21 @@ def observe_batch(net: CombinedNetwork, examples) -> None:
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Count the logged examples the node has not absorbed yet, then rescore it.
+    """Count the logged examples the node has not absorbed yet, then rescore it."""
+    _count_rows(net, lattice, node, net.n_total)
 
-    Rows are grouped by their parent configuration's mixed-radix code (as
-    in ``config_index``) and counted per child value in one pass; the
-    node's log marginal likelihood is then recomputed from its counts.
-    """
-    block = net.example_log[node.synced_through :]
-    if not len(block):
-        return
-    code = config_codes(block, node.parents, net.schema)
-    codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    m_x = node.counts.m_x
-    cells = np.bincount(inverse * m_x + block[:, lattice.x], minlength=len(codes) * m_x)
-    configs = block[first][:, list(node.parents)].tolist()
-    for config, row in zip(configs, cells.reshape(len(codes), m_x)):
-        node.counts.add(tuple(config), row)
-    node.log_ml = log_marginal_likelihood(node.counts, node.alpha_x)
-    node.synced_through = net.n_total
+
+def _count_rows(
+    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, stop: int
+) -> None:
+    """Count log rows ``synced_through:stop`` into the node as one block, coded by
+    parent configuration (``config_codes``), and recompute its log marginal
+    likelihood from its counts.  Session loading recounts stored nodes here too."""
+    block = net.example_log[node.synced_through : stop]
+    if len(block):
+        node.counts.add(config_codes(block, node.parents, net.schema), block[:, lattice.x])
+        node.log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
+    node.synced_through = stop
 
 
 def dead_condition(node: LatticeNode, schema: DomainSchema, x: int, dead_kappa: float) -> bool:
@@ -335,7 +334,7 @@ def _create_child(
     node = insert_node(
         lattice,
         key,
-        counts=CountTable(net.schema.arity(x)),
+        counts=CountTable(net.schema.arity(x), tuple(net.schema.arity(p) for p in parents)),
         log_prior=log_structure_prior(x, parents, net.priors, net.schema),
         alpha_x=alpha_for(x, parents, net.config, net.schema),
     )
@@ -445,11 +444,8 @@ def best_network(net: CombinedNetwork) -> ConcreteNetwork:
             )
         node = min(alive, key=lambda n: (-_node_score(net, lattice, n), n.key))
         sync_node(net, lattice, node)
-        parent_arities = tuple(net.schema.arity(p) for p in node.parents)
         parents.append(node.parents)
-        tables.append(
-            expected_theta(node.counts, node.alpha_x, net.schema.arity(lattice.x), parent_arities)
-        )
+        tables.append(expected_theta(node.counts, node.alpha_x))
     return ConcreteNetwork(schema=net.schema, parents=tuple(parents), tables=tuple(tables))
 
 

@@ -13,6 +13,11 @@ per arc (1 mandatory, 0 forbidden, in between uncertain).
 CSV datasets carry one header row of variable names (any column order)
 and value labels as cells; parsing is strict, rejecting the whole file on
 the first unknown label or missing cell, with row/column diagnostics.
+
+A session snapshot holds the example log and, per stored parent set, its
+search state and the number of log rows it has absorbed, but no counts:
+loading recounts each set from the log, so a snapshot's statistics cannot
+disagree with its log.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .domain import (
     PriorConfig,
     VariableSpec,
 )
-from .engine import SCORING_MODELS, CombinedNetwork
+from .engine import SCORING_MODELS, CombinedNetwork, _count_rows
+from .kernels import alpha_for
 from .lattice import (
     CountTable,
     ExpansionFlag,
@@ -48,7 +54,7 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-SESSION_VERSION = 2  # version 1 stored dead parent sets as full nodes
+SESSION_VERSION = 3  # 2 also stored node counts and log_ml; 1 also kept dead sets as nodes
 
 
 class SpecFormatError(ValueError):
@@ -223,31 +229,14 @@ def write_csv(path: str, examples, schema: DomainSchema) -> None:
 # -- session snapshots ----------------------------------------------------
 
 
-def _counts_to_doc(counts: CountTable) -> dict[str, list[int]]:
-    return {
-        ",".join(str(v) for v in cfg): [int(c) for c in row]
-        for cfg, row in sorted(counts.rows.items())
-    }
-
-
-def _counts_from_doc(doc: dict, m_x: int) -> CountTable:
-    counts = CountTable(m_x)
-    for cfg_text, row in doc.items():
-        cfg = tuple(int(v) for v in cfg_text.split(",")) if cfg_text else ()
-        counts.add(cfg, np.array(row, dtype=np.int64))
-    return counts
-
-
 def _node_to_doc(node: LatticeNode) -> dict:
     return {
         "key": node.key,
         "log_prior": node.log_prior,
-        "log_ml": node.log_ml,
         "status": node.status.value,
         "open": node.expansion is ExpansionFlag.OPEN,
         "expanded": node.expanded,
         "synced_through": node.synced_through,
-        "counts": _counts_to_doc(node.counts),
         "model_ml": dict(sorted(node.model_ml.items())),
         "model_synced": dict(sorted(node.model_synced.items())),
         "model_params": {k: list(v) for k, v in sorted(node.model_params.items())},
@@ -276,36 +265,35 @@ def session_to_document(net: CombinedNetwork) -> dict:
 
 
 def session_from_document(doc: dict) -> CombinedNetwork:
+    """Rebuild a session; every stored node is recounted from the example log.
+
+    Versions 1 and 2 also stored each node's counts and log marginal
+    likelihood; they are ignored, so a session's statistics always agree
+    with its log.
+    """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in (1, SESSION_VERSION):
+    if version not in (1, 2, SESSION_VERSION):
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
         scoring_model = doc["scoring_model"]
         if scoring_model not in SCORING_MODELS:
             raise SessionFormatError(f"unknown scoring model {scoring_model!r}")
-        lattices = [
-            _lattice_from_doc(lattice_doc, version, schema, priors, config)
-            for lattice_doc in doc["lattices"]
-        ]
-        if [lat.x for lat in lattices] != list(range(len(schema))):
-            raise SessionFormatError("lattices do not cover the schema variables")
         if not isinstance(doc["example_log"], list):
             raise SessionFormatError("example log is not a list of rows")
         net = CombinedNetwork(
             schema=schema,
             priors=priors,
             config=config,
-            lattices=lattices,
+            lattices=[],
             example_log=doc["example_log"],
             scoring_model=scoring_model,
         )
-        for lattice in net.lattices:
-            for node in lattice.nodes.values():
-                if node.synced_through > net.n_total:
-                    raise SessionFormatError("node synced beyond the example log")
+        net.lattices = [_lattice_from_doc(d, version, net) for d in doc["lattices"]]
+        if [lat.x for lat in net.lattices] != list(range(len(schema))):
+            raise SessionFormatError("lattices do not cover the schema variables")
         return net
     except SessionFormatError:
         raise
@@ -313,16 +301,15 @@ def session_from_document(doc: dict) -> CombinedNetwork:
         raise SessionFormatError(f"malformed session document: {err}") from None
 
 
-def _lattice_from_doc(
-    doc: dict, version: int, schema: DomainSchema, priors: ArcPriorMatrix, config: PriorConfig
-) -> ParentLattice:
-    lattice = new_lattice(doc["x"], schema, priors, config)
+def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLattice:
+    schema = net.schema
+    lattice = new_lattice(doc["x"], schema, net.priors, net.config)
     lattice.last_refine_n = int(doc["last_refine_n"])
     stored = [d for d in doc["nodes"] if d["status"] != "dead"]
     keys = [d["key"] for d in stored]
     # version 1 kept a dead parent set as a node with status "dead"
     dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]
-    dead += doc["dead"] if version == SESSION_VERSION else []
+    dead += doc["dead"] if version > 1 else []
     where = f"lattice {schema.name(lattice.x)!r}"
     for key in keys + dead:
         if type(key) is not int or not 0 <= key < 1 << len(lattice.candidates):
@@ -334,30 +321,33 @@ def _lattice_from_doc(
         raise SessionFormatError(f"{where}: keys {both} are stored and dead")
     if not keys:
         raise SessionFormatError(f"{where}: no stored node")
-    lattice.nodes = {k: _node_from_doc(d, lattice, schema, config) for k, d in zip(keys, stored)}
+    lattice.nodes = {k: _node_from_doc(d, lattice, net) for k, d in zip(keys, stored)}
     lattice.dead = set(dead)
     return lattice
 
 
-def _node_from_doc(
-    doc: dict, lattice: ParentLattice, schema: DomainSchema, config: PriorConfig
-) -> LatticeNode:
-    from .kernels import alpha_for
-
+def _node_from_doc(doc: dict, lattice: ParentLattice, net: CombinedNetwork) -> LatticeNode:
+    """A stored node, its counts recounted from ``example_log[:synced_through]``."""
+    schema = net.schema
+    synced = doc["synced_through"]
+    if type(synced) is not int or not 0 <= synced <= net.n_total:
+        raise SessionFormatError(
+            f"lattice {schema.name(lattice.x)!r}: synced_through {synced!r} is not "
+            f"a row count of the {net.n_total}-row example log"
+        )
     key = doc["key"]
     parents = lattice.parents_of_key(key)
     node = LatticeNode(
         key=key,
         parents=parents,
-        alpha_x=alpha_for(lattice.x, parents, config, schema),
-        counts=_counts_from_doc(doc["counts"], schema.arity(lattice.x)),
+        alpha_x=alpha_for(lattice.x, parents, net.config, schema),
+        counts=CountTable(schema.arity(lattice.x), tuple(schema.arity(p) for p in parents)),
         log_prior=float(doc["log_prior"]),
-        log_ml=float(doc["log_ml"]),
         status=NodeStatus(doc["status"]),
         expansion=ExpansionFlag.OPEN if doc["open"] else ExpansionFlag.CLOSED,
         expanded=bool(doc["expanded"]),
-        synced_through=int(doc["synced_through"]),
     )
+    _count_rows(net, lattice, node, synced)
     node.model_ml = {str(k): float(v) for k, v in doc["model_ml"].items()}
     node.model_synced = {str(k): int(v) for k, v in doc["model_synced"].items()}
     node.model_params = {str(k): [float(v) for v in vs] for k, vs in doc["model_params"].items()}

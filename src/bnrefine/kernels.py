@@ -24,7 +24,6 @@ products over hundreds of examples underflow float64.  The key quantities:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -65,22 +64,23 @@ def _log_beta_symmetric(alpha_x: float, m_x: int) -> float:
     return m_x * math.lgamma(alpha_x) - math.lgamma(m_x * alpha_x)
 
 
-def log_marginal_likelihood(counts: CountTable, alpha_x: float) -> float:
-    """Log marginal likelihood of the counts under a symmetric Dirichlet prior.
+def log_marginal_likelihood(cells: np.ndarray, alpha_x: float) -> float:
+    """Log marginal likelihood of count rows under a symmetric Dirichlet prior.
 
-    Sparse: only configurations with at least one observation contribute.
+    ``cells`` holds one row of per-value counts per observed configuration
+    (``CountTable.cells``); configurations never observed contribute 0.
     The rows are summed exactly (``math.fsum``), so the result depends on
-    the counts alone, not on the order in which configurations were first
-    seen: equal counts always give bit-identical scores.
+    the counts alone, not on the order of the rows: equal counts always
+    give bit-identical scores.
     """
     if alpha_x <= 0:
         raise ValueError(f"alpha_x must be positive, got {alpha_x}")
-    if not counts.rows:
+    if not len(cells):
         return 0.0
-    log_beta_prior = _log_beta_symmetric(alpha_x, counts.m_x)
+    log_beta_prior = _log_beta_symmetric(alpha_x, cells.shape[1])
     # log_beta_multi per row, inlined: every component is a count plus
     # alpha_x > 0, so its positivity check cannot fail here
-    rows = (np.array(list(counts.rows.values())) + alpha_x).tolist()
+    rows = (cells + alpha_x).tolist()
     lgamma = math.lgamma
     return math.fsum([sum(map(lgamma, row)) - lgamma(sum(row)) - log_beta_prior for row in rows])
 
@@ -122,34 +122,19 @@ def log_structure_prior(
     return total
 
 
-def posterior_mean_row(
-    counts: CountTable, config: tuple[int, ...], alpha_x: float
-) -> np.ndarray:
-    """Posterior-mean probability vector for one parent configuration."""
-    row = counts.row(config)
-    return (row + alpha_x) / (row.sum() + counts.m_x * alpha_x)
-
-
-def expected_theta(
-    counts: CountTable,
-    alpha_x: float,
-    m_x: int,
-    parent_arities: tuple[int, ...],
-) -> np.ndarray:
-    """Dense posterior-mean CPT over every parent configuration.
+def expected_theta(counts: CountTable, alpha_x: float) -> np.ndarray:
+    """Dense posterior-mean CPT over every configuration of the table's parents.
 
     Rows follow the mixed-radix enumeration of ``config_index`` (first
-    parent most significant).  Unobserved configurations get the uniform
-    prior mean.  Every entry is strictly inside (0, 1) and each row sums
-    to 1 up to float rounding.
+    parent most significant): the count rows are scattered to their codes,
+    and unobserved configurations get the uniform prior mean.  Every entry
+    is strictly inside (0, 1) and each row sums to 1 up to float rounding.
     """
     if alpha_x <= 0:
         raise ValueError(f"alpha_x must be positive, got {alpha_x}")
-    n_configs = math.prod(parent_arities) if parent_arities else 1
-    table = np.empty((n_configs, m_x), dtype=float)
-    for idx, cfg in enumerate(itertools.product(*(range(a) for a in parent_arities))):
-        table[idx] = posterior_mean_row(counts, cfg, alpha_x)
-    return table
+    cells = np.zeros((math.prod(counts.arities), counts.m_x), dtype=np.int64)
+    cells[counts.codes] = counts.cells
+    return (cells + alpha_x) / (cells.sum(axis=1, keepdims=True) + counts.m_x * alpha_x)
 
 
 def joint_log_likelihood(network: ConcreteNetwork, example: Example) -> float:

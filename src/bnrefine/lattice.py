@@ -3,11 +3,13 @@
 Each stored node is one candidate parent set for the variable, keyed by a
 bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
-a finite structure prior).  A node carries its sufficient statistics, its
-log prior, its log marginal likelihood (a function of the counts), the
-number of logged examples its counts have absorbed, and a lifecycle
-status.  Subsets and supersets are found from the keys themselves; no
-links between nodes are stored.
+a finite structure prior).  A node carries its sufficient statistics (a
+``CountTable`` over its parents' configuration codes), its log prior, its
+log marginal likelihood (a function of the counts), the number of logged
+examples its counts have absorbed (the counts are those of
+``example_log[:synced_through]``, and a saved session keeps only that
+number), and a lifecycle status.  Subsets and supersets are found from
+the keys themselves; no links between nodes are stored.
 
 Lifecycle:
 
@@ -111,7 +113,7 @@ def new_lattice(
         key=0,
         parents=mandatory,
         alpha_x=alpha_for(x, mandatory, config, schema),
-        counts=CountTable(schema.arity(x)),
+        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in mandatory)),
         log_prior=root_prior,
         status=NodeStatus.ALIVE,
         expansion=ExpansionFlag.OPEN,

@@ -107,9 +107,9 @@ class LocalModelScore:
 def boolean_counts(x_values, parent_rows) -> CountTable:
     """Boolean (child value, parent row) data as the count table a node keeps.
 
-    Rows are grouped by parent configuration (``np.unique`` over a binary
-    code) and counted per child value with one ``np.bincount``; each count
-    row is ``[n_false, n_true]``.
+    Each parent row is coded in binary, first parent most significant (the
+    ``config_codes`` of boolean parents), and counted per child value; each
+    count row is ``[n_false, n_true]``.
     """
     x = np.asarray(x_values, dtype=bool)
     rows = np.asarray(parent_rows, dtype=bool)
@@ -117,24 +117,20 @@ def boolean_counts(x_values, parent_rows) -> CountTable:
         rows = rows.reshape(len(x), -1)
     if rows.shape[0] != x.shape[0]:
         raise ValueError(f"{x.shape[0]} child values but {rows.shape[0]} parent rows")
-    counts = CountTable(2)
-    counts.config_len = rows.shape[1]
-    code = rows.astype(np.int64) @ (1 << np.arange(rows.shape[1], dtype=np.int64))
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    cells = np.bincount(2 * inverse + x, minlength=2 * len(first)).reshape(-1, 2)
-    for config, row in zip(rows[first].astype(int).tolist(), cells):
-        counts.add(tuple(config), row)
+    n_parents = rows.shape[1]
+    counts = CountTable(2, (2,) * n_parents)
+    counts.add(rows.astype(np.int64) @ (1 << np.arange(n_parents - 1, -1, -1)), x.astype(np.int64))
     return counts
 
 
 def _blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Activity rows (the always-active leak/intercept column first), n_false
-    and n_true, one entry per observed parent configuration in sorted order."""
-    configs = sorted(counts.rows)
-    n_parents = counts.config_len or 0
-    activity = np.ones((len(configs), n_parents + 1))
-    activity[:, 1:] = np.array(configs, dtype=float).reshape(len(configs), n_parents)
-    cells = np.array([counts.rows[c] for c in configs], dtype=float).reshape(-1, 2)
+    and n_true, one entry per observed parent configuration in code order;
+    a parent's activity is its bit of the code."""
+    shifts = np.arange(len(counts.arities) - 1, -1, -1)
+    activity = np.ones((len(counts.codes), len(shifts) + 1))
+    activity[:, 1:] = counts.codes[:, None] >> shifts & 1
+    cells = counts.cells.astype(float)
     return activity, cells[:, 0], cells[:, 1]
 
 
@@ -334,12 +330,12 @@ def log_det_neg_hessian(hess: np.ndarray) -> float:
 
 
 def _table_alpha(alpha: float, counts: CountTable) -> float:
-    return alpha / (2.0 * 2.0 ** (counts.config_len or 0))
+    return alpha / (2.0 * 2.0 ** len(counts.arities))
 
 
 def exact_table_log_marginal(counts: CountTable, *, alpha: float = 1.0) -> float:
     """Exact Dirichlet-multinomial marginal of boolean counts under the full table."""
-    return log_marginal_likelihood(counts, _table_alpha(alpha, counts))
+    return log_marginal_likelihood(counts.cells, _table_alpha(alpha, counts))
 
 
 def _laplace(fit: MapFit) -> float:
@@ -368,7 +364,7 @@ def laplace_log_marginal(
         alpha_x = _table_alpha(alpha, counts)
         log_beta_prior = log_beta_multi([alpha_x, alpha_x])
         total = 0.0
-        for row in counts.rows.values():
+        for row in counts.cells:
             n0, n1 = float(row[0]) + alpha_x, float(row[1]) + alpha_x
             theta = n1 / (n0 + n1)
             log_peak = n1 * math.log(theta) + n0 * math.log1p(-theta) - log_beta_prior

@@ -17,11 +17,9 @@ import numpy as np
 from .domain import (
     ArcPriorMatrix,
     ConcreteNetwork,
-    CountTable,
     DomainSchema,
     Example,
     PriorConfig,
-    project,
 )
 from .kernels import (
     alpha_for,
@@ -60,11 +58,14 @@ class ExactPosterior:
 
 def _counts_for(
     x: int, parents: tuple[int, ...], data: list[Example], schema: DomainSchema
-) -> CountTable:
-    counts = CountTable(schema.arity(x))
+) -> np.ndarray:
+    """Count rows of x's values, one per observed parent configuration, counted
+    example by example into a plain dict: independent of ``CountTable``."""
+    rows: dict[tuple[int, ...], list[int]] = {}
     for example in data:
-        counts.increment(project(example, parents), example[x])
-    return counts
+        config = tuple(example[p] for p in parents)
+        rows.setdefault(config, [0] * schema.arity(x))[example[x]] += 1
+    return np.array(list(rows.values()), dtype=np.int64).reshape(-1, schema.arity(x))
 
 
 def exhaustive_posterior(

@@ -10,15 +10,14 @@ Queries are read-only; callers must not mutate the network concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConcreteNetwork, DomainSchema
+from .domain import ConcreteNetwork, DomainSchema, config_codes
 from .engine import CombinedNetwork, _node_score
-from .kernels import log_sum_exp, posterior_mean_row, rows_log_likelihood
+from .kernels import expected_theta, log_sum_exp, rows_log_likelihood
 from .lattice import LatticeNode, LatticeStateError, ParentLattice, alive_leaves
 
 
@@ -168,12 +167,14 @@ def _merged_variable(
     norm = log_sum_exp(scores)
     within = np.array([math.exp(s - norm) for s in scores])
     leaf_parents = leaf.parents
+    # every configuration of the leaf's parents, in config_index order, as (n, V) rows
     arities = tuple(schema.arity(p) for p in leaf_parents)
-    table = np.zeros((int(np.prod(arities)) if arities else 1, schema.arity(x)))
-    for row, cfg in enumerate(itertools.product(*(range(a) for a in arities))):
-        for node, w in zip(family, within):
-            sub_cfg = tuple(cfg[leaf_parents.index(p)] for p in node.parents)
-            table[row] += w * posterior_mean_row(node.counts, sub_cfg, node.alpha_x)
+    configs = np.zeros((math.prod(arities), len(schema)), dtype=np.int64)
+    configs[:, list(leaf_parents)] = np.indices(arities).reshape(len(arities), len(configs)).T
+    table = np.zeros((len(configs), schema.arity(x)))
+    for node, w in zip(family, within):
+        theta = expected_theta(node.counts, node.alpha_x)
+        table += w * theta[config_codes(configs, node.parents, schema)]
     arc_probs = {
         y: float(sum(w for n, w in zip(family, within) if y in n.parents))
         for y in leaf_parents

@@ -61,6 +61,26 @@ def chain_v_truth() -> ConcreteNetwork:
     )
 
 
+def mixed_arity_network(seed: int) -> ConcreteNetwork:
+    """Four variables of arities 3, 2, 4 and 2 with random CPTs."""
+    schema = DomainSchema(
+        (
+            VariableSpec("a", ("x", "y", "z")),
+            VariableSpec("b", ("f", "t")),
+            VariableSpec("c", tuple("pqrs")),
+            VariableSpec("d", ("f", "t")),
+        )
+    )
+    parents = ((), (0,), (0, 1), (0, 2))
+    rng = np.random.default_rng(seed)
+    tables = []
+    for x, ps in enumerate(parents):
+        shape = (int(np.prod([schema.arity(p) for p in ps])), schema.arity(x))
+        raw = rng.uniform(0.05, 1.0, size=shape)
+        tables.append(raw / raw.sum(axis=1, keepdims=True))
+    return ConcreteNetwork(schema, parents, tuple(tables))
+
+
 def sampled_net(
     truth: ConcreteNetwork, n: int, seed: int, default_prior: float = 0.5, alpha: float = 1.0
 ) -> tuple[CombinedNetwork, list[tuple[int, ...]]]:
@@ -85,9 +105,72 @@ def node_state(net: CombinedNetwork) -> dict:
                 node.synced_through,
                 node.log_prior,
                 node.log_ml,
-                {cfg: tuple(row) for cfg, row in node.counts.rows.items()},
+                table_rows(node.counts),
             )
     return state
+
+
+def reference_counts(rows, x: int, parents: tuple[int, ...], m_x: int) -> dict:
+    """Counts of x's values per parent configuration, example by example, in a
+    plain dict of rows: the reference ``CountTable`` is checked against."""
+    counts: dict[tuple[int, ...], list[int]] = {}
+    for example in rows:
+        config = tuple(int(example[p]) for p in parents)
+        counts.setdefault(config, [0] * m_x)[int(example[x])] += 1
+    return counts
+
+
+def node_reference_counts(net: CombinedNetwork, x: int, node) -> dict:
+    """``reference_counts`` of the log rows the node has absorbed."""
+    return reference_counts(
+        net.example_log[: node.synced_through], x, node.parents, net.schema.arity(x)
+    )
+
+
+def reference_log_ml(counts: dict, alpha_x: float, m_x: int) -> float:
+    from bnrefine.kernels import log_marginal_likelihood
+
+    return log_marginal_likelihood(np.array(list(counts.values())).reshape(-1, m_x), alpha_x)
+
+
+def posterior_mean(counts: dict, config: tuple[int, ...], alpha_x: float, m_x: int) -> np.ndarray:
+    """Posterior-mean distribution of one parent configuration from reference counts."""
+    row = np.array(counts.get(config, [0] * m_x))
+    return (row + alpha_x) / (row.sum() + m_x * alpha_x)
+
+
+def table_rows(counts) -> dict:
+    """A ``CountTable`` as ``reference_counts`` lays it out: configuration tuple -> row."""
+    rows = {}
+    for code, row in zip(counts.codes.tolist(), counts.cells.tolist()):
+        config = []
+        for arity in reversed(counts.arities):
+            code, value = divmod(code, arity)
+            config.insert(0, value)
+        rows[tuple(config)] = row
+    return rows
+
+
+def forward_sample_reference(network: ConcreteNetwork, n: int, seed: int) -> list[tuple[int, ...]]:
+    """``forward_sample`` as it drew before it sampled whole arrays: one row
+    and one variable at a time, one ``rng.random()`` each."""
+    from bnrefine.domain import config_index
+
+    if n < 0:
+        raise ValueError(f"sample count must be nonnegative, got {n}")
+    rng = np.random.default_rng(seed)
+    schema = network.schema
+    cumulative = [np.cumsum(t, axis=1) for t in network.tables]
+    examples = []
+    values = [0] * len(schema)
+    for _ in range(n):
+        for x in range(len(schema)):
+            row = config_index(values, network.parents[x], schema)
+            values[x] = int(np.searchsorted(cumulative[x][row], rng.random(), side="right"))
+            if values[x] >= schema.arity(x):
+                values[x] = schema.arity(x) - 1
+        examples.append(tuple(values))
+    return examples
 
 
 class DeadNodeMonitor:

@@ -15,7 +15,6 @@ import pytest
 
 from bnrefine import (
     ArcPriorMatrix,
-    CountTable,
     PriorConfig,
     SearchParams,
     all_arc_posteriors,
@@ -24,14 +23,8 @@ from bnrefine import (
     observe_batch,
     refine,
 )
-from bnrefine.domain import project
 from bnrefine.fileio import load_session, save_session, serialize_session
-from bnrefine.kernels import (
-    alpha_for,
-    log_marginal_likelihood,
-    posterior_mean_row,
-    predictive_log_prob,
-)
+from bnrefine.kernels import predictive_log_prob
 from bnrefine.localmodels import (
     LogisticParams,
     NoisyOrParams,
@@ -53,7 +46,12 @@ from helpers import (
     chain_v_truth,
     five_var_truth,
     fresh_net,
+    node_reference_counts,
+    posterior_mean,
+    reference_counts,
+    reference_log_ml,
     sampled_net,
+    table_rows,
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
@@ -135,19 +133,19 @@ def _oscillation_batches(ln_c: float, n_batches: int, margin: float = 0.15):
     """Craft mini-batches for two binary variables (parent a, child b) whose
     exact score gap between parent sets {a} and {} crosses ln_c each batch,
     while staying above the hysteresis-0.5 demotion bound ln_c + ln(0.5)."""
-    with_parent = CountTable(2)
-    empty = CountTable(2)
+    with_parent = np.zeros((2, 2), dtype=np.int64)  # one count row per value of a
+    empty = np.zeros(2, dtype=np.int64)
     state = {"delta": 0.0}
 
     def gain(j: int, i: int) -> float:
-        return predictive_log_prob(with_parent.row((j,)), i, 0.25, 2) - (
-            predictive_log_prob(empty.row(()), i, 0.5, 2)
+        return predictive_log_prob(with_parent[j], i, 0.25, 2) - (
+            predictive_log_prob(empty, i, 0.5, 2)
         )
 
     def push(j: int, i: int) -> tuple[int, int]:
         state["delta"] += gain(j, i)
-        with_parent.increment((j,), i)
-        empty.increment((), i)
+        with_parent[j, i] += 1
+        empty[i] += 1
         return (j, i)
 
     pairs = list(itertools.product((0, 1), (0, 1)))
@@ -230,11 +228,10 @@ def test_criterion_02_incremental_equals_batch(crit2_run):
             assert node_s.counts == node_b.counts
             assert node_s.log_ml == pytest.approx(node_b.log_ml, abs=1e-9)
             # both match a from-scratch rescoring of the retained log
-            counts = CountTable(single.schema.arity(lat_s.x))
-            for example in single.example_log[: node_s.synced_through]:
-                counts.increment(project(example, node_s.parents), example[lat_s.x])
+            counts = node_reference_counts(single, lat_s.x, node_s)
+            assert table_rows(node_s.counts) == counts
             assert node_s.log_ml == pytest.approx(
-                log_marginal_likelihood(counts, node_s.alpha_x), abs=1e-9
+                reference_log_ml(counts, node_s.alpha_x, 2), abs=1e-9
             )
     arcs_s = all_arc_posteriors(single).entries
     arcs_b = all_arc_posteriors(batched).entries
@@ -248,10 +245,8 @@ def test_criterion_03_prior_equivalence():
 
     def ml(x, parents, examples):
         # concentration follows the equivalent-prior scheme: alpha / (m_x |v(parents)|)
-        counts = CountTable(2)
-        for example in examples:
-            counts.increment(project(example, parents), example[x])
-        return log_marginal_likelihood(counts, 1.0 / (2.0 * 2.0 ** len(parents)))
+        counts = reference_counts(examples, x, parents, 2)
+        return reference_log_ml(counts, 1.0 / (2.0 * 2.0 ** len(parents)), 2)
 
     for _ in range(20):
         n = int(rng.integers(1, 60))
@@ -310,10 +305,11 @@ def test_criterion_07_smoothed_networks(crit1_run):
         for row, cfg in enumerate(itertools.product(*(range(a) for a in arities))):
             contributions = np.array(
                 [
-                    posterior_mean_row(
-                        n.counts,
+                    posterior_mean(
+                        node_reference_counts(net, x, n),
                         tuple(cfg[var.leaf.index(p)] for p in n.parents),
                         n.alpha_x,
+                        2,
                     )
                     for n in family
                 ]

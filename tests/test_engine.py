@@ -29,7 +29,6 @@ from bnrefine import (
 )
 from bnrefine.engine import _scored_best, dead_condition
 from bnrefine.fileio import serialize_session, session_from_document
-from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
@@ -39,8 +38,11 @@ from helpers import (
     chain_v_truth,
     five_var_truth,
     fresh_net,
+    node_reference_counts,
     node_state,
+    reference_log_ml,
     sampled_net,
+    table_rows,
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
@@ -48,12 +50,8 @@ PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
 
 def recompute_node(net, lattice, node):
     """Batch oracle: score the node's parent set from scratch over the log."""
-    from bnrefine.domain import CountTable, project
-
-    counts = CountTable(net.schema.arity(lattice.x))
-    for example in net.example_log[: node.synced_through]:
-        counts.increment(project(example, node.parents), example[lattice.x])
-    return counts, log_marginal_likelihood(counts, node.alpha_x)
+    counts = node_reference_counts(net, lattice.x, node)
+    return counts, reference_log_ml(counts, node.alpha_x, net.schema.arity(lattice.x))
 
 
 class TestInit:
@@ -109,7 +107,7 @@ class TestObserve:
             for node in lattice.nodes.values():
                 if node.status is NodeStatus.ALIVE:
                     counts, log_ml = recompute_node(net, lattice, node)
-                    assert counts == node.counts
+                    assert counts == table_rows(node.counts)
                     assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_node_syncs_to_batch_value(self):
@@ -123,7 +121,7 @@ class TestObserve:
         assert node.synced_through < net.n_total
         sync_node(net, lattice, node)
         counts, log_ml = recompute_node(net, lattice, node)
-        assert counts == node.counts
+        assert counts == table_rows(node.counts)
         assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
 
 
@@ -190,7 +188,7 @@ class TestSync:
         node = max(lattice.nodes.values(), key=lambda n: n.key)
         counts, log_ml = recompute_node(net, lattice, node)
         assert node.synced_through == len(data)
-        assert counts == node.counts
+        assert counts == table_rows(node.counts)
         assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_twin_catches_up(self):
@@ -228,7 +226,7 @@ class TestSync:
             for node in lattice.nodes.values():
                 counts, log_ml = recompute_node(net, lattice, node)
                 assert node.synced_through == net.n_total
-                assert counts == node.counts
+                assert counts == table_rows(node.counts)
                 assert node.log_ml == log_ml
 
 
@@ -372,7 +370,7 @@ class TestStreaming:
                 for node in lattice.nodes.values():
                     assert node.synced_through == net.n_total
                     counts, log_ml = recompute_node(net, lattice, node)
-                    assert counts == node.counts
+                    assert counts == table_rows(node.counts)
                     assert node.log_ml == log_ml
 
 

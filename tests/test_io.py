@@ -4,18 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnrefine import (
     ArcPriorMatrix,
     ConcreteNetwork,
+    DomainSchema,
     PriorConfig,
     SearchParams,
     all_arc_posteriors,
+    best_network,
     observe_batch,
     refine,
 )
 from bnrefine.dotexport import export_dot
-from bnrefine.engine import _scored_best
+from bnrefine.engine import SCORING_MODELS, _scored_best
 from bnrefine.fileio import (
     CsvFormatError,
     SessionFormatError,
@@ -33,7 +37,16 @@ from bnrefine.fileio import (
 from bnrefine.query import sample_smoothed
 from bnrefine.sampling import forward_sample
 
-from helpers import binary_schema, five_var_truth, fresh_net, node_state, sampled_net
+from helpers import (
+    binary_schema,
+    chain_v_truth,
+    five_var_truth,
+    forward_sample_reference,
+    fresh_net,
+    mixed_arity_network,
+    node_state,
+    sampled_net,
+)
 
 LIST_LOG_SESSION = (
     '{"example_log":[[0,0,1],[1,1,1],[1,1,0],[0,0,0],[1,1,1],[0,1,1]],'
@@ -70,6 +83,47 @@ V1_CONTINUED_ARCS = {
     (1, 4): 0.0,
     (2, 4): 1.0,
     (3, 4): 0.0,
+}
+
+# written by the release with session version 2: chain_v_truth under the logistic
+# model, 120 of 200 rows of seed 12, one refine with budget 8, which fitted lattices
+# u, v, w and x and left y and z with table scores only
+V2_SESSION = Path(__file__).parent / "data" / "session_v2.json"
+# what that release answers after loading it, and after it also observes rows
+# 120-199 and refines
+V2_LOADED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.10448215771508952,
+    (1, 2): 0.9999999999999933,
+    (0, 3): 0.0,
+    (1, 3): 0.0,
+    (2, 3): 1.0,
+    (0, 4): 0.0,
+    (1, 4): 0.0,
+    (2, 4): 0.0,
+    (3, 4): 0.0,
+    (0, 5): 0.0,
+    (1, 5): 0.0,
+    (2, 5): 0.0,
+    (3, 5): 0.0,
+    (4, 5): 0.0,
+}
+V2_CONTINUED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.053737018278146934,
+    (1, 2): 0.9999999999999964,
+    (0, 3): 0.0,
+    (1, 3): 0.0,
+    (2, 3): 1.0,
+    (0, 4): 0.0,
+    (1, 4): 0.0,
+    (2, 4): 0.0,
+    (3, 4): 0.0,
+    (0, 5): 0.0,
+    (1, 5): 0.0,
+    (2, 5): 0.0,
+    (3, 5): 1.0,
+    (4, 5): 1.0,
 }
 
 SPEC_DOC = {
@@ -182,6 +236,18 @@ class TestForwardSample:
         truth = five_var_truth()
         assert forward_sample(truth, 50, seed=4) == forward_sample(truth, 50, seed=4)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 2500])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_whole_array_draws_equal_the_row_by_row_reference(self, seed, n):
+        # 2500 rows span three blocks of sampling.BLOCK_ROWS
+        empty = ConcreteNetwork(DomainSchema(()), (), ())
+        for network in (five_var_truth(), mixed_arity_network(seed), empty):
+            assert forward_sample(network, n, seed) == forward_sample_reference(network, n, seed)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            forward_sample(five_var_truth(), -1, seed=0)
+
 
 class TestSession:
     def test_fresh_round_trip(self, tmp_path):
@@ -215,6 +281,30 @@ class TestSession:
         refine(net_b, SearchParams())
         assert serialize_session(resumed) == serialize_session(net_b)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(SCORING_MODELS),
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=4, max_size=4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    def test_save_and_load_anywhere_in_a_stream(self, model, sizes, budgets, save_at, seed):
+        rows = forward_sample(five_var_truth(), sum(sizes), seed)
+        twin = fresh_net("abcde")
+        twin.scoring_model = model
+        net = copy.deepcopy(twin)
+        start = 0
+        for step, size in enumerate(sizes):
+            for each in (net, twin):
+                observe_batch(each, rows[start : start + size])
+                refine(each, SearchParams(budget=budgets[step]))
+            start += size
+            if step == save_at % len(sizes):
+                net = session_from_document(json.loads(serialize_session(net)))
+            assert serialize_session(net) == serialize_session(twin)
+            assert node_state(net) == node_state(twin)
+
     def test_session_with_a_half_searched_lattice_loads_and_resaves(self, tmp_path):
         # a version 1 file, written by the release that kept the log as a list
         # of tuples and absorbed examples one at a time; lattice c was never refined
@@ -229,8 +319,46 @@ class TestSession:
                 assert node.synced_through == 8
         save_session(path, net)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text)["version"] == 2
+        assert json.loads(text)["version"] == 3
         assert serialize_session(load_session(path)) == text
+
+    def test_version_2_session_loads_and_continues(self):
+        doc = json.loads(V2_SESSION.read_text(encoding="utf-8"))
+        assert doc["version"] == 2 and doc["scoring_model"] == "logistic"
+        net = session_from_document(doc)
+        assert all_arc_posteriors(net).entries == V2_LOADED_ARCS
+        observe_batch(net, forward_sample(chain_v_truth(), 200, seed=12)[120:])
+        refine(net, SearchParams())
+        assert all_arc_posteriors(net).entries == V2_CONTINUED_ARCS
+        resaved = json.loads(serialize_session(net))
+        assert resaved["version"] == 3
+        for lattice in resaved["lattices"]:
+            for node in lattice["nodes"]:
+                assert "counts" not in node and "log_ml" not in node
+
+    @pytest.mark.parametrize("synced", [-3, 2.7, True, 7])
+    def test_synced_through_outside_the_log_is_a_session_format_error(self, synced):
+        # -3, 2.7 and true used to load, and a refine then counted 9, 10 and 11
+        # rows of the 6-row log
+        doc = json.loads(LIST_LOG_SESSION)
+        doc["lattices"][2]["nodes"][0]["synced_through"] = synced
+        message = f"lattice 'c': synced_through {synced!r} is not a row count of the 6-row"
+        with pytest.raises(SessionFormatError, match=message):
+            session_from_document(doc)
+
+    def test_stored_counts_and_log_ml_are_recounted_from_the_log(self):
+        # loaded unchecked, this log_ml moved the a->b posterior from 0.696 to
+        # 0.952, and these counts swapped the rows of b's best_network table
+        unedited = session_from_document(json.loads(LIST_LOG_SESSION))
+        doc = json.loads(LIST_LOG_SESSION)
+        node = doc["lattices"][1]["nodes"][1]
+        node["log_ml"] = -2.0
+        node["counts"] = {"0": [0, 3], "1": [2, 1]}
+        edited = session_from_document(doc)
+        assert node_state(edited) == node_state(unedited)
+        assert all_arc_posteriors(edited).entries == all_arc_posteriors(unedited).entries
+        for a, b in zip(best_network(edited).tables, best_network(unedited).tables):
+            assert np.array_equal(a, b)
 
     def test_version_1_dead_nodes_load_as_tombstones(self):
         text = V1_DEAD_SESSION.read_text(encoding="utf-8")

@@ -22,13 +22,41 @@ from bnrefine.oracle import full_joint_enumeration
 from helpers import binary_schema
 
 
-def table_from_rows(m_x, rows):
-    counts = CountTable(m_x)
-    for cfg, row in rows.items():
-        for value, c in enumerate(row):
-            for _ in range(c):
-                counts.increment(cfg, value)
+def table_from_rows(m_x, arities, rows):
+    """A ``CountTable`` holding ``rows``: configuration code -> per-value counts."""
+    counts = CountTable(m_x, arities)
+    for code, row in rows.items():
+        values = np.repeat(np.arange(m_x), row)
+        counts.add(np.full(len(values), code), values)
     return counts
+
+
+class TestCountTable:
+    def test_blocks_merge_into_ascending_codes(self):
+        counts = CountTable(3, (2, 3))
+        counts.add(np.array([4, 1, 4]), np.array([0, 2, 0]))
+        counts.add(np.array([0, 4]), np.array([1, 1]))
+        assert counts.codes.tolist() == [0, 1, 4]
+        assert counts.cells.tolist() == [[0, 1, 0], [0, 0, 1], [2, 1, 0]]
+        assert counts.total == 5 and counts.m_x == 3
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)), max_size=30),
+        st.integers(0, 30),
+    )
+    def test_any_split_counts_like_one_example_at_a_time(self, pairs, cut):
+        whole, split = CountTable(3, (6,)), CountTable(3, (6,))
+        codes = np.array([c for c, _ in pairs], dtype=np.int64)
+        values = np.array([v for _, v in pairs], dtype=np.int64)
+        whole.add(codes, values)
+        split.add(codes[:cut], values[:cut])
+        split.add(codes[cut:], values[cut:])
+        reference = {}
+        for code, value in pairs:
+            reference.setdefault(code, [0, 0, 0])[value] += 1
+        assert whole == split
+        assert dict(zip(whole.codes.tolist(), whole.cells.tolist())) == reference
 
 
 class TestLogBetaMulti:
@@ -71,26 +99,19 @@ class TestAlphaFor:
 
 class TestMarginalLikelihood:
     def test_empty_counts(self):
-        assert log_marginal_likelihood(CountTable(2), 0.5) == 0.0
+        assert log_marginal_likelihood(np.empty((0, 2), dtype=np.int64), 0.5) == 0.0
 
     def test_first_observation_is_uniform(self):
-        counts = table_from_rows(2, {(): [1, 0]})
-        assert log_marginal_likelihood(counts, 0.5) == pytest.approx(math.log(0.5), abs=1e-12)
+        got = log_marginal_likelihood(np.array([[1, 0]]), 0.5)
+        assert got == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_sequential_product(self):
-        counts = table_from_rows(2, {(): [3, 1]})
         expected = math.log((0.5 * 1.5 * 2.5 * 0.5) / (1 * 2 * 3 * 4))
-        got = log_marginal_likelihood(counts, 0.5)
+        got = log_marginal_likelihood(np.array([[3, 1]]), 0.5)
         assert got == pytest.approx(expected, abs=1e-12)
         # same number from the direct Beta-ratio form
         direct = log_beta_multi((3.5, 1.5)) - log_beta_multi((0.5, 0.5))
         assert got == pytest.approx(direct, abs=1e-12)
-
-    def test_mixed_configuration_shapes_rejected(self):
-        counts = CountTable(2)
-        counts.increment((0,), 1)
-        with pytest.raises(ValueError, match="conditioned on 1"):
-            counts.increment((0, 1), 0)
 
     @settings(max_examples=100)
     @given(
@@ -106,13 +127,13 @@ class TestMarginalLikelihood:
         shuffled = list(stream)
         rng.shuffle(shuffled)
         for ordering in (stream, shuffled):
-            counts = CountTable(m_x)
+            rows = {}
             sequential = 0.0
-            for cfg_val, value in ordering:
-                cfg = (cfg_val,)
-                sequential += predictive_log_prob(counts.row(cfg), value, alpha_x, m_x)
-                counts.increment(cfg, value)
-            batch = log_marginal_likelihood(counts, alpha_x)
+            for cfg, value in ordering:
+                row = rows.setdefault(cfg, np.zeros(m_x, dtype=np.int64))
+                sequential += predictive_log_prob(row, value, alpha_x, m_x)
+                row[value] += 1
+            batch = log_marginal_likelihood(np.array(list(rows.values())), alpha_x)
             assert sequential == pytest.approx(batch, rel=1e-9, abs=1e-9)
 
 
@@ -170,18 +191,22 @@ class TestStructurePrior:
 
 class TestExpectedTheta:
     def test_no_data_is_uniform(self):
-        table = expected_theta(CountTable(2), 0.5, 2, (2,))
+        table = expected_theta(CountTable(2, (2,)), 0.5)
         assert np.allclose(table, 0.5)
         assert table.shape == (2, 2)
 
     def test_posterior_mean(self):
-        counts = table_from_rows(2, {(): [3, 7]})
-        table = expected_theta(counts, 0.5, 2, ())
+        table = expected_theta(table_from_rows(2, (), {0: [3, 7]}), 0.5)
         assert table[0] == pytest.approx([3.5 / 11, 7.5 / 11])
 
+    def test_rows_land_at_their_codes(self):
+        table = expected_theta(table_from_rows(2, (2, 3), {4: [3, 1]}), 0.5)
+        assert table.shape == (6, 2)
+        assert table[4] == pytest.approx([3.5 / 5, 1.5 / 5])
+        assert np.all(np.delete(table, 4, axis=0) == 0.5)
+
     def test_shrinkage_never_reaches_certainty(self):
-        counts = table_from_rows(2, {(): [1000, 0]})
-        table = expected_theta(counts, 0.5, 2, ())
+        table = expected_theta(table_from_rows(2, (), {0: [1000, 0]}), 0.5)
         assert table[0] == pytest.approx([1000.5 / 1001, 0.5 / 1001])
         assert 0.0 < table[0][1] < table[0][0] < 1.0
 
@@ -191,8 +216,7 @@ class TestExpectedTheta:
         st.floats(min_value=0.01, max_value=5.0),
     )
     def test_rows_normalized_and_interior(self, row, alpha_x):
-        counts = table_from_rows(3, {(0,): row})
-        table = expected_theta(counts, alpha_x, 3, (2,))
+        table = expected_theta(table_from_rows(3, (2,), {0: row}), alpha_x)
         assert np.all(table > 0.0) and np.all(table < 1.0)
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
 

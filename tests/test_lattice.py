@@ -32,7 +32,7 @@ def add(lattice, schema, priors, key):
     return insert_node(
         lattice,
         key,
-        counts=CountTable(schema.arity(x)),
+        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in parents)),
         log_prior=log_structure_prior(x, parents, priors, schema),
         alpha_x=alpha_for(x, parents, PriorConfig(1.0), schema),
     )

@@ -415,7 +415,7 @@ class TestScoreNodeWithModel:
             counts = boolean_node_data(net, 3, node)
             assert counts is node.counts and node.synced_through == net.n_total
             assert counts == boolean_counts(log[:, 3] == 1, log[:, list(node.parents)] == 1)
-        assert boolean_node_data(net, 3, net.lattices[3].nodes[0]).rows.keys() == {()}
+        assert boolean_node_data(net, 3, net.lattices[3].nodes[0]).codes.tolist() == [0]
 
     def test_non_boolean_variable_is_rejected(self):
         from bnrefine import ArcPriorMatrix, DomainSchema, VariableSpec, init

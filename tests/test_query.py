@@ -6,12 +6,10 @@ import pytest
 from bnrefine import (
     ArcPriorMatrix,
     ConcreteNetwork,
-    DomainSchema,
     ExampleError,
     NodeStatus,
     PriorConfig,
     SearchParams,
-    VariableSpec,
     all_arc_posteriors,
     arc_posterior,
     init,
@@ -21,13 +19,20 @@ from bnrefine import (
     sample_smoothed,
 )
 from bnrefine.domain import config_index
-from bnrefine.kernels import posterior_mean_row
 from bnrefine.lattice import LatticeStateError
 from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
 
-from helpers import binary_schema, five_var_truth, fresh_net, sampled_net
+from helpers import (
+    binary_schema,
+    five_var_truth,
+    fresh_net,
+    mixed_arity_network,
+    node_reference_counts,
+    posterior_mean,
+    sampled_net,
+)
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
 
@@ -133,7 +138,8 @@ class TestSmoothed:
         assert var.leaf == ()
         assert var.mass == pytest.approx(1.0)
         root = net.lattices[1].nodes[0]
-        assert np.allclose(var.table[0], posterior_mean_row(root.counts, (), root.alpha_x))
+        expected = posterior_mean(node_reference_counts(net, 1, root), (), root.alpha_x, 2)
+        assert np.allclose(var.table[0], expected)
 
     def test_two_set_merge_is_the_stated_mixture(self):
         net = fresh_net("ab")
@@ -146,10 +152,11 @@ class TestSmoothed:
         smoothed = sample_smoothed(net, seed=2)
         var = smoothed.variables[1]
         assert var.leaf == (0,)
+        root_counts, node_counts = (node_reference_counts(net, 1, n) for n in (root, node))
         for j in (0, 1):
-            expected = weights[0] * posterior_mean_row(root.counts, (), root.alpha_x) + weights[
+            expected = weights[0] * posterior_mean(root_counts, (), root.alpha_x, 2) + weights[
                 1
-            ] * posterior_mean_row(node.counts, (j,), node.alpha_x)
+            ] * posterior_mean(node_counts, (j,), node.alpha_x, 2)
             assert np.allclose(var.table[j], expected, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -176,10 +183,11 @@ class TestSmoothed:
             for row, cfg in enumerate(itertools.product(*(range(a) for a in arities))):
                 contributions = np.array(
                     [
-                        posterior_mean_row(
-                            n.counts,
+                        posterior_mean(
+                            node_reference_counts(net, x, n),
                             tuple(cfg[var.leaf.index(p)] for p in n.parents),
                             n.alpha_x,
+                            2,
                         )
                         for n in family
                     ]
@@ -227,25 +235,6 @@ def per_example_loglik(network, data):
             term += math.log(p)
         total += term
     return total
-
-
-def mixed_arity_network(seed):
-    schema = DomainSchema(
-        (
-            VariableSpec("a", ("x", "y", "z")),
-            VariableSpec("b", ("f", "t")),
-            VariableSpec("c", tuple("pqrs")),
-            VariableSpec("d", ("f", "t")),
-        )
-    )
-    parents = ((), (0,), (0, 1), (0, 2))
-    rng = np.random.default_rng(seed)
-    tables = []
-    for x, ps in enumerate(parents):
-        shape = (int(np.prod([schema.arity(p) for p in ps])), schema.arity(x))
-        raw = rng.uniform(0.05, 1.0, size=shape)
-        tables.append(raw / raw.sum(axis=1, keepdims=True))
-    return ConcreteNetwork(schema, parents, tuple(tables))
 
 
 class TestLoglikDataset:
