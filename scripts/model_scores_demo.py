@@ -62,7 +62,8 @@ def main(argv=None) -> int:
             f"{s:12.2f}" + ("*" if i == best else " ") for i, s in enumerate(scores)
         ]
         print(f"{label:<20}" + "".join(cells))
-    fitted = net.lattices[child].nodes[(1 << k) - 1].model_params["noisy-or"]
+    full = net.lattices[child].nodes[(1 << k) - 1]
+    fitted = score_node_with_model(net, child, full, "noisy-or").params
     print(f"\nfitted q at the full parent set = {np.round(fitted, 3).tolist()}")
     return 0
 

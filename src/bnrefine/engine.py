@@ -5,10 +5,10 @@ example log, a 2-D integer array with one row per example.  Counts are the
 single source of truth: ``sync_node`` is the only place examples enter a
 node (a loaded session recounts its nodes from the log through the same
 code).  It codes the rows the node has not absorbed yet by parent
-configuration, adds them to the node's ``CountTable`` as one block and sets
-the node's log marginal likelihood from its counts, so a score depends
-only on the counts, never on how the data was split into batches.  Two
-kinds of update:
+configuration and adds them to the node's ``CountTable`` as one block.
+Under every model a score is a function of those counts, computed lazily
+and cached by ``_node_score`` alone, so it never depends on how the data
+was split into batches.  Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then sync
   every alive node once.  Asleep nodes are left stale and catch up from
@@ -146,7 +146,8 @@ class SearchReport:
     ``best_scores`` maps each variable to the best score of its alive parent
     sets under the active scoring model.  For a lattice the call did not
     search (a zero budget, or a budget spent before reaching it) this is
-    the cached best: refitting nothing, it may lag the log (``_cached_best``).
+    the best cached score, computing nothing: it may lag the log, and it is
+    -inf if no alive set is scored yet, as after loading (``_cached_best``).
     """
 
     expansions: int = 0
@@ -203,7 +204,7 @@ def observe_batch(net: CombinedNetwork, examples) -> None:
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Count the logged examples the node has not absorbed yet, then rescore it."""
+    """Count the logged examples the node has not absorbed yet."""
     _count_rows(net, lattice, node, net.n_total)
 
 
@@ -211,12 +212,11 @@ def _count_rows(
     net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, stop: int
 ) -> None:
     """Count log rows ``synced_through:stop`` into the node as one block, coded by
-    parent configuration (``config_codes``), and recompute its log marginal
-    likelihood from its counts.  Session loading recounts stored nodes here too."""
+    parent configuration (``config_codes``).  Session loading recounts stored
+    nodes here too."""
     block = net.example_log[node.synced_through : stop]
     if len(block):
         node.counts.add(config_codes(block, node.parents, net.schema), block[:, lattice.x])
-        node.log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
     node.synced_through = stop
 
 
@@ -230,13 +230,20 @@ def dead_condition(node: LatticeNode, schema: DomainSchema, x: int, dead_kappa: 
 
 
 def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> float:
-    """The score everything ranks by: log prior plus the active model's marginal."""
-    if net.scoring_model == "table":
-        return node.log_score
-    from . import localmodels  # deferred: localmodels imports engine helpers
+    """The score everything ranks by: log prior plus the active model's
+    marginal of the node's counts, cached in ``node.scores`` until they change."""
+    kind = net.scoring_model
+    cached = node.scores.get(kind)
+    if cached is not None and cached[0] == node.synced_through:
+        return node.log_prior + cached[1]
+    if kind == "table":
+        log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
+    else:
+        from . import localmodels  # deferred: localmodels imports engine helpers
 
-    localmodels.ensure_model_score(net, lattice, node, net.scoring_model)
-    return node.log_prior + node.model_ml[net.scoring_model]
+        log_ml = localmodels.score_node_with_model(net, lattice.x, node, kind).log_marginal
+    node.scores[kind] = (node.synced_through, log_ml)
+    return node.log_prior + log_ml
 
 
 def _scored_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
@@ -244,12 +251,11 @@ def _scored_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
 
 
 def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
-    """``_scored_best`` from the cached scores, refitting nothing: a model
-    score may lag the log, and a node never scored under the model is -inf."""
-    if net.scoring_model == "table":
-        return max((n.log_score for n in lattice.alive_nodes()), default=NEG_INF)
+    """``_scored_best`` from the cached scores, computing nothing: a score may
+    lag the log, and a node never scored under the model is -inf."""
+    kind = net.scoring_model
     return max(
-        (n.log_prior + n.model_ml.get(net.scoring_model, NEG_INF) for n in lattice.alive_nodes()),
+        (n.log_prior + n.scores[kind][1] for n in lattice.alive_nodes() if kind in n.scores),
         default=NEG_INF,
     )
 
@@ -411,7 +417,7 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
     """
     report = SearchReport()
     if params.budget == 0:
-        # a zero budget is a pure no-op, not even parameter syncing or refitting
+        # a zero budget is a pure no-op, not even syncing or scoring
         report.exhausted = False
         for lattice in net.lattices:
             report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
@@ -424,7 +430,7 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
         report.best_scores[net.schema.name(lattice.x)] = _scored_best(net, lattice)
         if budget_left == 0 and not report.exhausted:
             break
-    for lattice in net.lattices:  # those the budget did not reach: nothing is refitted
+    for lattice in net.lattices:  # those the budget did not reach: nothing is scored
         name = net.schema.name(lattice.x)
         if name not in report.best_scores:
             report.best_scores[name] = _cached_best(net, lattice)

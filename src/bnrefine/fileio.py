@@ -15,9 +15,9 @@ and value labels as cells; parsing is strict, rejecting the whole file on
 the first unknown label or missing cell, with row/column diagnostics.
 
 A session snapshot holds the example log and, per stored parent set, its
-search state and the number of log rows it has absorbed, but no counts:
-loading recounts each set from the log, so a snapshot's statistics cannot
-disagree with its log.
+search state, the number of log rows it has absorbed and its fits' warm
+starts, but no counts or scores: loading recounts each set from the log,
+so a snapshot's statistics and scores cannot disagree with its log.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -54,7 +55,7 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-SESSION_VERSION = 3  # 2 also stored node counts and log_ml; 1 also kept dead sets as nodes
+SESSION_VERSION = 4  # 3 kept model scores; 2 also counts and log_ml; 1 also dead nodes
 
 
 class SpecFormatError(ValueError):
@@ -237,9 +238,7 @@ def _node_to_doc(node: LatticeNode) -> dict:
         "open": node.expansion is ExpansionFlag.OPEN,
         "expanded": node.expanded,
         "synced_through": node.synced_through,
-        "model_ml": dict(sorted(node.model_ml.items())),
-        "model_synced": dict(sorted(node.model_synced.items())),
-        "model_params": {k: list(v) for k, v in sorted(node.model_params.items())},
+        "fits": node.fits,
     }
 
 
@@ -267,14 +266,14 @@ def session_to_document(net: CombinedNetwork) -> dict:
 def session_from_document(doc: dict) -> CombinedNetwork:
     """Rebuild a session; every stored node is recounted from the example log.
 
-    Versions 1 and 2 also stored each node's counts and log marginal
-    likelihood; they are ignored, so a session's statistics always agree
-    with its log.
+    Versions 1 to 3 also stored each node's restricted-model scores, and 1
+    and 2 its counts and table score; they are ignored, so a session's
+    statistics and scores always agree with its log.
     """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in (1, 2, SESSION_VERSION):
+    if version not in (1, 2, 3, SESSION_VERSION):
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
@@ -321,19 +320,22 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
         raise SessionFormatError(f"{where}: keys {both} are stored and dead")
     if not keys:
         raise SessionFormatError(f"{where}: no stored node")
-    lattice.nodes = {k: _node_from_doc(d, lattice, net) for k, d in zip(keys, stored)}
+    lattice.nodes = {k: _node_from_doc(d, version, lattice, net) for k, d in zip(keys, stored)}
     lattice.dead = set(dead)
     return lattice
 
 
-def _node_from_doc(doc: dict, lattice: ParentLattice, net: CombinedNetwork) -> LatticeNode:
+def _node_from_doc(
+    doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork
+) -> LatticeNode:
     """A stored node, its counts recounted from ``example_log[:synced_through]``."""
     schema = net.schema
+    where = f"lattice {schema.name(lattice.x)!r}"
     synced = doc["synced_through"]
     if type(synced) is not int or not 0 <= synced <= net.n_total:
         raise SessionFormatError(
-            f"lattice {schema.name(lattice.x)!r}: synced_through {synced!r} is not "
-            f"a row count of the {net.n_total}-row example log"
+            f"{where}: synced_through {synced!r} is not a row count of the "
+            f"{net.n_total}-row example log"
         )
     key = doc["key"]
     parents = lattice.parents_of_key(key)
@@ -348,9 +350,24 @@ def _node_from_doc(doc: dict, lattice: ParentLattice, net: CombinedNetwork) -> L
         expanded=bool(doc["expanded"]),
     )
     _count_rows(net, lattice, node, synced)
-    node.model_ml = {str(k): float(v) for k, v in doc["model_ml"].items()}
-    node.model_synced = {str(k): int(v) for k, v in doc["model_synced"].items()}
-    node.model_params = {str(k): [float(v) for v in vs] for k, vs in doc["model_params"].items()}
+    # versions 1-3 kept the fitted natural parameters (tau, or noisy-or's q)
+    for kind, point in dict(doc["fits"] if version > 3 else doc["model_params"]).items():
+        if kind not in ("noisy-or", "logistic"):
+            raise SessionFormatError(f"{where}: a warm start for unknown model {kind!r}")
+        if type(point) is not list or len(point) != 1 + len(parents) or not all(
+            type(v) is float and math.isfinite(v) for v in point
+        ):
+            raise SessionFormatError(
+                f"{where}: {kind} warm start {point!r} is not {1 + len(parents)} finite floats"
+            )
+        if version < 4:  # imported here so that table sessions never load localmodels
+            from .localmodels import LogisticParams, NoisyOrParams, _to_u
+
+            try:
+                point = _to_u(kind, (LogisticParams if kind == "logistic" else NoisyOrParams)(point))
+            except ValueError as err:
+                raise SessionFormatError(f"{where}: {err}") from None
+        node.fits[kind] = [float(v) for v in point]
     return node
 
 

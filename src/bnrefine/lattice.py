@@ -5,11 +5,11 @@ bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
 a finite structure prior).  A node carries its sufficient statistics (a
 ``CountTable`` over its parents' configuration codes), its log prior, its
-log marginal likelihood (a function of the counts), the number of logged
-examples its counts have absorbed (the counts are those of
-``example_log[:synced_through]``, and a saved session keeps only that
-number), and a lifecycle status.  Subsets and supersets are found from
-the keys themselves; no links between nodes are stored.
+log marginal likelihood per scoring model (a function of the counts,
+cached), the number of logged examples its counts have absorbed (the
+counts are those of ``example_log[:synced_through]``, and a saved session
+keeps only that number), and a lifecycle status.  Subsets and supersets
+are found from the keys themselves; no links between nodes are stored.
 
 Lifecycle:
 
@@ -59,18 +59,14 @@ class LatticeNode:
     alpha_x: float
     counts: CountTable
     log_prior: float
-    log_ml: float = 0.0
     status: NodeStatus = NodeStatus.ASLEEP
     expansion: ExpansionFlag = ExpansionFlag.CLOSED
     expanded: bool = False        # children generated at least once
-    synced_through: int = 0       # examples absorbed into counts/log_ml
-    model_ml: dict[str, float] = field(default_factory=dict)
-    model_synced: dict[str, int] = field(default_factory=dict)
-    model_params: dict[str, list[float]] = field(default_factory=dict)
-
-    @property
-    def log_score(self) -> float:
-        return self.log_prior + self.log_ml
+    synced_through: int = 0       # examples absorbed into counts
+    # model -> (synced_through when scored, log marginal likelihood of those counts)
+    scores: dict[str, tuple[int, float]] = field(default_factory=dict)
+    # restricted model -> last fitted point in unconstrained coordinates
+    fits: dict[str, list[float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -142,8 +138,8 @@ def insert_node(
 ) -> LatticeNode:
     """Store a node that has absorbed no examples yet; idempotent on duplicates.
 
-    ``sync_node`` fills its counts and log marginal likelihood from the log.
-    A dead key is refused: dead is absorbing.
+    ``sync_node`` fills its counts from the log.  A dead key is refused:
+    dead is absorbing.
     """
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")

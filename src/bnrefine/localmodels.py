@@ -27,9 +27,9 @@ Parameters are fitted by maximum posterior in unconstrained coordinates
 per coordinate, by Newton steps where the observed curvature allows and
 Fisher scoring steps elsewhere, and integrated out with a multivariate
 normal expansion at the fitted point (one fit per score) to give a log
-marginal likelihood comparable to the exact Dirichlet table score.  The
-fitted point of a previous call can seed the next one, so refreshing a
-score after a few new examples is cheap.
+marginal likelihood comparable to the exact Dirichlet table score.  A
+node keeps its last fitted point in ``LatticeNode.fits`` to warm-start the
+next fit, so refreshing a score after a few new examples is cheap.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from .domain import CountTable
 from .engine import CombinedNetwork, sync_node
 from .kernels import log_beta_multi, log_marginal_likelihood
-from .lattice import LatticeNode, ParentLattice
+from .lattice import LatticeNode
 
 LN_2PI = math.log(2.0 * math.pi)
 DEFAULT_PRIOR_SCALE = 10.0
@@ -94,6 +94,7 @@ class MapFit:
     gradient_norm: float
     iterations: int
     trace: tuple[float, ...]
+    u: tuple[float, ...]  # params in unconstrained coordinates: a warm start for the next fit
     hessian: np.ndarray = field(compare=False)  # observed, of the log posterior at params
 
 
@@ -262,11 +263,15 @@ def fit_map(
     prior) is non-decreasing across iterations, up to its float resolution;
     convergence means the gradient's max-norm fell below ``tol``.  The fit
     carries the observed Hessian at its point.  Deterministic given its inputs.
+    ``warm_start``, zero by default, is a point in unconstrained coordinates
+    (a previous fit's ``u``): ``d`` finite floats for ``d - 1`` parents.
     """
     if not counts.total:
         raise ValueError("fit_map requires at least one data row")
     evaluate, d = _log_posterior(kind, counts, prior_scale)
-    u = np.zeros(d) if warm_start is None else _to_u(kind, warm_start)
+    u = np.zeros(d) if warm_start is None else np.asarray(warm_start)
+    if u.shape != (d,) or u.dtype != float or not np.isfinite(u).all():
+        raise ValueError(f"a {kind} warm start is {d} finite floats, not {warm_start!r}")
     fval, g, hess, info = evaluate(u)
     trace = [fval]
     iterations = 0
@@ -309,6 +314,7 @@ def fit_map(
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
+        u=tuple(u.tolist()),
         hessian=hess,
     )
     if grad_norm >= tol:
@@ -390,48 +396,20 @@ def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountT
 
 
 def score_node_with_model(
-    net: CombinedNetwork,
-    x: int,
-    node: LatticeNode,
-    kind: str,
-    *,
-    prior_scale: float = DEFAULT_PRIOR_SCALE,
+    net: CombinedNetwork, x: int, node: LatticeNode, kind: str
 ) -> LocalModelScore:
-    """Score one lattice node under the chosen model and cache the result.
+    """Score one lattice node's counts, synced with the log first, under the model.
 
-    The node is synced with the example log first.  The table kind
-    reproduces the node's exact Dirichlet marginal; the restricted kinds
-    fit their parameters to the node's counts once (warm-started from the
-    previous fit, if any) and store the normal-expansion marginal at that
-    fit in the node's parallel score slot, leaving the structure prior and
-    the exact table score untouched.
+    The table kind is the exact Dirichlet marginal.  A restricted kind fits
+    its parameters once, warm-started from ``node.fits[kind]`` where it keeps
+    the new fit, and gives the normal-expansion marginal there.  The search's
+    cache, ``node.scores``, is written by ``engine._node_score`` alone.
     """
     if kind == "table":
         sync_node(net, net.lattices[x], node)
-        return LocalModelScore(kind="table", params=None, log_marginal=node.log_ml)
-    if kind not in ("noisy-or", "logistic"):
-        raise ValueError(f"unknown model kind {kind!r}")
-    counts = boolean_node_data(net, x, node)
-    warm_list = node.model_params.get(kind)
-    warm = None
-    if warm_list is not None:
-        warm = (
-            LogisticParams(tuple(warm_list))
-            if kind == "logistic"
-            else NoisyOrParams(tuple(warm_list))
-        )
-    fit = fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm)
-    marginal = _laplace(fit)
+        log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
+        return LocalModelScore(kind=kind, params=None, log_marginal=log_ml)
+    fit = fit_map(kind, boolean_node_data(net, x, node), warm_start=node.fits.get(kind))
+    node.fits[kind] = list(fit.u)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
-    node.model_ml[kind] = marginal
-    node.model_synced[kind] = net.n_total
-    node.model_params[kind] = list(natural)
-    return LocalModelScore(kind=kind, params=tuple(natural), log_marginal=marginal)
-
-
-def ensure_model_score(
-    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, kind: str
-) -> None:
-    """Refresh the node's cached model score if it lags the example log."""
-    if node.model_synced.get(kind) != net.n_total:
-        score_node_with_model(net, lattice.x, node, kind)
+    return LocalModelScore(kind=kind, params=natural, log_marginal=_laplace(fit))

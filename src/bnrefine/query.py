@@ -5,7 +5,8 @@ each lattice.  That is an approximation to the normalization over all
 subsets of predecessors; it is exact in the permissive-search regime where
 every nontrivial subset is stored and alive.
 
-Queries are read-only; callers must not mutate the network concurrently.
+Queries change nothing but the score cache of the nodes they read
+(``engine._node_score``); callers must not mutate the network concurrently.
 """
 
 from __future__ import annotations

@@ -104,7 +104,6 @@ def node_state(net: CombinedNetwork) -> dict:
                 node.expanded,
                 node.synced_through,
                 node.log_prior,
-                node.log_ml,
                 table_rows(node.counts),
             )
     return state
@@ -125,6 +124,13 @@ def node_reference_counts(net: CombinedNetwork, x: int, node) -> dict:
     return reference_counts(
         net.example_log[: node.synced_through], x, node.parents, net.schema.arity(x)
     )
+
+
+def table_log_ml(node) -> float:
+    """The node's table-model log marginal likelihood, computed from its counts."""
+    from bnrefine.kernels import log_marginal_likelihood
+
+    return log_marginal_likelihood(node.counts.cells, node.alpha_x)
 
 
 def reference_log_ml(counts: dict, alpha_x: float, m_x: int) -> float:

@@ -42,6 +42,7 @@ from helpers import (
     node_state,
     reference_log_ml,
     sampled_net,
+    table_log_ml,
     table_rows,
 )
 
@@ -60,7 +61,7 @@ class TestInit:
         assert len(net.lattices) == 3
         for lattice in net.lattices:
             assert set(lattice.nodes) == {0}
-            assert lattice.nodes[0].log_ml == 0.0
+            assert table_log_ml(lattice.nodes[0]) == 0.0
 
     def test_first_variable_never_gains_parents(self):
         net = fresh_net("abc")
@@ -87,7 +88,7 @@ class TestObserve:
     def test_first_observation_moves_root_by_log_half(self):
         net = fresh_net("a")
         observe(net, (1,))
-        assert net.lattices[0].nodes[0].log_ml == pytest.approx(math.log(0.5))
+        assert table_log_ml(net.lattices[0].nodes[0]) == pytest.approx(math.log(0.5))
 
     def test_rejection_leaves_state_untouched(self):
         net = fresh_net("ab")
@@ -108,7 +109,7 @@ class TestObserve:
                 if node.status is NodeStatus.ALIVE:
                     counts, log_ml = recompute_node(net, lattice, node)
                     assert counts == table_rows(node.counts)
-                    assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
+                    assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_node_syncs_to_batch_value(self):
         net, _ = sampled_net(five_var_truth(), 50, seed=9)
@@ -122,7 +123,7 @@ class TestObserve:
         sync_node(net, lattice, node)
         counts, log_ml = recompute_node(net, lattice, node)
         assert counts == table_rows(node.counts)
-        assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
 
 
 class TestObserveBatch:
@@ -189,7 +190,7 @@ class TestSync:
         counts, log_ml = recompute_node(net, lattice, node)
         assert node.synced_through == len(data)
         assert counts == table_rows(node.counts)
-        assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_twin_catches_up(self):
         net, _ = sampled_net(five_var_truth(), 20, seed=6)
@@ -202,7 +203,7 @@ class TestSync:
         sync_node(net, lattice, node)
         always_alive = net.lattices[2].nodes[0]  # stayed in the update path
         counts, log_ml = recompute_node(net, lattice, node)
-        assert node.log_ml == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
         assert node.synced_through == always_alive.synced_through == net.n_total
 
 
@@ -227,7 +228,7 @@ class TestSync:
                 counts, log_ml = recompute_node(net, lattice, node)
                 assert node.synced_through == net.n_total
                 assert counts == table_rows(node.counts)
-                assert node.log_ml == log_ml
+                assert table_log_ml(node) == log_ml
 
 
 class TestDeadCondition:
@@ -266,7 +267,8 @@ class TestRefine:
         for x in range(5):
             exact = exhaustive_posterior(x, data, net.priors, net.config, net.schema)
             best = min(
-                net.lattices[x].alive_nodes(), key=lambda n: (-n.log_score, n.key)
+                net.lattices[x].alive_nodes(),
+                key=lambda n: (-(n.log_prior + table_log_ml(n)), n.key),
             )
             assert frozenset(best.parents) == exact.map_set()
 
@@ -278,7 +280,7 @@ class TestRefine:
             lattice = net.lattices[x]
             for node in lattice.nodes.values():
                 want = exact.log_scores[frozenset(node.parents)]
-                assert node.log_score == pytest.approx(want, abs=1e-9)
+                assert node.log_prior + table_log_ml(node) == pytest.approx(want, abs=1e-9)
             top = max(exact.posterior.values())
             alive = {frozenset(n.parents) for n in lattice.alive_nodes()}
             for subset, mass in exact.posterior.items():
@@ -371,7 +373,7 @@ class TestStreaming:
                     assert node.synced_through == net.n_total
                     counts, log_ml = recompute_node(net, lattice, node)
                     assert counts == table_rows(node.counts)
-                    assert node.log_ml == log_ml
+                    assert table_log_ml(node) == log_ml
 
 
 class TestRethreshold:
@@ -387,7 +389,8 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
-        node.log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior
+        log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior
+        node.scores["table"] = (node.synced_through, log_ml)
         node.status = NodeStatus.ASLEEP
         rethreshold(net, params)
         assert node.status is NodeStatus.ALIVE
@@ -398,7 +401,8 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        node.log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior - 1e-6
+        log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior - 1e-6
+        node.scores["table"] = (node.synced_through, log_ml)
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
 
@@ -412,7 +416,8 @@ class TestRethreshold:
         changes = 0
         last = node.status
         for step in range(12):
-            node.log_ml = boundary + (1e-4 if step % 2 == 0 else -1e-4)
+            log_ml = boundary + (1e-4 if step % 2 == 0 else -1e-4)
+            node.scores["table"] = (node.synced_through, log_ml)
             rethreshold(net, params)
             if node.status is not last:
                 changes += 1
@@ -463,7 +468,7 @@ class TestBestNetwork:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior  # exact score tie, bit for bit
-        node.log_ml = lattice.nodes[0].log_ml
+        node.scores["table"] = (node.synced_through, table_log_ml(lattice.nodes[0]))
         assert best_network(net).parents[1] == ()
 
 

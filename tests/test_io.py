@@ -1,5 +1,9 @@
 import copy
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +129,68 @@ V2_CONTINUED_ARCS = {
     (3, 5): 1.0,
     (4, 5): 1.0,
 }
+
+# written by the release with session version 3: chain_v_truth under the noisy-or
+# model, 120 of 200 rows of seed 12, one refine with budget 8, which fitted lattices
+# u, v, w and x and left y and z with table scores only
+V3_NOISYOR_SESSION = Path(__file__).parent / "data" / "session_v3_noisyor.json"
+# what that release answers after loading it, and after it also observes rows
+# 120-199 and refines
+V3_NOISYOR_LOADED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.2111699879870927,
+    (1, 2): 0.9999999999999969,
+    (0, 3): 0.22006981373346365,
+    (1, 3): 0.20453636870694772,
+    (2, 3): 1.0,
+    (0, 4): 0.0,
+    (1, 4): 0.0,
+    (2, 4): 0.0,
+    (3, 4): 0.0,
+    (0, 5): 0.0,
+    (1, 5): 0.0,
+    (2, 5): 0.0,
+    (3, 5): 0.0,
+    (4, 5): 0.0,
+}
+V3_NOISYOR_CONTINUED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.18344226280424625,
+    (1, 2): 0.9999999999999948,
+    (0, 3): 0.2563851098344621,
+    (1, 3): 0.24595584377393181,
+    (2, 3): 1.0,
+    (0, 4): 0.24100001361050136,
+    (1, 4): 0.2297648041744737,
+    (2, 4): 0.24176221350657492,
+    (3, 4): 0.07381385231767133,
+    (0, 5): 0.22998712691930423,
+    (1, 5): 0.24975843780288864,
+    (2, 5): 0.25314530457099077,
+    (3, 5): 1.0,
+    (4, 5): 1.0,
+}
+
+# the table-model session loop, run in a fresh interpreter: it must never import
+# the restricted models
+TABLE_LOOP_SCRIPT = """
+import sys
+
+from bnrefine import (
+    ArcPriorMatrix, DomainSchema, PriorConfig, SearchParams, VariableSpec,
+    all_arc_posteriors, init, observe_batch, refine,
+)
+from bnrefine.fileio import load_session, save_session
+
+schema = DomainSchema(tuple(VariableSpec(n, ("f", "t")) for n in "abc"))
+net = init(schema, ArcPriorMatrix(), PriorConfig())
+observe_batch(net, [(0, 1, 1), (1, 1, 0), (1, 0, 1), (0, 0, 0)] * 5)
+refine(net, SearchParams())
+all_arc_posteriors(net)
+save_session(sys.argv[1], net)
+all_arc_posteriors(load_session(sys.argv[1]))
+print("\\n".join(sorted(sys.modules)))
+"""
 
 SPEC_DOC = {
     "format": "bnrefine-spec",
@@ -319,7 +385,7 @@ class TestSession:
                 assert node.synced_through == 8
         save_session(path, net)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text)["version"] == 3
+        assert json.loads(text)["version"] == 4
         assert serialize_session(load_session(path)) == text
 
     def test_version_2_session_loads_and_continues(self):
@@ -331,10 +397,72 @@ class TestSession:
         refine(net, SearchParams())
         assert all_arc_posteriors(net).entries == V2_CONTINUED_ARCS
         resaved = json.loads(serialize_session(net))
-        assert resaved["version"] == 3
+        assert resaved["version"] == 4
         for lattice in resaved["lattices"]:
             for node in lattice["nodes"]:
                 assert "counts" not in node and "log_ml" not in node
+                assert "model_ml" not in node and "model_params" not in node
+
+    def test_stored_model_scores_are_ignored(self):
+        # loaded unchecked, this model_ml moved the u->w posterior from 0.104 to 0.00079
+        doc = json.loads(V2_SESSION.read_text(encoding="utf-8"))
+        node = next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 2)
+        node["model_ml"]["logistic"] += 5.0
+        assert node["model_synced"]["logistic"] == len(doc["example_log"])
+        assert all_arc_posteriors(session_from_document(doc)).entries == V2_LOADED_ARCS
+
+    def test_version_3_noisyor_session_loads_and_continues(self):
+        # version 3 kept q, so the first fits after loading start from
+        # logit(q) rather than the fitted point itself
+        doc = json.loads(V3_NOISYOR_SESSION.read_text(encoding="utf-8"))
+        assert doc["version"] == 3 and doc["scoring_model"] == "noisy-or"
+        net = session_from_document(doc)
+        assert all_arc_posteriors(net).entries == V3_NOISYOR_LOADED_ARCS
+        observe_batch(net, forward_sample(chain_v_truth(), 200, seed=12)[120:])
+        refine(net, SearchParams())
+        continued = all_arc_posteriors(net).entries
+        assert continued.keys() == V3_NOISYOR_CONTINUED_ARCS.keys()
+        for pair, p in V3_NOISYOR_CONTINUED_ARCS.items():
+            assert continued[pair] == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize(
+        "kind, point, message",
+        [
+            ("table", [0.1, 0.2], "a warm start for unknown model 'table'"),
+            ("logistic", 0.5, r"logistic warm start 0\.5 is not 2 finite floats"),
+            ("logistic", [0.1], r"logistic warm start \[0\.1\] is not 2 finite floats"),
+            ("logistic", [0.1, math.nan], r"logistic warm start \[0\.1, nan\] is not 2 finite"),
+            ("logistic", [0.1, 10**400], r"logistic warm start \[0\.1, 1000.* is not 2 finite"),
+        ],
+    )
+    def test_malformed_warm_start_is_a_session_format_error(self, version, kind, point, message):
+        # [0.1] and NaN used to load, and the first query raised a bare numpy
+        # ValueError or failed on the NaN
+        doc = json.loads(V2_SESSION.read_text(encoding="utf-8"))
+        if version == 4:
+            doc = json.loads(serialize_session(session_from_document(doc)))
+        node = next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 2)
+        points = node["fits" if version == 4 else "model_params"]
+        assert len(points["logistic"]) == 2  # w's key-2 node has one parent, v
+        points[kind] = point
+        with pytest.raises(SessionFormatError, match=f"lattice 'w': {message}"):
+            session_from_document(doc)
+
+    def test_table_session_loop_never_imports_the_restricted_models(self, tmp_path):
+        import bnrefine
+
+        env = dict(os.environ, PYTHONPATH=str(Path(bnrefine.__file__).parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", TABLE_LOOP_SCRIPT, str(tmp_path / "s.json")],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded = result.stdout.split()
+        assert "bnrefine.engine" in loaded and "bnrefine.fileio" in loaded
+        assert "bnrefine.localmodels" not in loaded
 
     @pytest.mark.parametrize("synced", [-3, 2.7, True, 7])
     def test_synced_through_outside_the_log_is_a_session_format_error(self, synced):

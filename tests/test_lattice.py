@@ -16,7 +16,7 @@ from bnrefine.lattice import (
     new_lattice,
 )
 
-from helpers import binary_schema
+from helpers import binary_schema, table_log_ml
 
 
 def make_lattice(n_candidates=3, entries=None, default=0.5):
@@ -44,7 +44,7 @@ class TestNewLattice:
         assert lattice.nodes[0].parents == ()
         assert lattice.nodes[0].status is NodeStatus.ALIVE
         assert lattice.nodes[0].expansion is ExpansionFlag.OPEN
-        assert lattice.nodes[0].log_ml == 0.0
+        assert table_log_ml(lattice.nodes[0]) == 0.0
 
     def test_mandatory_arc_joins_the_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 1.0})
@@ -150,11 +150,10 @@ class TestStatus:
         lattice, schema, priors = make_lattice()
         net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
         node = add(lattice, schema, priors, 0b001)
-        node.log_ml = 5.0  # force it above the root
+        node.scores["table"] = (node.synced_through, 5.0)  # force it above the root
         node.status = NodeStatus.ALIVE
-        full_scan = max(
-            n.log_score for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE
-        )
-        assert _scored_best(net, lattice) == full_scan == node.log_score
+        root = lattice.nodes[0]
+        full_scan = max(node.log_prior + 5.0, root.log_prior + table_log_ml(root))
+        assert _scored_best(net, lattice) == full_scan == node.log_prior + 5.0
         node.status = NodeStatus.ASLEEP
-        assert _scored_best(net, lattice) == lattice.nodes[0].log_score
+        assert _scored_best(net, lattice) == root.log_prior + table_log_ml(root)

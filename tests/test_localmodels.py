@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnrefine import PriorConfig, SearchParams, observe_batch, refine
+from bnrefine.engine import SCORING_MODELS
 from bnrefine.localmodels import (
     FitConvergenceError,
     LaplaceError,
@@ -32,7 +34,7 @@ from bnrefine.localmodels import (
 from bnrefine.oracle import quadrature_marginal_1d
 from bnrefine.sampling import forward_sample
 
-from helpers import fresh_net
+from helpers import fresh_net, table_log_ml
 
 
 def sample_noisyor(q, n_rows, seed):
@@ -272,7 +274,7 @@ class TestFitMap:
     def test_warm_start_at_optimum_converges_immediately(self):
         x, rows = sample_noisyor((0.7, 0.4), 500, seed=37)
         fit = fit_map("noisy-or", boolean_counts(x, rows))
-        again = fit_map("noisy-or", boolean_counts(x, rows), warm_start=fit.params)
+        again = fit_map("noisy-or", boolean_counts(x, rows), warm_start=fit.u)
         assert again.iterations <= 2
         assert again.log_posterior == pytest.approx(fit.log_posterior, abs=1e-9)
 
@@ -300,11 +302,20 @@ class TestFitMap:
         evaluate, _ = _log_posterior("noisy-or", counts, 10.0)
         hess = evaluate(_to_u("noisy-or", start))[2]
         assert np.min(np.linalg.eigvalsh(-hess)) < 0
-        fit = fit_map("noisy-or", counts, warm_start=start)
+        fit = fit_map("noisy-or", counts, warm_start=_to_u("noisy-or", start))
         assert fit.gradient_norm < 1e-8
         assert all(b >= a for a, b in zip(fit.trace, fit.trace[1:]))
         cold = fit_map("noisy-or", counts)
         np.testing.assert_allclose(fit.params.q, cold.params.q, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "start",
+        [[0.1], [0.1, float("nan")], [0.1, float("inf")], [1, 2], NoisyOrParams((0.5, 0.5))],
+    )
+    def test_warm_start_is_d_finite_floats(self, start):
+        x, rows = sample_noisyor((0.7, 0.4), 100, seed=37)
+        with pytest.raises(ValueError, match="noisy-or warm start is 2 finite floats"):
+            fit_map("noisy-or", boolean_counts(x, rows), warm_start=start)
 
     def test_iteration_cap_reports_error_with_best(self):
         x, rows = sample_noisyor((0.6, 0.3), 200, seed=39)
@@ -353,7 +364,7 @@ class TestLaplace:
         for xs, rs in ((x, rows), (x2, rows2)):
             counts = boolean_counts(xs, rs)
             fit = fit_map("noisy-or", counts)
-            marginal = laplace_log_marginal("noisy-or", counts, warm_start=fit.params)
+            marginal = laplace_log_marginal("noisy-or", counts, warm_start=fit.u)
             penalties.append(fit.log_posterior + 0.5 * d * math.log(2 * math.pi) - marginal)
         assert penalties[1] - penalties[0] == pytest.approx(0.5 * d * math.log(2), abs=0.2)
 
@@ -385,7 +396,8 @@ class TestScoreNodeWithModel:
         lattice = net.lattices[3]
         node = lattice.nodes[0b111]
         score = score_node_with_model(net, 3, node, "table")
-        assert score.log_marginal == node.log_ml
+        assert score.log_marginal == table_log_ml(node)
+        assert node.scores["table"] == (node.synced_through, score.log_marginal)
 
     def test_noisyor_beats_table_on_noisyor_data(self):
         net = self._noisyor_net(500, seed=45)
@@ -393,8 +405,9 @@ class TestScoreNodeWithModel:
         table = score_node_with_model(net, 3, node, "table").log_marginal
         noisy = score_node_with_model(net, 3, node, "noisy-or").log_marginal
         assert noisy > table
-        assert node.model_ml["noisy-or"] == noisy
-        assert node.model_synced["noisy-or"] == net.n_total
+        # the fit is kept as the next warm start; the search's cache is left alone
+        assert "noisy-or" not in node.scores
+        assert fit_map("noisy-or", node.counts, warm_start=node.fits["noisy-or"]).iterations == 0
 
     def test_parentless_node_kinds_agree_with_matched_priors(self):
         # scale 2.5 puts roughly the same prior density near the MAP as the
@@ -450,7 +463,7 @@ class TestModelDrivenSearch:
         lattice = net.lattices[2]
         assert set(lattice.nodes) | lattice.dead == {0, 0b01, 0b10, 0b11}
         for node in lattice.nodes.values():
-            assert node.model_synced.get("noisy-or") == net.n_total
+            assert node.scores["noisy-or"][0] == net.n_total
         matrix = all_arc_posteriors(net)
         assert matrix.entries[(0, 2)] > 0.5 and matrix.entries[(1, 2)] > 0.5
 
@@ -464,31 +477,48 @@ class TestModelDrivenSearch:
         report = refine(net, SearchParams())
         for lattice in net.lattices:
             alive = [n for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE]
-            best = max(n.log_prior + n.model_ml[model] for n in alive)
+            best = max(n.log_prior + n.scores[model][1] for n in alive)
             assert report.best_scores[net.schema.name(lattice.x)] == best
-        table_best = max(n.log_score for n in net.lattices[2].alive_nodes())
+        table_best = max(n.log_prior + table_log_ml(n) for n in net.lattices[2].alive_nodes())
         assert report.best_scores["x"] != table_best
 
-    def test_zero_budget_refits_nothing(self):
+    @staticmethod
+    def _cached(net):
+        return {
+            (lat.x, n.key): (dict(n.scores), dict(n.fits))
+            for lat in net.lattices
+            for n in lat.nodes.values()
+        }
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_zero_budget_refits_nothing(self, model):
         from helpers import node_state
 
-        def fits(net):
-            return {
-                (lat.x, n.key): (dict(n.model_ml), dict(n.model_synced))
-                for lat in net.lattices
-                for n in lat.nodes.values()
-            }
-
         net = fresh_net("abx")
-        net.scoring_model = "noisy-or"
+        net.scoring_model = model
         observe_batch(net, self._noisyor_examples(200, seed=47))
         searched = refine(net, SearchParams())
-        observe_batch(net, self._noisyor_examples(200, seed=49))  # every fit is now stale
-        state, fitted = node_state(net), fits(net)
+        observe_batch(net, self._noisyor_examples(200, seed=49))  # every score is now stale
+        state, cached = node_state(net), self._cached(net)
         report = refine(net, SearchParams(budget=0))
         assert report.expansions == 0 and not report.exhausted
-        assert node_state(net) == state and fits(net) == fitted
+        assert node_state(net) == state and self._cached(net) == cached
         assert report.best_scores == searched.best_scores  # the cached, stale scores
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_zero_budget_on_a_loaded_session_reports_unscored_lattices(self, model):
+        from bnrefine.fileio import serialize_session, session_from_document
+
+        net = fresh_net("abx")
+        net.scoring_model = model
+        observe_batch(net, self._noisyor_examples(200, seed=47))
+        refine(net, SearchParams())
+        loaded = session_from_document(json.loads(serialize_session(net)))
+        cached = self._cached(loaded)
+        assert all(scores == {} for scores, _ in cached.values())  # a session stores no score
+        report = refine(loaded, SearchParams(budget=0))
+        assert self._cached(loaded) == cached
+        assert report.best_scores == dict.fromkeys("abx", float("-inf"))
 
     def test_budget_spent_early_leaves_later_lattices_unfitted(self):
         net = fresh_net("abx")
@@ -496,8 +526,8 @@ class TestModelDrivenSearch:
         observe_batch(net, self._noisyor_examples(200, seed=47))
         report = refine(net, SearchParams(budget=1))  # spent on a's root
         assert report.expansions == 1 and not report.exhausted
-        assert net.lattices[0].nodes[0].model_synced == {"noisy-or": net.n_total}
-        assert net.lattices[2].nodes[0].model_synced == {}
+        assert net.lattices[0].nodes[0].scores["noisy-or"][0] == net.n_total
+        assert net.lattices[2].nodes[0].scores == {} and net.lattices[2].nodes[0].fits == {}
         assert report.best_scores["x"] == float("-inf")  # never scored under the model
 
     def test_model_choice_changes_the_ranking_inputs(self):
@@ -511,8 +541,8 @@ class TestModelDrivenSearch:
         refine(with_model, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
         node = with_model.lattices[2].nodes[0b11]
         twin = with_table.lattices[2].nodes[0b11]
-        assert node.model_ml["noisy-or"] != twin.log_ml
-        assert twin.model_ml == {}
+        assert node.scores["noisy-or"][1] != twin.scores["table"][1]
+        assert set(twin.scores) == {"table"} and twin.fits == {}
 
     def _stream_demo(self, model, seed):
         """The benchmark's restricted session: 600 rows in batches of 200."""

@@ -32,6 +32,7 @@ from helpers import (
     node_reference_counts,
     posterior_mean,
     sampled_net,
+    table_log_ml,
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
@@ -62,7 +63,7 @@ class TestArcPosterior:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior
-        node.log_ml = lattice.nodes[0].log_ml
+        node.scores["table"] = (node.synced_through, table_log_ml(lattice.nodes[0]))
         assert arc_posterior(net, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_lattice_without_an_alive_node_is_an_error(self):
@@ -123,7 +124,7 @@ class TestArcPosteriorMatrix:
         refine(net, SearchParams())
         before = all_arc_posteriors(net).entries
         for node in net.lattices[3].nodes.values():
-            node.log_ml += 123.456
+            node.scores["table"] = (node.synced_through, table_log_ml(node) + 123.456)
         after = all_arc_posteriors(net).entries
         for pair, p in before.items():
             assert after[pair] == pytest.approx(p, abs=1e-9)
