@@ -26,8 +26,8 @@ was split into batches.  Two kinds of update:
 The search is resumable: stopping after any expansion budget and calling
 ``refine`` again converges to the state a single uninterrupted call
 produces, because expansion order depends only on stored scores (popping
-by score, ties broken by ascending parent-set key) and the open flags
-persist on the nodes.
+by score, ties broken by ascending parent-set key) and the expansion
+states persist on the nodes.
 """
 
 from __future__ import annotations
@@ -42,20 +42,13 @@ from .domain import (
     ArcPriorMatrix,
     ConcreteNetwork,
     ConfigurationError,
-    CountTable,
     DomainSchema,
     Example,
     PriorConfig,
     config_codes,
     config_count,
 )
-from .kernels import (
-    NEG_INF,
-    alpha_for,
-    expected_theta,
-    log_marginal_likelihood,
-    log_structure_prior,
-)
+from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
@@ -268,11 +261,11 @@ def _rethreshold_node(
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute a stored node's status and open flag against ``best``, or kill it.
+    """Recompute a stored node's status and expansion state against ``best``, or kill it.
 
     Admission uses the plain thresholds (boundary inclusive); demotion of a
     currently alive/open node additionally requires falling below threshold
-    times the hysteresis factor.
+    times the hysteresis factor.  An expanded node stays expanded.
     """
     if score < params.log_e + best and dead_condition(
         node, net.schema, lattice.x, params.dead_kappa
@@ -285,9 +278,9 @@ def _rethreshold_node(
         pass  # hysteresis: admitted nodes survive small dips
     else:
         node.status = NodeStatus.ASLEEP
-    if node.expanded:
-        node.expansion = ExpansionFlag.CLOSED
-    elif score >= params.log_d + best:
+    if node.expansion is ExpansionFlag.EXPANDED:
+        return  # an expanded node never reopens
+    if score >= params.log_d + best:
         node.expansion = ExpansionFlag.OPEN
     elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
         pass
@@ -301,7 +294,7 @@ def _rethreshold_lattice(
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute statuses and open flags of the stored nodes against ``best``."""
+    """Recompute statuses and expansion states of the stored nodes against ``best``."""
     for node in sorted(lattice.nodes.values(), key=lambda n: n.key):
         _rethreshold_node(net, lattice, node, _node_score(net, lattice, node), best, params)
 
@@ -330,22 +323,6 @@ def _open_queue(net: CombinedNetwork, lattice: ParentLattice) -> list[tuple[floa
     ]
     heapq.heapify(queue)
     return queue
-
-
-def _create_child(
-    net: CombinedNetwork, lattice: ParentLattice, key: int
-) -> LatticeNode:
-    x = lattice.x
-    parents = lattice.parents_of_key(key)
-    node = insert_node(
-        lattice,
-        key,
-        counts=CountTable(net.schema.arity(x), tuple(net.schema.arity(p) for p in parents)),
-        log_prior=log_structure_prior(x, parents, net.priors, net.schema),
-        alpha_x=alpha_for(x, parents, net.config, net.schema),
-    )
-    sync_node(net, lattice, node)
-    return node
 
 
 def _refine_lattice(
@@ -380,7 +357,7 @@ def _refine_lattice(
             continue
         if score < params.log_d + best:
             continue  # out of the beam for now; stays asleep unless alive
-        node.expanded = True
+        node.expansion = ExpansionFlag.EXPANDED
         report.expansions += 1
         if budget_left is not None:
             budget_left -= 1
@@ -391,7 +368,8 @@ def _refine_lattice(
                 continue
             child = lattice.nodes.get(child_key)
             if child is None:
-                child = _create_child(net, lattice, child_key)
+                child = insert_node(lattice, child_key, net.schema, net.priors, net.config)
+                sync_node(net, lattice, child)
                 fresh.append(child)
                 report.nodes_created += 1
             scores[child_key] = _node_score(net, lattice, child)

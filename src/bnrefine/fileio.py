@@ -15,9 +15,11 @@ and value labels as cells; parsing is strict, rejecting the whole file on
 the first unknown label or missing cell, with row/column diagnostics.
 
 A session snapshot holds the example log and, per stored parent set, its
-search state, the number of log rows it has absorbed and its fits' warm
-starts, but no counts or scores: loading recounts each set from the log,
-so a snapshot's statistics and scores cannot disagree with its log.
+key, its status and expansion state, the number of log rows it has
+absorbed and its fits' warm starts.  It stores nothing it can derive: no
+prior, concentration or parents (they follow from the key and the spec),
+and no counts or scores (loading recounts each set from the log), so none
+of them can disagree with the spec or the log.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from .domain import (
     VariableSpec,
 )
 from .engine import SCORING_MODELS, CombinedNetwork, _count_rows
-from .kernels import alpha_for
 from .lattice import (
-    CountTable,
     ExpansionFlag,
     LatticeNode,
     NodeStatus,
     ParentLattice,
+    insert_node,
     new_lattice,
 )
 
@@ -55,7 +56,10 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-SESSION_VERSION = 4  # 3 kept model scores; 2 also counts and log_ml; 1 also dead nodes
+# 5 keeps a node's key, status, expansion, synced_through and fits; 4 also its
+# log_prior and open/expanded flags; 3 also model scores; 2 also counts and log_ml;
+# 1 also dead nodes
+SESSION_VERSION = 5
 
 
 class SpecFormatError(ValueError):
@@ -233,10 +237,8 @@ def write_csv(path: str, examples, schema: DomainSchema) -> None:
 def _node_to_doc(node: LatticeNode) -> dict:
     return {
         "key": node.key,
-        "log_prior": node.log_prior,
         "status": node.status.value,
-        "open": node.expansion is ExpansionFlag.OPEN,
-        "expanded": node.expanded,
+        "expansion": node.expansion.value,
         "synced_through": node.synced_through,
         "fits": node.fits,
     }
@@ -266,14 +268,15 @@ def session_to_document(net: CombinedNetwork) -> dict:
 def session_from_document(doc: dict) -> CombinedNetwork:
     """Rebuild a session; every stored node is recounted from the example log.
 
-    Versions 1 to 3 also stored each node's restricted-model scores, and 1
-    and 2 its counts and table score; they are ignored, so a session's
-    statistics and scores always agree with its log.
+    Versions 1 to 4 also stored each node's log prior, 1 to 3 its
+    restricted-model scores, and 1 and 2 its counts and table score; they
+    are ignored, so a session's priors agree with its spec and its
+    statistics and scores with its log.
     """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in (1, 2, 3, SESSION_VERSION):
+    if version not in (1, 2, 3, 4, SESSION_VERSION):
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
@@ -304,11 +307,12 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     schema = net.schema
     lattice = new_lattice(doc["x"], schema, net.priors, net.config)
     lattice.last_refine_n = int(doc["last_refine_n"])
-    stored = [d for d in doc["nodes"] if d["status"] != "dead"]
+    if version == 1:  # a dead parent set was a node with status "dead"
+        stored = [d for d in doc["nodes"] if d["status"] != "dead"]
+        dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]
+    else:
+        stored, dead = doc["nodes"], doc["dead"]
     keys = [d["key"] for d in stored]
-    # version 1 kept a dead parent set as a node with status "dead"
-    dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]
-    dead += doc["dead"] if version > 1 else []
     where = f"lattice {schema.name(lattice.x)!r}"
     for key in keys + dead:
         if type(key) is not int or not 0 <= key < 1 << len(lattice.candidates):
@@ -320,15 +324,15 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
         raise SessionFormatError(f"{where}: keys {both} are stored and dead")
     if not keys:
         raise SessionFormatError(f"{where}: no stored node")
-    lattice.nodes = {k: _node_from_doc(d, version, lattice, net) for k, d in zip(keys, stored)}
+    lattice.nodes = {}  # the stored nodes replace the fresh root
     lattice.dead = set(dead)
+    for d in stored:
+        _node_from_doc(d, version, lattice, net)
     return lattice
 
 
-def _node_from_doc(
-    doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork
-) -> LatticeNode:
-    """A stored node, its counts recounted from ``example_log[:synced_through]``."""
+def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork) -> None:
+    """Store a node, its counts recounted from ``example_log[:synced_through]``."""
     schema = net.schema
     where = f"lattice {schema.name(lattice.x)!r}"
     synced = doc["synced_through"]
@@ -337,28 +341,24 @@ def _node_from_doc(
             f"{where}: synced_through {synced!r} is not a row count of the "
             f"{net.n_total}-row example log"
         )
-    key = doc["key"]
-    parents = lattice.parents_of_key(key)
-    node = LatticeNode(
-        key=key,
-        parents=parents,
-        alpha_x=alpha_for(lattice.x, parents, net.config, schema),
-        counts=CountTable(schema.arity(lattice.x), tuple(schema.arity(p) for p in parents)),
-        log_prior=float(doc["log_prior"]),
-        status=NodeStatus(doc["status"]),
-        expansion=ExpansionFlag.OPEN if doc["open"] else ExpansionFlag.CLOSED,
-        expanded=bool(doc["expanded"]),
-    )
+    try:
+        status = NodeStatus(doc["status"])
+        expansion = ExpansionFlag(doc["expansion"] if version > 4 else _expansion_from_flags(doc))
+    except ValueError as err:
+        raise SessionFormatError(f"{where}: {err}") from None
+    node = insert_node(lattice, doc["key"], schema, net.priors, net.config)
+    node.status, node.expansion = status, expansion
     _count_rows(net, lattice, node, synced)
     # versions 1-3 kept the fitted natural parameters (tau, or noisy-or's q)
     for kind, point in dict(doc["fits"] if version > 3 else doc["model_params"]).items():
         if kind not in ("noisy-or", "logistic"):
             raise SessionFormatError(f"{where}: a warm start for unknown model {kind!r}")
-        if type(point) is not list or len(point) != 1 + len(parents) or not all(
+        width = 1 + len(node.parents)
+        if type(point) is not list or len(point) != width or not all(
             type(v) is float and math.isfinite(v) for v in point
         ):
             raise SessionFormatError(
-                f"{where}: {kind} warm start {point!r} is not {1 + len(parents)} finite floats"
+                f"{where}: {kind} warm start {point!r} is not {width} finite floats"
             )
         if version < 4:  # imported here so that table sessions never load localmodels
             from .localmodels import LogisticParams, NoisyOrParams, _to_u
@@ -368,7 +368,13 @@ def _node_from_doc(
             except ValueError as err:
                 raise SessionFormatError(f"{where}: {err}") from None
         node.fits[kind] = [float(v) for v in point]
-    return node
+
+
+def _expansion_from_flags(doc: dict) -> str:
+    """Versions 1-4 kept two flags; the engine never left an expanded node open."""
+    if doc["open"] and doc["expanded"]:
+        raise ValueError("a node is both open and expanded")
+    return "expanded" if doc["expanded"] else "open" if doc["open"] else "closed"
 
 
 def serialize_session(net: CombinedNetwork) -> str:

@@ -3,12 +3,15 @@
 Each stored node is one candidate parent set for the variable, keyed by a
 bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
-a finite structure prior).  A node carries its sufficient statistics (a
-``CountTable`` over its parents' configuration codes), its log prior, its
-log marginal likelihood per scoring model (a function of the counts,
-cached), the number of logged examples its counts have absorbed (the
-counts are those of ``example_log[:synced_through]``, and a saved session
-keeps only that number), and a lifecycle status.  Subsets and supersets
+a finite structure prior).  A parent set is its key: its parents, its log
+structure prior and its Dirichlet concentration follow from the key and
+the spec, and ``insert_node``, the only place a node is built, derives
+them.  A node also carries its sufficient statistics (a ``CountTable``
+over its parents' configuration codes), its log marginal likelihood per
+scoring model (a function of the counts, cached), the number of logged
+examples its counts have absorbed (the counts are those of
+``example_log[:synced_through]``, and a saved session keeps only that
+number), a lifecycle status and an expansion state.  Subsets and supersets
 are found from the keys themselves; no links between nodes are stored.
 
 Lifecycle:
@@ -19,8 +22,11 @@ Lifecycle:
           only its key in ``ParentLattice.dead``; ``insert_node`` refuses
           a dead key, so a dead set is never stored, expanded or revived.
 
-Independently of status, a stored node is *open* while it still awaits
-child expansion during search, and closed otherwise.
+Independently of status, a stored node's expansion state is one of:
+
+- open:     awaits child expansion during search;
+- closed:   out of the beam for now; reopens if its score rises;
+- expanded: its children have been generated; it never reopens.
 """
 
 from __future__ import annotations
@@ -28,14 +34,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .domain import (
-    ArcPriorMatrix,
-    ConfigurationError,
-    CountTable,
-    DomainSchema,
-    PriorConfig,
-)
-from .kernels import NEG_INF, alpha_for, log_structure_prior
+from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
+from .kernels import alpha_for, log_structure_prior
 
 
 class LatticeStateError(RuntimeError):
@@ -50,6 +50,7 @@ class NodeStatus(enum.Enum):
 class ExpansionFlag(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
+    EXPANDED = "expanded"
 
 
 @dataclass
@@ -61,7 +62,6 @@ class LatticeNode:
     log_prior: float
     status: NodeStatus = NodeStatus.ASLEEP
     expansion: ExpansionFlag = ExpansionFlag.CLOSED
-    expanded: bool = False        # children generated at least once
     synced_through: int = 0       # examples absorbed into counts
     # model -> (synced_through when scored, log marginal likelihood of those counts)
     scores: dict[str, tuple[int, float]] = field(default_factory=dict)
@@ -97,24 +97,14 @@ def new_lattice(
     The root carries no data yet (log marginal likelihood 0) and its log
     prior already accounts for every uncertain predecessor being excluded.
     """
-    mandatory = priors.mandatory_parents(x, schema)
-    candidates = priors.candidate_parents(x, schema)
-    lattice = ParentLattice(x=x, candidates=candidates, mandatory=mandatory)
-    root_prior = log_structure_prior(x, mandatory, priors, schema)
-    if root_prior == NEG_INF:
-        raise ConfigurationError(
-            f"contradictory hard arcs leave no feasible parent set for {schema.name(x)!r}"
-        )
-    root = LatticeNode(
-        key=0,
-        parents=mandatory,
-        alpha_x=alpha_for(x, mandatory, config, schema),
-        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in mandatory)),
-        log_prior=root_prior,
-        status=NodeStatus.ALIVE,
-        expansion=ExpansionFlag.OPEN,
+    lattice = ParentLattice(
+        x=x,
+        candidates=priors.candidate_parents(x, schema),
+        mandatory=priors.mandatory_parents(x, schema),
     )
-    lattice.nodes[0] = root
+    root = insert_node(lattice, 0, schema, priors, config)
+    root.status = NodeStatus.ALIVE
+    root.expansion = ExpansionFlag.OPEN
     return lattice
 
 
@@ -132,26 +122,30 @@ def children_of(lattice: ParentLattice, node: LatticeNode) -> list[int]:
 def insert_node(
     lattice: ParentLattice,
     key: int,
-    counts: CountTable,
-    log_prior: float,
-    alpha_x: float,
+    schema: DomainSchema,
+    priors: ArcPriorMatrix,
+    config: PriorConfig,
 ) -> LatticeNode:
-    """Store a node that has absorbed no examples yet; idempotent on duplicates.
+    """Store parent set ``key``, asleep, closed and with no examples absorbed;
+    idempotent on duplicates.
 
-    ``sync_node`` fills its counts from the log.  A dead key is refused:
-    dead is absorbing.
+    Its parents, log prior, concentration and empty counts follow from the
+    key and the spec; ``sync_node`` fills the counts from the log.  A dead
+    key is refused: dead is absorbing.
     """
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
     existing = lattice.nodes.get(key)
     if existing is not None:
         return existing
+    x = lattice.x
+    parents = lattice.parents_of_key(key)
     node = LatticeNode(
         key=key,
-        parents=lattice.parents_of_key(key),
-        alpha_x=alpha_x,
-        counts=counts,
-        log_prior=log_prior,
+        parents=parents,
+        alpha_x=alpha_for(x, parents, config, schema),
+        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in parents)),
+        log_prior=log_structure_prior(x, parents, priors, schema),
     )
     lattice.nodes[key] = node
     return node

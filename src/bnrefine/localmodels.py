@@ -402,14 +402,19 @@ def score_node_with_model(
 
     The table kind is the exact Dirichlet marginal.  A restricted kind fits
     its parameters once, warm-started from ``node.fits[kind]`` where it keeps
-    the new fit, and gives the normal-expansion marginal there.  The search's
-    cache, ``node.scores``, is written by ``engine._node_score`` alone.
+    the new fit, and gives the normal-expansion marginal there; with no
+    counts there is nothing to fit, and the marginal is 0 because the
+    parameter prior integrates to 1.  The search's cache, ``node.scores``,
+    is written by ``engine._node_score`` alone.
     """
     if kind == "table":
         sync_node(net, net.lattices[x], node)
         log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
         return LocalModelScore(kind=kind, params=None, log_marginal=log_ml)
-    fit = fit_map(kind, boolean_node_data(net, x, node), warm_start=node.fits.get(kind))
+    counts = boolean_node_data(net, x, node)
+    if not counts.total:
+        return LocalModelScore(kind=kind, params=None, log_marginal=0.0)
+    fit = fit_map(kind, counts, warm_start=node.fits.get(kind))
     node.fits[kind] = list(fit.u)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
     return LocalModelScore(kind=kind, params=natural, log_marginal=_laplace(fit))

@@ -101,7 +101,6 @@ def node_state(net: CombinedNetwork) -> dict:
             state[(lattice.x, key)] = (
                 node.status,
                 node.expansion,
-                node.expanded,
                 node.synced_through,
                 node.log_prior,
                 table_rows(node.counts),

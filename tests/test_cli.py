@@ -66,6 +66,16 @@ class TestBasics:
         assert len(entries) == 15
         assert all(p == 0.0 for p in entries.values())
 
+    @pytest.mark.parametrize("model", ["noisy-or", "logistic"])
+    def test_restricted_refine_right_after_init(self, tmp_path, spec_path, model):
+        # exited 1 with "fit_map requires at least one data row"
+        session = str(tmp_path / "s.json")
+        assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
+        code, _, err = run(["refine", "--session", session, "--model", model])
+        assert code == 0, err
+        code, out, _ = run(["arcs", "--session", session])
+        assert code == 0 and len(parse_arc_table(out)) == 15
+
 
 class TestPipeline:
     def test_generate_observe_refine_arcs_recovers_structure(self, tmp_path, spec_path, truth_path):

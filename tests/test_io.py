@@ -171,6 +171,61 @@ V3_NOISYOR_CONTINUED_ARCS = {
     (4, 5): 1.0,
 }
 
+# written by the release with session version 4: chain_v_truth under the logistic
+# model, 300 rows of seed 3, one default refine after the first 150 rows and one
+# with d_open 0.005, e_dead 0.0005 and budget 3 after all 300, which left lattice
+# y's key-5 node open; it holds open, closed and expanded nodes, dead keys and a
+# logistic warm start on every node
+V4_SESSION = Path(__file__).parent / "data" / "session_v4.json"
+
+# every committed session, and what the release with session version 4 answers
+# on loading each of them
+GOLDEN_SESSIONS = sorted((Path(__file__).parent / "data").glob("session_v*.json"))
+GOLDEN_LOADED_ARCS = {
+    "session_v1_dead.json": {
+        (0, 1): 1.0,
+        (0, 2): 0.0,
+        (1, 2): 1.0,
+        (0, 3): 1.0,
+        (1, 3): 0.0,
+        (2, 3): 1.0,
+        (0, 4): 0.0,
+        (1, 4): 0.0,
+        (2, 4): 1.0,
+        (3, 4): 0.0,
+    },
+    "session_v2.json": V2_LOADED_ARCS,
+    "session_v3_noisyor.json": V3_NOISYOR_LOADED_ARCS,
+    "session_v4.json": {
+        (0, 1): 1.0,
+        (0, 2): 0.170480533932792,
+        (1, 2): 0.9999999999999927,
+        (0, 3): 0.0,
+        (1, 3): 0.0,
+        (2, 3): 1.0,
+        (0, 4): 0.038982363203991885,
+        (1, 4): 0.0,
+        (2, 4): 0.0,
+        (3, 4): 0.21055113137227954,
+        (0, 5): 0.0,
+        (1, 5): 0.0,
+        (2, 5): 0.0,
+        (3, 5): 1.0,
+        (4, 5): 1.0,
+    },
+}
+
+
+def session_doc(version: int) -> dict:
+    """A logistic session document: 2 and 4 as committed, 5 the version-4 golden resaved."""
+    if version == 5:
+        doc = json.loads(serialize_session(load_session(V4_SESSION)))
+    else:
+        doc = json.loads({2: V2_SESSION, 4: V4_SESSION}[version].read_text(encoding="utf-8"))
+    assert doc["version"] == version
+    return doc
+
+
 # the table-model session loop, run in a fresh interpreter: it must never import
 # the restricted models
 TABLE_LOOP_SCRIPT = """
@@ -385,7 +440,7 @@ class TestSession:
                 assert node.synced_through == 8
         save_session(path, net)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text)["version"] == 4
+        assert json.loads(text)["version"] == 5
         assert serialize_session(load_session(path)) == text
 
     def test_version_2_session_loads_and_continues(self):
@@ -397,11 +452,63 @@ class TestSession:
         refine(net, SearchParams())
         assert all_arc_posteriors(net).entries == V2_CONTINUED_ARCS
         resaved = json.loads(serialize_session(net))
-        assert resaved["version"] == 4
+        assert resaved["version"] == 5
         for lattice in resaved["lattices"]:
             for node in lattice["nodes"]:
                 assert "counts" not in node and "log_ml" not in node
                 assert "model_ml" not in node and "model_params" not in node
+                assert "log_prior" not in node and "open" not in node and "expanded" not in node
+
+    @pytest.mark.parametrize("path", GOLDEN_SESSIONS, ids=lambda path: path.name)
+    def test_golden_session_loads_and_resaves_as_version_5(self, path):
+        net = load_session(path)
+        assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS[path.name]
+        text = serialize_session(net)
+        assert json.loads(text)["version"] == 5
+        assert serialize_session(session_from_document(json.loads(text))) == text
+
+    @pytest.mark.parametrize("path", [V2_SESSION, V4_SESSION], ids=lambda path: path.name)
+    def test_stored_log_priors_are_ignored(self, path):
+        # loaded unchecked, this log_prior moved the u->w posterior from 0.104 to
+        # 0.945 in the version 2 session, and from 0.170 to 0.968 in the version 4 one
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        node = next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 3)
+        node["log_prior"] += 5.0
+        loaded = session_from_document(doc)
+        assert all_arc_posteriors(loaded).entries == GOLDEN_LOADED_ARCS[path.name]
+
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_a_node_both_open_and_expanded_is_a_session_format_error(self, version):
+        # the engine never writes one, and version 5 cannot say it
+        if version == 1:
+            doc = json.loads(LIST_LOG_SESSION)
+            node = doc["lattices"][1]["nodes"][0]
+        else:
+            doc = session_doc(version)
+            node = next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 2)
+        assert node["expanded"] and not node["open"]
+        node["open"] = True
+        message = f"lattice {'b' if version == 1 else 'w'!r}: a node is both open and expanded"
+        with pytest.raises(SessionFormatError, match=message):
+            session_from_document(doc)
+
+    @pytest.mark.parametrize("expansion", ["reopened", "OPEN", None])
+    def test_unknown_expansion_is_a_session_format_error(self, expansion):
+        doc = session_doc(5)
+        doc["lattices"][2]["nodes"][0]["expansion"] = expansion
+        with pytest.raises(
+            SessionFormatError, match=f"lattice 'w': {expansion!r} is not a valid ExpansionFlag"
+        ):
+            session_from_document(doc)
+
+    @pytest.mark.parametrize("version", [2, 4, 5])
+    def test_status_dead_is_a_version_1_encoding_only(self, version):
+        # at version 4 this node loaded silently as a dead key
+        doc = session_doc(version)
+        next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 2)["status"] = "dead"
+        message = "lattice 'w': 'dead' is not a valid NodeStatus"
+        with pytest.raises(SessionFormatError, match=message):
+            session_from_document(doc)
 
     def test_stored_model_scores_are_ignored(self):
         # loaded unchecked, this model_ml moved the u->w posterior from 0.104 to 0.00079
@@ -425,7 +532,7 @@ class TestSession:
         for pair, p in V3_NOISYOR_CONTINUED_ARCS.items():
             assert continued[pair] == pytest.approx(p, abs=1e-12)
 
-    @pytest.mark.parametrize("version", [2, 4])
+    @pytest.mark.parametrize("version", [2, 4, 5])
     @pytest.mark.parametrize(
         "kind, point, message",
         [
@@ -439,11 +546,9 @@ class TestSession:
     def test_malformed_warm_start_is_a_session_format_error(self, version, kind, point, message):
         # [0.1] and NaN used to load, and the first query raised a bare numpy
         # ValueError or failed on the NaN
-        doc = json.loads(V2_SESSION.read_text(encoding="utf-8"))
-        if version == 4:
-            doc = json.loads(serialize_session(session_from_document(doc)))
+        doc = session_doc(version)
         node = next(n for n in doc["lattices"][2]["nodes"] if n["key"] == 2)
-        points = node["fits" if version == 4 else "model_params"]
+        points = node["fits" if version >= 4 else "model_params"]
         assert len(points["logistic"]) == 2  # w's key-2 node has one parent, v
         points[kind] = point
         with pytest.raises(SessionFormatError, match=f"lattice 'w': {message}"):

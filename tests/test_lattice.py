@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bnrefine import ArcPriorMatrix, CombinedNetwork, CountTable, PriorConfig
+from bnrefine import ArcPriorMatrix, CombinedNetwork, PriorConfig
 from bnrefine.engine import _scored_best
 from bnrefine.kernels import alpha_for, log_structure_prior
 from bnrefine.lattice import (
@@ -27,15 +27,7 @@ def make_lattice(n_candidates=3, entries=None, default=0.5):
 
 
 def add(lattice, schema, priors, key):
-    x = lattice.x
-    parents = lattice.parents_of_key(key)
-    return insert_node(
-        lattice,
-        key,
-        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in parents)),
-        log_prior=log_structure_prior(x, parents, priors, schema),
-        alpha_x=alpha_for(x, parents, PriorConfig(1.0), schema),
-    )
+    return insert_node(lattice, key, schema, priors, PriorConfig(1.0))
 
 
 class TestNewLattice:
@@ -51,6 +43,16 @@ class TestNewLattice:
         assert lattice.nodes[0].parents == (0,)
         assert lattice.candidates == (1, 2)
         assert math.isfinite(lattice.nodes[0].log_prior)
+
+    def test_a_node_follows_from_its_key(self):
+        lattice, schema, priors = make_lattice(entries={(0, 3): 1.0, (1, 3): 0.2})
+        node = add(lattice, schema, priors, 0b10)  # candidates (1, 2): choose 2
+        assert node.parents == (0, 2)
+        assert node.log_prior == log_structure_prior(3, (0, 2), priors, schema)
+        assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
+        assert node.counts.arities == (2, 2) and node.counts.total == 0
+        assert node.status is NodeStatus.ASLEEP and node.expansion is ExpansionFlag.CLOSED
+        assert node.synced_through == 0 and node.scores == {} and node.fits == {}
 
     def test_all_forbidden_leaves_a_bare_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 0.0, (1, 3): 0.0, (2, 3): 0.0})

@@ -437,6 +437,8 @@ class TestScoreNodeWithModel:
             (VariableSpec("a", ("x", "y", "z")), VariableSpec("b", ("f", "t")))
         )
         net = init(schema, ArcPriorMatrix(), PriorConfig())
+        with pytest.raises(UnsupportedModelError):  # also with no rows to fit
+            score_node_with_model(net, 0, net.lattices[0].nodes[0], "noisy-or")
         observe_batch(net, [(0, 1), (2, 0), (1, 1)])
         with pytest.raises(UnsupportedModelError):
             score_node_with_model(net, 0, net.lattices[0].nodes[0], "noisy-or")
@@ -519,6 +521,22 @@ class TestModelDrivenSearch:
         report = refine(loaded, SearchParams(budget=0))
         assert self._cached(loaded) == cached
         assert report.best_scores == dict.fromkeys("abx", float("-inf"))
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_a_session_with_no_rows_refines_and_answers(self, model):
+        # noisy-or and logistic raised "fit_map requires at least one data row":
+        # a set with no counts scores 0 under every model, its prior integrating to 1
+        from bnrefine import all_arc_posteriors
+
+        table = fresh_net("abx", default_prior=0.3)
+        net = fresh_net("abx", default_prior=0.3)
+        net.scoring_model = model
+        assert refine(net, SearchParams()) == refine(table, SearchParams())
+        assert all_arc_posteriors(net).entries == all_arc_posteriors(table).entries
+        assert len(net.lattices[2].nodes) == 4
+        for lattice in net.lattices:
+            for node in lattice.nodes.values():
+                assert node.scores[model] == (0, 0.0) and node.fits == {}
 
     def test_budget_spent_early_leaves_later_lattices_unfitted(self):
         net = fresh_net("abx")
