@@ -17,22 +17,25 @@ was split into batches.  Two kinds of update:
 - ``refine``: beam search per variable, driven by three thresholds
   relative to the best score found (1 > c_alive >= d_open >= e_dead > 0):
   nodes within a factor c_alive of the best are alive, nodes within
-  d_open stay on the expansion queue, nodes below e_dead whose sample
+  d_open are open for expansion, nodes below e_dead whose sample
   mass clears ``dead_kappa * m_x * |v(parents)|`` are killed for good.
   A hysteresis factor keeps freshly admitted nodes from flapping: a node
   is admitted at the plain threshold but demoted only after falling below
   threshold * hysteresis.
 
-The search is resumable: stopping after any expansion budget and calling
-``refine`` again converges to the state a single uninterrupted call
-produces, because expansion order depends only on stored scores (popping
-by score, ties broken by ascending parent-set key) and the expansion
-states persist on the nodes.
+Each pass over a lattice re-aims it (syncs every stored node, takes the
+best score over them under the active model, rethresholds) and then
+expands its best open node, by score with ties broken by ascending
+parent-set key; a node left open only by hysteresis is closed when
+reached, without expanding or spending budget.  The search is resumable:
+stopping after any expansion budget and calling ``refine`` again
+converges to the state a single uninterrupted call produces, because the
+open nodes are the only queue, the expansion states persist on the
+nodes, and re-aiming a lattice that is already aimed changes nothing.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -85,7 +88,7 @@ class SearchParams:
         if not 0.0 < self.hysteresis <= 1.0:
             raise ConfigurationError(f"hysteresis must be in (0, 1], got {self.hysteresis}")
         # dead_kappa = 0 is permitted but unsafe: nodes may die on no evidence.
-        if self.dead_kappa < 0:
+        if not self.dead_kappa >= 0:  # NaN too: it would never kill
             raise ConfigurationError(f"dead_kappa must be nonnegative, got {self.dead_kappa}")
         if self.budget is not None and self.budget < 0:
             raise ConfigurationError(f"budget must be nonnegative, got {self.budget}")
@@ -253,76 +256,59 @@ def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     )
 
 
-def _rethreshold_node(
-    net: CombinedNetwork,
-    lattice: ParentLattice,
-    node: LatticeNode,
-    score: float,
-    best: float,
-    params: SearchParams,
-) -> None:
-    """Recompute a stored node's status and expansion state against ``best``, or kill it.
-
-    Admission uses the plain thresholds (boundary inclusive); demotion of a
-    currently alive/open node additionally requires falling below threshold
-    times the hysteresis factor.  An expanded node stays expanded.
-    """
-    if score < params.log_e + best and dead_condition(
-        node, net.schema, lattice.x, params.dead_kappa
-    ):
-        kill(lattice, node.key)
-        return
-    if score >= params.log_c + best:
-        node.status = NodeStatus.ALIVE
-    elif node.status is NodeStatus.ALIVE and score >= params.log_c + params.log_h + best:
-        pass  # hysteresis: admitted nodes survive small dips
-    else:
-        node.status = NodeStatus.ASLEEP
-    if node.expansion is ExpansionFlag.EXPANDED:
-        return  # an expanded node never reopens
-    if score >= params.log_d + best:
-        node.expansion = ExpansionFlag.OPEN
-    elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
-        pass
-    else:
-        node.expansion = ExpansionFlag.CLOSED
-
-
 def _rethreshold_lattice(
     net: CombinedNetwork,
     lattice: ParentLattice,
     best: float,
     params: SearchParams,
 ) -> None:
-    """Recompute statuses and expansion states of the stored nodes against ``best``."""
-    for node in sorted(lattice.nodes.values(), key=lambda n: n.key):
-        _rethreshold_node(net, lattice, node, _node_score(net, lattice, node), best, params)
+    """Recompute every stored node's status and expansion state against ``best``,
+    or kill it.
+
+    Admission uses the plain thresholds (boundary inclusive); demotion of a
+    currently alive/open node additionally requires falling below threshold
+    times the hysteresis factor.  An expanded node stays expanded.  Aiming
+    twice at the same best changes nothing.
+    """
+    for node in list(lattice.nodes.values()):
+        score = _node_score(net, lattice, node)
+        if score < params.log_e + best and dead_condition(
+            node, net.schema, lattice.x, params.dead_kappa
+        ):
+            kill(lattice, node.key)
+            continue
+        if score >= params.log_c + best:
+            node.status = NodeStatus.ALIVE
+        elif node.status is NodeStatus.ALIVE and score >= params.log_c + params.log_h + best:
+            pass  # hysteresis: admitted nodes survive small dips
+        else:
+            node.status = NodeStatus.ASLEEP
+        if node.expansion is ExpansionFlag.EXPANDED:
+            continue  # an expanded node never reopens
+        if score >= params.log_d + best:
+            node.expansion = ExpansionFlag.OPEN
+        elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
+            pass
+        else:
+            node.expansion = ExpansionFlag.CLOSED
 
 
-def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
-    """Sync every stored node with the log, then re-aim every status at the
-    new best over them, so all the scores compared have absorbed the same examples."""
+def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> float:
+    """Sync every stored node with the log, re-aim every status at the best
+    score over them under the active model, and return that best, so all the
+    scores compared have absorbed the same examples."""
     for node in lattice.nodes.values():
-        sync_node(net, lattice, node)
-    best = max((_node_score(net, lattice, n) for n in lattice.nodes.values()), default=NEG_INF)
+        if node.synced_through != net.n_total:
+            sync_node(net, lattice, node)
+    best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
     _rethreshold_lattice(net, lattice, best, params)
+    return best
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
     """Catch every lattice up with the log and re-aim its statuses at its best score."""
     for lattice in net.lattices:
         _catch_up(net, lattice, params)
-
-
-def _open_queue(net: CombinedNetwork, lattice: ParentLattice) -> list[tuple[float, int]]:
-    """Heap of the open nodes: best score first, ties by ascending key."""
-    queue = [
-        (-_node_score(net, lattice, n), n.key)
-        for n in lattice.nodes.values()
-        if n.expansion is ExpansionFlag.OPEN
-    ]
-    heapq.heapify(queue)
-    return queue
 
 
 def _refine_lattice(
@@ -332,59 +318,28 @@ def _refine_lattice(
     budget_left: int | None,
     report: SearchReport,
 ) -> int | None:
-    """Drain one lattice's open queue; returns the remaining budget."""
-    if lattice.last_refine_n != net.n_total:
-        # new data arrived since the last search touched this lattice
-        _catch_up(net, lattice, params)
-        lattice.last_refine_n = net.n_total
-
-    queue = _open_queue(net, lattice)
-    best = _scored_best(net, lattice)
-    while queue:
+    """Re-aim the lattice and expand its best open node until none is open;
+    returns the remaining budget."""
+    while True:
+        best = _catch_up(net, lattice, params)
+        open_nodes = [n for n in lattice.nodes.values() if n.expansion is ExpansionFlag.OPEN]
+        if not open_nodes:
+            return budget_left
         if budget_left is not None and budget_left <= 0:
             report.exhausted = False
             return 0
-        _, key = heapq.heappop(queue)
-        node = lattice.nodes.get(key)  # every queued key is a stored open node
-        if node is None or node.expansion is not ExpansionFlag.OPEN:
-            raise LatticeStateError(f"parent set {key:#x} on the open queue is dead or closed")
-        node.expansion = ExpansionFlag.CLOSED
-        score = _node_score(net, lattice, node)
-        if score < params.log_e + best and dead_condition(
-            node, net.schema, lattice.x, params.dead_kappa
-        ):
-            kill(lattice, key)
+        node = min(open_nodes, key=lambda n: (-_node_score(net, lattice, n), n.key))
+        if _node_score(net, lattice, node) < params.log_d + best:
+            node.expansion = ExpansionFlag.CLOSED  # open only by hysteresis: no expansion
             continue
-        if score < params.log_d + best:
-            continue  # out of the beam for now; stays asleep unless alive
         node.expansion = ExpansionFlag.EXPANDED
         report.expansions += 1
         if budget_left is not None:
             budget_left -= 1
-        fresh: list[LatticeNode] = []
-        scores: dict[int, float] = {}
         for child_key in children_of(lattice, node):
-            if child_key in lattice.dead:
-                continue
-            child = lattice.nodes.get(child_key)
-            if child is None:
-                child = insert_node(lattice, child_key, net.schema, net.priors, net.config)
-                sync_node(net, lattice, child)
-                fresh.append(child)
+            if child_key not in lattice.dead and child_key not in lattice.nodes:
+                insert_node(lattice, child_key, net.schema, net.priors, net.config)
                 report.nodes_created += 1
-            scores[child_key] = _node_score(net, lattice, child)
-        top = max(scores.values(), default=NEG_INF)
-        if top > best:
-            best = top
-            # fresh children included; it may open, close or kill nodes
-            _rethreshold_lattice(net, lattice, best, params)
-            queue = _open_queue(net, lattice)
-            continue
-        for child in fresh:  # a fresh node starts asleep and closed: no hysteresis
-            _rethreshold_node(net, lattice, child, scores[child.key], best, params)
-            if child.expansion is ExpansionFlag.OPEN:
-                heapq.heappush(queue, (-scores[child.key], child.key))
-    return budget_left
 
 
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:

@@ -56,10 +56,10 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-# 5 keeps a node's key, status, expansion, synced_through and fits; 4 also its
-# log_prior and open/expanded flags; 3 also model scores; 2 also counts and log_ml;
-# 1 also dead nodes
-SESSION_VERSION = 5
+# 6 keeps a node's key, status, expansion, synced_through and fits; 5 also each
+# lattice's last_refine_n; 4 also a node's log_prior and open/expanded flags;
+# 3 also model scores; 2 also counts and log_ml; 1 also dead nodes
+SESSION_VERSION = 6
 
 
 class SpecFormatError(ValueError):
@@ -254,7 +254,6 @@ def session_to_document(net: CombinedNetwork) -> dict:
         "lattices": [
             {
                 "x": lattice.x,
-                "last_refine_n": lattice.last_refine_n,
                 "dead": sorted(lattice.dead),
                 "nodes": [
                     _node_to_doc(lattice.nodes[key]) for key in sorted(lattice.nodes)
@@ -268,15 +267,16 @@ def session_to_document(net: CombinedNetwork) -> dict:
 def session_from_document(doc: dict) -> CombinedNetwork:
     """Rebuild a session; every stored node is recounted from the example log.
 
-    Versions 1 to 4 also stored each node's log prior, 1 to 3 its
-    restricted-model scores, and 1 and 2 its counts and table score; they
-    are ignored, so a session's priors agree with its spec and its
-    statistics and scores with its log.
+    Versions 1 to 5 also stored each lattice's ``last_refine_n``, 1 to 4
+    each node's log prior, 1 to 3 its restricted-model scores, and 1 and 2
+    its counts and table score; they are ignored, so a session's priors
+    agree with its spec and its statistics and scores with its log, and
+    ``refine`` re-aims every lattice it visits whatever the file says.
     """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in (1, 2, 3, 4, SESSION_VERSION):
+    if version not in (1, 2, 3, 4, 5, SESSION_VERSION):
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
@@ -306,7 +306,6 @@ def session_from_document(doc: dict) -> CombinedNetwork:
 def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLattice:
     schema = net.schema
     lattice = new_lattice(doc["x"], schema, net.priors, net.config)
-    lattice.last_refine_n = int(doc["last_refine_n"])
     if version == 1:  # a dead parent set was a node with status "dead"
         stored = [d for d in doc["nodes"] if d["status"] != "dead"]
         dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]

@@ -76,7 +76,6 @@ class ParentLattice:
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
     nodes: dict[int, LatticeNode] = field(default_factory=dict)  # alive and asleep
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
-    last_refine_n: int = 0
 
     def parents_of_key(self, key: int) -> tuple[int, ...]:
         chosen = tuple(c for i, c in enumerate(self.candidates) if key >> i & 1)

@@ -76,6 +76,14 @@ class TestBasics:
         code, out, _ = run(["arcs", "--session", session])
         assert code == 0 and len(parse_arc_table(out)) == 15
 
+    def test_nan_kappa_exits_one(self, tmp_path, spec_path):
+        # was accepted, and the search could never kill a parent set
+        session = str(tmp_path / "s.json")
+        assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
+        code, _, err = run(["refine", "--session", session, "--kappa", "nan"])
+        assert code == 1
+        assert "dead_kappa must be nonnegative, got nan" in err
+
 
 class TestPipeline:
     def test_generate_observe_refine_arcs_recovers_structure(self, tmp_path, spec_path, truth_path):
@@ -175,6 +183,25 @@ class TestPipeline:
         assert run(["arcs", "--session", session, "--dot", str(dot),
                     "--grey-mapping", "log"])[0] == 0
         assert '"u" -> "v"' in dot.read_text()
+
+    def test_refine_with_a_new_model_re_aims_every_lattice(self, tmp_path, spec_path, truth_path):
+        # the second refine kept statuses aimed at the table model's best
+        from bnrefine import SearchParams, refine, rethreshold
+        from bnrefine.fileio import load_session, serialize_session
+
+        data = str(tmp_path / "data.csv")
+        session = str(tmp_path / "s.json")
+        run(["generate", "--network", truth_path, "-n", "400", "--seed", "0", "--out", data])
+        run(["init", "--spec", spec_path, "--out", session])
+        run(["observe", "--session", session, "--data", data])
+        assert run(["refine", "--session", session])[0] == 0
+        twin = load_session(session)
+        assert run(["refine", "--session", session, "--model", "noisy-or"])[0] == 0
+        twin.scoring_model = "noisy-or"
+        rethreshold(twin, SearchParams())
+        refine(twin, SearchParams())
+        with open(session, encoding="utf-8") as handle:
+            assert handle.read() == serialize_session(twin)
 
 
 class TestOracleCommand:

@@ -1,6 +1,8 @@
 import copy
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bnrefine import (
     ConfigurationError,
     DomainSchema,
     ExampleError,
+    ExpansionFlag,
     NodeStatus,
     PriorConfig,
     SearchParams,
@@ -47,6 +50,22 @@ from helpers import (
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
+
+# SearchParams fields no search may run with, and the error each one raises
+INVALID_PARAMS = [
+    ({"c_alive": 1.0}, "thresholds must satisfy"),
+    ({"c_alive": 0.01, "d_open": 0.1}, "thresholds must satisfy"),
+    ({"d_open": 0.0001, "e_dead": 0.001}, "thresholds must satisfy"),
+    ({"e_dead": 0.0}, "thresholds must satisfy"),
+    ({"c_alive": math.nan}, "thresholds must satisfy"),
+    ({"e_dead": math.nan}, "thresholds must satisfy"),
+    ({"hysteresis": 0.0}, "hysteresis must be in"),
+    ({"hysteresis": 1.5}, "hysteresis must be in"),
+    ({"hysteresis": math.nan}, "hysteresis must be in"),
+    ({"dead_kappa": -1.0}, "dead_kappa must be nonnegative, got -1.0"),
+    ({"dead_kappa": math.nan}, "dead_kappa must be nonnegative, got nan"),
+    ({"budget": -1}, "budget must be nonnegative, got -1"),
+]
 
 
 def recompute_node(net, lattice, node):
@@ -327,6 +346,64 @@ class TestRefine:
         assert network_stats(net).dead == {
             net.schema.name(lat.x): len(lat.dead) for lat in net.lattices
         }
+
+    def test_an_open_node_in_the_hysteresis_band_is_closed_unexpanded(self):
+        # a, b and c are independent, so b's set {a} falls behind its root as
+        # rows arrive: at 16 rows it is within d_open of the best, at 160 within
+        # [d_open * hysteresis, d_open), where only hysteresis keeps it open
+        rows = list(itertools.product((0, 1), repeat=3))
+        net = fresh_net("abc")
+        params = SearchParams(d_open=0.07, e_dead=1e-9, hysteresis=0.5)
+        observe_batch(net, rows * 2)
+        report = refine(net, replace(params, budget=2))  # a's root, then b's
+        b, c = net.lattices[1], net.lattices[2]
+        assert report.expansions == 2 and not report.exhausted
+        assert b.nodes[1].expansion is ExpansionFlag.OPEN
+        assert c.nodes[0].expansion is ExpansionFlag.OPEN
+        observe_batch(net, rows * 18)
+        aimed = copy.deepcopy(net)
+        rethreshold(aimed, params)
+        node = aimed.lattices[1].nodes[1]
+        gap = _scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
+        assert params.log_d + params.log_h <= -gap < params.log_d
+        assert node.expansion is ExpansionFlag.OPEN
+        report = refine(net, replace(params, budget=1))
+        assert b.nodes[1].expansion is ExpansionFlag.CLOSED
+        assert b.nodes.keys() == {0, 1}  # no child of {a} was created
+        # closing it spent no budget: c's root took the one expansion
+        assert report.expansions == 1
+        assert c.nodes[0].expansion is ExpansionFlag.EXPANDED
+
+    @pytest.mark.parametrize("model", ["noisy-or", "logistic"])
+    def test_a_model_switch_re_aims_every_lattice(self, model):
+        # statuses aimed at the table model's best were kept after a switch, so
+        # this refine differed from the twin's: arc posteriors by up to 0.58
+        net, _ = sampled_net(chain_v_truth(), 400, seed=0)
+        refine(net, SearchParams())
+        assert refine(net, SearchParams()).expansions == 0  # the fixed point
+        net.scoring_model = model
+        twin = copy.deepcopy(net)
+        rethreshold(twin, SearchParams())
+        assert refine(net, SearchParams()) == refine(twin, SearchParams())
+        assert serialize_session(net) == serialize_session(twin)
+
+
+class TestSearchParams:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param(fields, message, id=",".join(f"{k}={v}" for k, v in fields.items()))
+            for fields, message in INVALID_PARAMS
+        ],
+    )
+    def test_invalid_parameters_are_rejected(self, fields, message):
+        # a NaN dead_kappa was accepted, and no node could ever be killed
+        with pytest.raises(ConfigurationError, match=message):
+            SearchParams(**fields)
+
+    def test_infinite_kappa_turns_kills_off(self):
+        net, _ = sampled_net(five_var_truth(), 400, seed=17)
+        assert refine(net, SearchParams(dead_kappa=math.inf)).nodes_killed == 0
 
 
 class TestStreaming:

@@ -178,8 +178,34 @@ V3_NOISYOR_CONTINUED_ARCS = {
 # logistic warm start on every node
 V4_SESSION = Path(__file__).parent / "data" / "session_v4.json"
 
-# every committed session, and what the release with session version 4 answers
-# on loading each of them
+# written by the release with session version 5: chain_v_truth under the table
+# model, 120 rows of seed 1, refine(budget=6) after the first 60 rows, then
+# d_open 0.005, e_dead 0.0005, hysteresis 0.2 and budget 3 after 100; the last 20
+# rows were observed and not refined, so every lattice's last_refine_n (100 for
+# u-x, 0 for y and z) lags the log; it holds alive and asleep, open, closed and
+# expanded nodes and dead keys
+V5_SESSION = Path(__file__).parent / "data" / "session_v5.json"
+# what that release answers after loading it and one default refine
+V5_REFINED_ARCS = {
+    (0, 1): 1.0,
+    (0, 2): 0.0909432088620994,
+    (1, 2): 0.9999999999999977,
+    (0, 3): 0.27341853872528515,
+    (1, 3): 0.06521675629363011,
+    (2, 3): 0.934783243706367,
+    (0, 4): 0.08196482007077961,
+    (1, 4): 0.11998884876768602,
+    (2, 4): 0.0,
+    (3, 4): 0.0,
+    (0, 5): 0.0,
+    (1, 5): 0.0,
+    (2, 5): 0.0,
+    (3, 5): 0.3852486711666809,
+    (4, 5): 0.9999999999999969,
+}
+
+# every committed session, and what the release that wrote the newest of them
+# answers on loading each one
 GOLDEN_SESSIONS = sorted((Path(__file__).parent / "data").glob("session_v*.json"))
 GOLDEN_LOADED_ARCS = {
     "session_v1_dead.json": {
@@ -213,12 +239,29 @@ GOLDEN_LOADED_ARCS = {
         (3, 5): 1.0,
         (4, 5): 1.0,
     },
+    "session_v5.json": {
+        (0, 1): 1.0,
+        (0, 2): 0.0909432088620994,
+        (1, 2): 0.9999999999999977,
+        (0, 3): 0.27271659293985767,
+        (1, 3): 0.06504932570376232,
+        (2, 3): 0.9323833802542871,
+        (0, 4): 0.0,
+        (1, 4): 0.0,
+        (2, 4): 0.0,
+        (3, 4): 0.0,
+        (0, 5): 0.0,
+        (1, 5): 0.0,
+        (2, 5): 0.0,
+        (3, 5): 0.0,
+        (4, 5): 0.0,
+    },
 }
 
 
 def session_doc(version: int) -> dict:
-    """A logistic session document: 2 and 4 as committed, 5 the version-4 golden resaved."""
-    if version == 5:
+    """A logistic session document: 2 and 4 as committed, 6 the version-4 golden resaved."""
+    if version == 6:
         doc = json.loads(serialize_session(load_session(V4_SESSION)))
     else:
         doc = json.loads({2: V2_SESSION, 4: V4_SESSION}[version].read_text(encoding="utf-8"))
@@ -389,7 +432,6 @@ class TestSession:
         assert node_state(loaded) == node_state(net)
         for a, b in zip(net.lattices, loaded.lattices):
             assert _scored_best(net, a) == _scored_best(loaded, b)
-            assert a.last_refine_n == b.last_refine_n
 
     def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
         net_a, _ = sampled_net(five_var_truth(), 150, seed=6)
@@ -440,7 +482,7 @@ class TestSession:
                 assert node.synced_through == 8
         save_session(path, net)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text)["version"] == 5
+        assert json.loads(text)["version"] == 6
         assert serialize_session(load_session(path)) == text
 
     def test_version_2_session_loads_and_continues(self):
@@ -452,7 +494,7 @@ class TestSession:
         refine(net, SearchParams())
         assert all_arc_posteriors(net).entries == V2_CONTINUED_ARCS
         resaved = json.loads(serialize_session(net))
-        assert resaved["version"] == 5
+        assert resaved["version"] == 6
         for lattice in resaved["lattices"]:
             for node in lattice["nodes"]:
                 assert "counts" not in node and "log_ml" not in node
@@ -460,12 +502,26 @@ class TestSession:
                 assert "log_prior" not in node and "open" not in node and "expanded" not in node
 
     @pytest.mark.parametrize("path", GOLDEN_SESSIONS, ids=lambda path: path.name)
-    def test_golden_session_loads_and_resaves_as_version_5(self, path):
+    def test_golden_session_loads_and_resaves_as_version_6(self, path):
         net = load_session(path)
         assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS[path.name]
         text = serialize_session(net)
-        assert json.loads(text)["version"] == 5
+        assert json.loads(text)["version"] == 6
         assert serialize_session(session_from_document(json.loads(text))) == text
+
+    @pytest.mark.parametrize("last_refine_n", [0, 100, 120, 10**6])
+    def test_a_stored_last_refine_n_is_ignored(self, last_refine_n):
+        # set to the log's 120 rows, it stopped the release that wrote it from
+        # re-aiming its lattices at the 20 rows observed after the last refine
+        doc = json.loads(V5_SESSION.read_text(encoding="utf-8"))
+        assert doc["version"] == 5 and len(doc["example_log"]) == 120
+        twin = session_from_document(copy.deepcopy(doc))
+        for lattice in doc["lattices"]:
+            lattice["last_refine_n"] = last_refine_n
+        net = session_from_document(doc)
+        assert refine(net, SearchParams()) == refine(twin, SearchParams())
+        assert serialize_session(net) == serialize_session(twin)
+        assert all_arc_posteriors(net).entries == V5_REFINED_ARCS
 
     @pytest.mark.parametrize("path", [V2_SESSION, V4_SESSION], ids=lambda path: path.name)
     def test_stored_log_priors_are_ignored(self, path):
@@ -479,7 +535,7 @@ class TestSession:
 
     @pytest.mark.parametrize("version", [1, 2, 4])
     def test_a_node_both_open_and_expanded_is_a_session_format_error(self, version):
-        # the engine never writes one, and version 5 cannot say it
+        # the engine never writes one, and versions 5 and 6 cannot say it
         if version == 1:
             doc = json.loads(LIST_LOG_SESSION)
             node = doc["lattices"][1]["nodes"][0]
@@ -494,14 +550,14 @@ class TestSession:
 
     @pytest.mark.parametrize("expansion", ["reopened", "OPEN", None])
     def test_unknown_expansion_is_a_session_format_error(self, expansion):
-        doc = session_doc(5)
+        doc = session_doc(6)
         doc["lattices"][2]["nodes"][0]["expansion"] = expansion
         with pytest.raises(
             SessionFormatError, match=f"lattice 'w': {expansion!r} is not a valid ExpansionFlag"
         ):
             session_from_document(doc)
 
-    @pytest.mark.parametrize("version", [2, 4, 5])
+    @pytest.mark.parametrize("version", [2, 4, 6])
     def test_status_dead_is_a_version_1_encoding_only(self, version):
         # at version 4 this node loaded silently as a dead key
         doc = session_doc(version)
@@ -532,7 +588,7 @@ class TestSession:
         for pair, p in V3_NOISYOR_CONTINUED_ARCS.items():
             assert continued[pair] == pytest.approx(p, abs=1e-12)
 
-    @pytest.mark.parametrize("version", [2, 4, 5])
+    @pytest.mark.parametrize("version", [2, 4, 6])
     @pytest.mark.parametrize(
         "kind, point, message",
         [
