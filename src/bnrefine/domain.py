@@ -11,7 +11,9 @@ order; ``DomainSchema.encode_rows`` validates a block of them at once and
 codes it as an (n, V) integer array.  A parent configuration is its
 mixed-radix code (``config_index``, ``config_codes`` for whole arrays);
 sufficient statistics live in sparse ``CountTable`` objects, one count row
-per observed code.
+per observed code.  ``CountTable.add`` counts a block by direct index into
+the dense code space when that space is small next to the block, and by
+sorting the codes otherwise; either way only the observed codes are stored.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ class CountTable:
     conditioned on (first parent most significant); ``cells[i]`` holds
     the count of each value of the variable under ``codes[i]``.
     Configurations never observed are absent and implicitly all-zero, so
-    storage grows with the observed configurations only.
+    storage grows with the observed configurations only, whichever way
+    ``add`` counted them: by direct index when the parents have few
+    configurations, by sorting the codes when they have many.
     """
 
     __slots__ = ("arities", "codes", "cells")
@@ -219,9 +223,26 @@ class CountTable:
         return int(self.cells.sum())
 
     def add(self, codes: np.ndarray, values: np.ndarray) -> None:
-        """Count one example per (configuration code, value) pair, as one block."""
-        merged, inverse = np.unique(np.concatenate((self.codes, codes)), return_inverse=True)
+        """Count one example per (configuration code, value) pair, as one block.
+
+        When the dense cell space (every configuration times ``m_x``) is
+        at most four times the block, or 1024 cells, laying it all out
+        costs less than sorting the block: the block is counted by direct
+        index into it, the old rows are added by code, and only the
+        non-empty rows are kept.  Otherwise the old and new codes are
+        merged by sorting, and only the observed configurations are ever
+        laid out.  Both give the same table: ascending int64 codes, one
+        non-zero int64 row each.
+        """
         m_x, old = self.m_x, len(self.codes)
+        space = prod(self.arities) * m_x
+        if space <= max(4 * len(codes), 1024):
+            cells = np.bincount(codes * m_x + values, minlength=space).reshape(-1, m_x)
+            cells[self.codes] += self.cells
+            merged = np.flatnonzero(cells.any(axis=1)).astype(np.int64, copy=False)
+            self.codes, self.cells = merged, cells[merged]
+            return
+        merged, inverse = np.unique(np.concatenate((self.codes, codes)), return_inverse=True)
         cells = np.bincount(inverse[old:] * m_x + values, minlength=len(merged) * m_x)
         cells = cells.reshape(len(merged), m_x)
         cells[inverse[:old]] += self.cells

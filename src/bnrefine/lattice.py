@@ -81,9 +81,6 @@ class ParentLattice:
         chosen = tuple(c for i, c in enumerate(self.candidates) if key >> i & 1)
         return tuple(sorted(self.mandatory + chosen))
 
-    def candidate_bit(self, y: int) -> int:
-        return self.candidates.index(y)
-
     def alive_nodes(self) -> list[LatticeNode]:
         return [n for n in self.nodes.values() if n.status is NodeStatus.ALIVE]
 

@@ -171,6 +171,12 @@ def _kernel(
         q, one_minus_q = _sigmoid(u), _sigmoid(-u)
         s = activity @ -_softplus(-u)  # log Pr(x = false), stable for large |u|
         p_false, p_true = np.exp(s), -np.expm1(s)
+        if not p_true.all():
+            # every active q rounded to 1 (u beyond ~745), so Pr(x = true)
+            # underflowed to 0 and the terms below would divide by it; only
+            # a line search's trial step reaches this far, and -inf backs it off
+            nan = np.full((len(u), len(u)), np.nan)
+            return -math.inf, nan[0], nan, nan
         ll = n_false @ s + n_true @ _log1mexp(s)
         # r = (ds/du) / Pr(x = true) stays bounded as q -> 1, because
         # ds/du_j = a_j (1 - q_j) <= -s; the plain second-derivative weight

@@ -5,6 +5,10 @@ each lattice.  That is an approximation to the normalization over all
 subsets of predecessors; it is exact in the permissive-search regime where
 every nontrivial subset is stored and alive.
 
+Arc posteriors are summed per lattice: the lattice says which predecessors
+are mandatory and which are candidates, and one pass over its alive nodes'
+keys collects the weights of every candidate at once.
+
 Queries change nothing but the score cache of the nodes they read
 (``engine._node_score``); callers must not mutate the network concurrently.
 """
@@ -80,48 +84,51 @@ def _alive_weights(
     return alive, weights
 
 
-def _arc_mass(alive: list[LatticeNode], weights: np.ndarray, bit: int) -> float:
-    """Summed weight of the alive sets containing the candidate ``bit``.
+def _lattice_arc_posteriors(net: CombinedNetwork, lattice: ParentLattice) -> list[float]:
+    """Posterior probability of each predecessor of the lattice's variable,
+    indexed by position.
 
-    Summed exactly and capped at 1: the weights are normalized, so any
-    excess over 1 is rounding.
+    Mandatory predecessors report exactly 1 and forbidden ones exactly 0.
+    A candidate reports the summed normalized weight of the alive sets
+    containing it: one pass over the alive keys collects each candidate's
+    weights, which are then summed exactly (``math.fsum``) and capped at 1,
+    since the weights are normalized and any excess over 1 is rounding.
     """
-    return min(1.0, math.fsum(w for n, w in zip(alive, weights) if n.key & bit))
+    alive, weights = _alive_weights(net, lattice)
+    held: list[list[float]] = [[] for _ in lattice.candidates]
+    for node, w in zip(alive, weights.tolist()):
+        key = node.key
+        while key:
+            low = key & -key
+            held[low.bit_length() - 1].append(w)
+            key ^= low
+    posteriors = [0.0] * lattice.x
+    for y in lattice.mandatory:
+        posteriors[y] = 1.0
+    for y, ws in zip(lattice.candidates, held):
+        posteriors[y] = min(1.0, math.fsum(ws))
+    return posteriors
 
 
 def arc_posterior(net: CombinedNetwork, y: int, x: int) -> float:
-    """Posterior probability that y is a parent of x.
+    """Posterior probability that y is a parent of x, for ``0 <= y < x < len(schema)``.
 
     Mandatory arcs report exactly 1 and forbidden arcs exactly 0; anything
     else is the summed normalized weight of alive parent sets containing y.
     """
-    if y >= x:
-        raise ValueError(f"({y}, {x}): parent must precede child")
-    p = net.priors.prior(y, x)
-    if p == 1.0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    lattice = net.lattices[x]
-    bit = 1 << lattice.candidate_bit(y)
-    alive, weights = _alive_weights(net, lattice)
-    return _arc_mass(alive, weights, bit)
+    if not 0 <= y < x < len(net.schema):
+        raise ValueError(
+            f"({y}, {x}) is not an arc: need 0 <= parent < child < {len(net.schema)}"
+        )
+    return _lattice_arc_posteriors(net, net.lattices[x])[y]
 
 
 def all_arc_posteriors(net: CombinedNetwork) -> ArcPosteriorMatrix:
     """Arc posterior for every pair consistent with the variable ordering."""
     entries: dict[tuple[int, int], float] = {}
-    for x in range(len(net.schema)):
-        lattice = net.lattices[x]
-        alive, weights = _alive_weights(net, lattice)
-        for y in net.schema.predecessors(x):
-            p = net.priors.prior(y, x)
-            if p == 1.0:
-                entries[(y, x)] = 1.0
-            elif p == 0.0:
-                entries[(y, x)] = 0.0
-            else:
-                entries[(y, x)] = _arc_mass(alive, weights, 1 << lattice.candidate_bit(y))
+    for x, lattice in enumerate(net.lattices):
+        for y, p in enumerate(_lattice_arc_posteriors(net, lattice)):
+            entries[(y, x)] = p
     return ArcPosteriorMatrix(schema=net.schema, entries=entries)
 
 

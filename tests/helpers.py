@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from bnrefine import (
@@ -123,6 +125,29 @@ def node_reference_counts(net: CombinedNetwork, x: int, node) -> dict:
     return reference_counts(
         net.example_log[: node.synced_through], x, node.parents, net.schema.arity(x)
     )
+
+
+def reference_arc_posteriors(net: CombinedNetwork) -> dict:
+    """``all_arc_posteriors(net).entries`` computed pair by pair, as it was
+    before posteriors were summed per lattice: each pair's prior decides a
+    hard arc, and an uncertain arc scans the alive nodes for its bit."""
+    from bnrefine.query import _alive_weights
+
+    entries = {}
+    for x, lattice in enumerate(net.lattices):
+        alive, weights = _alive_weights(net, lattice)
+        for y in net.schema.predecessors(x):
+            p = net.priors.prior(y, x)
+            if p == 1.0:
+                entries[(y, x)] = 1.0
+            elif p == 0.0:
+                entries[(y, x)] = 0.0
+            else:
+                bit = 1 << lattice.candidates.index(y)
+                entries[(y, x)] = min(
+                    1.0, math.fsum(w for n, w in zip(alive, weights) if n.key & bit)
+                )
+    return entries
 
 
 def table_log_ml(node) -> float:

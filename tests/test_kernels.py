@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnrefine import ArcPriorMatrix, ConcreteNetwork, CountTable, PriorConfig
+from bnrefine import (
+    ArcPriorMatrix,
+    ConcreteNetwork,
+    CountTable,
+    DomainSchema,
+    PriorConfig,
+    VariableSpec,
+)
+from bnrefine.domain import config_codes
 from bnrefine.kernels import (
     alpha_for,
     expected_theta,
@@ -19,7 +27,7 @@ from bnrefine.kernels import (
 )
 from bnrefine.oracle import full_joint_enumeration
 
-from helpers import binary_schema
+from helpers import binary_schema, reference_counts, table_rows
 
 
 def table_from_rows(m_x, arities, rows):
@@ -57,6 +65,41 @@ class TestCountTable:
             reference.setdefault(code, [0, 0, 0])[value] += 1
         assert whole == split
         assert dict(zip(whole.codes.tolist(), whole.cells.tolist())) == reference
+
+    # parent arities with m_x = 2 or 3: the root and small sets are always
+    # counted densely; 2^9, 2^10 and 4^5 cross from sorting to dense counting
+    # within the drawn block sizes, and 3^7 always sorts
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(), (3,), (2, 3), (2,) * 9, (2,) * 10, (4,) * 5, (3,) * 7]),
+        st.integers(2, 3),
+        st.lists(st.integers(0, 700), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((), 2, [0, 5, 0], 0)  # the no-parent root, empty blocks first and last
+    @example((2,) * 10, 2, [600, 100, 0], 1)  # dense, then sorting, then empty
+    @example((2,) * 10, 2, [100, 600], 2)  # sorting, then dense over sorted rows
+    def test_successive_blocks_match_the_reference(self, arities, m_x, sizes, seed):
+        schema = DomainSchema(
+            tuple(VariableSpec(f"v{i}", tuple(map(str, range(a)))) for i, a in enumerate(arities))
+            + (VariableSpec("x", tuple(map(str, range(m_x)))),)
+        )
+        parents, x = tuple(range(len(arities))), len(arities)
+        rng = np.random.default_rng(seed)
+        table = CountTable(m_x, arities)
+        seen = np.empty((0, x + 1), dtype=np.int64)
+        for size in sizes:
+            # each parent's values capped at random, so a block can miss
+            # configurations that earlier blocks saw
+            caps = [int(rng.integers(1, a + 1)) for a in arities] + [m_x]
+            block = np.stack([rng.integers(0, cap, size) for cap in caps], axis=1)
+            table.add(config_codes(block, parents, schema), block[:, x])
+            seen = np.concatenate((seen, block))
+            assert table_rows(table) == reference_counts(seen, x, parents, m_x)
+            assert table.codes.dtype == np.int64 and table.cells.dtype == np.int64
+            assert np.all(np.diff(table.codes) > 0)
+            assert table.cells.shape == (len(table.codes), m_x)
+            assert table.cells.any(axis=1).all()
 
 
 class TestLogBetaMulti:

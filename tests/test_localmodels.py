@@ -231,6 +231,16 @@ class TestKernel:
             assert np.all(np.isfinite(hess))
             np.testing.assert_allclose(hess, (fd_hess + fd_hess.T) / 2.0, rtol=1e-6, atol=1e-6)
 
+    def test_noisyor_past_float_range_is_minus_infinity_without_warnings(self):
+        # every q rounds to 1 once u passes ~745: Pr(x = true) underflows to 0
+        # in each configuration; under the pytest RuntimeWarning filter a
+        # log(0) or 0/0 here would raise
+        x, rows = sample_noisyor((0.7, 0.4, 0.6), 200, seed=50)
+        blocks = _blocks(boolean_counts(x, rows))
+        for u in ([800.0, 800.0, 800.0], [800.0, -3.0, 2.0]):
+            ll, _, _, _ = _kernel("noisy-or", np.array(u), *blocks)
+            assert ll == -math.inf
+
     @settings(max_examples=150, deadline=None)
     @given(boolean_blocks(u_bound=5.0), st.sampled_from(["noisy-or", "logistic"]))
     def test_information_is_minus_the_hessian_at_expected_counts(self, data, kind):

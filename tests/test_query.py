@@ -19,6 +19,7 @@ from bnrefine import (
     sample_smoothed,
 )
 from bnrefine.domain import config_index
+from bnrefine.engine import SCORING_MODELS
 from bnrefine.lattice import LatticeStateError
 from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
@@ -31,11 +32,26 @@ from helpers import (
     mixed_arity_network,
     node_reference_counts,
     posterior_mean,
+    reference_arc_posteriors,
     sampled_net,
     table_log_ml,
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
+
+
+def random_boolean_network(rng: np.random.Generator, n: int) -> ConcreteNetwork:
+    """Boolean variables with up to two random earlier parents each and random CPTs."""
+    schema = binary_schema([f"v{i}" for i in range(n)])
+    parents = tuple(
+        tuple(sorted(rng.choice(x, size=min(x, int(rng.integers(0, 3))), replace=False).tolist()))
+        for x in range(n)
+    )
+    tables = []
+    for ps in parents:
+        p = rng.uniform(0.1, 0.9, size=2 ** len(ps))
+        tables.append(np.stack((1.0 - p, p), axis=1))
+    return ConcreteNetwork(schema, parents, tuple(tables))
 
 
 class TestArcPosterior:
@@ -90,6 +106,20 @@ class TestArcPosterior:
         with pytest.raises(ValueError):
             arc_posterior(net, 1, 0)
 
+    @pytest.mark.parametrize(
+        "default_prior, y, x",
+        [
+            (1.0, -1, 2),  # used to report 1.0
+            (0.0, -1, 2),  # used to report 0.0
+            (0.5, -1, 2),  # used to raise a bare tuple.index error
+            (0.5, 0, 3),  # used to raise IndexError
+        ],
+    )
+    def test_pair_outside_the_schema_is_an_error(self, default_prior, y, x):
+        net = fresh_net("abc", default_prior=default_prior)
+        with pytest.raises(ValueError, match=rf"^\({y}, {x}\) is not an arc"):
+            arc_posterior(net, y, x)
+
     def test_matches_oracle_in_permissive_regime(self):
         net, data = sampled_net(five_var_truth(), 300, seed=21)
         refine(net, PERMISSIVE)
@@ -106,6 +136,22 @@ class TestArcPosteriorMatrix:
         matrix = all_arc_posteriors(net)
         for (y, x), p in matrix.entries.items():
             assert p == arc_posterior(net, y, x)
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_matches_the_per_pair_reference(self, model):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            truth = random_boolean_network(rng, 5)
+            hard = {(y, x): float(rng.integers(0, 2)) for x in range(5) for y in range(x)
+                    if rng.random() < 0.3}
+            net = init(truth.schema, ArcPriorMatrix(entries=hard), PriorConfig())
+            net.scoring_model = model
+            observe_batch(net, forward_sample(truth, 150, int(rng.integers(1 << 31))))
+            refine(net, PERMISSIVE)
+            assert max(len(lattice.alive_nodes()) for lattice in net.lattices) >= 4
+            entries = all_arc_posteriors(net).entries
+            reference = reference_arc_posteriors(net)
+            assert list(entries.items()) == list(reference.items())
 
     def test_only_ordering_consistent_pairs(self):
         net = fresh_net("abc")
