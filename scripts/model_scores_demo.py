@@ -21,6 +21,7 @@ from bnrefine import (
     observe_batch,
     refine,
 )
+from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.localmodels import score_node_with_model
 
 
@@ -52,10 +53,12 @@ def main(argv=None) -> int:
     print(f"\n{'parent set':<20} {'table':>12} {'noisy-or':>12} {'logistic':>12}")
     for key in sorted(net.lattices[child].nodes):
         node = net.lattices[child].nodes[key]
-        scores = [
+        # scoring a restricted model syncs the node's counts with the log first
+        restricted = [
             score_node_with_model(net, child, node, kind).log_marginal
-            for kind in ("table", "noisy-or", "logistic")
+            for kind in ("noisy-or", "logistic")
         ]
+        scores = [log_marginal_likelihood(node.counts.cells, node.alpha_x), *restricted]
         label = "{" + ",".join(schema.name(p) for p in node.parents) + "}"
         best = max(range(3), key=lambda i: scores[i])
         cells = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class DomainSchema:
         """Variables allowed to be parents of ``x`` (all earlier positions)."""
         return range(x)
 
-    def validate_example(self, example: Example) -> None:
-        """Raise ``ExampleError`` unless the example conforms: ``encode_rows`` of one."""
-        self.encode_rows([example])
-
     def encode_rows(self, examples) -> np.ndarray:
         """Validate a block of examples and return it as an (n, V) array.
 
@@ -154,8 +150,8 @@ class PriorConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < inf:  # an infinite alpha makes every score NaN
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -309,6 +305,8 @@ class ConcreteNetwork:
                 raise ConfigurationError(
                     f"CPT for {self.schema.name(x)!r} has shape {table.shape}, expected {expected}"
                 )
+            if not np.isfinite(table).all():
+                raise ConfigurationError(f"CPT for {self.schema.name(x)!r} has entries that are not finite")
             if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
                 raise ConfigurationError(f"CPT rows for {self.schema.name(x)!r} are not distributions")
 

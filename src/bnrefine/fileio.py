@@ -121,8 +121,8 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
     except ValueError as err:
         raise SpecFormatError(f"variables: {err}") from None
 
-    default_prior = doc.get("default_prior", 0.5)
-    alpha = doc.get("alpha", 1.0)
+    default_prior = _spec_number(doc.get("default_prior", 0.5), "default_prior")
+    alpha = _spec_number(doc.get("alpha", 1.0), "alpha")
     entries: dict[tuple[int, int], float] = {}
     for i, arc in enumerate(doc.get("arcs", [])):
         where = f"arcs[{i}]"
@@ -137,18 +137,25 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
             raise SpecFormatError(
                 f"{where}: {arc['from']!r} does not precede {arc['to']!r} in the ordering"
             )
-        p = arc["prior"]
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        p = _spec_number(arc["prior"], f"{where}: prior")
+        if not 0.0 <= p <= 1.0:
             raise SpecFormatError(f"{where}: prior {p!r} outside [0,1]")
         if (y, x) in entries:
             raise SpecFormatError(f"{where}: duplicate arc {arc['from']}->{arc['to']}")
-        entries[(y, x)] = float(p)
+        entries[(y, x)] = p
     try:
-        priors = ArcPriorMatrix(entries=entries, default_prior=float(default_prior))
-        config = PriorConfig(alpha=float(alpha))
+        priors = ArcPriorMatrix(entries=entries, default_prior=default_prior)
+        config = PriorConfig(alpha=alpha)
     except ValueError as err:
         raise SpecFormatError(str(err)) from None
     return schema, priors, config
+
+
+def _spec_number(value, where: str) -> float:
+    """A JSON number as a float; ``true`` and ``false`` are not numbers here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SpecFormatError(f"{where}: {value!r} is not a number")
+    return float(value)
 
 
 def print_spec(schema: DomainSchema, priors: ArcPriorMatrix, config: PriorConfig) -> str:
@@ -305,7 +312,10 @@ def session_from_document(doc: dict) -> CombinedNetwork:
 
 def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLattice:
     schema = net.schema
-    lattice = new_lattice(doc["x"], schema, net.priors, net.config)
+    x = doc["x"]
+    if type(x) is not int or not 0 <= x < len(schema):
+        raise SessionFormatError(f"lattice x {x!r} names no variable of the {len(schema)}-variable schema")
+    lattice = new_lattice(x, schema, net.priors, net.config)
     if version == 1:  # a dead parent set was a node with status "dead"
         stored = [d for d in doc["nodes"] if d["status"] != "dead"]
         dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]

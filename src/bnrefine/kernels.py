@@ -33,21 +33,12 @@ from .domain import (
     ConcreteNetwork,
     CountTable,
     DomainSchema,
-    Example,
     PriorConfig,
     config_codes,
     config_count,
 )
 
 NEG_INF = float("-inf")
-
-
-def log_beta_multi(ns) -> float:
-    """log of the multivariate Beta function of a vector of positive reals."""
-    values = [float(v) for v in ns]
-    if any(v <= 0 for v in values):
-        raise ValueError(f"log_beta_multi requires positive components, got {values}")
-    return sum(math.lgamma(v) for v in values) - math.lgamma(sum(values))
 
 
 def alpha_for(
@@ -78,23 +69,10 @@ def log_marginal_likelihood(cells: np.ndarray, alpha_x: float) -> float:
     if not len(cells):
         return 0.0
     log_beta_prior = _log_beta_symmetric(alpha_x, cells.shape[1])
-    # log_beta_multi per row, inlined: every component is a count plus
-    # alpha_x > 0, so its positivity check cannot fail here
+    # log Beta_m of each row, unchecked: every component is a count plus alpha_x > 0
     rows = (cells + alpha_x).tolist()
     lgamma = math.lgamma
     return math.fsum([sum(map(lgamma, row)) - lgamma(sum(row)) - log_beta_prior for row in rows])
-
-
-def predictive_log_prob(row: np.ndarray, value: int, alpha_x: float, m_x: int) -> float:
-    """Log posterior-predictive probability of the next observation.
-
-    ``row`` holds the counts seen so far for one parent configuration.
-    This is the single-example factor the marginal likelihood telescopes
-    into, so accumulating it example by example reproduces
-    ``log_marginal_likelihood`` up to rounding.  The engine scores from
-    counts; this factor is kept as the telescoping reference.
-    """
-    return math.log((row[value] + alpha_x) / (row.sum() + m_x * alpha_x))
 
 
 def log_structure_prior(
@@ -135,15 +113,6 @@ def expected_theta(counts: CountTable, alpha_x: float) -> np.ndarray:
     cells = np.zeros((math.prod(counts.arities), counts.m_x), dtype=np.int64)
     cells[counts.codes] = counts.cells
     return (cells + alpha_x) / (cells.sum(axis=1, keepdims=True) + counts.m_x * alpha_x)
-
-
-def joint_log_likelihood(network: ConcreteNetwork, example: Example) -> float:
-    """Log probability of a complete assignment under a concrete network.
-
-    ``rows_log_likelihood`` of one validated row; a zero CPT entry yields
-    -inf rather than an error.
-    """
-    return rows_log_likelihood(network, network.schema.encode_rows([example]))
 
 
 def rows_log_likelihood(network: ConcreteNetwork, rows: np.ndarray) -> float:

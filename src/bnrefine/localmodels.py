@@ -17,10 +17,9 @@ boolean child x with boolean parents x_1..x_n:
 Both likelihoods depend on the data only through the node's ``CountTable``:
 one row ``[n_false, n_true]`` per observed parent configuration, at most
 2^n rows however many examples were seen.  Every function here takes those
-counts (``boolean_counts`` builds them from raw boolean rows), and one
-kernel per model turns them into the log likelihood, its gradient and its
-Hessian, so the cost of a fit depends on the number of observed parent
-configurations, not on the number of examples.
+counts, and one kernel per model turns them into the log likelihood, its
+gradient and its Hessian, so the cost of a fit depends on the number of
+observed parent configurations, not on the number of examples.
 
 Parameters are fitted by maximum posterior in unconstrained coordinates
 (tau for logistic, logit q for noisy-or) under an independent normal prior
@@ -41,11 +40,14 @@ import numpy as np
 
 from .domain import CountTable
 from .engine import CombinedNetwork, sync_node
-from .kernels import log_beta_multi, log_marginal_likelihood
 from .lattice import LatticeNode
 
 LN_2PI = math.log(2.0 * math.pi)
-DEFAULT_PRIOR_SCALE = 10.0
+# read by every fit as it runs: the normal prior's standard deviation per
+# coordinate, the iteration cap, and the gradient max-norm of convergence
+PRIOR_SCALE = 10.0
+MAX_ITER = 500
+TOL = 1e-8
 # a gain below this many ulps of the objective is lost in its rounding
 RESOLUTION = 16.0 * np.finfo(float).eps
 
@@ -103,25 +105,6 @@ class LocalModelScore:
     kind: str
     params: tuple[float, ...] | None
     log_marginal: float
-
-
-def boolean_counts(x_values, parent_rows) -> CountTable:
-    """Boolean (child value, parent row) data as the count table a node keeps.
-
-    Each parent row is coded in binary, first parent most significant (the
-    ``config_codes`` of boolean parents), and counted per child value; each
-    count row is ``[n_false, n_true]``.
-    """
-    x = np.asarray(x_values, dtype=bool)
-    rows = np.asarray(parent_rows, dtype=bool)
-    if rows.ndim == 1:
-        rows = rows.reshape(len(x), -1)
-    if rows.shape[0] != x.shape[0]:
-        raise ValueError(f"{x.shape[0]} child values but {rows.shape[0]} parent rows")
-    n_parents = rows.shape[1]
-    counts = CountTable(2, (2,) * n_parents)
-    counts.add(rows.astype(np.int64) @ (1 << np.arange(n_parents - 1, -1, -1)), x.astype(np.int64))
-    return counts
 
 
 def _blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,37 +187,6 @@ def _u_to_params(kind: str, u: np.ndarray):
     return NoisyOrParams(tuple(_sigmoid(u)))
 
 
-def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.ndarray]:
-    """Log likelihood and its gradient in unconstrained coordinates."""
-    activity, n_false, n_true = _blocks(counts)
-    u = _to_u(kind, params)
-    if len(u) != activity.shape[1]:
-        raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
-    ll, grad, _, _ = _kernel(kind, u, activity, n_false, n_true)
-    return ll, grad
-
-
-def noisyor_loglik(params: NoisyOrParams, counts: CountTable) -> float:
-    """Log likelihood of boolean counts under a noisy-or gate."""
-    return _natural_loglik("noisy-or", params, counts)[0]
-
-
-def noisyor_loglik_grad(params: NoisyOrParams, counts: CountTable) -> np.ndarray:
-    """Gradient of the noisy-or log likelihood with respect to q."""
-    q = np.asarray(params.q)
-    return _natural_loglik("noisy-or", params, counts)[1] / (q * (1.0 - q))
-
-
-def logistic_loglik(params: LogisticParams, counts: CountTable) -> float:
-    """Log likelihood of boolean counts under the multiplicative logistic form."""
-    return _natural_loglik("logistic", params, counts)[0]
-
-
-def logistic_loglik_grad(params: LogisticParams, counts: CountTable) -> np.ndarray:
-    """Gradient of the logistic log likelihood with respect to tau."""
-    return _natural_loglik("logistic", params, counts)[1]
-
-
 def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
     """The log posterior as one function of u giving value, gradient, Hessian
     and expected information (positive definite by the prior), and its dimension."""
@@ -252,37 +204,30 @@ def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
     return evaluate, d
 
 
-def fit_map(
-    kind: str,
-    counts: CountTable,
-    *,
-    prior_scale: float = DEFAULT_PRIOR_SCALE,
-    warm_start=None,
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> MapFit:
+def fit_map(kind: str, counts: CountTable, *, warm_start=None) -> MapFit:
     """Maximum-posterior fit by damped Newton-or-Fisher ascent in unconstrained space.
 
     A step solves against ``-H`` where it has a Cholesky factor and against
     the expected information elsewhere; both are then positive definite, so
     every direction ascends.  The objective (log likelihood plus normal log
     prior) is non-decreasing across iterations, up to its float resolution;
-    convergence means the gradient's max-norm fell below ``tol``.  The fit
-    carries the observed Hessian at its point.  Deterministic given its inputs.
+    convergence means the gradient's max-norm fell below ``TOL`` within
+    ``MAX_ITER`` iterations.  The fit carries the observed Hessian at its
+    point.  Deterministic given its inputs and the module's constants.
     ``warm_start``, zero by default, is a point in unconstrained coordinates
     (a previous fit's ``u``): ``d`` finite floats for ``d - 1`` parents.
     """
     if not counts.total:
         raise ValueError("fit_map requires at least one data row")
-    evaluate, d = _log_posterior(kind, counts, prior_scale)
+    evaluate, d = _log_posterior(kind, counts, PRIOR_SCALE)
     u = np.zeros(d) if warm_start is None else np.asarray(warm_start)
     if u.shape != (d,) or u.dtype != float or not np.isfinite(u).all():
         raise ValueError(f"a {kind} warm start is {d} finite floats, not {warm_start!r}")
     fval, g, hess, info = evaluate(u)
     trace = [fval]
     iterations = 0
-    for _ in range(max_iter):
-        if float(np.max(np.abs(g))) < tol:
+    for _ in range(MAX_ITER):
+        if float(np.max(np.abs(g))) < TOL:
             break
         try:
             chol, newton = np.linalg.cholesky(-hess), True
@@ -323,7 +268,7 @@ def fit_map(
         u=tuple(u.tolist()),
         hessian=hess,
     )
-    if grad_norm >= tol:
+    if grad_norm >= TOL:
         raise FitConvergenceError(
             f"{kind} fit stopped after {iterations} iterations with "
             f"gradient norm {grad_norm:.3g}",
@@ -341,49 +286,18 @@ def log_det_neg_hessian(hess: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def _table_alpha(alpha: float, counts: CountTable) -> float:
-    return alpha / (2.0 * 2.0 ** len(counts.arities))
-
-
-def exact_table_log_marginal(counts: CountTable, *, alpha: float = 1.0) -> float:
-    """Exact Dirichlet-multinomial marginal of boolean counts under the full table."""
-    return log_marginal_likelihood(counts.cells, _table_alpha(alpha, counts))
-
-
 def _laplace(fit: MapFit) -> float:
     """The normal expansion of the log marginal around a converged fit."""
     d = len(fit.hessian)
     return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
 
 
-def laplace_log_marginal(
-    kind: str,
-    counts: CountTable,
-    *,
-    prior_scale: float = DEFAULT_PRIOR_SCALE,
-    alpha: float = 1.0,
-    warm_start=None,
-) -> float:
-    """Log marginal likelihood with parameters integrated out approximately.
-
-    For noisy-or and logistic kinds: normal expansion around the MAP,
+def laplace_log_marginal(kind: str, counts: CountTable, *, warm_start=None) -> float:
+    """Log marginal likelihood of a restricted kind, parameters integrated out
+    by the normal expansion around the MAP:
         log posterior(MAP) + (d/2) log 2*pi - (1/2) log det(-Hessian).
-    For the full table: the same expansion applied per parent configuration
-    to the Dirichlet integral in logit space (useful as a cross-check
-    against the exact value).
     """
-    if kind == "table":
-        alpha_x = _table_alpha(alpha, counts)
-        log_beta_prior = log_beta_multi([alpha_x, alpha_x])
-        total = 0.0
-        for row in counts.cells:
-            n0, n1 = float(row[0]) + alpha_x, float(row[1]) + alpha_x
-            theta = n1 / (n0 + n1)
-            log_peak = n1 * math.log(theta) + n0 * math.log1p(-theta) - log_beta_prior
-            curvature = (n0 + n1) * theta * (1.0 - theta)
-            total += log_peak + 0.5 * LN_2PI - 0.5 * math.log(curvature)
-        return total
-    return _laplace(fit_map(kind, counts, prior_scale=prior_scale, warm_start=warm_start))
+    return _laplace(fit_map(kind, counts, warm_start=warm_start))
 
 
 def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
@@ -404,19 +318,19 @@ def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountT
 def score_node_with_model(
     net: CombinedNetwork, x: int, node: LatticeNode, kind: str
 ) -> LocalModelScore:
-    """Score one lattice node's counts, synced with the log first, under the model.
+    """Score one lattice node's counts, synced with the log first, under a
+    restricted model (noisy-or or logistic).
 
-    The table kind is the exact Dirichlet marginal.  A restricted kind fits
-    its parameters once, warm-started from ``node.fits[kind]`` where it keeps
-    the new fit, and gives the normal-expansion marginal there; with no
-    counts there is nothing to fit, and the marginal is 0 because the
-    parameter prior integrates to 1.  The search's cache, ``node.scores``,
-    is written by ``engine._node_score`` alone.
+    The model's parameters are fitted once, warm-started from
+    ``node.fits[kind]`` where the new fit is kept, and the normal-expansion
+    marginal is taken there; with no counts there is nothing to fit, and the
+    marginal is 0 because the parameter prior integrates to 1.  The table
+    model's exact marginal is ``kernels.log_marginal_likelihood`` of the
+    counts.  The search's cache, ``node.scores``, is written by
+    ``engine._node_score`` alone.
     """
-    if kind == "table":
-        sync_node(net, net.lattices[x], node)
-        log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
-        return LocalModelScore(kind=kind, params=None, log_marginal=log_ml)
+    if kind not in ("noisy-or", "logistic"):
+        raise ValueError(f"{kind!r} is not a restricted model (noisy-or or logistic)")
     counts = boolean_node_data(net, x, node)
     if not counts.total:
         return LocalModelScore(kind=kind, params=None, log_marginal=0.0)

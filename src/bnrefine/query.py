@@ -33,9 +33,6 @@ class ArcPosteriorMatrix:
     schema: DomainSchema
     entries: dict[tuple[int, int], float]
 
-    def probability(self, y: int, x: int) -> float:
-        return self.entries[(y, x)]
-
     def named_entries(self) -> list[tuple[str, str, float]]:
         return [
             (self.schema.name(y), self.schema.name(x), p)

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the references tests compare the
+program with: straightforward versions of what it computes another way."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from bnrefine import (
     VariableSpec,
     init,
 )
+from bnrefine.domain import CountTable
+from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel, _to_u
 from bnrefine.sampling import forward_sample
 
 
@@ -222,3 +225,87 @@ class DeadNodeMonitor:
             if stored:
                 self.violations.append(f"{where} {sorted(stored)} are stored")
             self.dead[lattice.x] = dead
+
+
+def log_beta_multi(ns) -> float:
+    """log of the multivariate Beta function of a vector of positive reals."""
+    values = [float(v) for v in ns]
+    if any(v <= 0 for v in values):
+        raise ValueError(f"log_beta_multi requires positive components, got {values}")
+    return sum(math.lgamma(v) for v in values) - math.lgamma(sum(values))
+
+
+def predictive_log_prob(row: np.ndarray, value: int, alpha_x: float, m_x: int) -> float:
+    """Log posterior-predictive probability of the next observation.
+
+    ``row`` holds the counts seen so far for one parent configuration.
+    This is the single-example factor the marginal likelihood telescopes
+    into, so accumulating it example by example reproduces
+    ``log_marginal_likelihood`` up to rounding.
+    """
+    return math.log((row[value] + alpha_x) / (row.sum() + m_x * alpha_x))
+
+
+def boolean_counts(x_values, parent_rows) -> CountTable:
+    """Boolean (child value, parent row) data as the count table a node keeps.
+
+    Each parent row is coded in binary, first parent most significant (the
+    ``config_codes`` of boolean parents), and counted per child value; each
+    count row is ``[n_false, n_true]``.
+    """
+    x = np.asarray(x_values, dtype=bool)
+    rows = np.asarray(parent_rows, dtype=bool)
+    if rows.ndim == 1:
+        rows = rows.reshape(len(x), -1)
+    if rows.shape[0] != x.shape[0]:
+        raise ValueError(f"{x.shape[0]} child values but {rows.shape[0]} parent rows")
+    n_parents = rows.shape[1]
+    counts = CountTable(2, (2,) * n_parents)
+    counts.add(rows.astype(np.int64) @ (1 << np.arange(n_parents - 1, -1, -1)), x.astype(np.int64))
+    return counts
+
+
+def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.ndarray]:
+    """Log likelihood and its gradient in unconstrained coordinates."""
+    activity, n_false, n_true = _blocks(counts)
+    u = _to_u(kind, params)
+    if len(u) != activity.shape[1]:
+        raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
+    ll, grad, _, _ = _kernel(kind, u, activity, n_false, n_true)
+    return ll, grad
+
+
+def noisyor_loglik(params: NoisyOrParams, counts: CountTable) -> float:
+    """Log likelihood of boolean counts under a noisy-or gate."""
+    return _natural_loglik("noisy-or", params, counts)[0]
+
+
+def noisyor_loglik_grad(params: NoisyOrParams, counts: CountTable) -> np.ndarray:
+    """Gradient of the noisy-or log likelihood with respect to q."""
+    q = np.asarray(params.q)
+    return _natural_loglik("noisy-or", params, counts)[1] / (q * (1.0 - q))
+
+
+def logistic_loglik(params: LogisticParams, counts: CountTable) -> float:
+    """Log likelihood of boolean counts under the multiplicative logistic form."""
+    return _natural_loglik("logistic", params, counts)[0]
+
+
+def logistic_loglik_grad(params: LogisticParams, counts: CountTable) -> np.ndarray:
+    """Gradient of the logistic log likelihood with respect to tau."""
+    return _natural_loglik("logistic", params, counts)[1]
+
+
+def table_laplace_log_marginal(counts: CountTable, alpha_x: float) -> float:
+    """The full table's Dirichlet marginal of boolean counts by the normal
+    expansion, applied per parent configuration to the Dirichlet integral in
+    logit space: a cross-check against the exact value."""
+    log_beta_prior = log_beta_multi([alpha_x, alpha_x])
+    total = 0.0
+    for row in counts.cells:
+        n0, n1 = float(row[0]) + alpha_x, float(row[1]) + alpha_x
+        theta = n1 / (n0 + n1)
+        log_peak = n1 * math.log(theta) + n0 * math.log1p(-theta) - log_beta_prior
+        curvature = (n0 + n1) * theta * (1.0 - theta)
+        total += log_peak + 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(curvature)
+    return total

@@ -24,18 +24,7 @@ from bnrefine import (
     refine,
 )
 from bnrefine.fileio import load_session, save_session, serialize_session
-from bnrefine.kernels import predictive_log_prob
-from bnrefine.localmodels import (
-    LogisticParams,
-    NoisyOrParams,
-    boolean_counts,
-    fit_map,
-    laplace_log_marginal,
-    logistic_loglik,
-    logistic_loglik_grad,
-    noisyor_loglik,
-    noisyor_loglik_grad,
-)
+from bnrefine.localmodels import LogisticParams, NoisyOrParams, fit_map, laplace_log_marginal
 from bnrefine.oracle import exhaustive_posterior, quadrature_marginal_1d
 from bnrefine.query import draw_index, leaf_masses, sample_smoothed
 from bnrefine.sampling import forward_sample
@@ -43,11 +32,17 @@ from bnrefine.sampling import forward_sample
 from helpers import (
     DeadNodeMonitor,
     binary_schema,
+    boolean_counts,
     chain_v_truth,
     five_var_truth,
     fresh_net,
+    logistic_loglik,
+    logistic_loglik_grad,
     node_reference_counts,
+    noisyor_loglik,
+    noisyor_loglik_grad,
     posterior_mean,
+    predictive_log_prob,
     reference_counts,
     reference_log_ml,
     sampled_net,

@@ -85,6 +85,52 @@ class TestBasics:
         assert "dead_kappa must be nonnegative, got nan" in err
 
 
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    def test_infinite_alpha_exits_one(self, tmp_path, spec_path, source):
+        # was accepted, every score was NaN, and arcs exited 1 with
+        # "no alive parent set for 'u'"
+        argv = ["init", "--spec", spec_path, "--out", str(tmp_path / "s.json")]
+        if source == "flag":
+            argv += ["--alpha", "inf"]
+        else:
+            with open(spec_path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+            doc["alpha"] = float("inf")
+            with open(spec_path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        code, _, err = run(argv)
+        assert code == 1
+        assert "alpha must be positive and finite, got inf" in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "loglik"])
+    def test_network_with_a_nan_entry_exits_one(self, tmp_path, truth_path, command):
+        data = tmp_path / "data.csv"
+        assert run(["generate", "--network", truth_path, "-n", "5", "--seed", "1",
+                    "--out", str(data)])[0] == 0
+        with open(truth_path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["tables"][0][0] = [float("nan"), 0.5]
+        with open(truth_path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        argv = (["generate", "-n", "5", "--seed", "1", "--out", str(tmp_path / "out.csv")]
+                if command == "generate" else ["loglik", "--data", str(data)])
+        code, out, err = run(argv + ["--network", truth_path])
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed network document: CPT for 'u'")
+
+    def test_session_lattice_past_the_schema_exits_one(self, tmp_path, spec_path):
+        # escaped cli_dispatch as an IndexError, with a traceback
+        session = tmp_path / "s.json"
+        assert run(["init", "--spec", spec_path, "--out", str(session)])[0] == 0
+        doc = json.loads(session.read_text())
+        doc["lattices"][1]["x"] = 7
+        session.write_text(json.dumps(doc))
+        code, _, err = run(["arcs", "--session", str(session)])
+        assert code == 1
+        assert err == "error: lattice x 7 names no variable of the 6-variable schema\n"
+
+
 class TestPipeline:
     def test_generate_observe_refine_arcs_recovers_structure(self, tmp_path, spec_path, truth_path):
         data = str(tmp_path / "data.csv")

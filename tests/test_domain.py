@@ -77,10 +77,10 @@ class TestEncodeRows:
         for row in block:
             fault = reference_fault(SCHEMA, row)
             if fault is None:
-                SCHEMA.validate_example(row)
+                SCHEMA.encode_rows([row])
             else:
                 with pytest.raises(ExampleError) as err:
-                    SCHEMA.validate_example(row)
+                    SCHEMA.encode_rows([row])
                 assert str(err.value) == fault
 
     def test_bool_mixed_with_ints_is_named(self):

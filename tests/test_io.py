@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,8 @@ from bnrefine.fileio import (
     SpecFormatError,
     load_csv,
     load_session,
+    network_from_document,
+    network_to_document,
     parse_csv,
     parse_spec,
     print_spec,
@@ -348,6 +351,30 @@ class TestParseSpec:
         doc = dict(SPEC_DOC)
         doc["arcs"] = [{"from": "rain", "to": "wet", "prior": 1.5}]
         with pytest.raises(SpecFormatError, match=r"arcs\[0\]"):
+            parse_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        # "alpha": Infinity loaded, and every score was then NaN
+        with pytest.raises(SpecFormatError, match="alpha must be positive and finite"):
+            parse_spec(json.dumps(dict(SPEC_DOC, alpha=alpha)))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("prior", r"arcs\[1\]: prior: True is not a number"),
+            ("alpha", "alpha: True is not a number"),
+            ("default_prior", "default_prior: True is not a number"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, field, message):
+        # true loaded as 1.0: a mandatory arc, or a concentration of 1
+        doc = copy.deepcopy(SPEC_DOC)
+        if field == "prior":
+            doc["arcs"][1]["prior"] = True
+        else:
+            doc[field] = True
+        with pytest.raises(SpecFormatError, match=message):
             parse_spec(json.dumps(doc))
 
 
@@ -700,6 +727,19 @@ class TestSession:
         with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
             load_session(path)
 
+    @pytest.mark.parametrize("x", [2, 7, -1, True, 1.0, "1"])
+    def test_lattice_x_outside_the_schema_is_a_session_format_error(self, tmp_path, x):
+        # 7 escaped as a bare IndexError
+        net = fresh_net("ab")
+        observe_batch(net, [(0, 1), (1, 0)])
+        doc = json.loads(serialize_session(net))
+        doc["lattices"][1]["x"] = x
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        message = f"lattice x {x!r} names no variable of the 2-variable schema"
+        with pytest.raises(SessionFormatError, match=re.escape(message)):
+            load_session(path)
+
     def test_truncated_file_is_a_clean_error(self, tmp_path):
         net = fresh_net("ab")
         path = tmp_path / "s.json"
@@ -748,6 +788,17 @@ class TestSession:
         with pytest.raises(SessionFormatError):
             load_session(path)
         assert not path.exists()
+
+
+class TestNetworkDocument:
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_cpt_entries_must_be_finite(self, entry):
+        # NaN loaded: forward_sample drew value 0 for every row, and the
+        # log likelihood of any data was nan
+        doc = json.loads(json.dumps(network_to_document(five_var_truth())))
+        doc["tables"][3][1] = [entry, 0.5]
+        with pytest.raises(SessionFormatError, match="CPT for 'd' has entries that are not finite"):
+            network_from_document(doc)
 
 
 class TestDotExport:

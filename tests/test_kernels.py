@@ -18,16 +18,20 @@ from bnrefine.domain import config_codes
 from bnrefine.kernels import (
     alpha_for,
     expected_theta,
-    joint_log_likelihood,
-    log_beta_multi,
     log_marginal_likelihood,
     log_structure_prior,
     log_sum_exp,
-    predictive_log_prob,
+    rows_log_likelihood,
 )
 from bnrefine.oracle import full_joint_enumeration
 
-from helpers import binary_schema, reference_counts, table_rows
+from helpers import (
+    binary_schema,
+    log_beta_multi,
+    predictive_log_prob,
+    reference_counts,
+    table_rows,
+)
 
 
 def table_from_rows(m_x, arities, rows):
@@ -267,18 +271,18 @@ class TestExpectedTheta:
 class TestJointLogLikelihood:
     def test_single_variable(self):
         net = ConcreteNetwork(binary_schema("a"), ((),), (np.array([[0.5, 0.5]]),))
-        assert joint_log_likelihood(net, (0,)) == pytest.approx(math.log(0.5))
+        assert rows_log_likelihood(net, net.schema.encode_rows([(0,)])) == pytest.approx(math.log(0.5))
 
     def test_independent_product(self):
         tables = (np.array([[0.3, 0.7]]), np.array([[0.3, 0.7]]))
         net = ConcreteNetwork(binary_schema("ab"), ((), ()), tables)
-        assert joint_log_likelihood(net, (0, 1)) == pytest.approx(
+        assert rows_log_likelihood(net, net.schema.encode_rows([(0, 1)])) == pytest.approx(
             math.log(0.3) + math.log(0.7)
         )
 
     def test_zero_entry_gives_neg_inf(self):
         net = ConcreteNetwork(binary_schema("a"), ((),), (np.array([[1.0, 0.0]]),))
-        assert joint_log_likelihood(net, (1,)) == float("-inf")
+        assert rows_log_likelihood(net, net.schema.encode_rows([(1,)])) == float("-inf")
 
     def test_seven_variable_topology_matches_enumeration(self):
         # a diamond-ish 7-variable graph with randomly filled CPTs
@@ -292,7 +296,7 @@ class TestJointLogLikelihood:
         net = ConcreteNetwork(schema, parents, tuple(tables))
         joint = full_joint_enumeration(net)
         for example in [(0,) * 7, (1,) * 7, (0, 1, 0, 1, 0, 1, 0), (1, 0, 1, 1, 0, 0, 1)]:
-            assert joint_log_likelihood(net, example) == pytest.approx(
+            assert rows_log_likelihood(net, schema.encode_rows([example])) == pytest.approx(
                 math.log(joint[example]), rel=1e-12
             )
 

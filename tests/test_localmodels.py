@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnrefine import PriorConfig, SearchParams, observe_batch, refine
+from bnrefine import PriorConfig, SearchParams, localmodels, observe_batch, refine
 from bnrefine.engine import SCORING_MODELS
+from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.localmodels import (
     FitConvergenceError,
     LaplaceError,
@@ -19,22 +20,25 @@ from bnrefine.localmodels import (
     _kernel,
     _log_posterior,
     _to_u,
-    boolean_counts,
     boolean_node_data,
-    exact_table_log_marginal,
     fit_map,
     laplace_log_marginal,
     log_det_neg_hessian,
-    logistic_loglik,
-    logistic_loglik_grad,
-    noisyor_loglik,
-    noisyor_loglik_grad,
     score_node_with_model,
 )
 from bnrefine.oracle import quadrature_marginal_1d
 from bnrefine.sampling import forward_sample
 
-from helpers import fresh_net, table_log_ml
+from helpers import (
+    boolean_counts,
+    fresh_net,
+    logistic_loglik,
+    logistic_loglik_grad,
+    noisyor_loglik,
+    noisyor_loglik_grad,
+    table_laplace_log_marginal,
+    table_log_ml,
+)
 
 
 def sample_noisyor(q, n_rows, seed):
@@ -327,10 +331,12 @@ class TestFitMap:
         with pytest.raises(ValueError, match="noisy-or warm start is 2 finite floats"):
             fit_map("noisy-or", boolean_counts(x, rows), warm_start=start)
 
-    def test_iteration_cap_reports_error_with_best(self):
+    def test_iteration_cap_reports_error_with_best(self, monkeypatch):
         x, rows = sample_noisyor((0.6, 0.3), 200, seed=39)
+        monkeypatch.setattr(localmodels, "MAX_ITER", 1)
+        monkeypatch.setattr(localmodels, "TOL", 1e-14)
         with pytest.raises(FitConvergenceError) as err:
-            fit_map("noisy-or", boolean_counts(x, rows), max_iter=1, tol=1e-14)
+            fit_map("noisy-or", boolean_counts(x, rows))
         assert isinstance(err.value.best, MapFit)
 
     def test_requires_data(self):
@@ -362,8 +368,10 @@ class TestLaplace:
         rng = np.random.default_rng(41)
         rows = (rng.random((500, 1)) < 0.5)
         x = np.where(rows[:, 0], rng.random(500) < 0.8, rng.random(500) < 0.2)
-        exact = exact_table_log_marginal(boolean_counts(x, rows))
-        approx = laplace_log_marginal("table", boolean_counts(x, rows))
+        counts = boolean_counts(x, rows)
+        alpha_x = 1.0 / (2.0 * 2.0 ** len(counts.arities))  # alpha 1 over every cell
+        exact = log_marginal_likelihood(counts.cells, alpha_x)
+        approx = table_laplace_log_marginal(counts, alpha_x)
         assert abs(exact - approx) < 1.0
 
     def test_doubling_data_grows_penalty_by_half_d_log_two(self):
@@ -401,33 +409,38 @@ class TestScoreNodeWithModel:
         refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
         return net
 
-    def test_table_kind_is_the_exact_score(self):
+    @pytest.mark.parametrize("kind", ["table", "bayes", ""])
+    def test_only_restricted_kinds_are_scored(self, kind):
+        # the table's exact score is the engine's, from the counts
         net = self._noisyor_net(200, seed=44)
-        lattice = net.lattices[3]
-        node = lattice.nodes[0b111]
-        score = score_node_with_model(net, 3, node, "table")
-        assert score.log_marginal == table_log_ml(node)
-        assert node.scores["table"] == (node.synced_through, score.log_marginal)
+        node = net.lattices[3].nodes[0b111]
+        with pytest.raises(ValueError, match="not a restricted model"):
+            score_node_with_model(net, 3, node, kind)
+        assert node.scores["table"] == (node.synced_through, table_log_ml(node))
+        empty = fresh_net("abcx")  # raised before the zero-count shortcut
+        with pytest.raises(ValueError, match="not a restricted model"):
+            score_node_with_model(empty, 3, empty.lattices[3].nodes[0], kind)
 
     def test_noisyor_beats_table_on_noisyor_data(self):
         net = self._noisyor_net(500, seed=45)
         node = net.lattices[3].nodes[0b111]  # all three parents
-        table = score_node_with_model(net, 3, node, "table").log_marginal
         noisy = score_node_with_model(net, 3, node, "noisy-or").log_marginal
+        table = table_log_ml(node)
         assert noisy > table
         # the fit is kept as the next warm start; the search's cache is left alone
         assert "noisy-or" not in node.scores
         assert fit_map("noisy-or", node.counts, warm_start=node.fits["noisy-or"]).iterations == 0
 
-    def test_parentless_node_kinds_agree_with_matched_priors(self):
+    def test_parentless_node_kinds_agree_with_matched_priors(self, monkeypatch):
         # scale 2.5 puts roughly the same prior density near the MAP as the
         # symmetric Dirichlet, making the three marginals comparable
         net = self._noisyor_net(300, seed=46)
         node = net.lattices[3].nodes[0]
-        exact = score_node_with_model(net, 3, node, "table").log_marginal
         counts = boolean_node_data(net, 3, node)
+        exact = table_log_ml(node)
+        monkeypatch.setattr(localmodels, "PRIOR_SCALE", 2.5)
         for kind in ("noisy-or", "logistic"):
-            approx = laplace_log_marginal(kind, counts, prior_scale=2.5)
+            approx = laplace_log_marginal(kind, counts)
             assert abs(approx - exact) < 1.0
 
     def test_boolean_node_data_reads_the_log_columns(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bnrefine import ArcPriorMatrix, ConcreteNetwork, PriorConfig
-from bnrefine.kernels import log_beta_multi
 from bnrefine.oracle import (
     OracleSizeError,
     exhaustive_arc_posterior,
@@ -13,7 +12,7 @@ from bnrefine.oracle import (
     quadrature_marginal_1d,
 )
 
-from helpers import binary_schema
+from helpers import binary_schema, log_beta_multi
 
 
 class TestExhaustivePosterior:
