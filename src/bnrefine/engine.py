@@ -338,7 +338,7 @@ def _refine_lattice(
             budget_left -= 1
         for child_key in children_of(lattice, node):
             if child_key not in lattice.dead and child_key not in lattice.nodes:
-                insert_node(lattice, child_key, net.schema, net.priors, net.config)
+                insert_node(lattice, child_key, net.schema, net.config)
                 report.nodes_created += 1
 
 

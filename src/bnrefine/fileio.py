@@ -112,8 +112,14 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
         where = f"variables[{i}]"
         if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
             raise SpecFormatError(f"{where}: needs 'name' and 'values'")
+        name, values = entry["name"], entry["values"]
+        if not isinstance(name, str):
+            raise SpecFormatError(f"{where}: name {name!r} is not a string")
+        # a label is read back from CSV text, so it must be text itself
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise SpecFormatError(f"{where}: values {values!r} is not a list of strings")
         try:
-            specs.append(VariableSpec(entry["name"], tuple(entry["values"])))
+            specs.append(VariableSpec(name, tuple(values)))
         except ValueError as err:
             raise SpecFormatError(f"{where}: {err}") from None
     try:
@@ -355,7 +361,7 @@ def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: Combine
         expansion = ExpansionFlag(doc["expansion"] if version > 4 else _expansion_from_flags(doc))
     except ValueError as err:
         raise SessionFormatError(f"{where}: {err}") from None
-    node = insert_node(lattice, doc["key"], schema, net.priors, net.config)
+    node = insert_node(lattice, doc["key"], schema, net.config)
     node.status, node.expansion = status, expansion
     _count_rows(net, lattice, node, synced)
     # versions 1-3 kept the fitted natural parameters (tau, or noisy-or's q)

@@ -14,6 +14,15 @@ examples its counts have absorbed (the counts are those of
 number), a lifecycle status and an expansion state.  Subsets and supersets
 are found from the keys themselves; no links between nodes are stored.
 
+For priors the lattice keeps one pair ``(log p, log1p(-p))`` per
+candidate, p being the candidate's arc prior: a key's log prior is the
+sum, in ascending candidate order, of the first term of each chosen
+candidate and the second of each other.  That is the sum
+``kernels.log_structure_prior`` takes over the predecessors, less its
+mandatory and forbidden terms, which are exactly 0.0, so the two agree
+bit for bit.  In memory only, the lattice also remembers its last arc
+posteriors with the state they were computed from (``query``).
+
 Lifecycle:
 
 - alive:  currently a reasonable parent set; included in posteriors.
@@ -32,10 +41,11 @@ Independently of status, a stored node's expansion state is one of:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
-from .kernels import alpha_for, log_structure_prior
+from .kernels import alpha_for
 
 
 class LatticeStateError(RuntimeError):
@@ -74,8 +84,12 @@ class ParentLattice:
     x: int
     candidates: tuple[int, ...]   # uncertain predecessors, ascending position
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
+    # (log p, log1p(-p)) of each candidate's arc prior p, by candidate
+    prior_terms: tuple[tuple[float, float], ...]
     nodes: dict[int, LatticeNode] = field(default_factory=dict)  # alive and asleep
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
+    # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
+    arc_memo: tuple | None = field(default=None, compare=False, repr=False)
 
     def parents_of_key(self, key: int) -> tuple[int, ...]:
         chosen = tuple(c for i, c in enumerate(self.candidates) if key >> i & 1)
@@ -93,12 +107,16 @@ def new_lattice(
     The root carries no data yet (log marginal likelihood 0) and its log
     prior already accounts for every uncertain predecessor being excluded.
     """
+    candidates = priors.candidate_parents(x, schema)
     lattice = ParentLattice(
         x=x,
-        candidates=priors.candidate_parents(x, schema),
+        candidates=candidates,
         mandatory=priors.mandatory_parents(x, schema),
+        prior_terms=tuple(
+            (math.log(p), math.log1p(-p)) for p in (priors.prior(y, x) for y in candidates)
+        ),
     )
-    root = insert_node(lattice, 0, schema, priors, config)
+    root = insert_node(lattice, 0, schema, config)
     root.status = NodeStatus.ALIVE
     root.expansion = ExpansionFlag.OPEN
     return lattice
@@ -119,15 +137,14 @@ def insert_node(
     lattice: ParentLattice,
     key: int,
     schema: DomainSchema,
-    priors: ArcPriorMatrix,
     config: PriorConfig,
 ) -> LatticeNode:
     """Store parent set ``key``, asleep, closed and with no examples absorbed;
     idempotent on duplicates.
 
     Its parents, log prior, concentration and empty counts follow from the
-    key and the spec; ``sync_node`` fills the counts from the log.  A dead
-    key is refused: dead is absorbing.
+    key, the lattice's prior terms and the spec; ``sync_node`` fills the
+    counts from the log.  A dead key is refused: dead is absorbing.
     """
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
@@ -136,12 +153,15 @@ def insert_node(
         return existing
     x = lattice.x
     parents = lattice.parents_of_key(key)
+    log_prior = 0.0
+    for i, (log_in, log_out) in enumerate(lattice.prior_terms):
+        log_prior += log_in if key >> i & 1 else log_out
     node = LatticeNode(
         key=key,
         parents=parents,
         alpha_x=alpha_for(x, parents, config, schema),
         counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in parents)),
-        log_prior=log_structure_prior(x, parents, priors, schema),
+        log_prior=log_prior,
     )
     lattice.nodes[key] = node
     return node

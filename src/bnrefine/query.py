@@ -9,8 +9,16 @@ Arc posteriors are summed per lattice: the lattice says which predecessors
 are mandatory and which are candidates, and one pass over its alive nodes'
 keys collects the weights of every candidate at once.
 
+Each lattice remembers its last arc posteriors (``ParentLattice.arc_memo``,
+in memory only) stamped with what they depend on: the active scoring model
+and the key and ``synced_through`` of every alive node.  A node's score is
+a function of exactly these, since the example log only grows and a log
+prior is fixed when its node is built, so a query of a lattice whose stamp
+still matches reads the memo and scores nothing.
+
 Queries change nothing but the score cache of the nodes they read
-(``engine._node_score``); callers must not mutate the network concurrently.
+(``engine._node_score``) and the arc posterior memo of the lattices they
+read; callers must not mutate the network concurrently.
 """
 
 from __future__ import annotations
@@ -81,16 +89,24 @@ def _alive_weights(
     return alive, weights
 
 
-def _lattice_arc_posteriors(net: CombinedNetwork, lattice: ParentLattice) -> list[float]:
-    """Posterior probability of each predecessor of the lattice's variable,
-    indexed by position.
+def _lattice_arc_posteriors(
+    net: CombinedNetwork, lattice: ParentLattice
+) -> dict[tuple[int, int], float]:
+    """Posterior probability of each arc into the lattice's variable, keyed
+    ``(y, x)`` by ascending parent position y.
 
     Mandatory predecessors report exactly 1 and forbidden ones exactly 0.
     A candidate reports the summed normalized weight of the alive sets
     containing it: one pass over the alive keys collects each candidate's
     weights, which are then summed exactly (``math.fsum``) and capped at 1,
     since the weights are normalized and any excess over 1 is rounding.
+    The result is remembered against the lattice's stamp (see above) and
+    returned as it is while the stamp matches: callers must only read it.
     """
+    stamp = (net.scoring_model, [(n.key, n.synced_through) for n in lattice.alive_nodes()])
+    memo = lattice.arc_memo
+    if memo is not None and memo[0] == stamp:
+        return memo[1]
     alive, weights = _alive_weights(net, lattice)
     held: list[list[float]] = [[] for _ in lattice.candidates]
     for node, w in zip(alive, weights.tolist()):
@@ -99,12 +115,14 @@ def _lattice_arc_posteriors(net: CombinedNetwork, lattice: ParentLattice) -> lis
             low = key & -key
             held[low.bit_length() - 1].append(w)
             key ^= low
-    posteriors = [0.0] * lattice.x
+    x = lattice.x
+    posteriors = [0.0] * x
     for y in lattice.mandatory:
         posteriors[y] = 1.0
     for y, ws in zip(lattice.candidates, held):
         posteriors[y] = min(1.0, math.fsum(ws))
-    return posteriors
+    lattice.arc_memo = (stamp, {(y, x): p for y, p in enumerate(posteriors)})
+    return lattice.arc_memo[1]
 
 
 def arc_posterior(net: CombinedNetwork, y: int, x: int) -> float:
@@ -117,15 +135,14 @@ def arc_posterior(net: CombinedNetwork, y: int, x: int) -> float:
         raise ValueError(
             f"({y}, {x}) is not an arc: need 0 <= parent < child < {len(net.schema)}"
         )
-    return _lattice_arc_posteriors(net, net.lattices[x])[y]
+    return _lattice_arc_posteriors(net, net.lattices[x])[(y, x)]
 
 
 def all_arc_posteriors(net: CombinedNetwork) -> ArcPosteriorMatrix:
     """Arc posterior for every pair consistent with the variable ordering."""
     entries: dict[tuple[int, int], float] = {}
-    for x, lattice in enumerate(net.lattices):
-        for y, p in enumerate(_lattice_arc_posteriors(net, lattice)):
-            entries[(y, x)] = p
+    for lattice in net.lattices:
+        entries.update(_lattice_arc_posteriors(net, lattice))
     return ArcPosteriorMatrix(schema=net.schema, entries=entries)
 
 

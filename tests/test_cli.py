@@ -130,6 +130,24 @@ class TestBasics:
         assert code == 1
         assert err == "error: lattice x 7 names no variable of the 6-variable schema\n"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("name", 5, "name 5 is not a string"),  # escaped as an AttributeError
+            ("values", "ftx", "values 'ftx' is not a list of strings"),  # loaded as f, t, x
+        ],
+    )
+    def test_spec_with_a_malformed_variable_exits_one(self, tmp_path, spec_path, field, value, message):
+        with open(spec_path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["variables"][2][field] = value
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        code, _, err = run(["init", "--spec", spec_path, "--out", str(tmp_path / "s.json")])
+        assert code == 1
+        assert err.startswith("error: ") and f"variables[2]: {message}" in err
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestPipeline:
     def test_generate_observe_refine_arcs_recovers_structure(self, tmp_path, spec_path, truth_path):

@@ -377,6 +377,31 @@ class TestParseSpec:
         with pytest.raises(SpecFormatError, match=message):
             parse_spec(json.dumps(doc))
 
+    def _with_variable(self, **fields):
+        doc = copy.deepcopy(SPEC_DOC)
+        doc["variables"][1].update(fields)
+        return json.dumps(doc)
+
+    def test_values_string_is_not_a_list(self):
+        # "ftx" loaded as the three labels f, t and x
+        with pytest.raises(SpecFormatError, match=r"variables\[1\]: values 'ftx' is not a list"):
+            parse_spec(self._with_variable(values="ftx"))
+
+    def test_values_must_be_strings(self):
+        # the label 0 was written to CSV as "0" and read back as the label "0"
+        with pytest.raises(SpecFormatError, match=r"variables\[1\]: values \['0', 0\]"):
+            parse_spec(self._with_variable(values=["0", 0]))
+
+    def test_name_must_be_a_string(self):
+        # 5 escaped as a bare AttributeError from the identifier check
+        with pytest.raises(SpecFormatError, match=r"variables\[1\]: name 5 is not a string"):
+            parse_spec(self._with_variable(name=5))
+
+    def test_nested_values_are_not_labels(self):
+        # [[1], [2]] escaped as a bare TypeError from the duplicate check
+        with pytest.raises(SpecFormatError, match=r"variables\[1\]: values \[\[1\], \[2\]\]"):
+            parse_spec(self._with_variable(values=[[1], [2]]))
+
 
 class TestCsv:
     def setup_method(self):

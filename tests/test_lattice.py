@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnrefine import ArcPriorMatrix, CombinedNetwork, PriorConfig
 from bnrefine.engine import _scored_best
@@ -26,8 +28,8 @@ def make_lattice(n_candidates=3, entries=None, default=0.5):
     return new_lattice(n_candidates, schema, priors, PriorConfig(1.0)), schema, priors
 
 
-def add(lattice, schema, priors, key):
-    return insert_node(lattice, key, schema, priors, PriorConfig(1.0))
+def add(lattice, schema, key):
+    return insert_node(lattice, key, schema, PriorConfig(1.0))
 
 
 class TestNewLattice:
@@ -46,7 +48,7 @@ class TestNewLattice:
 
     def test_a_node_follows_from_its_key(self):
         lattice, schema, priors = make_lattice(entries={(0, 3): 1.0, (1, 3): 0.2})
-        node = add(lattice, schema, priors, 0b10)  # candidates (1, 2): choose 2
+        node = add(lattice, schema, 0b10)  # candidates (1, 2): choose 2
         assert node.parents == (0, 2)
         assert node.log_prior == log_structure_prior(3, (0, 2), priors, schema)
         assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
@@ -61,6 +63,23 @@ class TestNewLattice:
         assert children_of(lattice, lattice.nodes[0]) == []
 
 
+class TestPriorTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=7)
+    )
+    def test_every_key_has_the_kernel_prior_bit_for_bit(self, given_priors):
+        # hard arcs add exactly 0.0 in the kernel, so the per-candidate sum
+        # in ascending order must reproduce it to the last bit
+        x = len(given_priors)
+        entries = {(y, x): p for y, p in enumerate(given_priors)}
+        lattice, schema, priors = make_lattice(x, entries=entries)
+        for key in range(1 << len(lattice.candidates)):
+            node = add(lattice, schema, key)
+            expected = log_structure_prior(x, node.parents, priors, schema)
+            assert node.log_prior.hex() == expected.hex()
+
+
 class TestChildren:
     def test_root_children(self):
         lattice, _, _ = make_lattice()
@@ -68,27 +87,27 @@ class TestChildren:
 
     def test_top_has_no_children(self):
         lattice, schema, priors = make_lattice()
-        top = add(lattice, schema, priors, 0b111)
+        top = add(lattice, schema, 0b111)
         assert children_of(lattice, top) == []
 
     def test_middle(self):
         lattice, schema, priors = make_lattice(n_candidates=2)
-        node = add(lattice, schema, priors, 0b01)
+        node = add(lattice, schema, 0b01)
         assert children_of(lattice, node) == [0b11]
 
     def test_unstored_node_rejected(self):
         lattice, schema, priors = make_lattice()
         other, s2, p2 = make_lattice()
         with pytest.raises(LatticeStateError):
-            children_of(lattice, add(other, s2, p2, 0b001))
+            children_of(lattice, add(other, s2, 0b001))
 
 
 class TestInsert:
     def test_idempotent(self):
         lattice, schema, priors = make_lattice()
-        first = add(lattice, schema, priors, 0b001)
+        first = add(lattice, schema, 0b001)
         size = len(lattice.nodes)
-        assert add(lattice, schema, priors, 0b001) is first
+        assert add(lattice, schema, 0b001) is first
         assert len(lattice.nodes) == size
 
 
@@ -99,22 +118,22 @@ class TestAliveLeaves:
 
     def test_chain(self):
         lattice, schema, priors = make_lattice()
-        a = add(lattice, schema, priors, 0b001)
-        ab = add(lattice, schema, priors, 0b011)
+        a = add(lattice, schema, 0b001)
+        ab = add(lattice, schema, 0b011)
         a.status = ab.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [ab]
 
     def test_incomparable_sets(self):
         lattice, schema, priors = make_lattice()
-        a = add(lattice, schema, priors, 0b001)
-        b = add(lattice, schema, priors, 0b010)
+        a = add(lattice, schema, 0b001)
+        b = add(lattice, schema, 0b010)
         a.status = b.status = NodeStatus.ALIVE
         lattice.nodes[0].status = NodeStatus.ASLEEP
         assert {n.key for n in alive_leaves(lattice)} == {0b001, 0b010}
 
     def test_superset_counts_even_without_links(self):
         lattice, schema, priors = make_lattice()
-        top = add(lattice, schema, priors, 0b111)  # no intermediate sets stored
+        top = add(lattice, schema, 0b111)  # no intermediate sets stored
         top.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [top]
 
@@ -129,16 +148,16 @@ class TestStatus:
 
     def test_dead_is_absorbing(self):
         lattice, schema, priors = make_lattice()
-        add(lattice, schema, priors, 0b001)
+        add(lattice, schema, 0b001)
         kill(lattice, 0b001)
         with pytest.raises(LatticeStateError, match="0x1 is dead"):
-            add(lattice, schema, priors, 0b001)
+            add(lattice, schema, 0b001)
         assert 0b001 not in lattice.nodes and lattice.dead == {0b001}
 
     def test_kill_moves_the_key_from_nodes_to_dead(self):
         lattice, schema, priors = make_lattice()
-        add(lattice, schema, priors, 0b001)
-        add(lattice, schema, priors, 0b010)
+        add(lattice, schema, 0b001)
+        add(lattice, schema, 0b010)
         kill(lattice, 0b001)
         assert set(lattice.nodes) == {0, 0b010}
         assert lattice.dead == {0b001}
@@ -151,7 +170,7 @@ class TestStatus:
     def test_best_tracks_alive_set(self):
         lattice, schema, priors = make_lattice()
         net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
-        node = add(lattice, schema, priors, 0b001)
+        node = add(lattice, schema, 0b001)
         node.scores["table"] = (node.synced_through, 5.0)  # force it above the root
         node.status = NodeStatus.ALIVE
         root = lattice.nodes[0]

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnrefine import (
     ArcPriorMatrix,
@@ -16,10 +19,12 @@ from bnrefine import (
     loglik_dataset,
     observe_batch,
     refine,
+    rethreshold,
     sample_smoothed,
 )
 from bnrefine.domain import config_index
 from bnrefine.engine import SCORING_MODELS
+from bnrefine.fileio import serialize_session, session_from_document
 from bnrefine.lattice import LatticeStateError
 from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
@@ -171,9 +176,56 @@ class TestArcPosteriorMatrix:
         before = all_arc_posteriors(net).entries
         for node in net.lattices[3].nodes.values():
             node.scores["table"] = (node.synced_through, table_log_ml(node) + 123.456)
+        net.lattices[3].arc_memo = None  # the scores changed behind the memo's stamp
         after = all_arc_posteriors(net).entries
         for pair, p in before.items():
             assert after[pair] == pytest.approx(p, abs=1e-9)
+
+
+MEMO_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 30)),
+        st.tuples(st.just("refine"), st.one_of(st.none(), st.integers(0, 3))),
+        st.tuples(st.just("rethreshold"), st.sampled_from([PERMISSIVE, SearchParams()])),
+        st.tuples(st.just("model"), st.sampled_from(SCORING_MODELS)),
+        st.tuples(st.just("reload"), st.none()),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestArcMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SCORING_MODELS), MEMO_OPS, st.integers(0, 3))
+    def test_every_query_equals_the_reference(self, model, ops, seed):
+        # the memo is right only if its stamp names all a score depends on:
+        # any stale read shows as a difference from the memo-free reference
+        truth = five_var_truth()
+        rows = forward_sample(truth, 30 * (len(ops) + 1), seed)
+        hard = ArcPriorMatrix(entries={(0, 1): 1.0, (2, 4): 0.0})
+        net = init(truth.schema, hard, PriorConfig())
+        net.scoring_model = model
+        # start from several alive sets per lattice, so every posterior has
+        # weights that a model switch or a new row moves
+        observe_batch(net, rows[:30])
+        refine(net, PERMISSIVE)
+        all_arc_posteriors(net)
+        for op, arg in ops:
+            if op == "observe":
+                observe_batch(net, rows[net.n_total : net.n_total + arg])
+            elif op == "refine":
+                refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12, budget=arg))
+            elif op == "rethreshold":
+                rethreshold(net, arg)
+            elif op == "model":
+                net.scoring_model = arg
+            else:
+                net = session_from_document(json.loads(serialize_session(net)))
+            reference = reference_arc_posteriors(net)
+            for (y, x), p in reference.items():
+                assert arc_posterior(net, y, x) == p
+            assert all_arc_posteriors(net).entries == reference
 
 
 class TestSmoothed:
