@@ -9,7 +9,7 @@ positions.  Expert knowledge enters as per-arc prior probabilities
 Examples are plain tuples of value indices, one per variable in schema
 order; ``DomainSchema.encode_rows`` validates a block of them at once and
 codes it as an (n, V) integer array.  A parent configuration is its
-mixed-radix code (``config_index``, ``config_codes`` for whole arrays);
+mixed-radix code (``config_codes``, which defines it, for whole arrays);
 sufficient statistics live in sparse ``CountTable`` objects, one count row
 per observed code.  ``CountTable.add`` counts a block by direct index into
 the dense code space when that space is small next to the block, and by
@@ -192,7 +192,7 @@ class ArcPriorMatrix:
 class CountTable:
     """Per-value counts of one variable, one row per observed parent configuration.
 
-    ``codes`` holds the ascending ``config_index`` of every observed
+    ``codes`` holds the ascending code (``config_codes``) of every observed
     configuration of the parents, whose ``arities`` the table is
     conditioned on (first parent most significant); ``cells[i]`` holds
     the count of each value of the variable under ``codes[i]``.
@@ -259,20 +259,14 @@ def config_count(schema: DomainSchema, parents: tuple[int, ...]) -> int:
     return prod(schema.arity(p) for p in parents)
 
 
-def config_index(example: Example, parents: tuple[int, ...], schema: DomainSchema) -> int:
-    """Mixed-radix row index of an example's parent configuration.
-
-    Configurations are enumerated with the first parent most significant,
-    matching ``itertools.product(*(range(arity) for parent in parents))``.
-    """
-    idx = 0
-    for p in parents:
-        idx = idx * schema.arity(p) + example[p]
-    return idx
-
-
 def config_codes(rows: np.ndarray, parents: tuple[int, ...], schema: DomainSchema) -> np.ndarray:
-    """``config_index`` of every row of an (n, V) array, as an int64 vector."""
+    """The configuration code of each row of an (n, V) array, as an int64 vector.
+
+    A configuration of ``parents`` is coded mixed-radix, first parent most
+    significant: codes run ``0 .. |v(parents)| - 1`` in the order of
+    ``itertools.product(*(range(arity) for parent in parents))``, and the
+    empty parent set has the one code 0.
+    """
     code = np.zeros(len(rows), dtype=np.int64)
     for p in parents:
         code = code * schema.arity(p) + rows[:, p]
@@ -284,7 +278,7 @@ class ConcreteNetwork:
     """One fully specified network: a parent set and a dense CPT per variable.
 
     ``tables[x]`` has one row per configuration of ``parents[x]`` (in the
-    ``config_index`` enumeration order) and one column per value of x.
+    order of their codes, ``config_codes``) and one column per value of x.
     """
 
     schema: DomainSchema
@@ -309,8 +303,3 @@ class ConcreteNetwork:
                 raise ConfigurationError(f"CPT for {self.schema.name(x)!r} has entries that are not finite")
             if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
                 raise ConfigurationError(f"CPT rows for {self.schema.name(x)!r} are not distributions")
-
-    def theta(self, x: int, example: Example) -> float:
-        """Probability of the example's value of x given its parent values."""
-        row = config_index(example, self.parents[x], self.schema)
-        return float(self.tables[x][row, example[x]])

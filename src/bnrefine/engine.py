@@ -49,7 +49,6 @@ from .domain import (
     Example,
     PriorConfig,
     config_codes,
-    config_count,
 )
 from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
 from .lattice import (
@@ -139,11 +138,13 @@ class CombinedNetwork:
 class SearchReport:
     """What one ``refine`` call did.
 
-    ``best_scores`` maps each variable to the best score of its alive parent
-    sets under the active scoring model.  For a lattice the call did not
-    search (a zero budget, or a budget spent before reaching it) this is
-    the best cached score, computing nothing: it may lag the log, and it is
-    -inf if no alive set is scored yet, as after loading (``_cached_best``).
+    ``best_scores`` maps each variable to the best cached score of its alive
+    parent sets under the active scoring model (``_cached_best``), read
+    after the search.  A lattice the call searched has every stored set
+    scored on the whole log, so its entry is exact.  For one it did not
+    search (a zero budget, or a budget spent before reaching it) nothing is
+    computed: the entry may lag the log, and it is -inf if no alive set is
+    scored yet, as after loading.
     """
 
     expansions: int = 0
@@ -216,13 +217,14 @@ def _count_rows(
     node.synced_through = stop
 
 
-def dead_condition(node: LatticeNode, schema: DomainSchema, x: int, dead_kappa: float) -> bool:
+def dead_condition(node: LatticeNode, dead_kappa: float) -> bool:
     """Whether the node has seen enough data for a kill decision to be stable.
 
-    True once the absorbed sample mass reaches dead_kappa * m_x * |v(parents)|.
+    True once the absorbed sample mass reaches dead_kappa * m_x * |v(parents)|,
+    read from the shape of the node's counts.
     """
-    threshold = dead_kappa * schema.arity(x) * config_count(schema, node.parents)
-    return node.counts.total >= threshold
+    counts = node.counts
+    return counts.total >= dead_kappa * counts.m_x * math.prod(counts.arities)
 
 
 def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> float:
@@ -242,13 +244,11 @@ def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode)
     return node.log_prior + log_ml
 
 
-def _scored_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
-    return max((_node_score(net, lattice, n) for n in lattice.alive_nodes()), default=NEG_INF)
-
-
 def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
-    """``_scored_best`` from the cached scores, computing nothing: a score may
-    lag the log, and a node never scored under the model is -inf."""
+    """The best score of the lattice's alive nodes from the cached scores,
+    computing nothing: a score may lag the log, and a node never scored
+    under the model is -inf.  Right after ``_catch_up`` every stored node
+    is scored on the whole log, so it is then the exact best."""
     kind = net.scoring_model
     return max(
         (n.log_prior + n.scores[kind][1] for n in lattice.alive_nodes() if kind in n.scores),
@@ -272,9 +272,7 @@ def _rethreshold_lattice(
     """
     for node in list(lattice.nodes.values()):
         score = _node_score(net, lattice, node)
-        if score < params.log_e + best and dead_condition(
-            node, net.schema, lattice.x, params.dead_kappa
-        ):
+        if score < params.log_e + best and dead_condition(node, params.dead_kappa):
             kill(lattice, node.key)
             continue
         if score >= params.log_c + best:
@@ -338,7 +336,7 @@ def _refine_lattice(
             budget_left -= 1
         for child_key in children_of(lattice, node):
             if child_key not in lattice.dead and child_key not in lattice.nodes:
-                insert_node(lattice, child_key, net.schema, net.config)
+                insert_node(lattice, child_key)
                 report.nodes_created += 1
 
 
@@ -350,23 +348,17 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
     """
     report = SearchReport()
     if params.budget == 0:
-        # a zero budget is a pure no-op, not even syncing or scoring
-        report.exhausted = False
+        report.exhausted = False  # a zero budget searches nothing, not even syncing
+    else:
+        budget_left: int | None = params.budget
         for lattice in net.lattices:
-            report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
-        return report
-    budget_left: int | None = params.budget
-    for lattice in net.lattices:
-        dead_before = len(lattice.dead)
-        budget_left = _refine_lattice(net, lattice, params, budget_left, report)
-        report.nodes_killed += len(lattice.dead) - dead_before
-        report.best_scores[net.schema.name(lattice.x)] = _scored_best(net, lattice)
-        if budget_left == 0 and not report.exhausted:
-            break
-    for lattice in net.lattices:  # those the budget did not reach: nothing is scored
-        name = net.schema.name(lattice.x)
-        if name not in report.best_scores:
-            report.best_scores[name] = _cached_best(net, lattice)
+            dead_before = len(lattice.dead)
+            budget_left = _refine_lattice(net, lattice, params, budget_left, report)
+            report.nodes_killed += len(lattice.dead) - dead_before
+            if budget_left == 0 and not report.exhausted:
+                break
+    for lattice in net.lattices:  # a searched lattice's cache is fresh (_catch_up)
+        report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
     return report
 
 

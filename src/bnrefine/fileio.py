@@ -104,29 +104,7 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
     if doc.get("version") != FORMAT_VERSION:
         raise SpecFormatError(f"unsupported spec version {doc.get('version')!r}")
 
-    raw_vars = doc.get("variables")
-    if not isinstance(raw_vars, list) or not raw_vars:
-        raise SpecFormatError("variables: must be a non-empty list")
-    specs = []
-    for i, entry in enumerate(raw_vars):
-        where = f"variables[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
-            raise SpecFormatError(f"{where}: needs 'name' and 'values'")
-        name, values = entry["name"], entry["values"]
-        if not isinstance(name, str):
-            raise SpecFormatError(f"{where}: name {name!r} is not a string")
-        # a label is read back from CSV text, so it must be text itself
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise SpecFormatError(f"{where}: values {values!r} is not a list of strings")
-        try:
-            specs.append(VariableSpec(name, tuple(values)))
-        except ValueError as err:
-            raise SpecFormatError(f"{where}: {err}") from None
-    try:
-        schema = DomainSchema(tuple(specs))
-    except ValueError as err:
-        raise SpecFormatError(f"variables: {err}") from None
-
+    schema = _parse_variables(doc.get("variables"), SpecFormatError)
     default_prior = _spec_number(doc.get("default_prior", 0.5), "default_prior")
     alpha = _spec_number(doc.get("alpha", 1.0), "alpha")
     entries: dict[tuple[int, int], float] = {}
@@ -155,6 +133,32 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
     except ValueError as err:
         raise SpecFormatError(str(err)) from None
     return schema, priors, config
+
+
+def _parse_variables(raw_vars, error: type[ValueError]) -> DomainSchema:
+    """The schema of a document's variable list, or ``error`` naming the entry
+    at fault: the one reader of the list in specs and network documents."""
+    if not isinstance(raw_vars, list) or not raw_vars:
+        raise error("variables: must be a non-empty list")
+    specs = []
+    for i, entry in enumerate(raw_vars):
+        where = f"variables[{i}]"
+        if not isinstance(entry, dict) or "name" not in entry or "values" not in entry:
+            raise error(f"{where}: needs 'name' and 'values'")
+        name, values = entry["name"], entry["values"]
+        if not isinstance(name, str):
+            raise error(f"{where}: name {name!r} is not a string")
+        # a label is read back from CSV text, so it must be text itself
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise error(f"{where}: values {values!r} is not a list of strings")
+        try:
+            specs.append(VariableSpec(name, tuple(values)))
+        except ValueError as err:
+            raise error(f"{where}: {err}") from None
+    try:
+        return DomainSchema(tuple(specs))
+    except ValueError as err:
+        raise error(f"variables: {err}") from None
 
 
 def _spec_number(value, where: str) -> float:
@@ -348,8 +352,7 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
 
 def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork) -> None:
     """Store a node, its counts recounted from ``example_log[:synced_through]``."""
-    schema = net.schema
-    where = f"lattice {schema.name(lattice.x)!r}"
+    where = f"lattice {net.schema.name(lattice.x)!r}"
     synced = doc["synced_through"]
     if type(synced) is not int or not 0 <= synced <= net.n_total:
         raise SessionFormatError(
@@ -361,7 +364,7 @@ def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: Combine
         expansion = ExpansionFlag(doc["expansion"] if version > 4 else _expansion_from_flags(doc))
     except ValueError as err:
         raise SessionFormatError(f"{where}: {err}") from None
-    node = insert_node(lattice, doc["key"], schema, net.config)
+    node = insert_node(lattice, doc["key"])
     node.status, node.expansion = status, expansion
     _count_rows(net, lattice, node, synced)
     # versions 1-3 kept the fitted natural parameters (tau, or noisy-or's q)
@@ -432,10 +435,8 @@ def network_from_document(doc: dict) -> ConcreteNetwork:
         raise SessionFormatError(f"missing format tag {NETWORK_FORMAT!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise SessionFormatError(f"unsupported network version {doc.get('version')!r}")
+    schema = _parse_variables(doc.get("variables"), SessionFormatError)
     try:
-        schema = DomainSchema(
-            tuple(VariableSpec(v["name"], tuple(v["values"])) for v in doc["variables"])
-        )
         parents = tuple(
             tuple(schema.position(name) for name in names) for names in doc["parents"]
         )

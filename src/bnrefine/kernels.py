@@ -6,11 +6,8 @@ products over hundreds of examples underflow float64.  The key quantities:
 - multivariate Beta function
       Beta_C(n_1, ..., n_C) = prod_i Gamma(n_i) / Gamma(sum_i n_i)
 
-- the per-variable concentration that makes score-equivalent structures
-  score equally:
-      alpha_x = alpha / (m_x * |v(parents)|)
-  where |v(parents)| is the number of joint parent configurations
-  (1 for the empty parent set).
+- the per-variable concentration alpha_x = alpha / (m_x * |v(parents)|),
+  which each lattice node carries (``lattice.insert_node``)
 
 - the marginal likelihood of one variable's data under a symmetric
   Dirichlet(alpha_x) prior on each CPT row:
@@ -28,27 +25,9 @@ import math
 
 import numpy as np
 
-from .domain import (
-    ArcPriorMatrix,
-    ConcreteNetwork,
-    CountTable,
-    DomainSchema,
-    PriorConfig,
-    config_codes,
-    config_count,
-)
+from .domain import ConcreteNetwork, CountTable, config_codes
 
 NEG_INF = float("-inf")
-
-
-def alpha_for(
-    x: int, parent_set, config: PriorConfig, schema: DomainSchema
-) -> float:
-    """Per-cell Dirichlet concentration for variable x with the given parents."""
-    parents = tuple(sorted(parent_set))
-    if any(p >= x for p in parents):
-        raise ValueError(f"parent set {parents} not a subset of predecessors of {x}")
-    return config.alpha / (schema.arity(x) * config_count(schema, parents))
 
 
 def _log_beta_symmetric(alpha_x: float, m_x: int) -> float:
@@ -75,38 +54,13 @@ def log_marginal_likelihood(cells: np.ndarray, alpha_x: float) -> float:
     return math.fsum([sum(map(lgamma, row)) - lgamma(sum(row)) - log_beta_prior for row in rows])
 
 
-def log_structure_prior(
-    x: int, parent_set, priors: ArcPriorMatrix, schema: DomainSchema
-) -> float:
-    """Log prior of a parent set as an independent product over potential arcs.
-
-    Returns -inf exactly when the set includes a forbidden (prior-0) arc or
-    excludes a mandatory (prior-1) arc.
-    """
-    parents = frozenset(parent_set)
-    if any(p >= x for p in parents):
-        raise ValueError(f"parent set {sorted(parents)} not a subset of predecessors of {x}")
-    total = 0.0
-    for y in schema.predecessors(x):
-        p = priors.prior(y, x)
-        if y in parents:
-            if p == 0.0:
-                return NEG_INF
-            total += math.log(p)
-        else:
-            if p == 1.0:
-                return NEG_INF
-            total += math.log1p(-p)
-    return total
-
-
 def expected_theta(counts: CountTable, alpha_x: float) -> np.ndarray:
     """Dense posterior-mean CPT over every configuration of the table's parents.
 
-    Rows follow the mixed-radix enumeration of ``config_index`` (first
-    parent most significant): the count rows are scattered to their codes,
-    and unobserved configurations get the uniform prior mean.  Every entry
-    is strictly inside (0, 1) and each row sums to 1 up to float rounding.
+    Rows follow the configuration codes (``config_codes``): the count rows
+    are scattered to their codes, and unobserved configurations get the
+    uniform prior mean.  Every entry is strictly inside (0, 1) and each row
+    sums to 1 up to float rounding.
     """
     if alpha_x <= 0:
         raise ValueError(f"alpha_x must be positive, got {alpha_x}")

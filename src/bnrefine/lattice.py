@@ -3,25 +3,28 @@
 Each stored node is one candidate parent set for the variable, keyed by a
 bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
-a finite structure prior).  A parent set is its key: its parents, its log
-structure prior and its Dirichlet concentration follow from the key and
-the spec, and ``insert_node``, the only place a node is built, derives
-them.  A node also carries its sufficient statistics (a ``CountTable``
-over its parents' configuration codes), its log marginal likelihood per
-scoring model (a function of the counts, cached), the number of logged
-examples its counts have absorbed (the counts are those of
-``example_log[:synced_through]``, and a saved session keeps only that
-number), a lifecycle status and an expansion state.  Subsets and supersets
-are found from the keys themselves; no links between nodes are stored.
+a finite structure prior).  A node also carries its sufficient statistics
+(a ``CountTable`` over its parents' configuration codes), its log marginal
+likelihood per scoring model (a function of the counts, cached), the
+number of logged examples its counts have absorbed (the counts are those
+of ``example_log[:synced_through]``, and a saved session keeps only that
+number), a lifecycle status and an expansion state.  Subsets and
+supersets are found from the keys themselves; no links between nodes are
+stored.
 
-For priors the lattice keeps one pair ``(log p, log1p(-p))`` per
-candidate, p being the candidate's arc prior: a key's log prior is the
-sum, in ascending candidate order, of the first term of each chosen
-candidate and the second of each other.  That is the sum
-``kernels.log_structure_prior`` takes over the predecessors, less its
-mandatory and forbidden terms, which are exactly 0.0, so the two agree
-bit for bit.  In memory only, the lattice also remembers its last arc
-posteriors with the state they were computed from (``query``).
+A parent set is its key.  The lattice keeps what of the spec a key needs,
+never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
+the arities of the variable and its predecessors; and ``alpha``.
+``insert_node``, the only place a node is built, derives in one pass over
+the candidates the node's parents (mandatory plus chosen, ascending), its
+count shape, its concentration ``alpha / (m_x * |v(parents)|)`` (the
+integer product of the parents' arities, 1 for none, so score-equivalent
+structures score equally) and its log prior: the first term of each
+chosen candidate and the second of each other, summed in ascending order.
+``oracle.log_structure_prior`` sums over every predecessor and adds only
+exact zeros besides, so the two agree bit for bit.  In memory only, the
+lattice also remembers its last arc posteriors with the state they were
+computed from (``query``).
 
 Lifecycle:
 
@@ -45,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
-from .kernels import alpha_for
 
 
 class LatticeStateError(RuntimeError):
@@ -86,14 +88,12 @@ class ParentLattice:
     mandatory: tuple[int, ...]    # prior-1 predecessors, ascending position
     # (log p, log1p(-p)) of each candidate's arc prior p, by candidate
     prior_terms: tuple[tuple[float, float], ...]
+    arities: tuple[int, ...]      # arity of each variable at positions 0..x
+    alpha: float                  # the spec's Dirichlet concentration
     nodes: dict[int, LatticeNode] = field(default_factory=dict)  # alive and asleep
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
     arc_memo: tuple | None = field(default=None, compare=False, repr=False)
-
-    def parents_of_key(self, key: int) -> tuple[int, ...]:
-        chosen = tuple(c for i, c in enumerate(self.candidates) if key >> i & 1)
-        return tuple(sorted(self.mandatory + chosen))
 
     def alive_nodes(self) -> list[LatticeNode]:
         return [n for n in self.nodes.values() if n.status is NodeStatus.ALIVE]
@@ -115,8 +115,10 @@ def new_lattice(
         prior_terms=tuple(
             (math.log(p), math.log1p(-p)) for p in (priors.prior(y, x) for y in candidates)
         ),
+        arities=tuple(schema.arity(y) for y in range(x + 1)),
+        alpha=config.alpha,
     )
-    root = insert_node(lattice, 0, schema, config)
+    root = insert_node(lattice, 0)
     root.status = NodeStatus.ALIVE
     root.expansion = ExpansionFlag.OPEN
     return lattice
@@ -133,17 +135,12 @@ def children_of(lattice: ParentLattice, node: LatticeNode) -> list[int]:
     ]
 
 
-def insert_node(
-    lattice: ParentLattice,
-    key: int,
-    schema: DomainSchema,
-    config: PriorConfig,
-) -> LatticeNode:
+def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     """Store parent set ``key``, asleep, closed and with no examples absorbed;
     idempotent on duplicates.
 
     Its parents, log prior, concentration and empty counts follow from the
-    key, the lattice's prior terms and the spec; ``sync_node`` fills the
+    key and what the lattice keeps (see above); ``sync_node`` fills the
     counts from the log.  A dead key is refused: dead is absorbing.
     """
     if key in lattice.dead:
@@ -151,16 +148,23 @@ def insert_node(
     existing = lattice.nodes.get(key)
     if existing is not None:
         return existing
-    x = lattice.x
-    parents = lattice.parents_of_key(key)
+    parents = list(lattice.mandatory)
     log_prior = 0.0
-    for i, (log_in, log_out) in enumerate(lattice.prior_terms):
-        log_prior += log_in if key >> i & 1 else log_out
+    for i, (y, (log_in, log_out)) in enumerate(zip(lattice.candidates, lattice.prior_terms)):
+        if key >> i & 1:
+            parents.append(y)
+            log_prior += log_in
+        else:
+            log_prior += log_out
+    parents.sort()
+    arities = lattice.arities
+    shape = tuple(arities[p] for p in parents)
+    m_x = arities[lattice.x]
     node = LatticeNode(
         key=key,
-        parents=parents,
-        alpha_x=alpha_for(x, parents, config, schema),
-        counts=CountTable(schema.arity(x), tuple(schema.arity(p) for p in parents)),
+        parents=tuple(parents),
+        alpha_x=lattice.alpha / (m_x * math.prod(shape)),
+        counts=CountTable(m_x, shape),
         log_prior=log_prior,
     )
     lattice.nodes[key] = node

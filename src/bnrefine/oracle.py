@@ -4,6 +4,14 @@ These enumerate what the engine approximates: exact normalized parent-set
 posteriors, exact arc posteriors, the materialized full joint, and a 1-d
 quadrature marginal.  Hard size guards fail fast instead of degrading;
 nothing here is meant to run on large inputs.
+
+They rest on the model's formulas written out from the spec, one value at
+a time, independently of how the program computes them: a parent set's
+concentration (``alpha_for``) and log prior over every predecessor
+(``log_structure_prior``), which ``lattice.insert_node`` derives from a
+key; one example's configuration code (``config_index``), which
+``domain.config_codes`` computes for whole arrays; and one CPT entry
+(``theta``).
 """
 
 from __future__ import annotations
@@ -20,13 +28,9 @@ from .domain import (
     DomainSchema,
     Example,
     PriorConfig,
+    config_count,
 )
-from .kernels import (
-    alpha_for,
-    log_marginal_likelihood,
-    log_structure_prior,
-    log_sum_exp,
-)
+from .kernels import NEG_INF, log_marginal_likelihood, log_sum_exp
 
 MAX_CANDIDATES = 15
 MAX_JOINT_STATES = 2**20
@@ -34,6 +38,57 @@ MAX_JOINT_STATES = 2**20
 
 class OracleSizeError(ValueError):
     """Input exceeds the brute-force guards."""
+
+
+def alpha_for(
+    x: int, parent_set, config: PriorConfig, schema: DomainSchema
+) -> float:
+    """Per-cell Dirichlet concentration for variable x with the given parents."""
+    parents = tuple(sorted(parent_set))
+    if any(p >= x for p in parents):
+        raise ValueError(f"parent set {parents} not a subset of predecessors of {x}")
+    return config.alpha / (schema.arity(x) * config_count(schema, parents))
+
+
+def log_structure_prior(
+    x: int, parent_set, priors: ArcPriorMatrix, schema: DomainSchema
+) -> float:
+    """Log prior of a parent set as an independent product over potential arcs.
+
+    Returns -inf exactly when the set includes a forbidden (prior-0) arc or
+    excludes a mandatory (prior-1) arc.
+    """
+    parents = frozenset(parent_set)
+    if any(p >= x for p in parents):
+        raise ValueError(f"parent set {sorted(parents)} not a subset of predecessors of {x}")
+    total = 0.0
+    for y in schema.predecessors(x):
+        p = priors.prior(y, x)
+        if y in parents:
+            if p == 0.0:
+                return NEG_INF
+            total += math.log(p)
+        else:
+            if p == 1.0:
+                return NEG_INF
+            total += math.log1p(-p)
+    return total
+
+
+def config_index(example: Example, parents: tuple[int, ...], schema: DomainSchema) -> int:
+    """Configuration code of one example's parent values, one parent at a
+    time: first parent most significant, as ``domain.config_codes`` codes
+    whole arrays."""
+    idx = 0
+    for p in parents:
+        idx = idx * schema.arity(p) + example[p]
+    return idx
+
+
+def theta(network: ConcreteNetwork, x: int, example: Example) -> float:
+    """Probability of the example's value of x given its parent values."""
+    row = config_index(example, network.parents[x], network.schema)
+    return float(network.tables[x][row, example[x]])
 
 
 @dataclass(frozen=True)
@@ -126,7 +181,7 @@ def full_joint_enumeration(network: ConcreteNetwork) -> dict[Example, float]:
     for assignment in itertools.product(*(range(a) for a in arities)):
         p = 1.0
         for x in range(len(schema)):
-            p *= network.theta(x, assignment)
+            p *= theta(network, x, assignment)
         table[assignment] = p
     return table
 

@@ -189,7 +189,7 @@ def _merged_variable(
     norm = log_sum_exp(scores)
     within = np.array([math.exp(s - norm) for s in scores])
     leaf_parents = leaf.parents
-    # every configuration of the leaf's parents, in config_index order, as (n, V) rows
+    # every configuration of the leaf's parents, in code order, as (n, V) rows
     arities = tuple(schema.arity(p) for p in leaf_parents)
     configs = np.zeros((math.prod(arities), len(schema)), dtype=np.int64)
     configs[:, list(leaf_parents)] = np.indices(arities).reshape(len(arities), len(configs)).T
@@ -197,8 +197,9 @@ def _merged_variable(
     for node, w in zip(family, within):
         theta = expected_theta(node.counts, node.alpha_x)
         table += w * theta[config_codes(configs, node.parents, schema)]
+    # the weights are normalized, so any sum above 1 is rounding (as in _lattice_arc_posteriors)
     arc_probs = {
-        y: float(sum(w for n, w in zip(family, within) if y in n.parents))
+        y: min(1.0, math.fsum(w for n, w in zip(family, within.tolist()) if y in n.parents))
         for y in leaf_parents
     }
     return SmoothedVariable(leaf=leaf_parents, table=table, arc_probs=arc_probs, mass=mass)

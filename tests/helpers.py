@@ -113,6 +113,23 @@ def node_state(net: CombinedNetwork) -> dict:
     return state
 
 
+def scored_best(net: CombinedNetwork, lattice) -> float:
+    """The best score of the lattice's alive nodes, scoring each on its counts:
+    what ``refine`` reports for a lattice it searched."""
+    from bnrefine.engine import _node_score
+    from bnrefine.kernels import NEG_INF
+
+    return max((_node_score(net, lattice, n) for n in lattice.alive_nodes()), default=NEG_INF)
+
+
+def dead_threshold_reference(node, schema: DomainSchema, x: int, dead_kappa: float) -> float:
+    """The sample mass ``dead_condition`` requires, from the schema:
+    dead_kappa * m_x * |v(parents)|, multiplied left to right."""
+    from bnrefine.domain import config_count
+
+    return dead_kappa * schema.arity(x) * config_count(schema, node.parents)
+
+
 def reference_counts(rows, x: int, parents: tuple[int, ...], m_x: int) -> dict:
     """Counts of x's values per parent configuration, example by example, in a
     plain dict of rows: the reference ``CountTable`` is checked against."""
@@ -187,7 +204,7 @@ def table_rows(counts) -> dict:
 def forward_sample_reference(network: ConcreteNetwork, n: int, seed: int) -> list[tuple[int, ...]]:
     """``forward_sample`` as it drew before it sampled whole arrays: one row
     and one variable at a time, one ``rng.random()`` each."""
-    from bnrefine.domain import config_index
+    from bnrefine.oracle import config_index
 
     if n < 0:
         raise ValueError(f"sample count must be nonnegative, got {n}")

@@ -30,8 +30,9 @@ from bnrefine import (
     sample_smoothed,
     sync_node,
 )
-from bnrefine.engine import _scored_best, dead_condition
+from bnrefine.engine import dead_condition
 from bnrefine.fileio import serialize_session, session_from_document
+from bnrefine.lattice import insert_node
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
@@ -39,12 +40,15 @@ from helpers import (
     DeadNodeMonitor,
     binary_schema,
     chain_v_truth,
+    dead_threshold_reference,
     five_var_truth,
     fresh_net,
+    mixed_arity_network,
     node_reference_counts,
     node_state,
     reference_log_ml,
     sampled_net,
+    scored_best,
     table_log_ml,
     table_rows,
 )
@@ -253,7 +257,7 @@ class TestSync:
 class TestDeadCondition:
     def test_zero_observations(self):
         net = fresh_net("ab")
-        assert not dead_condition(net.lattices[1].nodes[0], net.schema, 1, 5.0)
+        assert not dead_condition(net.lattices[1].nodes[0], 5.0)
 
     def test_threshold_is_kappa_times_table_size(self):
         net = fresh_net("ab")
@@ -261,13 +265,27 @@ class TestDeadCondition:
         refine(net, PERMISSIVE)
         node = net.lattices[1].nodes[0b1]  # binary child, one binary parent
         assert node.counts.total == 19
-        assert not dead_condition(node, net.schema, 1, 5.0)
+        assert not dead_condition(node, 5.0)
         observe(net, (1, 0))
-        assert dead_condition(node, net.schema, 1, 5.0)
+        assert dead_condition(node, 5.0)
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.3, 1 / 3, 2.9])
+    def test_threshold_on_a_mixed_arity_set_is_the_schema_formula(self, kappa):
+        schema = mixed_arity_network(0).schema  # arities 3, 2, 4, 2
+        net = init(schema, ArcPriorMatrix(), PriorConfig())
+        node = insert_node(net.lattices[3], 0b101)  # parents a and c: 12 configurations
+        assert node.parents == (0, 2)
+        threshold = dead_threshold_reference(node, schema, 3, kappa)
+        one = np.zeros(1, dtype=np.int64)
+        for total in range(math.ceil(threshold) + 2):  # one row at a time, across it
+            assert node.counts.total == total
+            assert dead_condition(node, kappa) == (total >= threshold)
+            node.counts.add(one, one)
+        assert dead_condition(node, kappa)
 
     def test_kappa_zero_always_true(self):
         net = fresh_net("ab")
-        assert dead_condition(net.lattices[1].nodes[0], net.schema, 1, 0.0)
+        assert dead_condition(net.lattices[1].nodes[0], 0.0)
 
 
 class TestRefine:
@@ -317,12 +335,12 @@ class TestRefine:
 
     def test_best_monotone_under_budget_steps(self):
         net, _ = sampled_net(five_var_truth(), 150, seed=15)
-        last = {x: _scored_best(net, net.lattices[x]) for x in range(5)}
+        last = {x: scored_best(net, net.lattices[x]) for x in range(5)}
         for _ in range(40):
             report = refine(net, SearchParams(budget=1))
             for x in range(5):
-                assert _scored_best(net, net.lattices[x]) >= last[x] - 1e-12
-                last[x] = _scored_best(net, net.lattices[x])
+                assert scored_best(net, net.lattices[x]) >= last[x] - 1e-12
+                last[x] = scored_best(net, net.lattices[x])
             if report.exhausted:
                 break
 
@@ -364,7 +382,7 @@ class TestRefine:
         aimed = copy.deepcopy(net)
         rethreshold(aimed, params)
         node = aimed.lattices[1].nodes[1]
-        gap = _scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
+        gap = scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
         assert params.log_d + params.log_h <= -gap < params.log_d
         assert node.expansion is ExpansionFlag.OPEN
         report = refine(net, replace(params, budget=1))
@@ -466,7 +484,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
-        log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior
+        log_ml = params.log_c + scored_best(net, lattice) - node.log_prior
         node.scores["table"] = (node.synced_through, log_ml)
         node.status = NodeStatus.ASLEEP
         rethreshold(net, params)
@@ -478,7 +496,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        log_ml = params.log_c + _scored_best(net, lattice) - node.log_prior - 1e-6
+        log_ml = params.log_c + scored_best(net, lattice) - node.log_prior - 1e-6
         node.scores["table"] = (node.synced_through, log_ml)
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
@@ -489,7 +507,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ASLEEP
-        boundary = params.log_c + _scored_best(net, lattice) - node.log_prior
+        boundary = params.log_c + scored_best(net, lattice) - node.log_prior
         changes = 0
         last = node.status
         for step in range(12):

@@ -24,7 +24,7 @@ from bnrefine import (
     refine,
 )
 from bnrefine.dotexport import export_dot
-from bnrefine.engine import SCORING_MODELS, _scored_best
+from bnrefine.engine import SCORING_MODELS
 from bnrefine.fileio import (
     CsvFormatError,
     SessionFormatError,
@@ -53,6 +53,7 @@ from helpers import (
     mixed_arity_network,
     node_state,
     sampled_net,
+    scored_best,
 )
 
 LIST_LOG_SESSION = (
@@ -483,7 +484,7 @@ class TestSession:
         assert serialize_session(loaded) == serialize_session(net)
         assert node_state(loaded) == node_state(net)
         for a, b in zip(net.lattices, loaded.lattices):
-            assert _scored_best(net, a) == _scored_best(loaded, b)
+            assert scored_best(net, a) == scored_best(loaded, b)
 
     def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
         net_a, _ = sampled_net(five_var_truth(), 150, seed=6)
@@ -824,6 +825,27 @@ class TestNetworkDocument:
         doc["tables"][3][1] = [entry, 0.5]
         with pytest.raises(SessionFormatError, match="CPT for 'd' has entries that are not finite"):
             network_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("values", "ft", r"variables\[0\]: values 'ft' is not a list of strings"),
+            ("values", ["f", 0], r"variables\[0\]: values \['f', 0\] is not a list of strings"),
+            ("name", 5, r"variables\[0\]: name 5 is not a string"),
+        ],
+        ids=["values-a-string", "values-with-a-number", "name-a-number"],
+    )
+    def test_variable_list_is_read_as_a_spec_reads_it(self, field, value, message):
+        # the parent loaded "ft" as the labels ('f', 't') and ["f", 0] with a
+        # non-string label, and let name 5 escape as an AttributeError
+        doc = json.loads(json.dumps(network_to_document(chain_v_truth())))
+        doc["variables"][0][field] = value
+        with pytest.raises(SessionFormatError, match=message):
+            network_from_document(doc)
+        spec = json.loads(print_spec(chain_v_truth().schema, ArcPriorMatrix(), PriorConfig()))
+        spec["variables"][0][field] = value
+        with pytest.raises(SpecFormatError, match=message):
+            parse_spec(json.dumps(spec))
 
 
 class TestDotExport:

@@ -16,14 +16,12 @@ from bnrefine import (
 )
 from bnrefine.domain import config_codes
 from bnrefine.kernels import (
-    alpha_for,
     expected_theta,
     log_marginal_likelihood,
-    log_structure_prior,
     log_sum_exp,
     rows_log_likelihood,
 )
-from bnrefine.oracle import full_joint_enumeration
+from bnrefine.oracle import alpha_for, full_joint_enumeration, log_structure_prior
 
 from helpers import (
     binary_schema,

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnrefine import ArcPriorMatrix, CombinedNetwork, PriorConfig
-from bnrefine.engine import _scored_best
-from bnrefine.kernels import alpha_for, log_structure_prior
+from bnrefine import ArcPriorMatrix, CombinedNetwork, DomainSchema, PriorConfig, VariableSpec
 from bnrefine.lattice import (
     ExpansionFlag,
     LatticeStateError,
@@ -17,8 +15,9 @@ from bnrefine.lattice import (
     kill,
     new_lattice,
 )
+from bnrefine.oracle import alpha_for, log_structure_prior
 
-from helpers import binary_schema, table_log_ml
+from helpers import binary_schema, scored_best, table_log_ml
 
 
 def make_lattice(n_candidates=3, entries=None, default=0.5):
@@ -26,10 +25,6 @@ def make_lattice(n_candidates=3, entries=None, default=0.5):
     schema = binary_schema(names)
     priors = ArcPriorMatrix(entries=entries or {}, default_prior=default)
     return new_lattice(n_candidates, schema, priors, PriorConfig(1.0)), schema, priors
-
-
-def add(lattice, schema, key):
-    return insert_node(lattice, key, schema, PriorConfig(1.0))
 
 
 class TestNewLattice:
@@ -48,7 +43,7 @@ class TestNewLattice:
 
     def test_a_node_follows_from_its_key(self):
         lattice, schema, priors = make_lattice(entries={(0, 3): 1.0, (1, 3): 0.2})
-        node = add(lattice, schema, 0b10)  # candidates (1, 2): choose 2
+        node = insert_node(lattice, 0b10)  # candidates (1, 2): choose 2
         assert node.parents == (0, 2)
         assert node.log_prior == log_structure_prior(3, (0, 2), priors, schema)
         assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
@@ -66,17 +61,39 @@ class TestNewLattice:
 class TestPriorTerms:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=7)
+        st.lists(
+            st.tuples(
+                st.integers(2, 4),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            max_size=7,
+        ),
+        st.integers(2, 4),
+        st.floats(0.01, 100.0),
     )
-    def test_every_key_has_the_kernel_prior_bit_for_bit(self, given_priors):
-        # hard arcs add exactly 0.0 in the kernel, so the per-candidate sum
-        # in ascending order must reproduce it to the last bit
-        x = len(given_priors)
-        entries = {(y, x): p for y, p in enumerate(given_priors)}
-        lattice, schema, priors = make_lattice(x, entries=entries)
-        for key in range(1 << len(lattice.candidates)):
-            node = add(lattice, schema, key)
-            expected = log_structure_prior(x, node.parents, priors, schema)
+    def test_every_key_follows_the_oracle_formulas(self, predecessors, m_x, alpha):
+        # hard arcs add exactly 0.0 in the oracle's prior, so the per-candidate
+        # sum in ascending order must reproduce it to the last bit
+        x = len(predecessors)
+        labels = "abcd"
+        schema = DomainSchema(
+            tuple(VariableSpec(f"p{y}", tuple(labels[:a])) for y, (a, _) in enumerate(predecessors))
+            + (VariableSpec("x", tuple(labels[:m_x])),)
+        )
+        priors = ArcPriorMatrix(entries={(y, x): p for y, (_, p) in enumerate(predecessors)})
+        config = PriorConfig(alpha)
+        lattice = new_lattice(x, schema, priors, config)
+        mandatory = tuple(y for y, (_, p) in enumerate(predecessors) if p == 1.0)
+        candidates = tuple(y for y, (_, p) in enumerate(predecessors) if 0.0 < p < 1.0)
+        for key in range(1 << len(candidates)):
+            node = insert_node(lattice, key)
+            chosen = tuple(c for i, c in enumerate(candidates) if key >> i & 1)
+            parents = tuple(sorted(mandatory + chosen))
+            assert node.parents == parents
+            assert node.alpha_x == alpha_for(x, parents, config, schema)
+            assert node.counts.arities == tuple(schema.arity(p) for p in parents)
+            assert node.counts.m_x == m_x
+            expected = log_structure_prior(x, parents, priors, schema)
             assert node.log_prior.hex() == expected.hex()
 
 
@@ -86,28 +103,28 @@ class TestChildren:
         assert children_of(lattice, lattice.nodes[0]) == [0b001, 0b010, 0b100]
 
     def test_top_has_no_children(self):
-        lattice, schema, priors = make_lattice()
-        top = add(lattice, schema, 0b111)
+        lattice, _, _ = make_lattice()
+        top = insert_node(lattice, 0b111)
         assert children_of(lattice, top) == []
 
     def test_middle(self):
-        lattice, schema, priors = make_lattice(n_candidates=2)
-        node = add(lattice, schema, 0b01)
+        lattice, _, _ = make_lattice(n_candidates=2)
+        node = insert_node(lattice, 0b01)
         assert children_of(lattice, node) == [0b11]
 
     def test_unstored_node_rejected(self):
-        lattice, schema, priors = make_lattice()
-        other, s2, p2 = make_lattice()
+        lattice, _, _ = make_lattice()
+        other, _, _ = make_lattice()
         with pytest.raises(LatticeStateError):
-            children_of(lattice, add(other, s2, 0b001))
+            children_of(lattice, insert_node(other, 0b001))
 
 
 class TestInsert:
     def test_idempotent(self):
-        lattice, schema, priors = make_lattice()
-        first = add(lattice, schema, 0b001)
+        lattice, _, _ = make_lattice()
+        first = insert_node(lattice, 0b001)
         size = len(lattice.nodes)
-        assert add(lattice, schema, 0b001) is first
+        assert insert_node(lattice, 0b001) is first
         assert len(lattice.nodes) == size
 
 
@@ -117,23 +134,23 @@ class TestAliveLeaves:
         assert alive_leaves(lattice) == [lattice.nodes[0]]
 
     def test_chain(self):
-        lattice, schema, priors = make_lattice()
-        a = add(lattice, schema, 0b001)
-        ab = add(lattice, schema, 0b011)
+        lattice, _, _ = make_lattice()
+        a = insert_node(lattice, 0b001)
+        ab = insert_node(lattice, 0b011)
         a.status = ab.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [ab]
 
     def test_incomparable_sets(self):
-        lattice, schema, priors = make_lattice()
-        a = add(lattice, schema, 0b001)
-        b = add(lattice, schema, 0b010)
+        lattice, _, _ = make_lattice()
+        a = insert_node(lattice, 0b001)
+        b = insert_node(lattice, 0b010)
         a.status = b.status = NodeStatus.ALIVE
         lattice.nodes[0].status = NodeStatus.ASLEEP
         assert {n.key for n in alive_leaves(lattice)} == {0b001, 0b010}
 
     def test_superset_counts_even_without_links(self):
-        lattice, schema, priors = make_lattice()
-        top = add(lattice, schema, 0b111)  # no intermediate sets stored
+        lattice, _, _ = make_lattice()
+        top = insert_node(lattice, 0b111)  # no intermediate sets stored
         top.status = NodeStatus.ALIVE
         assert alive_leaves(lattice) == [top]
 
@@ -147,17 +164,17 @@ class TestStatus:
         assert alive_leaves(lattice) == [lattice.nodes[0]]
 
     def test_dead_is_absorbing(self):
-        lattice, schema, priors = make_lattice()
-        add(lattice, schema, 0b001)
+        lattice, _, _ = make_lattice()
+        insert_node(lattice, 0b001)
         kill(lattice, 0b001)
         with pytest.raises(LatticeStateError, match="0x1 is dead"):
-            add(lattice, schema, 0b001)
+            insert_node(lattice, 0b001)
         assert 0b001 not in lattice.nodes and lattice.dead == {0b001}
 
     def test_kill_moves_the_key_from_nodes_to_dead(self):
-        lattice, schema, priors = make_lattice()
-        add(lattice, schema, 0b001)
-        add(lattice, schema, 0b010)
+        lattice, _, _ = make_lattice()
+        insert_node(lattice, 0b001)
+        insert_node(lattice, 0b010)
         kill(lattice, 0b001)
         assert set(lattice.nodes) == {0, 0b010}
         assert lattice.dead == {0b001}
@@ -170,11 +187,11 @@ class TestStatus:
     def test_best_tracks_alive_set(self):
         lattice, schema, priors = make_lattice()
         net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
-        node = add(lattice, schema, 0b001)
+        node = insert_node(lattice, 0b001)
         node.scores["table"] = (node.synced_through, 5.0)  # force it above the root
         node.status = NodeStatus.ALIVE
         root = lattice.nodes[0]
         full_scan = max(node.log_prior + 5.0, root.log_prior + table_log_ml(root))
-        assert _scored_best(net, lattice) == full_scan == node.log_prior + 5.0
+        assert scored_best(net, lattice) == full_scan == node.log_prior + 5.0
         node.status = NodeStatus.ASLEEP
-        assert _scored_best(net, lattice) == root.log_prior + table_log_ml(root)
+        assert scored_best(net, lattice) == root.log_prior + table_log_ml(root)

@@ -22,11 +22,10 @@ from bnrefine import (
     rethreshold,
     sample_smoothed,
 )
-from bnrefine.domain import config_index
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.fileio import serialize_session, session_from_document
 from bnrefine.lattice import LatticeStateError
-from bnrefine.oracle import exhaustive_arc_posterior, full_joint_enumeration
+from bnrefine.oracle import config_index, exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
 
@@ -293,6 +292,17 @@ class TestSmoothed:
                 )
                 assert np.all(var.table[row] >= contributions.min(axis=0) - 1e-12)
                 assert np.all(var.table[row] <= contributions.max(axis=0) + 1e-12)
+
+    def test_arc_probs_never_exceed_one(self):
+        # summed with plain sum, d's arcs from a and b read 1.0000000000000016 here
+        net, _ = sampled_net(five_var_truth(), 300, seed=3)
+        refine(net, SearchParams())
+        for draw in range(5):
+            smoothed = sample_smoothed(net, seed=draw)
+            for var in smoothed.variables:
+                assert all(0.0 <= p <= 1.0 for p in var.arc_probs.values())
+            d = smoothed.variables[3]
+            assert d.leaf == (0, 1, 2) and d.arc_probs[0] == d.arc_probs[1] == 1.0
 
     def test_fixed_seed_is_reproducible(self):
         net, _ = sampled_net(five_var_truth(), 150, seed=27)
