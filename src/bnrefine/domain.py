@@ -209,6 +209,14 @@ class CountTable:
         self.codes = np.empty(0, dtype=np.int64)
         self.cells = np.empty((0, m_x), dtype=np.int64)
 
+    @classmethod
+    def from_rows(cls, arities: tuple[int, ...], codes: np.ndarray, cells: np.ndarray) -> CountTable:
+        """The table of count rows already laid out as ``add`` lays them out:
+        ascending int64 ``codes``, one non-zero int64 row of ``cells`` each."""
+        table = cls.__new__(cls)
+        table.arities, table.codes, table.cells = arities, codes, cells
+        return table
+
     @property
     def m_x(self) -> int:
         return self.cells.shape[1]

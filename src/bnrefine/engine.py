@@ -2,13 +2,22 @@
 
 The combined network holds one parent lattice per variable plus the full
 example log, a 2-D integer array with one row per example.  Counts are the
-single source of truth: ``sync_node`` is the only place examples enter a
-node (a loaded session recounts its nodes from the log through the same
-code).  It codes the rows the node has not absorbed yet by parent
-configuration and adds them to the node's ``CountTable`` as one block.
-Under every model a score is a function of those counts, computed lazily
-and cached by ``_node_score`` alone, so it never depends on how the data
-was split into batches.  Two kinds of update:
+single source of truth, and examples enter a node in one of two ways:
+
+- ``sync_node`` adds the rows a stored node has not absorbed yet, coded by
+  parent configuration, to its ``CountTable`` as one block (a loaded
+  session recounts its nodes from the log through the same code);
+- an expansion counts every fresh child of the expanded node on the whole
+  log in one pass (``_count_children``): each row is coded once by the
+  expanded node's configuration and x's value, and one ``np.bincount``
+  counts all children at once.  The children enter synced.
+
+Either way a node's counts are those of ``example_log[:synced_through]``,
+laid out alike.  Under every model a score is a function of those counts,
+computed lazily and cached by ``_node_score`` (an expansion caches its
+children's table scores as it counts them, to the same bits), so it never
+depends on how the data was split into batches or how it was counted.
+Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then sync
   every alive node once.  Asleep nodes are left stale and catch up from
@@ -32,6 +41,14 @@ stopping after any expansion budget and calling ``refine`` again
 converges to the state a single uninterrupted call produces, because the
 open nodes are the only queue, the expansion states persist on the
 nodes, and re-aiming a lattice that is already aimed changes nothing.
+
+So a re-aim is skipped when nothing it reads has changed.  Each lattice
+keeps, in memory only, the stamp of its last re-aim (``ParentLattice.aim``:
+the log's length, the scoring model and the five thresholds, with the best
+score found); inserting or killing a node clears it.  ``refine`` passes
+over a lattice whose stamp matches without re-aiming it, and reads its
+``best_scores`` entry from the stamp; the public ``rethreshold`` always
+re-aims.
 """
 
 from __future__ import annotations
@@ -50,7 +67,12 @@ from .domain import (
     PriorConfig,
     config_codes,
 )
-from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
+from .kernels import (
+    NEG_INF,
+    expected_theta,
+    log_marginal_likelihood,
+    shifted_log_marginal_likelihood,
+)
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
@@ -58,7 +80,7 @@ from .lattice import (
     NodeStatus,
     ParentLattice,
     children_of,
-    insert_node,
+    insert_children,
     kill,
     new_lattice,
 )
@@ -139,9 +161,11 @@ class SearchReport:
     """What one ``refine`` call did.
 
     ``best_scores`` maps each variable to the best cached score of its alive
-    parent sets under the active scoring model (``_cached_best``), read
-    after the search.  A lattice the call searched has every stored set
-    scored on the whole log, so its entry is exact.  For one it did not
+    parent sets under the active scoring model, read after the search: the
+    best of the lattice's last re-aim while its stamp matches, else
+    ``_cached_best`` (the two agree once a lattice is aimed).  A lattice the
+    call searched has every stored set scored on the whole log, so its
+    entry is exact.  For one it did not
     search (a zero budget, or a budget spent before reaching it) nothing is
     computed: the entry may lag the log, and it is -inf if no alive set is
     scored yet, as after loading.
@@ -221,10 +245,11 @@ def dead_condition(node: LatticeNode, dead_kappa: float) -> bool:
     """Whether the node has seen enough data for a kill decision to be stable.
 
     True once the absorbed sample mass reaches dead_kappa * m_x * |v(parents)|,
-    read from the shape of the node's counts.
+    read from the shape of the node's counts.  The mass is ``synced_through``,
+    which equals ``counts.total`` (see ``lattice``) without summing the cells.
     """
     counts = node.counts
-    return counts.total >= dead_kappa * counts.m_x * math.prod(counts.arities)
+    return node.synced_through >= dead_kappa * counts.m_x * math.prod(counts.arities)
 
 
 def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> float:
@@ -294,17 +319,43 @@ def _rethreshold_lattice(
 def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> float:
     """Sync every stored node with the log, re-aim every status at the best
     score over them under the active model, and return that best, so all the
-    scores compared have absorbed the same examples."""
+    scores compared have absorbed the same examples.  The lattice's ``aim``
+    remembers the best against what the re-aim read (``_aim_stamp``)."""
     for node in lattice.nodes.values():
         if node.synced_through != net.n_total:
             sync_node(net, lattice, node)
     best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
     _rethreshold_lattice(net, lattice, best, params)
+    lattice.aim = (_aim_stamp(net, params), best)
     return best
 
 
+def _aim_stamp(net: CombinedNetwork, params: SearchParams) -> tuple:
+    """What a re-aim reads besides the stored nodes, whose inserts and kills
+    clear the stamp: the log's length, the active model and the thresholds."""
+    return (
+        net.n_total,
+        net.scoring_model,
+        params.c_alive,
+        params.d_open,
+        params.e_dead,
+        params.hysteresis,
+        params.dead_kappa,
+    )
+
+
+def _aimed_best(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> float | None:
+    """The best score of the lattice's last re-aim if nothing it read has
+    changed since, when re-aiming again would change nothing; else None."""
+    aim = lattice.aim
+    if aim is not None and aim[0] == _aim_stamp(net, params):
+        return aim[1]
+    return None
+
+
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
-    """Catch every lattice up with the log and re-aim its statuses at its best score."""
+    """Catch every lattice up with the log and re-aim its statuses at its best
+    score, whether or not its stamp matches."""
     for lattice in net.lattices:
         _catch_up(net, lattice, params)
 
@@ -318,9 +369,12 @@ def _refine_lattice(
 ) -> int | None:
     """Re-aim the lattice and expand its best open node until none is open;
     returns the remaining budget."""
+    is_open = ExpansionFlag.OPEN
     while True:
-        best = _catch_up(net, lattice, params)
-        open_nodes = [n for n in lattice.nodes.values() if n.expansion is ExpansionFlag.OPEN]
+        best = _aimed_best(net, lattice, params)
+        if best is None:
+            best = _catch_up(net, lattice, params)
+        open_nodes = [n for n in lattice.nodes.values() if n.expansion is is_open]
         if not open_nodes:
             return budget_left
         if budget_left is not None and budget_left <= 0:
@@ -334,10 +388,98 @@ def _refine_lattice(
         report.expansions += 1
         if budget_left is not None:
             budget_left -= 1
-        for child_key in children_of(lattice, node):
-            if child_key not in lattice.dead and child_key not in lattice.nodes:
-                insert_node(lattice, child_key)
-                report.nodes_created += 1
+        report.nodes_created += _expand(net, lattice, node)
+
+
+def _expand(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> int:
+    """Store every child of a node synced with the whole log that is neither
+    stored nor dead, counted on the whole log in one pass (``_count_children``);
+    returns how many.
+
+    Under the table model the children are scored here too, every child's
+    rows shifted by its concentration in one array operation: the scores
+    ``_node_score`` would cache at the next re-aim, to the bit.
+    """
+    keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
+    if not keys:
+        return 0
+    codes, rows, ends = _count_children(net, lattice, node, keys)
+    m_x = lattice.arities[lattice.x]
+    all_codes = np.array(codes, dtype=np.int64)
+    all_cells = np.array(rows, dtype=np.int64).reshape(len(rows), m_x)
+    starts = [0, *ends[:-1]]
+    tables = [(all_codes[a:b], all_cells[a:b]) for a, b in zip(starts, ends)]
+    children = insert_children(lattice, node, keys, tables, net.n_total)
+    if net.scoring_model == "table":
+        alphas = [child.alpha_x for child in children]
+        shifted = (all_cells + np.repeat(alphas, np.diff([0, *ends]))[:, None]).tolist()
+        for child, alpha_x, a, b in zip(children, alphas, starts, ends):
+            log_ml = shifted_log_marginal_likelihood(shifted[a:b], alpha_x, m_x)
+            child.scores["table"] = (net.n_total, log_ml)
+    return len(keys)
+
+
+# index cells in one block of log rows an expansion counts
+_BLOCK_CELLS = 1 << 16
+
+
+def _count_children(
+    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, keys: list[int]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The count rows of each child ``keys[j]`` of a node synced with the
+    whole log, on the whole log, in one pass: (codes, rows, ends), child
+    j's at ``ends[j - 1]:ends[j]``, laid out as ``CountTable.add`` lays
+    them out (ascending codes, non-empty rows only).
+
+    Each log row is coded once by (the node's configuration, x's value), and
+    then once per predecessor y by (y, y's value): one ``np.bincount`` of
+    those codes counts every child's rows at once, each value of its added
+    parent included.  It runs over blocks of ``_BLOCK_CELLS // x`` rows, so
+    its memory does not grow with the log.  The counts are then laid out
+    child by child: a child's code is the node's code split at the added
+    parent's place value, with the parent's value between.
+    """
+    x, arities = lattice.x, lattice.arities
+    m_x = arities[x]
+    base_codes = node.counts.codes.tolist()
+    n_configs = len(base_codes)
+    seen_all = n_configs == math.prod(node.counts.arities)
+    top = max(arities[:x])  # cells per predecessor: room for every value
+    offsets = np.arange(0, x * top, top)
+    counts = np.zeros(n_configs * m_x * x * top, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // x)
+    for start in range(0, net.n_total, step):
+        block = net.example_log[start : start + step]
+        config = config_codes(block, node.parents, net.schema)
+        if not seen_all:  # the index of each code among the observed ones
+            config = np.searchsorted(node.counts.codes, config)
+        cells = block[:, :x] + offsets
+        cells += ((config * m_x + block[:, x]) * (x * top))[:, None]
+        counts += np.bincount(cells.ravel(), minlength=len(counts))
+    # by_parent[y][v][k]: the counts of x's values at configuration k with y = v
+    by_parent = counts.reshape(n_configs, m_x, x, top).transpose(2, 3, 0, 1).tolist()
+    codes: list[int] = []
+    rows: list[list[int]] = []
+    ends: list[int] = []
+    for key in keys:
+        y = lattice.candidates[(key ^ node.key).bit_length() - 1]
+        arity, by_value = arities[y], by_parent[y]
+        place = math.prod(arities[p] for p in node.parents if p > y)
+        k = 0
+        while k < n_configs:  # the configurations sharing their code above y
+            high = base_codes[k] // place
+            stop = k + 1
+            while stop < n_configs and base_codes[stop] // place == high:
+                stop += 1
+            for v in range(arity):
+                for j in range(k, stop):
+                    row = by_value[v][j]
+                    if any(row):
+                        codes.append((high * arity + v) * place + base_codes[j] % place)
+                        rows.append(row)
+            k = stop
+        ends.append(len(codes))
+    return codes, rows, ends
 
 
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
@@ -358,7 +500,10 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
             if budget_left == 0 and not report.exhausted:
                 break
     for lattice in net.lattices:  # a searched lattice's cache is fresh (_catch_up)
-        report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
+        best = _aimed_best(net, lattice, params)
+        report.best_scores[net.schema.name(lattice.x)] = (
+            _cached_best(net, lattice) if best is None else best
+        )
     return report
 
 

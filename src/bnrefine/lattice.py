@@ -6,25 +6,35 @@ implicit in every node and excluded from the key, so every stored node has
 a finite structure prior).  A node also carries its sufficient statistics
 (a ``CountTable`` over its parents' configuration codes), its log marginal
 likelihood per scoring model (a function of the counts, cached), the
-number of logged examples its counts have absorbed (the counts are those
-of ``example_log[:synced_through]``, and a saved session keeps only that
-number), a lifecycle status and an expansion state.  Subsets and
-supersets are found from the keys themselves; no links between nodes are
-stored.
+number of logged examples its counts have absorbed, a lifecycle status
+and an expansion state.  Subsets and supersets are found from the keys
+themselves; no links between nodes are stored.
+
+Invariant: a node's counts are those of ``example_log[:synced_through]``,
+so ``counts.total == synced_through`` (``engine.dead_condition`` reads the
+latter), and a saved session keeps only that number.  Examples enter a
+node in one of two ways (``engine``): ``sync_node`` adds the rows it has
+not absorbed, and an expansion counts all its fresh children on the whole
+log in one pass and stores them synced (``insert_children``).
 
 A parent set is its key.  The lattice keeps what of the spec a key needs,
 never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
 the arities of the variable and its predecessors; and ``alpha``.
-``insert_node``, the only place a node is built, derives in one pass over
-the candidates the node's parents (mandatory plus chosen, ascending), its
-count shape, its concentration ``alpha / (m_x * |v(parents)|)`` (the
-integer product of the parents' arities, 1 for none, so score-equivalent
-structures score equally) and its log prior: the first term of each
-chosen candidate and the second of each other, summed in ascending order.
-``oracle.log_structure_prior`` sums over every predecessor and adds only
-exact zeros besides, so the two agree bit for bit.  In memory only, the
-lattice also remembers its last arc posteriors with the state they were
-computed from (``query``).
+``insert_node`` derives in one pass over the candidates the node's parents
+(mandatory plus chosen, ascending), its count shape, its concentration
+``alpha / (m_x * |v(parents)|)`` (the integer product of the parents'
+arities, 1 for none, so score-equivalent structures score equally) and its
+log prior: the first term of each chosen candidate and the second of each
+other, summed in ascending order.  ``oracle.log_structure_prior`` sums
+over every predecessor and adds only exact zeros besides, so the two agree
+bit for bit.  ``insert_children``, the only other place a node is built,
+builds an expanded node's children from it to the same bits.
+
+In memory only, never saved or compared, the lattice also remembers its
+last arc posteriors with the state they were computed from (``arc_memo``,
+kept by ``query``) and the stamp and best score of its last re-aim
+(``aim``, kept by ``engine``); ``insert_node``, ``insert_children`` and
+``kill`` clear the latter, since a re-aim reads every stored node.
 
 Lifecycle:
 
@@ -43,6 +53,7 @@ Independently of status, a stored node's expansion state is one of:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -94,6 +105,9 @@ class ParentLattice:
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
     arc_memo: tuple | None = field(default=None, compare=False, repr=False)
+    # (stamp, best score) of the last re-aim, kept by engine.py; cleared by
+    # every insert and kill
+    aim: tuple | None = field(default=None, compare=False, repr=False)
 
     def alive_nodes(self) -> list[LatticeNode]:
         return [n for n in self.nodes.values() if n.status is NodeStatus.ALIVE]
@@ -168,7 +182,58 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
         log_prior=log_prior,
     )
     lattice.nodes[key] = node
+    lattice.aim = None
     return node
+
+
+def insert_children(
+    lattice: ParentLattice,
+    node: LatticeNode,
+    keys: list[int],
+    tables: list[tuple],
+    synced_through: int,
+) -> list[LatticeNode]:
+    """Store the one-parent extensions ``keys`` of a stored node, none of
+    them stored or dead, asleep and closed, child ``keys[j]`` holding the
+    count rows ``tables[j]`` (codes, cells) of ``example_log[:synced_through]``;
+    returns them in that order.
+
+    Each child is built from ``node`` as ``insert_node`` builds it from its
+    key, bit for bit: its parents by one insertion, its concentration by one
+    division by the same integer product, and its log prior as the same
+    ascending sum of kept terms, which shares the node's sum up to the
+    added candidate.
+    """
+    arities = lattice.arities
+    parents, shape = node.parents, node.counts.arities
+    product = arities[lattice.x] * math.prod(shape)
+    terms = [
+        log_in if node.key >> i & 1 else log_out
+        for i, (log_in, log_out) in enumerate(lattice.prior_terms)
+    ]
+    partial = [0.0]  # partial[i]: insert_node's running sum after i terms
+    for term in terms:
+        partial.append(partial[-1] + term)
+    children = []
+    for key, (codes, cells) in zip(keys, tables):
+        i = (key ^ node.key).bit_length() - 1
+        log_prior = partial[i] + lattice.prior_terms[i][0]
+        for term in terms[i + 1 :]:
+            log_prior += term
+        y = lattice.candidates[i]
+        at = bisect.bisect(parents, y)
+        child = LatticeNode(
+            key=key,
+            parents=parents[:at] + (y,) + parents[at:],
+            alpha_x=lattice.alpha / (product * arities[y]),
+            counts=CountTable.from_rows(shape[:at] + (arities[y],) + shape[at:], codes, cells),
+            log_prior=log_prior,
+            synced_through=synced_through,
+        )
+        lattice.nodes[key] = child
+        children.append(child)
+    lattice.aim = None
+    return children
 
 
 def alive_leaves(lattice: ParentLattice) -> list[LatticeNode]:
@@ -190,3 +255,4 @@ def kill(lattice: ParentLattice, key: int) -> None:
     """Prune a stored parent set for good: drop its node, keep its key in ``dead``."""
     del lattice.nodes[key]
     lattice.dead.add(key)
+    lattice.aim = None

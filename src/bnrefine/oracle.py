@@ -105,7 +105,9 @@ class ExactPosterior:
     posterior: dict[frozenset[int], float]
 
     def arc_mass(self, y: int) -> float:
-        return sum(p for s, p in self.posterior.items() if y in s)
+        """Summed exactly and capped at 1, as the engine's arc posteriors are:
+        the posterior is normalized, so any excess over 1 is rounding."""
+        return min(1.0, math.fsum(p for s, p in self.posterior.items() if y in s))
 
     def map_set(self) -> frozenset[int]:
         return max(self.posterior, key=lambda s: (self.posterior[s], -len(s)))

@@ -223,6 +223,14 @@ def forward_sample_reference(network: ConcreteNetwork, n: int, seed: int) -> lis
     return examples
 
 
+def assert_counts_are_a_log_prefix(net: CombinedNetwork) -> None:
+    """Every stored node's counts are those of ``example_log[:synced_through]``:
+    their total is ``synced_through``, which ``dead_condition`` reads instead."""
+    for lattice in net.lattices:
+        for node in lattice.nodes.values():
+            assert node.counts.total == node.synced_through, (lattice.x, node.key)
+
+
 class DeadNodeMonitor:
     """Asserts dead is absorbing: a lattice's dead keys only grow, and no dead
     key is ever stored again."""

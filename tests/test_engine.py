@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,14 +31,17 @@ from bnrefine import (
     sample_smoothed,
     sync_node,
 )
-from bnrefine.engine import dead_condition
+from bnrefine import engine
+from bnrefine.engine import SCORING_MODELS, dead_condition
 from bnrefine.fileio import serialize_session, session_from_document
-from bnrefine.lattice import insert_node
+from bnrefine.kernels import log_marginal_likelihood
+from bnrefine.lattice import insert_node, kill
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
 from helpers import (
     DeadNodeMonitor,
+    assert_counts_are_a_log_prefix,
     binary_schema,
     chain_v_truth,
     dead_threshold_reference,
@@ -276,11 +280,11 @@ class TestDeadCondition:
         node = insert_node(net.lattices[3], 0b101)  # parents a and c: 12 configurations
         assert node.parents == (0, 2)
         threshold = dead_threshold_reference(node, schema, 3, kappa)
-        one = np.zeros(1, dtype=np.int64)
         for total in range(math.ceil(threshold) + 2):  # one row at a time, across it
-            assert node.counts.total == total
+            assert node.counts.total == node.synced_through == total
             assert dead_condition(node, kappa) == (total >= threshold)
-            node.counts.add(one, one)
+            observe(net, (0, 0, 0, 0))
+            sync_node(net, net.lattices[3], node)
         assert dead_condition(node, kappa)
 
     def test_kappa_zero_always_true(self):
@@ -404,6 +408,224 @@ class TestRefine:
         rethreshold(twin, SearchParams())
         assert refine(net, SearchParams()) == refine(twin, SearchParams())
         assert serialize_session(net) == serialize_session(twin)
+
+
+class TestExpansion:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 4), st.sampled_from([0.0, 1.0, 0.2, 0.5, 0.9])),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(2, 4),
+        st.one_of(st.just(0), st.just(1), st.integers(2, 150)),
+        st.sampled_from([1, 7, 64, 1 << 16]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_children_counted_in_one_pass_equal_the_per_child_count(
+        self, predecessors, m_x, n_rows, block, seed, data
+    ):
+        # every fresh child of an expansion is counted in one pass over the
+        # log (in blocks of ``block`` cells, one row each at the least),
+        # built from the expanded set and, under the table model, scored: it
+        # must equal the child insert_node builds, sync_node counts and
+        # _node_score scores, bit for bit
+        x = len(predecessors)
+        labels = "abcd"
+        schema = DomainSchema(
+            tuple(VariableSpec(f"p{y}", tuple(labels[:a])) for y, (a, _) in enumerate(predecessors))
+            + (VariableSpec("x", tuple(labels[:m_x])),)
+        )
+        priors = ArcPriorMatrix(entries={(y, x): p for y, (_, p) in enumerate(predecessors)})
+        config = PriorConfig(data.draw(st.floats(0.01, 100.0), label="alpha"))
+        rng = np.random.default_rng(seed)
+        arities = [a for a, _ in predecessors] + [m_x]
+        rows = np.column_stack([rng.integers(0, a, size=n_rows) for a in arities])
+        net, reference = init(schema, priors, config), init(schema, priors, config)
+        observe_batch(net, rows)
+        observe_batch(reference, rows)
+        lattice = net.lattices[x]
+        n_candidates = len(lattice.candidates)
+        chosen = data.draw(
+            st.sets(st.integers(0, max(n_candidates - 1, 0)), max_size=min(3, n_candidates)),
+            label="expanded set",
+        )
+        node = insert_node(lattice, sum(1 << i for i in chosen))
+        sync_node(net, lattice, node)
+        fresh, stored, dead = [], [], []
+        for i in range(n_candidates):
+            key = node.key | 1 << i
+            if key == node.key:
+                continue
+            kind = data.draw(st.sampled_from(["fresh", "stored", "dead"]), label=f"child {key:#x}")
+            if kind == "fresh":
+                fresh.append(key)
+            elif kind == "stored":
+                stored.append(insert_node(lattice, key))
+            else:
+                insert_node(lattice, key)
+                kill(lattice, key)
+                dead.append(key)
+        model = data.draw(st.sampled_from(SCORING_MODELS), label="model")
+        net.scoring_model = model  # only the table model scores children at once
+        before = set(lattice.nodes)
+        with mock.patch.object(engine, "_BLOCK_CELLS", block):
+            assert engine._expand(net, lattice, node) == len(fresh)
+        assert lattice.nodes.keys() == before | set(fresh)
+        assert all(lattice.nodes[s.key] is s and s.synced_through == 0 for s in stored)
+        assert lattice.dead == set(dead)
+        for key in fresh:
+            child = lattice.nodes[key]
+            want = insert_node(reference.lattices[x], key)
+            sync_node(reference, reference.lattices[x], want)
+            assert child.parents == want.parents
+            assert child.alpha_x.hex() == want.alpha_x.hex()
+            assert child.log_prior.hex() == want.log_prior.hex()
+            assert child.counts == want.counts
+            assert child.counts.codes.dtype == child.counts.cells.dtype == np.int64
+            assert child.counts.cells.shape[1] == m_x
+            assert child.synced_through == n_rows == child.counts.total
+            assert child.status is NodeStatus.ASLEEP
+            assert child.expansion is ExpansionFlag.CLOSED
+            assert child.fits == {}
+            if model == "table":  # scored as _node_score would score it
+                log_ml = log_marginal_likelihood(want.counts.cells, want.alpha_x)
+                assert child.scores.keys() == {"table"}
+                assert child.scores["table"][0] == n_rows
+                assert child.scores["table"][1].hex() == log_ml.hex()
+            else:
+                assert child.scores == {}
+
+
+# searches the stamp test switches between: the default, each of its five
+# thresholds changed alone, and a permissive one
+AIM_PARAMS = [
+    SearchParams(),
+    SearchParams(c_alive=0.2),
+    SearchParams(d_open=0.05),
+    SearchParams(e_dead=0.005),
+    SearchParams(hysteresis=0.9),
+    SearchParams(dead_kappa=1.0),
+    SearchParams(c_alive=1e-6, d_open=1e-6, e_dead=1e-7),
+]
+
+AIM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 30)),
+        st.tuples(
+            st.just("refine"),
+            st.tuples(st.one_of(st.none(), st.integers(0, 3)), st.integers(0, len(AIM_PARAMS) - 1)),
+        ),
+        st.tuples(st.just("model"), st.sampled_from(SCORING_MODELS)),
+        st.tuples(st.just("reload"), st.none()),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _unaimed_refine(net, params):
+    """``refine`` as if no lattice remembered its last re-aim: every pass
+    re-aims, and ``best_scores`` are read from the cached scores."""
+    with mock.patch.object(engine, "_aimed_best", lambda *_: None):
+        return refine(net, params)
+
+
+class TestAim:
+    def test_inserts_and_kills_clear_the_stamp(self):
+        net, _ = sampled_net(five_var_truth(), 60, seed=3)
+        lattice = net.lattices[4]
+        rethreshold(net, SearchParams())
+        assert lattice.aim is not None
+        insert_node(lattice, 0)  # already stored: nothing changes
+        assert lattice.aim is not None
+        insert_node(lattice, 0b1)
+        assert lattice.aim is None
+        rethreshold(net, SearchParams(dead_kappa=math.inf))
+        assert lattice.aim is not None
+        kill(lattice, 0b1)
+        assert lattice.aim is None
+
+    def test_refine_re_aims_a_lattice_only_when_what_it_reads_changed(self):
+        net, data = sampled_net(five_var_truth(), 200, seed=4)
+        params = SearchParams()
+        refine(net, params)
+        calls = []
+        real = engine._catch_up
+
+        def counted(net, lattice, params):
+            calls.append(lattice.x)
+            return real(net, lattice, params)
+
+        def re_aims_once(params):
+            # the first refine re-aims each lattice first thing, the next none
+            calls.clear()
+            refine(net, params)
+            first = calls[:5]
+            calls.clear()
+            refine(net, params)
+            return first == [0, 1, 2, 3, 4] and calls == []
+
+        with mock.patch.object(engine, "_catch_up", counted):
+            assert refine(net, params).expansions == 0
+            observe_batch(net, data[:0])
+            refine(net, params)
+            assert calls == []  # every lattice is aimed, and an empty batch changes nothing
+            observe_batch(net, data[:1])
+            assert re_aims_once(params)
+            net.scoring_model = "noisy-or"
+            assert re_aims_once(params)
+            for field, value in [
+                ("c_alive", 0.2),
+                ("d_open", 0.05),
+                ("e_dead", 0.005),
+                ("hysteresis", 0.9),
+                ("dead_kappa", 1.0),
+            ]:
+                params = replace(params, **{field: value})
+                assert re_aims_once(params), field
+
+    def test_public_rethreshold_always_re_aims(self):
+        net, _ = sampled_net(five_var_truth(), 200, seed=5)
+        refine(net, SearchParams())
+        before = node_state(net)
+        for lattice in net.lattices:
+            for node in lattice.nodes.values():
+                node.status = NodeStatus.ASLEEP
+        refine(net, SearchParams())  # aimed lattices are left as they are
+        assert not any(lattice.alive_nodes() for lattice in net.lattices)
+        rethreshold(net, SearchParams())
+        assert node_state(net) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SCORING_MODELS), AIM_OPS, st.integers(0, 3))
+    def test_an_unaimed_twin_agrees_under_any_interleaving(self, model, ops, seed):
+        # skipping the re-aim of a lattice whose stamp matches must change
+        # nothing that a twin re-aiming on every pass would show
+        rows = forward_sample(five_var_truth(), 30 * (len(ops) + 1), seed)
+        net = fresh_net("abcde")
+        net.scoring_model = model
+        observe_batch(net, rows[:30])
+        refine(net, SearchParams())  # every lattice aimed: the stamps are in play at once
+        twin = copy.deepcopy(net)
+        for op, arg in ops:
+            if op == "observe":
+                batch = rows[net.n_total : net.n_total + arg]
+                observe_batch(net, batch)
+                observe_batch(twin, batch)
+            elif op == "refine":
+                budget, which = arg
+                params = replace(AIM_PARAMS[which], budget=budget)
+                assert refine(net, params) == _unaimed_refine(twin, params)
+            elif op == "model":
+                net.scoring_model = twin.scoring_model = arg
+            else:
+                net = session_from_document(json.loads(serialize_session(net)))
+            assert serialize_session(net) == serialize_session(twin)
+            assert all_arc_posteriors(net).entries == all_arc_posteriors(twin).entries
+            assert_counts_are_a_log_prefix(net)
 
 
 class TestSearchParams:

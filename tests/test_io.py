@@ -45,6 +45,7 @@ from bnrefine.query import sample_smoothed
 from bnrefine.sampling import forward_sample
 
 from helpers import (
+    assert_counts_are_a_log_prefix,
     binary_schema,
     chain_v_truth,
     five_var_truth,
@@ -520,6 +521,8 @@ class TestSession:
                 net = session_from_document(json.loads(serialize_session(net)))
             assert serialize_session(net) == serialize_session(twin)
             assert node_state(net) == node_state(twin)
+            assert_counts_are_a_log_prefix(net)
+            assert_counts_are_a_log_prefix(twin)
 
     def test_session_with_a_half_searched_lattice_loads_and_resaves(self, tmp_path):
         # a version 1 file, written by the release that kept the log as a list

@@ -12,7 +12,9 @@ from bnrefine.oracle import (
     quadrature_marginal_1d,
 )
 
-from helpers import binary_schema, log_beta_multi
+from bnrefine.sampling import forward_sample
+
+from helpers import binary_schema, chain_v_truth, five_var_truth, log_beta_multi
 
 
 class TestExhaustivePosterior:
@@ -62,6 +64,18 @@ class TestExhaustiveArcPosterior:
         schema = binary_schema("ab")
         with pytest.raises(ValueError):
             exhaustive_arc_posterior(1, 0, [], ArcPriorMatrix(), PriorConfig(), schema)
+
+    @pytest.mark.parametrize("truth", [five_var_truth, chain_v_truth])
+    def test_never_exceeds_one(self, truth):
+        # summed with plain sum, 18 of these arcs read above 1 by up to 1.4e-14
+        network = truth()
+        schema = network.schema
+        for seed in range(15):
+            data = forward_sample(network, 300, seed)
+            for x in range(1, len(schema)):
+                exact = exhaustive_posterior(x, data, ArcPriorMatrix(), PriorConfig(), schema)
+                for y in range(x):
+                    assert 0.0 <= exact.arc_mass(y) <= 1.0
 
 
 class TestFullJoint:

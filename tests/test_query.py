@@ -30,6 +30,7 @@ from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
 
 from helpers import (
+    assert_counts_are_a_log_prefix,
     binary_schema,
     five_var_truth,
     fresh_net,
@@ -221,6 +222,7 @@ class TestArcMemo:
                 net.scoring_model = arg
             else:
                 net = session_from_document(json.loads(serialize_session(net)))
+            assert_counts_are_a_log_prefix(net)
             reference = reference_arc_posteriors(net)
             for (y, x), p in reference.items():
                 assert arc_posterior(net, y, x) == p
