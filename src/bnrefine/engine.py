@@ -10,13 +10,12 @@ single source of truth, and examples enter a node in one of two ways:
 - an expansion counts every fresh child of the expanded node on the whole
   log in one pass (``_count_children``): each row is coded once by the
   expanded node's configuration and x's value, and one ``np.bincount``
-  counts all children at once.  The children enter synced.
+  counts all children at once.  The children enter synced and unscored.
 
 Either way a node's counts are those of ``example_log[:synced_through]``,
 laid out alike.  Under every model a score is a function of those counts,
-computed lazily and cached by ``_node_score`` (an expansion caches its
-children's table scores as it counts them, to the same bits), so it never
-depends on how the data was split into batches or how it was counted.
+computed lazily and cached by ``_node_score``, so it never depends on how
+the data was split into batches or how it was counted.
 Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then sync
@@ -44,11 +43,10 @@ nodes, and re-aiming a lattice that is already aimed changes nothing.
 
 So a re-aim is skipped when nothing it reads has changed.  Each lattice
 keeps, in memory only, the stamp of its last re-aim (``ParentLattice.aim``:
-the log's length, the scoring model and the five thresholds, with the best
-score found); inserting or killing a node clears it.  ``refine`` passes
-over a lattice whose stamp matches without re-aiming it, and reads its
-``best_scores`` entry from the stamp; the public ``rethreshold`` always
-re-aims.
+the log's length, the scoring model, the five thresholds and how many
+nodes are stored and dead, with the best score found); only this module
+reads or writes it.  ``refine`` passes over a lattice whose stamp matches
+without re-aiming it; the public ``rethreshold`` always re-aims.
 """
 
 from __future__ import annotations
@@ -67,12 +65,7 @@ from .domain import (
     PriorConfig,
     config_codes,
 )
-from .kernels import (
-    NEG_INF,
-    expected_theta,
-    log_marginal_likelihood,
-    shifted_log_marginal_likelihood,
-)
+from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
@@ -161,14 +154,13 @@ class SearchReport:
     """What one ``refine`` call did.
 
     ``best_scores`` maps each variable to the best cached score of its alive
-    parent sets under the active scoring model, read after the search: the
-    best of the lattice's last re-aim while its stamp matches, else
-    ``_cached_best`` (the two agree once a lattice is aimed).  A lattice the
-    call searched has every stored set scored on the whole log, so its
-    entry is exact.  For one it did not
-    search (a zero budget, or a budget spent before reaching it) nothing is
-    computed: the entry may lag the log, and it is -inf if no alive set is
-    scored yet, as after loading.
+    parent sets under the active scoring model, read after the search
+    (``_cached_best``).  A lattice the call searched has every stored set
+    scored on the whole log, and its best set is alive, so its entry is
+    exact: the best of its last re-aim.  For one it did not search (a zero
+    budget, or a budget spent before reaching it) nothing is computed: the
+    entry may lag the log, and it is -inf if no alive set is scored yet, as
+    after loading.
     """
 
     expansions: int = 0
@@ -273,7 +265,8 @@ def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     """The best score of the lattice's alive nodes from the cached scores,
     computing nothing: a score may lag the log, and a node never scored
     under the model is -inf.  Right after ``_catch_up`` every stored node
-    is scored on the whole log, so it is then the exact best."""
+    is scored on the whole log, and the best one is alive (its score clears
+    ``log c_alive + best``), so it is then the exact best."""
     kind = net.scoring_model
     return max(
         (n.log_prior + n.scores[kind][1] for n in lattice.alive_nodes() if kind in n.scores),
@@ -320,22 +313,27 @@ def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams
     """Sync every stored node with the log, re-aim every status at the best
     score over them under the active model, and return that best, so all the
     scores compared have absorbed the same examples.  The lattice's ``aim``
-    remembers the best against what the re-aim read (``_aim_stamp``)."""
+    remembers the best with the stamp of what the re-aim read and left
+    (``_aim_stamp``), taken after the rethreshold, which can kill nodes."""
     for node in lattice.nodes.values():
         if node.synced_through != net.n_total:
             sync_node(net, lattice, node)
     best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
     _rethreshold_lattice(net, lattice, best, params)
-    lattice.aim = (_aim_stamp(net, params), best)
+    lattice.aim = (_aim_stamp(net, lattice, params), best)
     return best
 
 
-def _aim_stamp(net: CombinedNetwork, params: SearchParams) -> tuple:
-    """What a re-aim reads besides the stored nodes, whose inserts and kills
-    clear the stamp: the log's length, the active model and the thresholds."""
+def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> tuple:
+    """What a re-aim reads: the log's length, the active model, the
+    thresholds, and how many nodes are stored and dead.  An insert grows
+    ``nodes`` and a kill moves a key from ``nodes`` to ``dead``, which
+    never shrinks, so every insert or kill changes the last pair."""
     return (
         net.n_total,
         net.scoring_model,
+        len(lattice.nodes),
+        len(lattice.dead),
         params.c_alive,
         params.d_open,
         params.e_dead,
@@ -348,7 +346,7 @@ def _aimed_best(net: CombinedNetwork, lattice: ParentLattice, params: SearchPara
     """The best score of the lattice's last re-aim if nothing it read has
     changed since, when re-aiming again would change nothing; else None."""
     aim = lattice.aim
-    if aim is not None and aim[0] == _aim_stamp(net, params):
+    if aim is not None and aim[0] == _aim_stamp(net, lattice, params):
         return aim[1]
     return None
 
@@ -394,28 +392,13 @@ def _refine_lattice(
 def _expand(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> int:
     """Store every child of a node synced with the whole log that is neither
     stored nor dead, counted on the whole log in one pass (``_count_children``);
-    returns how many.
-
-    Under the table model the children are scored here too, every child's
-    rows shifted by its concentration in one array operation: the scores
-    ``_node_score`` would cache at the next re-aim, to the bit.
+    returns how many.  The children enter unscored, and the next re-aim
+    scores them through ``_node_score`` like every other stored node.
     """
     keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
-    if not keys:
-        return 0
-    codes, rows, ends = _count_children(net, lattice, node, keys)
-    m_x = lattice.arities[lattice.x]
-    all_codes = np.array(codes, dtype=np.int64)
-    all_cells = np.array(rows, dtype=np.int64).reshape(len(rows), m_x)
-    starts = [0, *ends[:-1]]
-    tables = [(all_codes[a:b], all_cells[a:b]) for a, b in zip(starts, ends)]
-    children = insert_children(lattice, node, keys, tables, net.n_total)
-    if net.scoring_model == "table":
-        alphas = [child.alpha_x for child in children]
-        shifted = (all_cells + np.repeat(alphas, np.diff([0, *ends]))[:, None]).tolist()
-        for child, alpha_x, a, b in zip(children, alphas, starts, ends):
-            log_ml = shifted_log_marginal_likelihood(shifted[a:b], alpha_x, m_x)
-            child.scores["table"] = (net.n_total, log_ml)
+    if keys:
+        tables = _count_children(net, lattice, node, keys)
+        insert_children(lattice, node, keys, tables, net.n_total)
     return len(keys)
 
 
@@ -425,11 +408,11 @@ _BLOCK_CELLS = 1 << 16
 
 def _count_children(
     net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, keys: list[int]
-) -> tuple[list[int], list[list[int]], list[int]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The count rows of each child ``keys[j]`` of a node synced with the
-    whole log, on the whole log, in one pass: (codes, rows, ends), child
-    j's at ``ends[j - 1]:ends[j]``, laid out as ``CountTable.add`` lays
-    them out (ascending codes, non-empty rows only).
+    whole log, on the whole log, in one pass: one (codes, cells) pair of
+    int64 arrays per child, in ``keys`` order, laid out as ``CountTable.add``
+    lays them out (ascending codes, non-empty rows only).
 
     Each log row is coded once by (the node's configuration, x's value), and
     then once per predecessor y by (y, y's value): one ``np.bincount`` of
@@ -458,13 +441,13 @@ def _count_children(
         counts += np.bincount(cells.ravel(), minlength=len(counts))
     # by_parent[y][v][k]: the counts of x's values at configuration k with y = v
     by_parent = counts.reshape(n_configs, m_x, x, top).transpose(2, 3, 0, 1).tolist()
-    codes: list[int] = []
-    rows: list[list[int]] = []
-    ends: list[int] = []
+    tables = []
     for key in keys:
         y = lattice.candidates[(key ^ node.key).bit_length() - 1]
         arity, by_value = arities[y], by_parent[y]
         place = math.prod(arities[p] for p in node.parents if p > y)
+        codes: list[int] = []
+        rows: list[list[int]] = []
         k = 0
         while k < n_configs:  # the configurations sharing their code above y
             high = base_codes[k] // place
@@ -478,8 +461,9 @@ def _count_children(
                         codes.append((high * arity + v) * place + base_codes[j] % place)
                         rows.append(row)
             k = stop
-        ends.append(len(codes))
-    return codes, rows, ends
+        cells = np.array(rows, dtype=np.int64).reshape(len(rows), m_x)
+        tables.append((np.array(codes, dtype=np.int64), cells))
+    return tables
 
 
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
@@ -500,10 +484,7 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
             if budget_left == 0 and not report.exhausted:
                 break
     for lattice in net.lattices:  # a searched lattice's cache is fresh (_catch_up)
-        best = _aimed_best(net, lattice, params)
-        report.best_scores[net.schema.name(lattice.x)] = (
-            _cached_best(net, lattice) if best is None else best
-        )
+        report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
     return report
 
 

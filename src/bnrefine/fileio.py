@@ -75,16 +75,21 @@ class CsvFormatError(ValueError):
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write ``data`` to a temp file beside ``path``, then replace ``path``
+    with it.  A failure leaves no temp file and is raised as an ``OSError``
+    naming ``path``, never the temp file the user did not ask for."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bnrefine-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bnrefine-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as error:
+        raise OSError(error.errno, error.strerror, path) from error
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _dump(document: dict) -> str:
@@ -233,7 +238,8 @@ def parse_csv(text: str, schema: DomainSchema) -> list[Example]:
 
 
 def load_csv(path: str, schema: DomainSchema) -> list[Example]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark spreadsheets write before the header
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         return parse_csv(handle.read(), schema)
 
 

@@ -45,15 +45,9 @@ def log_marginal_likelihood(cells: np.ndarray, alpha_x: float) -> float:
     """
     if alpha_x <= 0:
         raise ValueError(f"alpha_x must be positive, got {alpha_x}")
-    return shifted_log_marginal_likelihood((cells + alpha_x).tolist(), alpha_x, cells.shape[1])
-
-
-def shifted_log_marginal_likelihood(rows: list[list[float]], alpha_x: float, m_x: int) -> float:
-    """``log_marginal_likelihood`` of count rows already shifted by alpha_x,
-    as ``(cells + alpha_x).tolist()`` gives them, for a caller that shifts
-    the rows of many tables at once; ``alpha_x`` checked by the caller."""
-    log_beta_prior = _log_beta_symmetric(alpha_x, m_x)
+    log_beta_prior = _log_beta_symmetric(alpha_x, cells.shape[1])
     # log Beta_m of each row, unchecked: every component is a count plus alpha_x > 0
+    rows = (cells + alpha_x).tolist()
     lgamma = math.lgamma
     return math.fsum([sum(map(lgamma, row)) - lgamma(sum(row)) - log_beta_prior for row in rows])
 

@@ -33,8 +33,7 @@ builds an expanded node's children from it to the same bits.
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the state they were computed from (``arc_memo``,
 kept by ``query``) and the stamp and best score of its last re-aim
-(``aim``, kept by ``engine``); ``insert_node``, ``insert_children`` and
-``kill`` clear the latter, since a re-aim reads every stored node.
+(``aim``, kept by ``engine``).
 
 Lifecycle:
 
@@ -105,8 +104,7 @@ class ParentLattice:
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
     arc_memo: tuple | None = field(default=None, compare=False, repr=False)
-    # (stamp, best score) of the last re-aim, kept by engine.py; cleared by
-    # every insert and kill
+    # (stamp, best score) of the last re-aim, kept by engine.py only
     aim: tuple | None = field(default=None, compare=False, repr=False)
 
     def alive_nodes(self) -> list[LatticeNode]:
@@ -182,7 +180,6 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
         log_prior=log_prior,
     )
     lattice.nodes[key] = node
-    lattice.aim = None
     return node
 
 
@@ -192,11 +189,10 @@ def insert_children(
     keys: list[int],
     tables: list[tuple],
     synced_through: int,
-) -> list[LatticeNode]:
+) -> None:
     """Store the one-parent extensions ``keys`` of a stored node, none of
     them stored or dead, asleep and closed, child ``keys[j]`` holding the
-    count rows ``tables[j]`` (codes, cells) of ``example_log[:synced_through]``;
-    returns them in that order.
+    count rows ``tables[j]`` (codes, cells) of ``example_log[:synced_through]``.
 
     Each child is built from ``node`` as ``insert_node`` builds it from its
     key, bit for bit: its parents by one insertion, its concentration by one
@@ -214,7 +210,6 @@ def insert_children(
     partial = [0.0]  # partial[i]: insert_node's running sum after i terms
     for term in terms:
         partial.append(partial[-1] + term)
-    children = []
     for key, (codes, cells) in zip(keys, tables):
         i = (key ^ node.key).bit_length() - 1
         log_prior = partial[i] + lattice.prior_terms[i][0]
@@ -222,7 +217,7 @@ def insert_children(
             log_prior += term
         y = lattice.candidates[i]
         at = bisect.bisect(parents, y)
-        child = LatticeNode(
+        lattice.nodes[key] = LatticeNode(
             key=key,
             parents=parents[:at] + (y,) + parents[at:],
             alpha_x=lattice.alpha / (product * arities[y]),
@@ -230,10 +225,6 @@ def insert_children(
             log_prior=log_prior,
             synced_through=synced_through,
         )
-        lattice.nodes[key] = child
-        children.append(child)
-    lattice.aim = None
-    return children
 
 
 def alive_leaves(lattice: ParentLattice) -> list[LatticeNode]:
@@ -255,4 +246,3 @@ def kill(lattice: ParentLattice, key: int) -> None:
     """Prune a stored parent set for good: drop its node, keep its key in ``dead``."""
     del lattice.nodes[key]
     lattice.dead.add(key)
-    lattice.aim = None

@@ -12,7 +12,6 @@ from bnrefine import (
     CombinedNetwork,
     ConcreteNetwork,
     DomainSchema,
-    ExpansionFlag,
     PriorConfig,
     VariableSpec,
     init,

@@ -13,16 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bnrefine import (
-    ArcPriorMatrix,
-    PriorConfig,
-    SearchParams,
-    all_arc_posteriors,
-    init,
-    observe,
-    observe_batch,
-    refine,
-)
+from bnrefine import SearchParams, all_arc_posteriors, observe, observe_batch, refine
 from bnrefine.fileio import load_session, save_session, serialize_session
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, fit_map, laplace_log_marginal
 from bnrefine.oracle import exhaustive_posterior, quadrature_marginal_1d
@@ -31,7 +22,6 @@ from bnrefine.sampling import forward_sample
 
 from helpers import (
     DeadNodeMonitor,
-    binary_schema,
     boolean_counts,
     chain_v_truth,
     five_var_truth,

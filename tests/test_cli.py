@@ -57,6 +57,40 @@ class TestBasics:
         assert code == 1
         assert "nope" in err
 
+    def test_a_csv_with_a_byte_order_mark_observes_as_one_without(self, tmp_path, spec_path, truth_path):
+        # a spreadsheet's "CSV UTF-8" starts with a byte-order mark, which
+        # was read into the first header name and refused
+        data = tmp_path / "data.csv"
+        run(["generate", "--network", truth_path, "-n", "50", "--seed", "4", "--out", str(data)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+        sessions = []
+        for source in (data, marked):
+            session = tmp_path / f"{source.stem}.session.json"
+            assert run(["init", "--spec", spec_path, "--out", str(session)])[0] == 0
+            code, _, err = run(["observe", "--session", str(session), "--data", str(source)])
+            assert (code, err) == (0, "")
+            sessions.append(session.read_bytes())
+        assert sessions[0] == sessions[1]
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_a_failed_write_names_the_path_asked_for(self, tmp_path, spec_path, target):
+        # the error named the hidden temp file the write went through
+        session = str(tmp_path / "s.json")
+        assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
+        (tmp_path / "out").mkdir()
+        if target == "directory":
+            path = str(tmp_path / "out")
+            argv = ["arcs", "--session", session, "--dot", path]
+        else:
+            path = str(tmp_path / "out" / "missing" / "best.json")
+            argv = ["map", "--session", session, "--out", path]
+        code, _, err = run(argv)
+        assert code == 1
+        assert err.startswith("error: ") and path in err and ".bnrefine-" not in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "s.json", "spec.json"]
+
     def test_init_then_arcs_reports_zeros(self, tmp_path, spec_path):
         session = str(tmp_path / "s.json")
         assert run(["init", "--spec", spec_path, "--out", session])[0] == 0

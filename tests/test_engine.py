@@ -34,7 +34,6 @@ from bnrefine import (
 from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS, dead_condition
 from bnrefine.fileio import serialize_session, session_from_document
-from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.lattice import insert_node, kill
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -428,10 +427,10 @@ class TestExpansion:
         self, predecessors, m_x, n_rows, block, seed, data
     ):
         # every fresh child of an expansion is counted in one pass over the
-        # log (in blocks of ``block`` cells, one row each at the least),
-        # built from the expanded set and, under the table model, scored: it
-        # must equal the child insert_node builds, sync_node counts and
-        # _node_score scores, bit for bit
+        # log (in blocks of ``block`` cells, one row each at the least) and
+        # built from the expanded set, unscored: it must equal the child
+        # insert_node builds and sync_node counts, bit for bit, and score
+        # as that child does under every model its family allows
         x = len(predecessors)
         labels = "abcd"
         schema = DomainSchema(
@@ -469,7 +468,7 @@ class TestExpansion:
                 kill(lattice, key)
                 dead.append(key)
         model = data.draw(st.sampled_from(SCORING_MODELS), label="model")
-        net.scoring_model = model  # only the table model scores children at once
+        net.scoring_model = model  # no model scores children as they enter
         before = set(lattice.nodes)
         with mock.patch.object(engine, "_BLOCK_CELLS", block):
             assert engine._expand(net, lattice, node) == len(fresh)
@@ -490,13 +489,13 @@ class TestExpansion:
             assert child.status is NodeStatus.ASLEEP
             assert child.expansion is ExpansionFlag.CLOSED
             assert child.fits == {}
-            if model == "table":  # scored as _node_score would score it
-                log_ml = log_marginal_likelihood(want.counts.cells, want.alpha_x)
-                assert child.scores.keys() == {"table"}
-                assert child.scores["table"][0] == n_rows
-                assert child.scores["table"][1].hex() == log_ml.hex()
-            else:
-                assert child.scores == {}
+            assert child.scores == {}
+            boolean = all(arities[v] == 2 for v in (x, *child.parents))
+            for kind in SCORING_MODELS if boolean else ("table",):
+                net.scoring_model = reference.scoring_model = kind
+                score = engine._node_score(net, lattice, child)
+                want_score = engine._node_score(reference, reference.lattices[x], want)
+                assert score.hex() == want_score.hex(), kind
 
 
 # searches the stamp test switches between: the default, each of its five
@@ -528,25 +527,40 @@ AIM_OPS = st.lists(
 
 def _unaimed_refine(net, params):
     """``refine`` as if no lattice remembered its last re-aim: every pass
-    re-aims, and ``best_scores`` are read from the cached scores."""
+    re-aims."""
     with mock.patch.object(engine, "_aimed_best", lambda *_: None):
         return refine(net, params)
 
 
 class TestAim:
-    def test_inserts_and_kills_clear_the_stamp(self):
+    def test_inserts_and_kills_make_the_stamp_stale(self):
         net, _ = sampled_net(five_var_truth(), 60, seed=3)
         lattice = net.lattices[4]
-        rethreshold(net, SearchParams())
-        assert lattice.aim is not None
+        params = SearchParams(dead_kappa=math.inf)  # the re-aims kill nothing
+        rethreshold(net, params)
+        assert engine._aimed_best(net, lattice, params) is not None
         insert_node(lattice, 0)  # already stored: nothing changes
-        assert lattice.aim is not None
+        assert engine._aimed_best(net, lattice, params) is not None
         insert_node(lattice, 0b1)
-        assert lattice.aim is None
-        rethreshold(net, SearchParams(dead_kappa=math.inf))
-        assert lattice.aim is not None
+        assert engine._aimed_best(net, lattice, params) is None
+        rethreshold(net, params)
+        assert engine._aimed_best(net, lattice, params) is not None
         kill(lattice, 0b1)
-        assert lattice.aim is None
+        assert engine._aimed_best(net, lattice, params) is None
+
+    def test_an_insert_then_a_kill_of_the_same_set_makes_the_stamp_stale(self):
+        # a stamp counting stored sets alone matches here, and would match
+        # as well after storing one set and killing another, which leaves
+        # the new set unscored and its status unaimed
+        net, _ = sampled_net(five_var_truth(), 60, seed=3)
+        lattice = net.lattices[4]
+        params = SearchParams(dead_kappa=math.inf)
+        rethreshold(net, params)
+        stored = set(lattice.nodes)
+        insert_node(lattice, 0b10)
+        kill(lattice, 0b10)
+        assert set(lattice.nodes) == stored
+        assert engine._aimed_best(net, lattice, params) is None
 
     def test_refine_re_aims_a_lattice_only_when_what_it_reads_changed(self):
         net, data = sampled_net(five_var_truth(), 200, seed=4)

@@ -6,6 +6,9 @@ dunder, defined in ``src/bnrefine`` must be referenced from ``src/``,
 name, an attribute or an imported name in the source, or a function named
 in ``bench/tracing.py``'s ``WRAPPED``.  Code that only tests call belongs
 beside the tests (``tests/helpers.py``).
+
+No module under ``src/``, ``scripts/`` or ``tests/`` imports a name it
+never uses, save the re-exports of ``__init__.py`` and ``__future__``.
 """
 
 import ast
@@ -117,3 +120,28 @@ def test_no_module_in_src_imports_from_the_tests():
             )
             for module in modules:
                 assert module.partition(".")[0] not in ("tests", "helpers"), (path.name, module)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for top in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name != "__init__.py":
+                names = unused_imports(ast.parse(path.read_text()))
+                if names:
+                    unused[str(path.relative_to(ROOT))] = names
+    assert not unused, f"imported and never used: {unused}"
