@@ -300,8 +300,8 @@ class ConcreteNetwork:
         for x, (ps, table) in enumerate(zip(self.parents, self.tables)):
             if any(p >= x for p in ps):
                 raise ConfigurationError(f"parent set of {self.schema.name(x)!r} violates ordering")
-            if tuple(sorted(ps)) != tuple(ps):
-                raise ConfigurationError(f"parents of {self.schema.name(x)!r} must be sorted")
+            if any(a >= b for a, b in zip(ps, ps[1:])):
+                raise ConfigurationError(f"parents of {self.schema.name(x)!r} must be strictly ascending")
             expected = (config_count(self.schema, ps), self.schema.arity(x))
             if table.shape != expected:
                 raise ConfigurationError(

@@ -24,18 +24,17 @@ Two kinds of update:
 
 - ``refine``: beam search per variable, driven by three thresholds
   relative to the best score found (1 > c_alive >= d_open >= e_dead > 0):
-  nodes within a factor c_alive of the best are alive, nodes within
-  d_open are open for expansion, nodes below e_dead whose sample
-  mass clears ``dead_kappa * m_x * |v(parents)|`` are killed for good.
-  A hysteresis factor keeps freshly admitted nodes from flapping: a node
-  is admitted at the plain threshold but demoted only after falling below
-  threshold * hysteresis.
+  nodes within a factor c_alive of the best are alive, unexpanded nodes
+  within d_open are open (the search will expand them), nodes below
+  e_dead whose sample mass clears ``dead_kappa * m_x * |v(parents)|``
+  are killed for good.  A hysteresis factor guards status alone: a node
+  is admitted alive at c_alive but demoted to asleep only after falling
+  below c_alive * hysteresis.  Expansion state has no hysteresis.
 
 Each pass over a lattice re-aims it (syncs every stored node, takes the
 best score over them under the active model, rethresholds) and then
 expands its best open node, by score with ties broken by ascending
-parent-set key; a node left open only by hysteresis is closed when
-reached, without expanding or spending budget.  The search is resumable:
+parent-set key.  The search is resumable:
 stopping after any expansion budget and calling ``refine`` again
 converges to the state a single uninterrupted call produces, because the
 open nodes are the only queue, the expansion states persist on the
@@ -44,9 +43,9 @@ nodes, and re-aiming a lattice that is already aimed changes nothing.
 So a re-aim is skipped when nothing it reads has changed.  Each lattice
 keeps, in memory only, the stamp of its last re-aim (``ParentLattice.aim``:
 the log's length, the scoring model, the five thresholds and how many
-nodes are stored and dead, with the best score found); only this module
-reads or writes it.  ``refine`` passes over a lattice whose stamp matches
-without re-aiming it; the public ``rethreshold`` always re-aims.
+nodes are stored and dead); only this module reads or writes it.
+``refine`` passes over a lattice whose stamp matches without re-aiming
+it; the public ``rethreshold`` always re-aims.
 """
 
 from __future__ import annotations
@@ -106,22 +105,6 @@ class SearchParams:
             raise ConfigurationError(f"dead_kappa must be nonnegative, got {self.dead_kappa}")
         if self.budget is not None and self.budget < 0:
             raise ConfigurationError(f"budget must be nonnegative, got {self.budget}")
-
-    @property
-    def log_c(self) -> float:
-        return math.log(self.c_alive)
-
-    @property
-    def log_d(self) -> float:
-        return math.log(self.d_open)
-
-    @property
-    def log_e(self) -> float:
-        return math.log(self.e_dead)
-
-    @property
-    def log_h(self) -> float:
-        return math.log(self.hysteresis)
 
 
 @dataclass
@@ -283,52 +266,51 @@ def _rethreshold_lattice(
     """Recompute every stored node's status and expansion state against ``best``,
     or kill it.
 
-    Admission uses the plain thresholds (boundary inclusive); demotion of a
-    currently alive/open node additionally requires falling below threshold
-    times the hysteresis factor.  An expanded node stays expanded.  Aiming
-    twice at the same best changes nothing.
+    A node is admitted alive at the plain threshold (boundary inclusive), and
+    an alive node is demoted only after falling below threshold times the
+    hysteresis factor.  A node not yet expanded is open exactly when it
+    clears ``d_open`` (boundary inclusive), so every open node is one the
+    search will expand; an expanded node stays expanded.  Aiming twice at
+    the same best changes nothing.
     """
+    log_c, log_d, log_e, log_h = (
+        math.log(t) for t in (params.c_alive, params.d_open, params.e_dead, params.hysteresis)
+    )
     for node in list(lattice.nodes.values()):
         score = _node_score(net, lattice, node)
-        if score < params.log_e + best and dead_condition(node, params.dead_kappa):
+        if score < log_e + best and dead_condition(node, params.dead_kappa):
             kill(lattice, node.key)
             continue
-        if score >= params.log_c + best:
+        if score >= log_c + best:
             node.status = NodeStatus.ALIVE
-        elif node.status is NodeStatus.ALIVE and score >= params.log_c + params.log_h + best:
+        elif node.status is NodeStatus.ALIVE and score >= log_c + log_h + best:
             pass  # hysteresis: admitted nodes survive small dips
         else:
             node.status = NodeStatus.ASLEEP
-        if node.expansion is ExpansionFlag.EXPANDED:
-            continue  # an expanded node never reopens
-        if score >= params.log_d + best:
-            node.expansion = ExpansionFlag.OPEN
-        elif node.expansion is ExpansionFlag.OPEN and score >= params.log_d + params.log_h + best:
-            pass
-        else:
-            node.expansion = ExpansionFlag.CLOSED
+        if node.expansion is not ExpansionFlag.EXPANDED:  # an expanded node never reopens
+            node.expansion = ExpansionFlag.OPEN if score >= log_d + best else ExpansionFlag.CLOSED
 
 
-def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> float:
-    """Sync every stored node with the log, re-aim every status at the best
-    score over them under the active model, and return that best, so all the
-    scores compared have absorbed the same examples.  The lattice's ``aim``
-    remembers the best with the stamp of what the re-aim read and left
-    (``_aim_stamp``), taken after the rethreshold, which can kill nodes."""
+def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
+    """Sync every stored node with the log and re-aim every status at the best
+    score over them under the active model, so all the scores compared have
+    absorbed the same examples.  The lattice's ``aim`` remembers the stamp
+    of what the re-aim read and left (``_aim_stamp``), taken after the
+    rethreshold, which can kill nodes."""
     for node in lattice.nodes.values():
         if node.synced_through != net.n_total:
             sync_node(net, lattice, node)
     best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
     _rethreshold_lattice(net, lattice, best, params)
-    lattice.aim = (_aim_stamp(net, lattice, params), best)
-    return best
+    lattice.aim = _aim_stamp(net, lattice, params)
 
 
 def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> tuple:
     """What a re-aim reads: the log's length, the active model, the
     thresholds, and how many nodes are stored and dead.  An insert grows
     ``nodes`` and a kill moves a key from ``nodes`` to ``dead``, which
-    never shrinks, so every insert or kill changes the last pair."""
+    never shrinks, so every insert or kill changes the last pair.  While
+    a lattice's ``aim`` equals it, re-aiming again would change nothing."""
     return (
         net.n_total,
         net.scoring_model,
@@ -340,15 +322,6 @@ def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParam
         params.hysteresis,
         params.dead_kappa,
     )
-
-
-def _aimed_best(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> float | None:
-    """The best score of the lattice's last re-aim if nothing it read has
-    changed since, when re-aiming again would change nothing; else None."""
-    aim = lattice.aim
-    if aim is not None and aim[0] == _aim_stamp(net, lattice, params):
-        return aim[1]
-    return None
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
@@ -369,9 +342,8 @@ def _refine_lattice(
     returns the remaining budget."""
     is_open = ExpansionFlag.OPEN
     while True:
-        best = _aimed_best(net, lattice, params)
-        if best is None:
-            best = _catch_up(net, lattice, params)
+        if lattice.aim != _aim_stamp(net, lattice, params):
+            _catch_up(net, lattice, params)
         open_nodes = [n for n in lattice.nodes.values() if n.expansion is is_open]
         if not open_nodes:
             return budget_left
@@ -379,9 +351,6 @@ def _refine_lattice(
             report.exhausted = False
             return 0
         node = min(open_nodes, key=lambda n: (-_node_score(net, lattice, n), n.key))
-        if _node_score(net, lattice, node) < params.log_d + best:
-            node.expansion = ExpansionFlag.CLOSED  # open only by hysteresis: no expansion
-            continue
         node.expansion = ExpansionFlag.EXPANDED
         report.expansions += 1
         if budget_left is not None:

@@ -112,11 +112,17 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
     schema = _parse_variables(doc.get("variables"), SpecFormatError)
     default_prior = _spec_number(doc.get("default_prior", 0.5), "default_prior")
     alpha = _spec_number(doc.get("alpha", 1.0), "alpha")
+    arcs = doc.get("arcs", [])
+    if not isinstance(arcs, list):
+        raise SpecFormatError(f"arcs: {arcs!r} is not a list")
     entries: dict[tuple[int, int], float] = {}
-    for i, arc in enumerate(doc.get("arcs", [])):
+    for i, arc in enumerate(arcs):
         where = f"arcs[{i}]"
         if not isinstance(arc, dict) or not {"from", "to", "prior"} <= arc.keys():
             raise SpecFormatError(f"{where}: needs 'from', 'to', 'prior'")
+        for end in ("from", "to"):
+            if not isinstance(arc[end], str):
+                raise SpecFormatError(f"{where}: {end} {arc[end]!r} is not a variable name")
         try:
             y = schema.position(arc["from"])
             x = schema.position(arc["to"])

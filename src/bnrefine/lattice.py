@@ -32,8 +32,8 @@ builds an expanded node's children from it to the same bits.
 
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the state they were computed from (``arc_memo``,
-kept by ``query``) and the stamp and best score of its last re-aim
-(``aim``, kept by ``engine``).
+kept by ``query``) and the stamp of its last re-aim (``aim``, kept by
+``engine``).
 
 Lifecycle:
 
@@ -45,8 +45,8 @@ Lifecycle:
 
 Independently of status, a stored node's expansion state is one of:
 
-- open:     awaits child expansion during search;
-- closed:   out of the beam for now; reopens if its score rises;
+- open:     cleared ``d_open`` at the last re-aim: the search will expand it;
+- closed:   below ``d_open`` at the last re-aim; reopens if its score rises;
 - expanded: its children have been generated; it never reopens.
 """
 
@@ -104,7 +104,7 @@ class ParentLattice:
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
     arc_memo: tuple | None = field(default=None, compare=False, repr=False)
-    # (stamp, best score) of the last re-aim, kept by engine.py only
+    # the stamp of the last re-aim, kept by engine.py only
     aim: tuple | None = field(default=None, compare=False, repr=False)
 
     def alive_nodes(self) -> list[LatticeNode]:

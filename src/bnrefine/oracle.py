@@ -1,17 +1,14 @@
-"""Brute-force reference implementations for small problems.
+"""Brute-force exact parent-set posteriors for small problems: what the
+``oracle`` command prints and the engine approximates.
 
-These enumerate what the engine approximates: exact normalized parent-set
-posteriors, exact arc posteriors, the materialized full joint, and a 1-d
-quadrature marginal.  Hard size guards fail fast instead of degrading;
-nothing here is meant to run on large inputs.
-
-They rest on the model's formulas written out from the spec, one value at
-a time, independently of how the program computes them: a parent set's
+``exhaustive_posterior`` enumerates every feasible parent set of one
+variable and normalizes exactly; a hard size guard fails fast instead of
+degrading, so nothing here is meant to run on large inputs.  It rests on
+the model's formulas written out from the spec, one value at a time,
+independently of how the program computes them: a parent set's
 concentration (``alpha_for``) and log prior over every predecessor
 (``log_structure_prior``), which ``lattice.insert_node`` derives from a
-key; one example's configuration code (``config_index``), which
-``domain.config_codes`` computes for whole arrays; and one CPT entry
-(``theta``).
+key, and its counts, tallied example by example (``_counts_for``).
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import numpy as np
 
 from .domain import (
     ArcPriorMatrix,
-    ConcreteNetwork,
     DomainSchema,
     Example,
     PriorConfig,
@@ -33,7 +29,6 @@ from .domain import (
 from .kernels import NEG_INF, log_marginal_likelihood, log_sum_exp
 
 MAX_CANDIDATES = 15
-MAX_JOINT_STATES = 2**20
 
 
 class OracleSizeError(ValueError):
@@ -75,22 +70,6 @@ def log_structure_prior(
     return total
 
 
-def config_index(example: Example, parents: tuple[int, ...], schema: DomainSchema) -> int:
-    """Configuration code of one example's parent values, one parent at a
-    time: first parent most significant, as ``domain.config_codes`` codes
-    whole arrays."""
-    idx = 0
-    for p in parents:
-        idx = idx * schema.arity(p) + example[p]
-    return idx
-
-
-def theta(network: ConcreteNetwork, x: int, example: Example) -> float:
-    """Probability of the example's value of x given its parent values."""
-    row = config_index(example, network.parents[x], network.schema)
-    return float(network.tables[x][row, example[x]])
-
-
 @dataclass(frozen=True)
 class ExactPosterior:
     """Exact posterior over all feasible parent sets of one variable.
@@ -108,9 +87,6 @@ class ExactPosterior:
         """Summed exactly and capped at 1, as the engine's arc posteriors are:
         the posterior is normalized, so any excess over 1 is rounding."""
         return min(1.0, math.fsum(p for s, p in self.posterior.items() if y in s))
-
-    def map_set(self) -> frozenset[int]:
-        return max(self.posterior, key=lambda s: (self.posterior[s], -len(s)))
 
 
 def _counts_for(
@@ -157,52 +133,3 @@ def exhaustive_posterior(
     norm = log_sum_exp(log_scores.values())
     posterior = {s: math.exp(v - norm) for s, v in log_scores.items()}
     return ExactPosterior(x=x, log_scores=log_scores, posterior=posterior)
-
-
-def exhaustive_arc_posterior(
-    y: int,
-    x: int,
-    data: list[Example],
-    priors: ArcPriorMatrix,
-    config: PriorConfig,
-    schema: DomainSchema,
-) -> float:
-    """Exact probability that y is a parent of x: total mass of sets containing y."""
-    if y >= x:
-        raise ValueError(f"({y}, {x}): parent must precede child")
-    return exhaustive_posterior(x, data, priors, config, schema).arc_mass(y)
-
-
-def full_joint_enumeration(network: ConcreteNetwork) -> dict[Example, float]:
-    """Materialize the joint distribution by multiplying CPT entries per assignment."""
-    schema = network.schema
-    arities = [schema.arity(x) for x in range(len(schema))]
-    if math.prod(arities) > MAX_JOINT_STATES:
-        raise OracleSizeError(f"joint has more than {MAX_JOINT_STATES} states")
-    table: dict[Example, float] = {}
-    for assignment in itertools.product(*(range(a) for a in arities)):
-        p = 1.0
-        for x in range(len(schema)):
-            p *= theta(network, x, assignment)
-        table[assignment] = p
-    return table
-
-
-def quadrature_marginal_1d(
-    log_likelihood,
-    log_prior_density,
-    grid: np.ndarray,
-) -> float:
-    """Log of the trapezoid-rule integral of likelihood * prior over a 1-d grid.
-
-    Computed stably by factoring out the max log-integrand.  Refine the grid
-    until doubling it no longer moves the result.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
-    log_f = np.array([log_likelihood(t) + log_prior_density(t) for t in grid])
-    top = float(np.max(log_f))
-    if top == float("-inf"):
-        return float("-inf")
-    return top + math.log(np.trapezoid(np.exp(log_f - top), grid))

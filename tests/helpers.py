@@ -1,8 +1,10 @@
 """Shared builders for the test suite, and the references tests compare the
-program with: straightforward versions of what it computes another way."""
+program with: straightforward versions of what it computes another way,
+and exact ones (a full joint, a 1-d quadrature) beside ``oracle``."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +14,14 @@ from bnrefine import (
     CombinedNetwork,
     ConcreteNetwork,
     DomainSchema,
+    Example,
     PriorConfig,
     VariableSpec,
     init,
 )
 from bnrefine.domain import CountTable
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel, _to_u
+from bnrefine.oracle import ExactPosterior, OracleSizeError, exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
 
@@ -203,8 +207,6 @@ def table_rows(counts) -> dict:
 def forward_sample_reference(network: ConcreteNetwork, n: int, seed: int) -> list[tuple[int, ...]]:
     """``forward_sample`` as it drew before it sampled whole arrays: one row
     and one variable at a time, one ``rng.random()`` each."""
-    from bnrefine.oracle import config_index
-
     if n < 0:
         raise ValueError(f"sample count must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
@@ -220,6 +222,79 @@ def forward_sample_reference(network: ConcreteNetwork, n: int, seed: int) -> lis
                 values[x] = schema.arity(x) - 1
         examples.append(tuple(values))
     return examples
+
+
+def config_index(example: Example, parents: tuple[int, ...], schema: DomainSchema) -> int:
+    """Configuration code of one example's parent values, one parent at a
+    time: first parent most significant, as ``domain.config_codes`` codes
+    whole arrays."""
+    idx = 0
+    for p in parents:
+        idx = idx * schema.arity(p) + example[p]
+    return idx
+
+
+def theta(network: ConcreteNetwork, x: int, example: Example) -> float:
+    """Probability of the example's value of x given its parent values."""
+    row = config_index(example, network.parents[x], network.schema)
+    return float(network.tables[x][row, example[x]])
+
+
+def map_set(exact: ExactPosterior) -> frozenset[int]:
+    """The most probable parent set of an exact posterior, the smaller on ties."""
+    return max(exact.posterior, key=lambda s: (exact.posterior[s], -len(s)))
+
+
+def exhaustive_arc_posterior(
+    y: int,
+    x: int,
+    data: list[Example],
+    priors: ArcPriorMatrix,
+    config: PriorConfig,
+    schema: DomainSchema,
+) -> float:
+    """Exact probability that y is a parent of x: total mass of sets containing y."""
+    if y >= x:
+        raise ValueError(f"({y}, {x}): parent must precede child")
+    return exhaustive_posterior(x, data, priors, config, schema).arc_mass(y)
+
+
+MAX_JOINT_STATES = 2**20
+
+
+def full_joint_enumeration(network: ConcreteNetwork) -> dict[Example, float]:
+    """Materialize the joint distribution by multiplying CPT entries per assignment."""
+    schema = network.schema
+    arities = [schema.arity(x) for x in range(len(schema))]
+    if math.prod(arities) > MAX_JOINT_STATES:
+        raise OracleSizeError(f"joint has more than {MAX_JOINT_STATES} states")
+    table: dict[Example, float] = {}
+    for assignment in itertools.product(*(range(a) for a in arities)):
+        p = 1.0
+        for x in range(len(schema)):
+            p *= theta(network, x, assignment)
+        table[assignment] = p
+    return table
+
+
+def quadrature_marginal_1d(
+    log_likelihood,
+    log_prior_density,
+    grid: np.ndarray,
+) -> float:
+    """Log of the trapezoid-rule integral of likelihood * prior over a 1-d grid.
+
+    Computed stably by factoring out the max log-integrand.  Refine the grid
+    until doubling it no longer moves the result.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be a 1-d array with at least two points")
+    log_f = np.array([log_likelihood(t) + log_prior_density(t) for t in grid])
+    top = float(np.max(log_f))
+    if top == float("-inf"):
+        return float("-inf")
+    return top + math.log(np.trapezoid(np.exp(log_f - top), grid))
 
 
 def assert_counts_are_a_log_prefix(net: CombinedNetwork) -> None:

@@ -16,7 +16,7 @@ import pytest
 from bnrefine import SearchParams, all_arc_posteriors, observe, observe_batch, refine
 from bnrefine.fileio import load_session, save_session, serialize_session
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, fit_map, laplace_log_marginal
-from bnrefine.oracle import exhaustive_posterior, quadrature_marginal_1d
+from bnrefine.oracle import exhaustive_posterior
 from bnrefine.query import draw_index, leaf_masses, sample_smoothed
 from bnrefine.sampling import forward_sample
 
@@ -33,6 +33,7 @@ from helpers import (
     noisyor_loglik_grad,
     posterior_mean,
     predictive_log_prob,
+    quadrature_marginal_1d,
     reference_counts,
     reference_log_ml,
     sampled_net,

@@ -46,6 +46,7 @@ from helpers import (
     dead_threshold_reference,
     five_var_truth,
     fresh_net,
+    map_set,
     mixed_arity_network,
     node_reference_counts,
     node_state,
@@ -310,7 +311,7 @@ class TestRefine:
                 net.lattices[x].alive_nodes(),
                 key=lambda n: (-(n.log_prior + table_log_ml(n)), n.key),
             )
-            assert frozenset(best.parents) == exact.map_set()
+            assert frozenset(best.parents) == map_set(exact)
 
     def test_permissive_regime_matches_oracle(self):
         net, data = sampled_net(five_var_truth(), 200, seed=13)
@@ -371,7 +372,8 @@ class TestRefine:
     def test_an_open_node_in_the_hysteresis_band_is_closed_unexpanded(self):
         # a, b and c are independent, so b's set {a} falls behind its root as
         # rows arrive: at 16 rows it is within d_open of the best, at 160 within
-        # [d_open * hysteresis, d_open), where only hysteresis keeps it open
+        # [d_open * hysteresis, d_open), where a re-aim closes it: expansion
+        # state has no hysteresis
         rows = list(itertools.product((0, 1), repeat=3))
         net = fresh_net("abc")
         params = SearchParams(d_open=0.07, e_dead=1e-9, hysteresis=0.5)
@@ -386,8 +388,9 @@ class TestRefine:
         rethreshold(aimed, params)
         node = aimed.lattices[1].nodes[1]
         gap = scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
-        assert params.log_d + params.log_h <= -gap < params.log_d
-        assert node.expansion is ExpansionFlag.OPEN
+        log_d = math.log(params.d_open)
+        assert log_d + math.log(params.hysteresis) <= -gap < log_d
+        assert node.expansion is ExpansionFlag.CLOSED
         report = refine(net, replace(params, budget=1))
         assert b.nodes[1].expansion is ExpansionFlag.CLOSED
         assert b.nodes.keys() == {0, 1}  # no child of {a} was created
@@ -528,7 +531,7 @@ AIM_OPS = st.lists(
 def _unaimed_refine(net, params):
     """``refine`` as if no lattice remembered its last re-aim: every pass
     re-aims."""
-    with mock.patch.object(engine, "_aimed_best", lambda *_: None):
+    with mock.patch.object(engine, "_aim_stamp", lambda *_: object()):
         return refine(net, params)
 
 
@@ -538,15 +541,15 @@ class TestAim:
         lattice = net.lattices[4]
         params = SearchParams(dead_kappa=math.inf)  # the re-aims kill nothing
         rethreshold(net, params)
-        assert engine._aimed_best(net, lattice, params) is not None
+        assert lattice.aim == engine._aim_stamp(net, lattice, params)
         insert_node(lattice, 0)  # already stored: nothing changes
-        assert engine._aimed_best(net, lattice, params) is not None
+        assert lattice.aim == engine._aim_stamp(net, lattice, params)
         insert_node(lattice, 0b1)
-        assert engine._aimed_best(net, lattice, params) is None
+        assert lattice.aim != engine._aim_stamp(net, lattice, params)
         rethreshold(net, params)
-        assert engine._aimed_best(net, lattice, params) is not None
+        assert lattice.aim == engine._aim_stamp(net, lattice, params)
         kill(lattice, 0b1)
-        assert engine._aimed_best(net, lattice, params) is None
+        assert lattice.aim != engine._aim_stamp(net, lattice, params)
 
     def test_an_insert_then_a_kill_of_the_same_set_makes_the_stamp_stale(self):
         # a stamp counting stored sets alone matches here, and would match
@@ -560,7 +563,7 @@ class TestAim:
         insert_node(lattice, 0b10)
         kill(lattice, 0b10)
         assert set(lattice.nodes) == stored
-        assert engine._aimed_best(net, lattice, params) is None
+        assert lattice.aim != engine._aim_stamp(net, lattice, params)
 
     def test_refine_re_aims_a_lattice_only_when_what_it_reads_changed(self):
         net, data = sampled_net(five_var_truth(), 200, seed=4)
@@ -622,7 +625,8 @@ class TestAim:
         net = fresh_net("abcde")
         net.scoring_model = model
         observe_batch(net, rows[:30])
-        refine(net, SearchParams())  # every lattice aimed: the stamps are in play at once
+        params = SearchParams()
+        refine(net, params)  # every lattice aimed: the stamps are in play at once
         twin = copy.deepcopy(net)
         for op, arg in ops:
             if op == "observe":
@@ -638,6 +642,12 @@ class TestAim:
             else:
                 net = session_from_document(json.loads(serialize_session(net)))
             assert serialize_session(net) == serialize_session(twin)
+            for lattice in net.lattices:  # an open set is one the search will expand
+                if lattice.aim == engine._aim_stamp(net, lattice, params):
+                    open_from = math.log(params.d_open) + engine._cached_best(net, lattice)
+                    for node in lattice.nodes.values():
+                        if node.expansion is ExpansionFlag.OPEN:
+                            assert engine._node_score(net, lattice, node) >= open_from
             assert all_arc_posteriors(net).entries == all_arc_posteriors(twin).entries
             assert_counts_are_a_log_prefix(net)
 
@@ -720,7 +730,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
-        log_ml = params.log_c + scored_best(net, lattice) - node.log_prior
+        log_ml = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior
         node.scores["table"] = (node.synced_through, log_ml)
         node.status = NodeStatus.ASLEEP
         rethreshold(net, params)
@@ -732,7 +742,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
-        log_ml = params.log_c + scored_best(net, lattice) - node.log_prior - 1e-6
+        log_ml = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior - 1e-6
         node.scores["table"] = (node.synced_through, log_ml)
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
@@ -743,7 +753,7 @@ class TestRethreshold:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ASLEEP
-        boundary = params.log_c + scored_best(net, lattice) - node.log_prior
+        boundary = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior
         changes = 0
         last = node.status
         for step in range(12):
@@ -790,7 +800,7 @@ class TestBestNetwork:
         concrete = best_network(net)
         for x in range(5):
             exact = exhaustive_posterior(x, data, net.priors, net.config, net.schema)
-            assert frozenset(concrete.parents[x]) == exact.map_set()
+            assert frozenset(concrete.parents[x]) == map_set(exact)
 
     def test_tie_break_is_smaller_key(self):
         net = fresh_net("ab")

@@ -30,6 +30,7 @@ from bnrefine.fileio import (
     SessionFormatError,
     SpecFormatError,
     load_csv,
+    load_network,
     load_session,
     network_from_document,
     network_to_document,
@@ -362,20 +363,40 @@ class TestParseSpec:
             parse_spec(json.dumps(dict(SPEC_DOC, alpha=alpha)))
 
     @pytest.mark.parametrize(
-        "field, message",
+        "path, value, message",
         [
-            ("prior", r"arcs\[1\]: prior: True is not a number"),
-            ("alpha", "alpha: True is not a number"),
-            ("default_prior", "default_prior: True is not a number"),
+            (("arcs", 1, "prior"), True, r"arcs\[1\]: prior: True is not a number"),
+            (("alpha",), True, "alpha: True is not a number"),
+            (("default_prior",), True, "default_prior: True is not a number"),
+            (("arcs",), 5, "arcs: 5 is not a list"),
+            (("arcs",), None, "arcs: None is not a list"),
+            (("arcs",), "ab", "arcs: 'ab' is not a list"),
+            (("arcs",), {"from": "rain"}, r"arcs: \{'from': 'rain'\} is not a list"),
+            (("arcs", 0, "from"), ["rain"], r"arcs\[0\]: from \['rain'\] is not a variable name"),
+            (("arcs", 1, "to"), {"wet": 1}, r"arcs\[1\]: to \{'wet': 1\} is not a variable name"),
+        ],
+        ids=[
+            "prior-true",
+            "alpha-true",
+            "default_prior-true",
+            "arcs-a-number",
+            "arcs-null",
+            "arcs-a-string",
+            "arcs-a-dict",
+            "from-a-list",
+            "to-a-dict",
         ],
     )
-    def test_booleans_are_not_numbers(self, field, message):
-        # true loaded as 1.0: a mandatory arc, or a concentration of 1
+    def test_a_malformed_field_is_named(self, path, value, message):
+        # true loaded as 1.0: a mandatory arc, or a concentration of 1; a
+        # number or null for arcs, or a list or dict for an endpoint, escaped
+        # as a TypeError, and a string or dict arcs was walked item by item
         doc = copy.deepcopy(SPEC_DOC)
-        if field == "prior":
-            doc["arcs"][1]["prior"] = True
-        else:
-            doc[field] = True
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
         with pytest.raises(SpecFormatError, match=message):
             parse_spec(json.dumps(doc))
 
@@ -849,6 +870,18 @@ class TestNetworkDocument:
         spec["variables"][0][field] = value
         with pytest.raises(SpecFormatError, match=message):
             parse_spec(json.dumps(spec))
+
+
+    def test_a_repeated_parent_is_a_session_format_error(self, tmp_path):
+        # parents ["a", "a"] loaded with a 4-row CPT, and forward_sample and
+        # loglik_dataset ran on it
+        doc = json.loads(json.dumps(network_to_document(five_var_truth())))
+        doc["parents"][1] = ["a", "a"]
+        doc["tables"][1] = [[0.5, 0.5]] * 4
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SessionFormatError, match="parents of 'b' must be strictly ascending"):
+            load_network(str(path))
 
 
 class TestDotExport:

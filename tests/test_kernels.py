@@ -21,10 +21,11 @@ from bnrefine.kernels import (
     log_sum_exp,
     rows_log_likelihood,
 )
-from bnrefine.oracle import alpha_for, full_joint_enumeration, log_structure_prior
+from bnrefine.oracle import alpha_for, log_structure_prior
 
 from helpers import (
     binary_schema,
+    full_joint_enumeration,
     log_beta_multi,
     predictive_log_prob,
     reference_counts,

@@ -19,8 +19,6 @@ PACKAGE = ROOT / "src" / "bnrefine"
 
 # a module name allows all of the module; "module.name" one definition
 ALLOWED = {
-    "oracle": "the brute-force reference the `oracle` command ships; tests "
-    "compare the engine with the rest of it",
     "fileio.save_spec": "the writer of the spec format beside `load_spec`, "
     "for programs that build a spec in Python",
 }

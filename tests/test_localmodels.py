@@ -26,7 +26,6 @@ from bnrefine.localmodels import (
     log_det_neg_hessian,
     score_node_with_model,
 )
-from bnrefine.oracle import quadrature_marginal_1d
 from bnrefine.sampling import forward_sample
 
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     logistic_loglik_grad,
     noisyor_loglik,
     noisyor_loglik_grad,
+    quadrature_marginal_1d,
     table_laplace_log_marginal,
     table_log_ml,
 )

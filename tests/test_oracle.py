@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from bnrefine import ArcPriorMatrix, ConcreteNetwork, PriorConfig
-from bnrefine.oracle import (
-    OracleSizeError,
-    exhaustive_arc_posterior,
-    exhaustive_posterior,
-    full_joint_enumeration,
-    quadrature_marginal_1d,
-)
+from bnrefine.oracle import OracleSizeError, exhaustive_posterior
 
 from bnrefine.sampling import forward_sample
 
-from helpers import binary_schema, chain_v_truth, five_var_truth, log_beta_multi
+from helpers import (
+    binary_schema,
+    chain_v_truth,
+    exhaustive_arc_posterior,
+    five_var_truth,
+    full_joint_enumeration,
+    log_beta_multi,
+    quadrature_marginal_1d,
+)
 
 
 class TestExhaustivePosterior:

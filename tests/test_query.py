@@ -25,15 +25,17 @@ from bnrefine import (
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.fileio import serialize_session, session_from_document
 from bnrefine.lattice import LatticeStateError
-from bnrefine.oracle import config_index, exhaustive_arc_posterior, full_joint_enumeration
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
 
 from helpers import (
     assert_counts_are_a_log_prefix,
     binary_schema,
+    config_index,
+    exhaustive_arc_posterior,
     five_var_truth,
     fresh_net,
+    full_joint_enumeration,
     mixed_arity_network,
     node_reference_counts,
     posterior_mean,
