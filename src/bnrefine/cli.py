@@ -26,12 +26,13 @@ from .sampling import forward_sample
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c-alive", type=float, default=0.1)
-    parser.add_argument("--d-open", type=float, default=0.01)
-    parser.add_argument("--e-dead", type=float, default=0.001)
-    parser.add_argument("--kappa", type=float, default=5.0)
-    parser.add_argument("--hysteresis", type=float, default=0.5)
-    parser.add_argument("--budget", type=int, default=None)
+    defaults = engine.SearchParams()  # the library's defaults are the flags' defaults
+    parser.add_argument("--c-alive", type=float, default=defaults.c_alive)
+    parser.add_argument("--d-open", type=float, default=defaults.d_open)
+    parser.add_argument("--e-dead", type=float, default=defaults.e_dead)
+    parser.add_argument("--kappa", type=float, default=defaults.dead_kappa)
+    parser.add_argument("--hysteresis", type=float, default=defaults.hysteresis)
+    parser.add_argument("--budget", type=int, default=defaults.budget)
     parser.add_argument(
         "--model", choices=engine.SCORING_MODELS, default=None,
         help="marginal-likelihood model used to score parent sets",

@@ -45,8 +45,10 @@ from .engine import SCORING_MODELS, CombinedNetwork, _count_rows
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
+    LatticeStateError,
     NodeStatus,
     ParentLattice,
+    check_lattice,
     insert_node,
     new_lattice,
 )
@@ -333,6 +335,8 @@ def session_from_document(doc: dict) -> CombinedNetwork:
 
 
 def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLattice:
+    """The document's lattice: its own faults are checked here, the lattice rules
+    once it is built (``check_lattice``)."""
     schema = net.schema
     x = doc["x"]
     if type(x) is not int or not 0 <= x < len(schema):
@@ -346,19 +350,18 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     keys = [d["key"] for d in stored]
     where = f"lattice {schema.name(lattice.x)!r}"
     for key in keys + dead:
-        if type(key) is not int or not 0 <= key < 1 << len(lattice.candidates):
-            raise SessionFormatError(f"{where}: node key {key!r} names no parent set")
+        if type(key) is not int:
+            raise SessionFormatError(f"{where}: node key {key!r} is not an integer")
     if len(set(keys)) < len(keys) or len(set(dead)) < len(dead):
         raise SessionFormatError(f"{where}: a node key is repeated")
-    both = sorted(set(keys) & set(dead))
-    if both:
-        raise SessionFormatError(f"{where}: keys {both} are stored and dead")
-    if not keys:
-        raise SessionFormatError(f"{where}: no stored node")
     lattice.nodes = {}  # the stored nodes replace the fresh root
-    lattice.dead = set(dead)
     for d in stored:
         _node_from_doc(d, version, lattice, net)
+    lattice.dead = set(dead)
+    try:
+        check_lattice(lattice, net.n_total)
+    except LatticeStateError as err:
+        raise SessionFormatError(f"{where}: {err}") from None
     return lattice
 
 

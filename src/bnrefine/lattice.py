@@ -10,13 +10,6 @@ number of logged examples its counts have absorbed, a lifecycle status
 and an expansion state.  Subsets and supersets are found from the keys
 themselves; no links between nodes are stored.
 
-Invariant: a node's counts are those of ``example_log[:synced_through]``,
-so ``counts.total == synced_through`` (``engine.dead_condition`` reads the
-latter), and a saved session keeps only that number.  Examples enter a
-node in one of two ways (``engine``): ``sync_node`` adds the rows it has
-not absorbed, and an expansion counts all its fresh children on the whole
-log in one pass and stores them synced (``insert_children``).
-
 A parent set is its key.  The lattice keeps what of the spec a key needs,
 never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
 the arities of the variable and its predecessors; and ``alpha``.
@@ -39,15 +32,22 @@ Lifecycle:
 
 - alive:  currently a reasonable parent set; included in posteriors.
 - asleep: shelved for now, revivable when the score landscape shifts.
-- dead:   permanently pruned by ``kill``, which drops the node and keeps
-          only its key in ``ParentLattice.dead``; ``insert_node`` refuses
-          a dead key, so a dead set is never stored, expanded or revived.
+- dead:   pruned for good by ``kill``, which keeps only its key (``dead``);
+          ``insert_node`` refuses it, so it is never stored again.
 
 Independently of status, a stored node's expansion state is one of:
 
 - open:     cleared ``d_open`` at the last re-aim: the search will expand it;
 - closed:   below ``d_open`` at the last re-aim; reopens if its score rises;
 - expanded: its children have been generated; it never reopens.
+
+Between operations a lattice keeps five rules, stated by ``check_lattice`` alone:
+
+1. a set is stored, and a stored set is alive;
+2. every stored and dead key names a parent set, and none is both;
+3. ``counts.total == synced_through <= n_total``: counts of ``example_log[:synced_through]``;
+4. every alive set has absorbed the whole log (``observe_batch`` syncs it);
+5. the root (key 0) and every child of an expanded set are stored or dead.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
 
 
 class LatticeStateError(RuntimeError):
-    """An operation violates the node lifecycle (e.g. reviving a dead node)."""
+    """An operation violates the node lifecycle, or a lattice a rule (``check_lattice``)."""
 
 
 class NodeStatus(enum.Enum):
@@ -246,3 +246,30 @@ def kill(lattice: ParentLattice, key: int) -> None:
     """Prune a stored parent set for good: drop its node, keep its key in ``dead``."""
     del lattice.nodes[key]
     lattice.dead.add(key)
+
+
+def check_lattice(lattice: ParentLattice, n_total: int) -> None:
+    """Raise ``LatticeStateError`` naming the first rule (see above) the lattice
+    breaks on a log of ``n_total`` rows, and a key that breaks it."""
+    nodes, dead = lattice.nodes, lattice.dead
+    if not nodes or not lattice.alive_nodes():
+        raise LatticeStateError("no alive node" if nodes else "no stored node")
+    beyond = sorted(k for k in nodes.keys() | dead if not 0 <= k < 1 << len(lattice.candidates))
+    if beyond:
+        raise LatticeStateError(f"node key {beyond[0]} names no parent set")
+    if nodes.keys() & dead:
+        raise LatticeStateError(f"keys {sorted(nodes.keys() & dead)} are stored and dead")
+    for key, node in nodes.items():
+        total, synced = node.counts.total, node.synced_through
+        if not total == synced <= n_total:
+            raise LatticeStateError(f"node {key} counts {total} of {synced} rows, {n_total} logged")
+        if node.status is NodeStatus.ALIVE and synced != n_total:
+            raise LatticeStateError(f"alive node {key} has absorbed {synced} of {n_total} rows")
+        if node.expansion is ExpansionFlag.EXPANDED:
+            lost = [k for k in children_of(lattice, node) if k not in nodes and k not in dead]
+            if lost:
+                raise LatticeStateError(
+                    f"expanded node {key} has children {lost} neither stored nor dead"
+                )
+    if 0 not in nodes and 0 not in dead:
+        raise LatticeStateError("the root, node key 0, is neither stored nor dead")

@@ -172,8 +172,8 @@ def leaf_masses(
 
 def draw_index(rng: np.random.Generator, masses: np.ndarray) -> int:
     """Draw an index proportional to the (unnormalized) masses, one uniform deep."""
-    cumulative = np.cumsum(masses / masses.sum())
-    return int(np.searchsorted(cumulative, rng.random(), side="right"))
+    cumulative = np.cumsum(masses / masses.sum())  # may end below a draw: take the last
+    return min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(masses) - 1)
 
 
 def _merged_variable(

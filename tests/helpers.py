@@ -20,6 +20,7 @@ from bnrefine import (
     init,
 )
 from bnrefine.domain import CountTable
+from bnrefine.lattice import LatticeStateError, check_lattice
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel, _to_u
 from bnrefine.oracle import ExactPosterior, OracleSizeError, exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -297,17 +298,10 @@ def quadrature_marginal_1d(
     return top + math.log(np.trapezoid(np.exp(log_f - top), grid))
 
 
-def assert_counts_are_a_log_prefix(net: CombinedNetwork) -> None:
-    """Every stored node's counts are those of ``example_log[:synced_through]``:
-    their total is ``synced_through``, which ``dead_condition`` reads instead."""
-    for lattice in net.lattices:
-        for node in lattice.nodes.values():
-            assert node.counts.total == node.synced_through, (lattice.x, node.key)
-
-
 class DeadNodeMonitor:
-    """Asserts dead is absorbing: a lattice's dead keys only grow, and no dead
-    key is ever stored again."""
+    """Records, check by check, every lattice whose dead keys shrank (dead is
+    absorbing over time) or that breaks a rule of ``check_lattice`` (which
+    says, among others, that no dead key is stored)."""
 
     def __init__(self):
         self.dead: dict[int, frozenset[int]] = {}
@@ -316,14 +310,14 @@ class DeadNodeMonitor:
     def check(self, net: CombinedNetwork) -> None:
         for lattice in net.lattices:
             dead = frozenset(lattice.dead)
-            where = f"lattice {lattice.x}: dead keys"
             lost = self.dead.get(lattice.x, frozenset()) - dead
             if lost:
-                self.violations.append(f"{where} {sorted(lost)} were removed")
-            stored = dead & lattice.nodes.keys()
-            if stored:
-                self.violations.append(f"{where} {sorted(stored)} are stored")
+                self.violations.append(f"lattice {lattice.x}: dead keys {sorted(lost)} were removed")
             self.dead[lattice.x] = dead
+            try:
+                check_lattice(lattice, net.n_total)
+            except LatticeStateError as err:
+                self.violations.append(f"lattice {lattice.x}: {err}")
 
 
 def log_beta_multi(ns) -> float:

@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import json
+from unittest import mock
 
 import pytest
 
+from bnrefine import engine
 from bnrefine.cli import cli_dispatch
 from bnrefine.fileio import load_network, save_network, save_spec
-from bnrefine import ArcPriorMatrix, PriorConfig
+from bnrefine import ArcPriorMatrix, PriorConfig, SearchParams
 
 from helpers import binary_schema, chain_v_truth, five_var_truth
 
@@ -43,6 +46,14 @@ class TestBasics:
     def test_unknown_subcommand_fails_with_usage(self):
         code, _, _ = run(["frobnicate"])
         assert code != 0
+
+    def test_a_flagless_refine_searches_with_the_library_defaults(self, tmp_path, spec_path):
+        session = str(tmp_path / "s.json")
+        run(["init", "--spec", spec_path, "--out", session])
+        with mock.patch.object(engine, "refine", wraps=engine.refine) as refine:
+            assert run(["refine", "--session", session])[0] == 0
+        params = refine.call_args.args[1]
+        assert dataclasses.asdict(params) == dataclasses.asdict(SearchParams())
 
     def test_missing_required_flag_fails(self):
         code, _, _ = run(["init", "--spec", "x.json"])
@@ -284,7 +295,7 @@ class TestPipeline:
 
     def test_refine_with_a_new_model_re_aims_every_lattice(self, tmp_path, spec_path, truth_path):
         # the second refine kept statuses aimed at the table model's best
-        from bnrefine import SearchParams, refine, rethreshold
+        from bnrefine import refine, rethreshold
         from bnrefine.fileio import load_session, serialize_session
 
         data = str(tmp_path / "data.csv")
@@ -304,7 +315,7 @@ class TestPipeline:
 
 class TestOracleCommand:
     def test_exact_posteriors_match_query_in_permissive_regime(self, tmp_path):
-        from bnrefine import SearchParams, all_arc_posteriors, refine
+        from bnrefine import all_arc_posteriors, refine
         from helpers import sampled_net
 
         spec = tmp_path / "spec.json"

@@ -1,6 +1,5 @@
 import copy
 import itertools
-import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -33,14 +32,12 @@ from bnrefine import (
 )
 from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS, dead_condition
-from bnrefine.fileio import serialize_session, session_from_document
+from bnrefine.fileio import serialize_session
 from bnrefine.lattice import insert_node, kill
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
 from helpers import (
-    DeadNodeMonitor,
-    assert_counts_are_a_log_prefix,
     binary_schema,
     chain_v_truth,
     dead_threshold_reference,
@@ -127,31 +124,6 @@ class TestObserve:
         assert node_state(net) == before
         assert net.n_total == 1
 
-    def test_streaming_matches_batch_recompute(self):
-        net, _ = sampled_net(five_var_truth(), 60, seed=3)
-        refine(net, SearchParams())
-        observe_batch(net, forward_sample(five_var_truth(), 40, seed=4))
-        for lattice in net.lattices:
-            for node in lattice.nodes.values():
-                if node.status is NodeStatus.ALIVE:
-                    counts, log_ml = recompute_node(net, lattice, node)
-                    assert counts == table_rows(node.counts)
-                    assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
-
-    def test_asleep_node_syncs_to_batch_value(self):
-        net, _ = sampled_net(five_var_truth(), 50, seed=9)
-        refine(net, SearchParams())
-        lattice = net.lattices[3]
-        asleep = [n for n in lattice.nodes.values() if n.status is NodeStatus.ASLEEP]
-        assert asleep, "scenario needs at least one asleep node"
-        observe_batch(net, forward_sample(five_var_truth(), 100, seed=10))
-        node = asleep[0]
-        assert node.synced_through < net.n_total
-        sync_node(net, lattice, node)
-        counts, log_ml = recompute_node(net, lattice, node)
-        assert counts == table_rows(node.counts)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
-
 
 class TestObserveBatch:
     def test_empty_batch(self):
@@ -208,31 +180,6 @@ class TestSync:
         before = node_state(net)
         sync_node(net, lattice, lattice.nodes[0])
         assert node_state(net) == before
-
-    def test_fresh_node_absorbs_whole_log(self):
-        net, data = sampled_net(five_var_truth(), 80, seed=5)
-        refine(net, PERMISSIVE)
-        lattice = net.lattices[4]
-        node = max(lattice.nodes.values(), key=lambda n: n.key)
-        counts, log_ml = recompute_node(net, lattice, node)
-        assert node.synced_through == len(data)
-        assert counts == table_rows(node.counts)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
-
-    def test_asleep_twin_catches_up(self):
-        net, _ = sampled_net(five_var_truth(), 20, seed=6)
-        refine(net, PERMISSIVE)
-        lattice = net.lattices[2]
-        twin_key = 0b01
-        node = lattice.nodes[twin_key]
-        node.status = NodeStatus.ASLEEP  # force it to lag behind
-        observe_batch(net, forward_sample(five_var_truth(), 100, seed=7))
-        sync_node(net, lattice, node)
-        always_alive = net.lattices[2].nodes[0]  # stayed in the update path
-        counts, log_ml = recompute_node(net, lattice, node)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
-        assert node.synced_through == always_alive.synced_through == net.n_total
-
 
     def test_multivalued_counts_match_a_recount(self):
         schema = DomainSchema(
@@ -501,40 +448,6 @@ class TestExpansion:
                 assert score.hex() == want_score.hex(), kind
 
 
-# searches the stamp test switches between: the default, each of its five
-# thresholds changed alone, and a permissive one
-AIM_PARAMS = [
-    SearchParams(),
-    SearchParams(c_alive=0.2),
-    SearchParams(d_open=0.05),
-    SearchParams(e_dead=0.005),
-    SearchParams(hysteresis=0.9),
-    SearchParams(dead_kappa=1.0),
-    SearchParams(c_alive=1e-6, d_open=1e-6, e_dead=1e-7),
-]
-
-AIM_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("observe"), st.integers(0, 30)),
-        st.tuples(
-            st.just("refine"),
-            st.tuples(st.one_of(st.none(), st.integers(0, 3)), st.integers(0, len(AIM_PARAMS) - 1)),
-        ),
-        st.tuples(st.just("model"), st.sampled_from(SCORING_MODELS)),
-        st.tuples(st.just("reload"), st.none()),
-    ),
-    min_size=1,
-    max_size=10,
-)
-
-
-def _unaimed_refine(net, params):
-    """``refine`` as if no lattice remembered its last re-aim: every pass
-    re-aims."""
-    with mock.patch.object(engine, "_aim_stamp", lambda *_: object()):
-        return refine(net, params)
-
-
 class TestAim:
     def test_inserts_and_kills_make_the_stamp_stale(self):
         net, _ = sampled_net(five_var_truth(), 60, seed=3)
@@ -616,41 +529,6 @@ class TestAim:
         rethreshold(net, SearchParams())
         assert node_state(net) == before
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SCORING_MODELS), AIM_OPS, st.integers(0, 3))
-    def test_an_unaimed_twin_agrees_under_any_interleaving(self, model, ops, seed):
-        # skipping the re-aim of a lattice whose stamp matches must change
-        # nothing that a twin re-aiming on every pass would show
-        rows = forward_sample(five_var_truth(), 30 * (len(ops) + 1), seed)
-        net = fresh_net("abcde")
-        net.scoring_model = model
-        observe_batch(net, rows[:30])
-        params = SearchParams()
-        refine(net, params)  # every lattice aimed: the stamps are in play at once
-        twin = copy.deepcopy(net)
-        for op, arg in ops:
-            if op == "observe":
-                batch = rows[net.n_total : net.n_total + arg]
-                observe_batch(net, batch)
-                observe_batch(twin, batch)
-            elif op == "refine":
-                budget, which = arg
-                params = replace(AIM_PARAMS[which], budget=budget)
-                assert refine(net, params) == _unaimed_refine(twin, params)
-            elif op == "model":
-                net.scoring_model = twin.scoring_model = arg
-            else:
-                net = session_from_document(json.loads(serialize_session(net)))
-            assert serialize_session(net) == serialize_session(twin)
-            for lattice in net.lattices:  # an open set is one the search will expand
-                if lattice.aim == engine._aim_stamp(net, lattice, params):
-                    open_from = math.log(params.d_open) + engine._cached_best(net, lattice)
-                    for node in lattice.nodes.values():
-                        if node.expansion is ExpansionFlag.OPEN:
-                            assert engine._node_score(net, lattice, node) >= open_from
-            assert all_arc_posteriors(net).entries == all_arc_posteriors(twin).entries
-            assert_counts_are_a_log_prefix(net)
-
 
 class TestSearchParams:
     @pytest.mark.parametrize(
@@ -686,35 +564,6 @@ class TestStreaming:
                 assert entries[(y, x)] > 0.95, (y, x)
         best_network(net)
         sample_smoothed(net, seed=0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=8),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_random_batch_splits_keep_the_lattice_invariants(self, sizes, seed):
-        data = forward_sample(five_var_truth(), sum(sizes), seed=seed)
-        net = fresh_net("abcde")
-        twin = fresh_net("abcde")  # saved and loaded after every batch
-        monitor = DeadNodeMonitor()
-        start = 0
-        for size in sizes:
-            observe_batch(net, data[start : start + size])
-            observe_batch(twin, data[start : start + size])
-            twin = session_from_document(json.loads(serialize_session(twin)))
-            start += size
-            refine(net, SearchParams())
-            refine(twin, SearchParams())
-            assert serialize_session(twin) == serialize_session(net)
-            monitor.check(net)
-            assert monitor.violations == []
-            for lattice in net.lattices:
-                assert lattice.alive_nodes()
-                for node in lattice.nodes.values():
-                    assert node.synced_through == net.n_total
-                    counts, log_ml = recompute_node(net, lattice, node)
-                    assert counts == table_rows(node.counts)
-                    assert table_log_ml(node) == log_ml
 
 
 class TestRethreshold:

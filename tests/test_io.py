@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bnrefine import (
     ArcPriorMatrix,
@@ -24,7 +22,6 @@ from bnrefine import (
     refine,
 )
 from bnrefine.dotexport import export_dot
-from bnrefine.engine import SCORING_MODELS
 from bnrefine.fileio import (
     CsvFormatError,
     SessionFormatError,
@@ -46,7 +43,6 @@ from bnrefine.query import sample_smoothed
 from bnrefine.sampling import forward_sample
 
 from helpers import (
-    assert_counts_are_a_log_prefix,
     binary_schema,
     chain_v_truth,
     five_var_truth,
@@ -55,7 +51,6 @@ from helpers import (
     mixed_arity_network,
     node_state,
     sampled_net,
-    scored_best,
 )
 
 LIST_LOG_SESSION = (
@@ -497,54 +492,6 @@ class TestSession:
         assert node_state(loaded) == node_state(net)
         assert all_arc_posteriors(loaded).entries == all_arc_posteriors(net).entries
 
-    def test_refined_state_round_trips_bit_stably(self, tmp_path):
-        net, _ = sampled_net(five_var_truth(), 120, seed=5)
-        refine(net, SearchParams())
-        path = tmp_path / "s.json"
-        save_session(path, net)
-        loaded = load_session(path)
-        assert serialize_session(loaded) == serialize_session(net)
-        assert node_state(loaded) == node_state(net)
-        for a, b in zip(net.lattices, loaded.lattices):
-            assert scored_best(net, a) == scored_best(loaded, b)
-
-    def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
-        net_a, _ = sampled_net(five_var_truth(), 150, seed=6)
-        net_b = copy.deepcopy(net_a)
-        refine(net_a, SearchParams(budget=5))
-        path = tmp_path / "mid.json"
-        save_session(path, net_a)
-        resumed = load_session(path)
-        refine(resumed, SearchParams())
-        refine(net_b, SearchParams())
-        assert serialize_session(resumed) == serialize_session(net_b)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.sampled_from(SCORING_MODELS),
-        st.lists(st.integers(1, 40), min_size=1, max_size=4),
-        st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=4, max_size=4),
-        st.integers(0, 3),
-        st.integers(0, 3),
-    )
-    def test_save_and_load_anywhere_in_a_stream(self, model, sizes, budgets, save_at, seed):
-        rows = forward_sample(five_var_truth(), sum(sizes), seed)
-        twin = fresh_net("abcde")
-        twin.scoring_model = model
-        net = copy.deepcopy(twin)
-        start = 0
-        for step, size in enumerate(sizes):
-            for each in (net, twin):
-                observe_batch(each, rows[start : start + size])
-                refine(each, SearchParams(budget=budgets[step]))
-            start += size
-            if step == save_at % len(sizes):
-                net = session_from_document(json.loads(serialize_session(net)))
-            assert serialize_session(net) == serialize_session(twin)
-            assert node_state(net) == node_state(twin)
-            assert_counts_are_a_log_prefix(net)
-            assert_counts_are_a_log_prefix(twin)
-
     def test_session_with_a_half_searched_lattice_loads_and_resaves(self, tmp_path):
         # a version 1 file, written by the release that kept the log as a list
         # of tuples and absorbed examples one at a time; lattice c was never refined
@@ -746,13 +693,21 @@ class TestSession:
             ("key beyond the lattice", "node key 4 names no parent set"),
             ("negative key", "node key -1 names no parent set"),
             ("dead key beyond the lattice", "node key 2 names no parent set"),
+            ("key not an integer", "node key '1' is not an integer"),
             ("repeated key", "a node key is repeated"),
             ("stored and dead", r"keys \[1\] are stored and dead"),
             ("no stored node", "no stored node"),
+            ("every set asleep", "no alive node"),
+            ("an alive set behind the log", "alive node 0 has absorbed 19 of 20 rows"),
+            ("a child of an expanded set dropped", r"expanded node 0 has children \[1\] neither"),
+            ("the root dropped", "the root, node key 0, is neither stored nor dead"),
         ],
     )
     def test_malformed_node_keys_are_a_session_format_error(self, tmp_path, fault, message):
-        # the first two used to load and move the a->b arc posterior
+        # the first two used to load and move the a->b arc posterior; of the
+        # last four, which loaded too, the first failed its first query, the
+        # second answered other posteriors than the saved session, and no
+        # permissive refine of the last two stored the dropped set again
         net = fresh_net("ab")
         observe_batch(net, [(0, 0), (1, 1), (1, 1), (0, 1)] * 5)
         refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
@@ -766,12 +721,23 @@ class TestSession:
             lattice["nodes"].append(dict(extra, key=-1))
         elif fault == "dead key beyond the lattice":
             lattice["dead"] = [2]
+        elif fault == "key not an integer":
+            lattice["nodes"][1]["key"] = "1"
         elif fault == "repeated key":
             lattice["nodes"].append(extra)
         elif fault == "stored and dead":
             lattice["dead"] = [1]
-        else:
+        elif fault == "no stored node":
             lattice["nodes"] = []
+        elif fault == "every set asleep":
+            for node in lattice["nodes"]:
+                node["status"] = "asleep"
+        elif fault == "an alive set behind the log":
+            lattice["nodes"][0]["synced_through"] = 19
+        elif fault == "a child of an expanded set dropped":
+            del lattice["nodes"][1]
+        else:
+            del lattice["nodes"][0]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
