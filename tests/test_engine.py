@@ -124,6 +124,31 @@ class TestObserve:
         assert node_state(net) == before
         assert net.n_total == 1
 
+    def test_streaming_matches_batch_recompute(self):
+        net, _ = sampled_net(five_var_truth(), 60, seed=3)
+        refine(net, SearchParams())
+        observe_batch(net, forward_sample(five_var_truth(), 40, seed=4))
+        for lattice in net.lattices:
+            for node in lattice.nodes.values():
+                if node.status is NodeStatus.ALIVE:
+                    counts, log_ml = recompute_node(net, lattice, node)
+                    assert counts == table_rows(node.counts)
+                    assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+
+    def test_asleep_node_syncs_to_batch_value(self):
+        net, _ = sampled_net(five_var_truth(), 50, seed=9)
+        refine(net, SearchParams())
+        lattice = net.lattices[3]
+        asleep = [n for n in lattice.nodes.values() if n.status is NodeStatus.ASLEEP]
+        assert asleep, "scenario needs at least one asleep node"
+        observe_batch(net, forward_sample(five_var_truth(), 100, seed=10))
+        node = asleep[0]
+        assert node.synced_through < net.n_total
+        sync_node(net, lattice, node)
+        counts, log_ml = recompute_node(net, lattice, node)
+        assert counts == table_rows(node.counts)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+
 
 class TestObserveBatch:
     def test_empty_batch(self):
@@ -180,6 +205,30 @@ class TestSync:
         before = node_state(net)
         sync_node(net, lattice, lattice.nodes[0])
         assert node_state(net) == before
+
+    def test_fresh_node_absorbs_whole_log(self):
+        net, data = sampled_net(five_var_truth(), 80, seed=5)
+        refine(net, PERMISSIVE)
+        lattice = net.lattices[4]
+        node = max(lattice.nodes.values(), key=lambda n: n.key)
+        counts, log_ml = recompute_node(net, lattice, node)
+        assert node.synced_through == len(data)
+        assert counts == table_rows(node.counts)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+
+    def test_asleep_twin_catches_up(self):
+        net, _ = sampled_net(five_var_truth(), 20, seed=6)
+        refine(net, PERMISSIVE)
+        lattice = net.lattices[2]
+        twin_key = 0b01
+        node = lattice.nodes[twin_key]
+        node.status = NodeStatus.ASLEEP  # force it to lag behind
+        observe_batch(net, forward_sample(five_var_truth(), 100, seed=7))
+        sync_node(net, lattice, node)
+        always_alive = net.lattices[2].nodes[0]  # stayed in the update path
+        counts, log_ml = recompute_node(net, lattice, node)
+        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+        assert node.synced_through == always_alive.synced_through == net.n_total
 
     def test_multivalued_counts_match_a_recount(self):
         schema = DomainSchema(

@@ -51,6 +51,7 @@ from helpers import (
     mixed_arity_network,
     node_state,
     sampled_net,
+    scored_best,
 )
 
 LIST_LOG_SESSION = (
@@ -491,6 +492,28 @@ class TestSession:
         loaded = load_session(path)
         assert node_state(loaded) == node_state(net)
         assert all_arc_posteriors(loaded).entries == all_arc_posteriors(net).entries
+
+    def test_refined_state_round_trips_bit_stably(self, tmp_path):
+        net, _ = sampled_net(five_var_truth(), 120, seed=5)
+        refine(net, SearchParams())
+        path = tmp_path / "s.json"
+        save_session(path, net)
+        loaded = load_session(path)
+        assert serialize_session(loaded) == serialize_session(net)
+        assert node_state(loaded) == node_state(net)
+        for a, b in zip(net.lattices, loaded.lattices):
+            assert scored_best(net, a) == scored_best(loaded, b)
+
+    def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
+        net_a, _ = sampled_net(five_var_truth(), 150, seed=6)
+        net_b = copy.deepcopy(net_a)
+        refine(net_a, SearchParams(budget=5))
+        path = tmp_path / "mid.json"
+        save_session(path, net_a)
+        resumed = load_session(path)
+        refine(resumed, SearchParams())
+        refine(net_b, SearchParams())
+        assert serialize_session(resumed) == serialize_session(net_b)
 
     def test_session_with_a_half_searched_lattice_loads_and_resaves(self, tmp_path):
         # a version 1 file, written by the release that kept the log as a list

@@ -131,6 +131,13 @@ class TestArcPosterior:
 
 
 class TestArcPosteriorMatrix:
+    def test_matches_pointwise(self):
+        net, _ = sampled_net(five_var_truth(), 120, seed=22)
+        refine(net, SearchParams())
+        matrix = all_arc_posteriors(net)
+        for (y, x), p in matrix.entries.items():
+            assert p == arc_posterior(net, y, x)
+
     @pytest.mark.parametrize("model", SCORING_MODELS)
     def test_matches_the_per_pair_reference(self, model):
         rng = np.random.default_rng(31)
