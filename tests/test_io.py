@@ -187,6 +187,13 @@ V4_SESSION = Path(__file__).parent / "data" / "session_v4.json"
 # u-x, 0 for y and z) lags the log; it holds alive and asleep, open, closed and
 # expanded nodes and dead keys
 V5_SESSION = Path(__file__).parent / "data" / "session_v5.json"
+
+# written by the release with session version 6: chain_v_truth, 350 rows of seed
+# 6; under the logistic model refine(budget=6) after the first 150 rows, then under
+# the noisy-or model a default refine after 300; the last 50 rows were observed and
+# not refined, so asleep nodes lag the log; it holds logistic and noisy-or warm
+# starts, alive and asleep, closed and expanded nodes and dead keys
+V6_SESSION = Path(__file__).parent / "data" / "session_v6.json"
 # what that release answers after loading it and one default refine
 V5_REFINED_ARCS = {
     (0, 1): 1.0,
@@ -257,6 +264,23 @@ GOLDEN_LOADED_ARCS = {
         (2, 5): 0.0,
         (3, 5): 0.0,
         (4, 5): 0.0,
+    },
+    "session_v6.json": {
+        (0, 1): 1.0,
+        (0, 2): 0.2480007561600766,
+        (1, 2): 0.9999999999999964,
+        (0, 3): 0.2460582758012836,
+        (1, 3): 0.25397639886649276,
+        (2, 3): 1.0,
+        (0, 4): 0.08742553210606599,
+        (1, 4): 0.20259726155855357,
+        (2, 4): 0.2608037542840002,
+        (3, 4): 0.09902992825948138,
+        (0, 5): 0.20228520641164102,
+        (1, 5): 0.39559784012976,
+        (2, 5): 0.17388540164743463,
+        (3, 5): 0.9999999999999972,
+        (4, 5): 0.9999999999999972,
     },
 }
 
