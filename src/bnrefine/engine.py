@@ -14,8 +14,10 @@ single source of truth, and examples enter a node in one of two ways:
 
 Either way a node's counts are those of ``example_log[:synced_through]``,
 laid out alike.  Under every model a score is a function of those counts,
-computed lazily and cached by ``_node_score``, so it never depends on how
-the data was split into batches or how it was counted.
+computed lazily and cached by ``_node_score`` (a noisy-or or logistic fit
+starts from a point computed from the same counts, never from an earlier
+fit), so it never depends on how the data was split into batches or how
+it was counted.
 Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then sync

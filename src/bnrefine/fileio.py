@@ -15,11 +15,11 @@ and value labels as cells; parsing is strict, rejecting the whole file on
 the first unknown label or missing cell, with row/column diagnostics.
 
 A session snapshot holds the example log and, per stored parent set, its
-key, its status and expansion state, the number of log rows it has
-absorbed and its fits' warm starts.  It stores nothing it can derive: no
-prior, concentration or parents (they follow from the key and the spec),
-and no counts or scores (loading recounts each set from the log), so none
-of them can disagree with the spec or the log.
+key, its status and expansion state and the number of log rows it has
+absorbed.  It stores nothing it can derive: no prior, concentration or
+parents (they follow from the key and the spec), and no counts, scores or
+fits (loading recounts each set from the log), so none of them can
+disagree with the spec or the log.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -58,10 +57,10 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-# 6 keeps a node's key, status, expansion, synced_through and fits; 5 also each
-# lattice's last_refine_n; 4 also a node's log_prior and open/expanded flags;
-# 3 also model scores; 2 also counts and log_ml; 1 also dead nodes
-SESSION_VERSION = 6
+# 7 keeps a node's key, status, expansion and synced_through; 6 also its fits;
+# 5 also each lattice's last_refine_n; 4 also a node's log_prior and open/expanded
+# flags; 3 also model scores; 2 also counts and log_ml; 1 also dead nodes
+SESSION_VERSION = 7
 
 
 class SpecFormatError(ValueError):
@@ -271,7 +270,6 @@ def _node_to_doc(node: LatticeNode) -> dict:
         "status": node.status.value,
         "expansion": node.expansion.value,
         "synced_through": node.synced_through,
-        "fits": node.fits,
     }
 
 
@@ -298,16 +296,17 @@ def session_to_document(net: CombinedNetwork) -> dict:
 def session_from_document(doc: dict) -> CombinedNetwork:
     """Rebuild a session; every stored node is recounted from the example log.
 
-    Versions 1 to 5 also stored each lattice's ``last_refine_n``, 1 to 4
-    each node's log prior, 1 to 3 its restricted-model scores, and 1 and 2
-    its counts and table score; they are ignored, so a session's priors
-    agree with its spec and its statistics and scores with its log, and
-    ``refine`` re-aims every lattice it visits whatever the file says.
+    Versions 1 to 6 also stored each node's restricted-model fits, 1 to 5
+    each lattice's ``last_refine_n``, 1 to 4 each node's log prior, 1 to 3
+    its restricted-model scores, and 1 and 2 its counts and table score;
+    they are ignored, so a session's priors agree with its spec and its
+    statistics and scores with its log, and ``refine`` re-aims every
+    lattice it visits whatever the file says.
     """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in (1, 2, 3, 4, 5, SESSION_VERSION):
+    if version not in range(1, SESSION_VERSION + 1):
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
@@ -382,25 +381,6 @@ def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: Combine
     node = insert_node(lattice, doc["key"])
     node.status, node.expansion = status, expansion
     _count_rows(net, lattice, node, synced)
-    # versions 1-3 kept the fitted natural parameters (tau, or noisy-or's q)
-    for kind, point in dict(doc["fits"] if version > 3 else doc["model_params"]).items():
-        if kind not in ("noisy-or", "logistic"):
-            raise SessionFormatError(f"{where}: a warm start for unknown model {kind!r}")
-        width = 1 + len(node.parents)
-        if type(point) is not list or len(point) != width or not all(
-            type(v) is float and math.isfinite(v) for v in point
-        ):
-            raise SessionFormatError(
-                f"{where}: {kind} warm start {point!r} is not {width} finite floats"
-            )
-        if version < 4:  # imported here so that table sessions never load localmodels
-            from .localmodels import LogisticParams, NoisyOrParams, _to_u
-
-            try:
-                point = _to_u(kind, (LogisticParams if kind == "logistic" else NoisyOrParams)(point))
-            except ValueError as err:
-                raise SessionFormatError(f"{where}: {err}") from None
-        node.fits[kind] = [float(v) for v in point]
 
 
 def _expansion_from_flags(doc: dict) -> str:

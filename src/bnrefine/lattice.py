@@ -87,8 +87,6 @@ class LatticeNode:
     synced_through: int = 0       # examples absorbed into counts
     # model -> (synced_through when scored, log marginal likelihood of those counts)
     scores: dict[str, tuple[int, float]] = field(default_factory=dict)
-    # restricted model -> last fitted point in unconstrained coordinates
-    fits: dict[str, list[float]] = field(default_factory=dict)
 
 
 @dataclass

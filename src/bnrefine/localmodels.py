@@ -26,9 +26,9 @@ Parameters are fitted by maximum posterior in unconstrained coordinates
 per coordinate, by Newton steps where the observed curvature allows and
 Fisher scoring steps elsewhere, and integrated out with a multivariate
 normal expansion at the fitted point (one fit per score) to give a log
-marginal likelihood comparable to the exact Dirichlet table score.  A
-node keeps its last fitted point in ``LatticeNode.fits`` to warm-start the
-next fit, so refreshing a score after a few new examples is cheap.
+marginal likelihood comparable to the exact Dirichlet table score.  Every
+fit starts from a point computed from the same counts (``_start``), never
+from an earlier fit, so a score is a function of the counts alone.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class MapFit:
     gradient_norm: float
     iterations: int
     trace: tuple[float, ...]
-    u: tuple[float, ...]  # params in unconstrained coordinates: a warm start for the next fit
     hessian: np.ndarray = field(compare=False)  # observed, of the log posterior at params
 
 
@@ -122,9 +121,11 @@ def _softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def _sigmoids(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(t) and sigmoid(-t) from one exp(-|t|)."""
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    return np.where(t >= 0, big, small), np.where(t >= 0, small, big)
 
 
 def _log1mexp(s: np.ndarray) -> np.ndarray:
@@ -139,19 +140,19 @@ def _log1mexp(s: np.ndarray) -> np.ndarray:
 def _kernel(
     kind: str, u: np.ndarray, activity: np.ndarray, n_false: np.ndarray, n_true: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Log likelihood, gradient, Hessian and expected information (``-H`` at
-    the expected counts, positive semidefinite) in unconstrained coordinates
+    """Log likelihood, gradient, -H and expected information (-H at the
+    expected counts, positive semidefinite) in unconstrained coordinates
     (tau for logistic, logit q for noisy-or) from per-configuration counts."""
     if kind == "logistic":
         t = activity @ u  # log odds of x = false
-        p_false, p_true = _sigmoid(t), _sigmoid(-t)
+        p_false, p_true = _sigmoids(t)
         ll = -n_false @ _softplus(-t) - n_true @ _softplus(t)
         grad = (n_false * p_true - n_true * p_false) @ activity
         weight = (n_false + n_true) * p_false * p_true
         info = (activity.T * weight) @ activity  # canonical link: -H itself
-        return float(ll), grad, -info, info
+        return float(ll), grad, info, info
     if kind == "noisy-or":
-        q, one_minus_q = _sigmoid(u), _sigmoid(-u)
+        q, one_minus_q = _sigmoids(u)
         s = activity @ -_softplus(-u)  # log Pr(x = false), stable for large |u|
         p_false, p_true = np.exp(s), -np.expm1(s)
         if not p_true.all():
@@ -168,43 +169,58 @@ def _kernel(
         weight = n_true * p_false
         grad = n_false @ activity * one_minus_q - weight @ r
         # d(1 - q_j)/du_j = -q_j (1 - q_j) puts -q_j grad_j on the diagonal
-        hess = -(r.T * weight) @ r - np.diag(q * grad)
+        neg_hess = (r.T * weight) @ r + np.diag(q * grad)
         info = (r.T * ((n_false + n_true) * p_false * p_true)) @ r
-        return float(ll), grad, hess, info
+        return float(ll), grad, neg_hess, info
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _to_u(kind: str, params) -> np.ndarray:
-    if kind == "logistic":
-        return np.asarray(params.tau, dtype=float)
-    q = np.asarray(params.q, dtype=float)
-    return np.log(q) - np.log1p(-q)
 
 
 def _u_to_params(kind: str, u: np.ndarray):
     if kind == "logistic":
         return LogisticParams(tuple(u))
-    return NoisyOrParams(tuple(_sigmoid(u)))
+    return NoisyOrParams(tuple(_sigmoids(u)[0]))
+
+
+def _start(kind, activity, n_false, n_true, prior_info) -> np.ndarray:
+    """Where a fit starts: one weighted least squares step, ``(A'WA + I /
+    sigma^2) s = A'Wy``.  With ``p = (n_false + 1/2) / (n + 1)`` per observed
+    configuration, logistic fits the log odds of x = false with weights
+    ``n p (1 - p)``, noisy-or fits ``log p`` (linear in log q) with weights
+    ``n p / (1 - p)``, its log q clamped at -1e-3 and mapped to logit q."""
+    n = n_false + n_true
+    p = (n_false + 0.5) / (n + 1.0)
+    if kind == "logistic":
+        y, w = np.log((n_false + 0.5) / (n_true + 0.5)), n * p * (1.0 - p)
+    else:
+        y, w = np.log(p), n * p / (1.0 - p)
+    weighted = activity.T * w
+    s = np.linalg.solve(weighted @ activity + prior_info, weighted @ y)
+    if kind == "logistic":
+        return s
+    s = np.minimum(s, -1e-3)
+    return s - np.log(-np.expm1(s))
 
 
 def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
-    """The log posterior as one function of u giving value, gradient, Hessian
-    and expected information (positive definite by the prior), and its dimension."""
+    """The log posterior as one function of u giving value, gradient, -H and
+    expected information (positive definite by the prior), and the fit's
+    start, from one read of the counts."""
     activity, n_false, n_true = _blocks(counts)
     d = activity.shape[1]
     var = prior_scale * prior_scale
+    prior_info = np.eye(d) / var
     log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
 
     def evaluate(u: np.ndarray):
-        ll, grad, hess, info = _kernel(kind, u, activity, n_false, n_true)
+        ll, grad, neg_hess, info = _kernel(kind, u, activity, n_false, n_true)
         value = float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
-        prior_info = np.eye(d) / var
-        return value, grad - u / var, hess - prior_info, info + prior_info
+        neg = neg_hess + prior_info
+        return value, grad - u / var, neg, neg if info is neg_hess else info + prior_info
 
-    return evaluate, d
+    return evaluate, _start(kind, activity, n_false, n_true, prior_info)
 
 
-def fit_map(kind: str, counts: CountTable, *, warm_start=None) -> MapFit:
+def fit_map(kind: str, counts: CountTable) -> MapFit:
     """Maximum-posterior fit by damped Newton-or-Fisher ascent in unconstrained space.
 
     A step solves against ``-H`` where it has a Cholesky factor and against
@@ -213,24 +229,24 @@ def fit_map(kind: str, counts: CountTable, *, warm_start=None) -> MapFit:
     prior) is non-decreasing across iterations, up to its float resolution;
     convergence means the gradient's max-norm fell below ``TOL`` within
     ``MAX_ITER`` iterations.  The fit carries the observed Hessian at its
-    point.  Deterministic given its inputs and the module's constants.
-    ``warm_start``, zero by default, is a point in unconstrained coordinates
-    (a previous fit's ``u``): ``d`` finite floats for ``d - 1`` parents.
+    point.  Deterministic given the counts and the module's constants.
     """
     if not counts.total:
         raise ValueError("fit_map requires at least one data row")
-    evaluate, d = _log_posterior(kind, counts, PRIOR_SCALE)
-    u = np.zeros(d) if warm_start is None else np.asarray(warm_start)
-    if u.shape != (d,) or u.dtype != float or not np.isfinite(u).all():
-        raise ValueError(f"a {kind} warm start is {d} finite floats, not {warm_start!r}")
-    fval, g, hess, info = evaluate(u)
+    evaluate, start = _log_posterior(kind, counts, PRIOR_SCALE)
+    return _ascend(kind, evaluate, start)
+
+
+def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
+    """``fit_map``'s ascent of ``evaluate`` from the point ``u``."""
+    fval, g, neg, info = evaluate(u)
     trace = [fval]
     iterations = 0
     for _ in range(MAX_ITER):
-        if float(np.max(np.abs(g))) < TOL:
+        if abs(g).max() < TOL:
             break
         try:
-            chol, newton = np.linalg.cholesky(-hess), True
+            chol, newton = np.linalg.cholesky(neg), True
         except np.linalg.LinAlgError:
             chol, newton = np.linalg.cholesky(info), False
         direction = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
@@ -240,24 +256,24 @@ def fit_map(kind: str, counts: CountTable, *, warm_start=None) -> MapFit:
             # so backtracking cannot see it; the full Newton step polishes
             # the gradient down to tolerance
             u = u + direction
-            fval, g, hess, info = evaluate(u)
+            fval, g, neg, info = evaluate(u)
         else:
             step = 1.0
             accepted = False
             for _ in range(60):
                 candidate = u + step * direction
-                if np.array_equal(candidate, u):
+                if (candidate == u).all():
                     break  # the step rounded away entirely; no progress this way
                 point = evaluate(candidate)
                 if point[0] >= fval + 1e-4 * step * slope:
-                    u, (fval, g, hess, info), accepted = candidate, point, True
+                    u, (fval, g, neg, info), accepted = candidate, point, True
                     break
                 step /= 2.0
             if not accepted:
                 break
         trace.append(fval)
         iterations += 1
-    grad_norm = float(np.max(np.abs(g)))
+    grad_norm = float(abs(g).max())
     fit = MapFit(
         kind=kind,
         params=_u_to_params(kind, u),
@@ -265,8 +281,7 @@ def fit_map(kind: str, counts: CountTable, *, warm_start=None) -> MapFit:
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
-        u=tuple(u.tolist()),
-        hessian=hess,
+        hessian=-neg,
     )
     if grad_norm >= TOL:
         raise FitConvergenceError(
@@ -292,12 +307,12 @@ def _laplace(fit: MapFit) -> float:
     return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
 
 
-def laplace_log_marginal(kind: str, counts: CountTable, *, warm_start=None) -> float:
+def laplace_log_marginal(kind: str, counts: CountTable) -> float:
     """Log marginal likelihood of a restricted kind, parameters integrated out
     by the normal expansion around the MAP:
         log posterior(MAP) + (d/2) log 2*pi - (1/2) log det(-Hessian).
     """
-    return _laplace(fit_map(kind, counts, warm_start=warm_start))
+    return _laplace(fit_map(kind, counts))
 
 
 def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
@@ -321,10 +336,10 @@ def score_node_with_model(
     """Score one lattice node's counts, synced with the log first, under a
     restricted model (noisy-or or logistic).
 
-    The model's parameters are fitted once, warm-started from
-    ``node.fits[kind]`` where the new fit is kept, and the normal-expansion
-    marginal is taken there; with no counts there is nothing to fit, and the
-    marginal is 0 because the parameter prior integrates to 1.  The table
+    The model's parameters are fitted once, from a start computed from the
+    counts, and the normal-expansion marginal is taken there; with no counts
+    there is nothing to fit, and the marginal is 0 because the parameter
+    prior integrates to 1.  The table
     model's exact marginal is ``kernels.log_marginal_likelihood`` of the
     counts.  The search's cache, ``node.scores``, is written by
     ``engine._node_score`` alone.
@@ -334,7 +349,6 @@ def score_node_with_model(
     counts = boolean_node_data(net, x, node)
     if not counts.total:
         return LocalModelScore(kind=kind, params=None, log_marginal=0.0)
-    fit = fit_map(kind, counts, warm_start=node.fits.get(kind))
-    node.fits[kind] = list(fit.u)
+    fit = fit_map(kind, counts)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
     return LocalModelScore(kind=kind, params=natural, log_marginal=_laplace(fit))

@@ -18,7 +18,8 @@ still matches reads the memo and scores nothing.
 
 Queries change nothing but the score cache of the nodes they read
 (``engine._node_score``) and the arc posterior memo of the lattices they
-read; callers must not mutate the network concurrently.
+read, neither of which a session stores, so a query never changes what a
+later save writes; callers must not mutate the network concurrently.
 """
 
 from __future__ import annotations

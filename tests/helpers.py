@@ -21,7 +21,7 @@ from bnrefine import (
 )
 from bnrefine.domain import CountTable
 from bnrefine.lattice import LatticeStateError, check_lattice
-from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel, _to_u
+from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel
 from bnrefine.oracle import ExactPosterior, OracleSizeError, exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
@@ -358,10 +358,18 @@ def boolean_counts(x_values, parent_rows) -> CountTable:
     return counts
 
 
+def to_u(kind: str, params) -> np.ndarray:
+    """Natural parameters (tau, or noisy-or's q) in unconstrained coordinates."""
+    if kind == "logistic":
+        return np.asarray(params.tau, dtype=float)
+    q = np.asarray(params.q, dtype=float)
+    return np.log(q) - np.log1p(-q)
+
+
 def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.ndarray]:
     """Log likelihood and its gradient in unconstrained coordinates."""
     activity, n_false, n_true = _blocks(counts)
-    u = _to_u(kind, params)
+    u = to_u(kind, params)
     if len(u) != activity.shape[1]:
         raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
     ll, grad, _, _ = _kernel(kind, u, activity, n_false, n_true)

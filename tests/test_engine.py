@@ -487,7 +487,6 @@ class TestExpansion:
             assert child.synced_through == n_rows == child.counts.total
             assert child.status is NodeStatus.ASLEEP
             assert child.expansion is ExpansionFlag.CLOSED
-            assert child.fits == {}
             assert child.scores == {}
             boolean = all(arities[v] == 2 for v in (x, *child.parents))
             for kind in SCORING_MODELS if boolean else ("table",):

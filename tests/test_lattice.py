@@ -49,7 +49,7 @@ class TestNewLattice:
         assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
         assert node.counts.arities == (2, 2) and node.counts.total == 0
         assert node.status is NodeStatus.ASLEEP and node.expansion is ExpansionFlag.CLOSED
-        assert node.synced_through == 0 and node.scores == {} and node.fits == {}
+        assert node.synced_through == 0 and node.scores == {}
 
     def test_all_forbidden_leaves_a_bare_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 0.0, (1, 3): 0.0, (2, 3): 0.0})
