@@ -29,6 +29,14 @@ normal expansion at the fitted point (one fit per score) to give a log
 marginal likelihood comparable to the exact Dirichlet table score.  Every
 fit starts from a point computed from the same counts (``_start``), never
 from an earlier fit, so a score is a function of the counts alone.
+
+A step solves one d x d system, d = 1 + the number of parents (a handful:
+2 to 5 on the demo network), by a Cholesky factor (``_cholesky``) and two
+triangular solves (``_solve``); the start and the normal expansion's log
+determinant are computed the same way.  These run on plain Python floats:
+at this size a numpy linear-algebra call costs more in dispatch and
+error-state handling than its arithmetic, and a fit would make several
+per iteration.
 """
 
 from __future__ import annotations
@@ -117,15 +125,14 @@ def _blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return activity, cells[:, 0], cells[:, 1]
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, t)
-
-
-def _sigmoids(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(t) and sigmoid(-t) from one exp(-|t|)."""
-    e = np.exp(-np.abs(t))
-    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
-    return np.where(t >= 0, big, small), np.where(t >= 0, small, big)
+def _log_sigmoids(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigmoid(t) = -softplus(-t) and log sigmoid(-t) = -softplus(t) from
+    one tail = log1p(exp(-|t|)): with pos = max(t, 0), softplus(t) = pos +
+    tail and softplus(-t) = (pos - t) + tail.  pos - t is exact, so neither
+    side cancels, and the negations are exact."""
+    tail = np.log1p(np.exp(-np.abs(t)))
+    pos = np.maximum(t, 0.0)
+    return (t - pos) - tail, -pos - tail
 
 
 def _log1mexp(s: np.ndarray) -> np.ndarray:
@@ -142,18 +149,26 @@ def _kernel(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Log likelihood, gradient, -H and expected information (-H at the
     expected counts, positive semidefinite) in unconstrained coordinates
-    (tau for logistic, logit q for noisy-or) from per-configuration counts."""
+    (tau for logistic, logit q for noisy-or) from per-configuration counts.
+
+    Both models take their log probabilities from ``_log_sigmoids``, one
+    log1p(exp(-|t|)) per entry, and the probabilities as their exponentials.
+    A step solves against -H, or against the information where -H has no
+    Cholesky factor, in plain floats: for d x d systems this small, numpy's
+    per-call cost would exceed the arithmetic (see the module docstring)."""
     if kind == "logistic":
         t = activity @ u  # log odds of x = false
-        p_false, p_true = _sigmoids(t)
-        ll = -n_false @ _softplus(-t) - n_true @ _softplus(t)
+        log_p_false, log_p_true = _log_sigmoids(t)
+        p_false, p_true = np.exp(log_p_false), np.exp(log_p_true)
+        ll = n_false @ log_p_false + n_true @ log_p_true
         grad = (n_false * p_true - n_true * p_false) @ activity
         weight = (n_false + n_true) * p_false * p_true
         info = (activity.T * weight) @ activity  # canonical link: -H itself
         return float(ll), grad, info, info
     if kind == "noisy-or":
-        q, one_minus_q = _sigmoids(u)
-        s = activity @ -_softplus(-u)  # log Pr(x = false), stable for large |u|
+        log_q, log_one_minus_q = _log_sigmoids(u)
+        q, one_minus_q = np.exp(log_q), np.exp(log_one_minus_q)
+        s = activity @ log_q  # log Pr(x = false), stable for large |u|
         p_false, p_true = np.exp(s), -np.expm1(s)
         if not p_true.all():
             # every active q rounded to 1 (u beyond ~745), so Pr(x = true)
@@ -178,7 +193,46 @@ def _kernel(
 def _u_to_params(kind: str, u: np.ndarray):
     if kind == "logistic":
         return LogisticParams(tuple(u))
-    return NoisyOrParams(tuple(_sigmoids(u)[0]))
+    return NoisyOrParams(tuple(np.exp(_log_sigmoids(u)[0])))
+
+
+def _cholesky(matrix) -> list[list[float]] | None:
+    """The lower Cholesky factor of a symmetric matrix (its lower triangle is
+    read) as rows of floats, or None unless every pivot is > 0; a NaN fails
+    that test too."""
+    factor: list[list[float]] = []
+    for i, row in enumerate(np.asarray(matrix, dtype=float).tolist()):
+        lower: list[float] = []
+        for j, above in enumerate(factor):
+            total = row[j]
+            for k in range(j):
+                total -= lower[k] * above[k]
+            lower.append(total / above[j])
+        pivot = row[i]
+        for v in lower:
+            pivot -= v * v
+        if not pivot > 0.0:
+            return None
+        lower.append(math.sqrt(pivot))
+        factor.append(lower)
+    return factor
+
+
+def _solve(factor: list[list[float]], b) -> list[float]:
+    """x with ``L L' x = b`` for the lower factor L: forward, then back substitution."""
+    d = len(factor)
+    x = [0.0] * d
+    for i, row in enumerate(factor):
+        value = b[i]
+        for k in range(i):
+            value -= row[k] * x[k]
+        x[i] = value / row[i]
+    for i in range(d - 1, -1, -1):
+        value = x[i]
+        for k in range(i + 1, d):
+            value -= factor[k][i] * x[k]
+        x[i] = value / factor[i][i]
+    return x
 
 
 def _start(kind, activity, n_false, n_true, prior_info) -> np.ndarray:
@@ -194,7 +248,8 @@ def _start(kind, activity, n_false, n_true, prior_info) -> np.ndarray:
     else:
         y, w = np.log(p), n * p / (1.0 - p)
     weighted = activity.T * w
-    s = np.linalg.solve(weighted @ activity + prior_info, weighted @ y)
+    # positive definite by the prior term, so the factor exists
+    s = np.array(_solve(_cholesky(weighted @ activity + prior_info), (weighted @ y).tolist()))
     if kind == "logistic":
         return s
     s = np.minimum(s, -1e-3)
@@ -243,14 +298,16 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
     trace = [fval]
     iterations = 0
     for _ in range(MAX_ITER):
-        if abs(g).max() < TOL:
+        gradient = g.tolist()
+        if max(map(abs, gradient)) < TOL:
             break
-        try:
-            chol, newton = np.linalg.cholesky(neg), True
-        except np.linalg.LinAlgError:
-            chol, newton = np.linalg.cholesky(info), False
-        direction = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        slope = float(g @ direction)
+        factor = _cholesky(neg)
+        newton = factor is not None
+        if not newton:
+            factor = _cholesky(info)  # positive definite by the prior term
+        solution = _solve(factor, gradient)
+        slope = sum(a * b for a, b in zip(gradient, solution))
+        direction = np.array(solution)
         if newton and slope < RESOLUTION * abs(fval):
             # the predicted gain is below the objective's float resolution,
             # so backtracking cannot see it; the full Newton step polishes
@@ -273,7 +330,7 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
                 break
         trace.append(fval)
         iterations += 1
-    grad_norm = float(abs(g).max())
+    grad_norm = max(map(abs, g.tolist()))
     fit = MapFit(
         kind=kind,
         params=_u_to_params(kind, u),
@@ -294,11 +351,10 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
 
 def log_det_neg_hessian(hess: np.ndarray) -> float:
     """log det(-H) via Cholesky; raises LaplaceError if -H is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(-np.asarray(hess))
-    except np.linalg.LinAlgError:
-        raise LaplaceError("Hessian at the fitted optimum is not negative definite") from None
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    factor = _cholesky(-np.asarray(hess))
+    if factor is None:
+        raise LaplaceError("Hessian at the fitted optimum is not negative definite")
+    return 2.0 * sum(math.log(row[i]) for i, row in enumerate(factor))
 
 
 def _laplace(fit: MapFit) -> float:

@@ -162,15 +162,15 @@ V3_NOISYOR_CONTINUED_ARCS = {
     (0, 3): 0.2563851089612816,
     (1, 3): 0.24595584406407367,
     (2, 3): 0.999999999999996,
-    (0, 4): 0.2410000141589297,
-    (1, 4): 0.22976480382201986,
-    (2, 4): 0.24176221336241965,
-    (3, 4): 0.07381385227202172,
-    (0, 5): 0.22998712509859967,
-    (1, 5): 0.2497584383792009,
-    (2, 5): 0.25314530547712866,
-    (3, 5): 1.0,
-    (4, 5): 1.0,
+    (0, 4): 0.2410000141589277,
+    (1, 4): 0.2297648038220173,
+    (2, 4): 0.241762213362417,
+    (3, 4): 0.07381385227202068,
+    (0, 5): 0.22998712509859462,
+    (1, 5): 0.24975843837919876,
+    (2, 5): 0.2531453054771265,
+    (3, 5): 0.9999999999999976,
+    (4, 5): 0.9999999999999976,
 }
 
 # written by the release with session version 4: chain_v_truth under the logistic
@@ -238,10 +238,10 @@ GOLDEN_LOADED_ARCS = {
         (0, 3): 0.0,
         (1, 3): 0.0,
         (2, 3): 1.0,
-        (0, 4): 0.038982363205437756,
+        (0, 4): 0.038982363205436646,
         (1, 4): 0.0,
         (2, 4): 0.0,
-        (3, 4): 0.21055113137181278,
+        (3, 4): 0.21055113137180081,
         (0, 5): 0.0,
         (1, 5): 0.0,
         (2, 5): 0.0,
@@ -269,9 +269,9 @@ GOLDEN_LOADED_ARCS = {
         (0, 1): 1.0,
         (0, 2): 0.24800075601641897,
         (1, 2): 1.0,
-        (0, 3): 0.24605827634095062,
+        (0, 3): 0.2460582763409454,
         (1, 3): 0.25397639785597803,
-        (2, 3): 1.0,
+        (2, 3): 0.9999999999999977,
         (0, 4): 0.08742553207876567,
         (1, 4): 0.20259726174503898,
         (2, 4): 0.26080375420766305,

@@ -18,8 +18,10 @@ from bnrefine.localmodels import (
     UnsupportedModelError,
     _ascend,
     _blocks,
+    _cholesky,
     _kernel,
     _log_posterior,
+    _solve,
     boolean_node_data,
     fit_map,
     laplace_log_marginal,
@@ -60,6 +62,68 @@ def random_points(seed, n_points, n_parents):
         x = rng.random(8) < 0.5
         rows = rng.random((8, n_parents)) < 0.5
         yield q, tau, x, rows
+
+
+# the 3-batch demo session (``_stream_demo``, seed 3) under each restricted model,
+# as the fit path that solved its systems with numpy's linear algebra ran it: the
+# fits, their Newton iterations and kernel evaluations, and every stored set's
+# marginal by (child, parent-set key)
+DEMO_SESSION_WORK = {
+    "noisy-or": (96, 424, 545),
+    "logistic": (82, 217, 299),
+}
+DEMO_SESSION_SCORES = {
+    "noisy-or": {
+        (0, 0): -358.567806166267,
+        (1, 0): -312.6038055935467,
+        (2, 2): -257.5713850035269,
+        (2, 3): -259.28955114228023,
+        (3, 4): -351.0547647642372,
+        (3, 5): -352.2114326184984,
+        (3, 6): -352.2013192653002,
+        (3, 7): -353.2947695576065,
+        (4, 0): -395.05800972620915,
+        (4, 1): -396.7700145248366,
+        (4, 2): -396.14095830578196,
+        (4, 3): -397.82751891383685,
+        (4, 4): -396.1526202553889,
+        (4, 5): -397.8155059831446,
+        (4, 6): -397.17798485501254,
+        (4, 7): -398.87709609362696,
+        (4, 8): -396.1529272794377,
+        (4, 9): -397.8764553733328,
+        (4, 10): -397.2316122246343,
+        (4, 11): -398.93575977225805,
+        (4, 12): -397.2395199104509,
+        (4, 13): -398.925070066449,
+        (4, 14): -398.2713088800192,
+        (4, 15): -399.9883669157074,
+        (5, 12): -275.85669661341706,
+        (5, 13): -277.50126740370524,
+        (5, 14): -277.42156640159976,
+        (5, 15): -278.6534764656634,
+    },
+    "logistic": {
+        (0, 0): -358.5678061662671,
+        (1, 0): -312.71544791561774,
+        (2, 2): -257.6558683429406,
+        (2, 3): -260.8825060604184,
+        (3, 4): -351.209239424911,
+        (3, 5): -355.0080664476822,
+        (3, 6): -354.60305577957473,
+        (4, 0): -395.05800972620915,
+        (4, 1): -398.3536786278317,
+        (4, 2): -399.06642732880215,
+        (4, 3): -401.82110402674425,
+        (4, 4): -399.0808665955552,
+        (4, 8): -398.8110149619604,
+        (4, 9): -401.89600856050833,
+        (5, 12): -274.62409430462213,
+        (5, 13): -277.8147394062982,
+        (5, 14): -278.13259910652476,
+        (5, 15): -281.1720085756619,
+    },
+}
 
 
 class TestNoisyOrLoglik:
@@ -275,6 +339,83 @@ class TestKernel:
                 info = evaluate(np.array(u))[3]
                 assert np.all(np.isfinite(info))
                 np.linalg.cholesky(info)  # raises unless positive definite
+                assert _cholesky(info) is not None  # the factor a fit steps with
+
+
+@st.composite
+def spd_matrices(draw, max_d=8):
+    """A symmetric positive definite matrix B B' + I, eigenvalues at least 1,
+    and a right-hand side."""
+    d = draw(st.integers(1, max_d))
+    entries = st.floats(-3.0, 3.0, allow_nan=False)
+    b = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    rhs = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    return b @ b.T + np.eye(d), rhs
+
+
+def dense(factor):
+    """The factor's rows of floats as a square lower-triangular array."""
+    return np.array([row + [0.0] * (len(factor) - len(row)) for row in factor])
+
+
+def numpy_factors(matrix) -> bool:
+    """Whether numpy finds a Cholesky factor: it raises on a pivot <= 0, and
+    on some builds returns a factor of NaN for a NaN pivot instead."""
+    try:
+        with np.errstate(invalid="ignore"):
+            factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
+class TestFactorization:
+    # a fit solves its d x d systems in plain floats; numpy is the reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(spd_matrices())
+    def test_factor_solve_and_log_det_match_numpy(self, system):
+        matrix, rhs = system
+        factor = _cholesky(matrix)
+        reference = np.linalg.cholesky(matrix)
+        assert np.linalg.norm(dense(factor) - reference) <= 1e-12 * np.linalg.norm(reference)
+        solution, expected = np.array(_solve(factor, rhs.tolist())), np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(solution - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
+        sign, log_det = np.linalg.slogdet(matrix)
+        assert sign == 1.0
+        assert math.isclose(log_det_neg_hessian(-matrix), log_det, rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spd_matrices(), st.data())
+    def test_no_factor_exactly_where_numpy_has_none(self, system, data):
+        # each edit breaks the matrix at pivot k, whose predecessors stay those
+        # of a well-conditioned positive definite matrix, so rounding cannot
+        # decide the outcome: a negative diagonal (indefinite), a zero row and
+        # column (singular: the pivot is exactly 0), or a NaN
+        matrix, _ = system
+        d = len(matrix)
+        k = data.draw(st.integers(0, d - 1))
+        edit = data.draw(st.sampled_from(["indefinite", "singular", "nan diagonal", "nan off"]))
+        broken = matrix.copy()
+        if edit == "indefinite":
+            broken[k, k] = -data.draw(st.floats(0.0, 10.0))
+        elif edit == "singular":
+            broken[k, :] = broken[:, k] = 0.0
+        elif edit == "nan diagonal" or k == 0:
+            broken[k, k] = math.nan
+        else:
+            j = data.draw(st.integers(0, k - 1))
+            broken[k, j] = broken[j, k] = math.nan
+        assert _cholesky(matrix) is not None and numpy_factors(matrix)
+        assert _cholesky(broken) is None
+        assert not numpy_factors(broken)
+        with pytest.raises(LaplaceError):
+            log_det_neg_hessian(-broken)
+
+    def test_exactly_singular_and_semidefinite_matrices_have_no_factor(self):
+        for matrix in ([[1.0, 1.0], [1.0, 1.0]], [[0.0]], [[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 5.0]]):
+            assert _cholesky(matrix) is None
+            assert not numpy_factors(np.array(matrix))
 
 
 class TestFitMap:
@@ -632,6 +773,39 @@ class TestModelDrivenSearch:
         assert len(common) > 10
         for key in common:
             assert scores[0][key] == scores[1][key] == scores[2][key], key
+
+    @pytest.mark.parametrize("model", ["noisy-or", "logistic"])
+    def test_the_demo_session_does_the_pinned_work(self, model, monkeypatch):
+        # solving in plain floats rounds differently from numpy's linear
+        # algebra, but must not change a decision: the same fits, iterations
+        # and kernel evaluations, and the same marginals to 1e-12 relative
+        fits, iterations, kernels = [], [], [0]
+        fit, kernel = localmodels.fit_map, localmodels._kernel
+
+        def counted_fit(*args):
+            result = fit(*args)
+            fits.append(args[0])
+            iterations.append(result.iterations)
+            return result
+
+        def counted_kernel(*args):
+            kernels[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(localmodels, "fit_map", counted_fit)
+        monkeypatch.setattr(localmodels, "_kernel", counted_kernel)
+        net = self._stream_demo(model, seed=3)
+        assert set(fits) == {model}
+        assert (len(fits), sum(iterations), kernels[0]) == DEMO_SESSION_WORK[model]
+        scores = {
+            (lattice.x, key): node.scores[model][1]
+            for lattice in net.lattices
+            for key, node in lattice.nodes.items()
+            if model in node.scores
+        }
+        assert scores.keys() == DEMO_SESSION_SCORES[model].keys()
+        for key, expected in DEMO_SESSION_SCORES[model].items():
+            assert scores[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key
 
     @pytest.mark.parametrize("seed", [8, 15, 7920])
     def test_fits_converge_in_a_few_steps(self, seed, monkeypatch):
