@@ -30,18 +30,22 @@ marginal likelihood comparable to the exact Dirichlet table score.  Every
 fit starts from a point computed from the same counts (``_start``), never
 from an earlier fit, so a score is a function of the counts alone.
 
-A step solves one d x d system, d = 1 + the number of parents (a handful:
-2 to 5 on the demo network), by a Cholesky factor (``_cholesky``) and two
-triangular solves (``_solve``); the start and the normal expansion's log
-determinant are computed the same way.  These run on plain Python floats:
-at this size a numpy linear-algebra call costs more in dispatch and
-error-state handling than its arithmetic, and a fit would make several
-per iteration.
+A fit is plain Python float arithmetic from its count rows to its
+marginal: ``_blocks`` reads the ``CountTable`` once, and the kernels, the
+start, each step (``_cholesky``, ``_solve``) and the log determinant work
+on floats and on the rows of lower triangles; only ``MapFit.hessian`` is
+built as an array.  With d = 1 + the number of parents (2 to 5 on the demo
+network) and at most 2^(d-1) rows, a numpy call costs more in dispatch
+than in arithmetic.  Floats raise where numpy warned (division by zero,
+log(0), exp overflow), so the noisy-or kernel returns -inf once
+Pr(x = true) underflows, and the line search backs off from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +54,7 @@ from .domain import CountTable
 from .engine import CombinedNetwork, sync_node
 from .lattice import LatticeNode
 
+LN_2 = math.log(2.0)
 LN_2PI = math.log(2.0 * math.pi)
 # read by every fit as it runs: the normal prior's standard deviation per
 # coordinate, the iteration cap, and the gradient max-norm of convergence
@@ -57,7 +62,7 @@ PRIOR_SCALE = 10.0
 MAX_ITER = 500
 TOL = 1e-8
 # a gain below this many ulps of the objective is lost in its rounding
-RESOLUTION = 16.0 * np.finfo(float).eps
+RESOLUTION = 16.0 * sys.float_info.epsilon
 
 
 class UnsupportedModelError(ValueError):
@@ -114,94 +119,118 @@ class LocalModelScore:
     log_marginal: float
 
 
-def _blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Activity rows (the always-active leak/intercept column first), n_false
-    and n_true, one entry per observed parent configuration in code order;
-    a parent's activity is its bit of the code."""
-    shifts = np.arange(len(counts.arities) - 1, -1, -1)
-    activity = np.ones((len(counts.codes), len(shifts) + 1))
-    activity[:, 1:] = counts.codes[:, None] >> shifts & 1
-    cells = counts.cells.astype(float)
-    return activity, cells[:, 0], cells[:, 1]
+def _blocks(counts: CountTable) -> list[tuple[tuple[int, ...], tuple, float, float]]:
+    """The counts read once, as one ``(active, lower, n_false, n_true)`` tuple
+    per observed parent configuration in code order: the coordinates active
+    under it (the leak/intercept 0 first, then i + 1 for each parent i whose
+    bit of the code is set), and each active i with the active j <= i, the
+    entries of row i of a matrix's lower triangle the configuration adds to."""
+    n = len(counts.arities)
+    return [
+        (*_layout(n, code), n_false, n_true)
+        for code, (n_false, n_true) in zip(counts.codes.tolist(), counts.cells.astype(float).tolist())
+    ]
 
 
-def _log_sigmoids(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1024)  # the same few codes recur in every fit
+def _layout(n: int, code: int) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """``_blocks``' (active, lower) of one configuration code of n parents."""
+    active = (0, *[i for i in range(1, n + 1) if code >> (n - i) & 1])
+    return active, tuple((i, active[: k + 1]) for k, i in enumerate(active))
+
+
+def _log_sigmoids(t: float) -> tuple[float, float]:
     """log sigmoid(t) = -softplus(-t) and log sigmoid(-t) = -softplus(t) from
     one tail = log1p(exp(-|t|)): with pos = max(t, 0), softplus(t) = pos +
     tail and softplus(-t) = (pos - t) + tail.  pos - t is exact, so neither
     side cancels, and the negations are exact."""
-    tail = np.log1p(np.exp(-np.abs(t)))
-    pos = np.maximum(t, 0.0)
+    tail = math.log1p(math.exp(-abs(t)))
+    pos = t if t > 0.0 else 0.0
     return (t - pos) - tail, -pos - tail
 
 
-def _log1mexp(s: np.ndarray) -> np.ndarray:
-    """log(1 - exp(s)) for s < 0, stable at both ends."""
-    out = np.empty_like(s, dtype=float)
-    near = s > -math.log(2.0)
-    out[near] = np.log(-np.expm1(s[near]))
-    out[~near] = np.log1p(-np.exp(s[~near]))
-    return out
+def _lower(d: int, value: float = 0.0) -> list[list[float]]:
+    """A symmetric d x d matrix as the rows of its lower triangle, filled with value."""
+    return [[value] * (i + 1) for i in range(d)]
 
 
-def _kernel(
-    kind: str, u: np.ndarray, activity: np.ndarray, n_false: np.ndarray, n_true: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _kernel(kind: str, u: list[float], rows) -> tuple[float, list, list, list]:
     """Log likelihood, gradient, -H and expected information (-H at the
     expected counts, positive semidefinite) in unconstrained coordinates
-    (tau for logistic, logit q for noisy-or) from per-configuration counts.
+    (tau for logistic, logit q for noisy-or) from the ``_blocks`` rows; each
+    matrix is the rows of its lower triangle.
 
     Both models take their log probabilities from ``_log_sigmoids``, one
-    log1p(exp(-|t|)) per entry, and the probabilities as their exponentials.
-    A step solves against -H, or against the information where -H has no
-    Cholesky factor, in plain floats: for d x d systems this small, numpy's
-    per-call cost would exceed the arithmetic (see the module docstring)."""
+    log1p(exp(-|t|)) per entry, and the probabilities as their exponentials."""
+    d = len(u)
+    ll, grad, info = 0.0, [0.0] * d, _lower(d)
+    exp = math.exp
     if kind == "logistic":
-        t = activity @ u  # log odds of x = false
-        log_p_false, log_p_true = _log_sigmoids(t)
-        p_false, p_true = np.exp(log_p_false), np.exp(log_p_true)
-        ll = n_false @ log_p_false + n_true @ log_p_true
-        grad = (n_false * p_true - n_true * p_false) @ activity
-        weight = (n_false + n_true) * p_false * p_true
-        info = (activity.T * weight) @ activity  # canonical link: -H itself
-        return float(ll), grad, info, info
+        for active, lower, n_false, n_true in rows:
+            t = 0.0  # log odds of x = false
+            for i in active:
+                t += u[i]
+            log_p_false, log_p_true = _log_sigmoids(t)
+            p_false, p_true = exp(log_p_false), exp(log_p_true)
+            ll += n_false * log_p_false + n_true * log_p_true
+            residual = n_false * p_true - n_true * p_false
+            weight = (n_false + n_true) * p_false * p_true
+            for i, below in lower:
+                grad[i] += residual
+                row = info[i]
+                for j in below:
+                    row[j] += weight
+        return ll, grad, info, info  # canonical link: -H itself
     if kind == "noisy-or":
-        log_q, log_one_minus_q = _log_sigmoids(u)
-        q, one_minus_q = np.exp(log_q), np.exp(log_one_minus_q)
-        s = activity @ log_q  # log Pr(x = false), stable for large |u|
-        p_false, p_true = np.exp(s), -np.expm1(s)
-        if not p_true.all():
-            # every active q rounded to 1 (u beyond ~745), so Pr(x = true)
-            # underflowed to 0 and the terms below would divide by it; only
-            # a line search's trial step reaches this far, and -inf backs it off
-            nan = np.full((len(u), len(u)), np.nan)
-            return -math.inf, nan[0], nan, nan
-        ll = n_false @ s + n_true @ _log1mexp(s)
-        # r = (ds/du) / Pr(x = true) stays bounded as q -> 1, because
-        # ds/du_j = a_j (1 - q_j) <= -s; the plain second-derivative weight
-        # w (1 + w), w = 1/expm1(-s), overflows there
-        r = activity * one_minus_q / p_true[:, None]
-        weight = n_true * p_false
-        grad = n_false @ activity * one_minus_q - weight @ r
-        # d(1 - q_j)/du_j = -q_j (1 - q_j) puts -q_j grad_j on the diagonal
-        neg_hess = (r.T * weight) @ r + np.diag(q * grad)
-        info = (r.T * ((n_false + n_true) * p_false * p_true)) @ r
-        return float(ll), grad, neg_hess, info
+        log_q, log_one_minus_q = zip(*map(_log_sigmoids, u))
+        one_minus_q = [exp(v) for v in log_one_minus_q]
+        false_mass, neg_hess = [0.0] * d, _lower(d)
+        for active, lower, n_false, n_true in rows:
+            s = 0.0  # log Pr(x = false), stable for large |u|
+            for i in active:
+                s += log_q[i]
+            p_false, p_true = exp(s), -math.expm1(s)
+            if not p_true:
+                # every active q rounded to 1 (u beyond ~745), so Pr(x = true)
+                # underflowed to 0 and the terms below would divide by it; only
+                # a line search's trial step reaches this far, and -inf backs it off
+                return -math.inf, [math.nan] * d, _lower(d, math.nan), _lower(d, math.nan)
+            # log(1 - exp(s)), stable at both ends
+            log_p_true = math.log(p_true) if s > -LN_2 else math.log1p(-p_false)
+            ll += n_false * s + n_true * log_p_true
+            # r = (ds/du) / Pr(x = true) stays bounded as q -> 1, because
+            # ds/du_j = a_j (1 - q_j) <= -s; the plain second-derivative weight
+            # w (1 + w), w = 1/expm1(-s), overflows there
+            r = [v / p_true for v in one_minus_q]
+            weight, expected = n_true * p_false, (n_false + n_true) * p_false * p_true
+            for i, below in lower:
+                false_mass[i] += n_false
+                weighted, spread = weight * r[i], expected * r[i]
+                grad[i] -= weighted
+                neg_row, info_row = neg_hess[i], info[i]
+                for j in below:
+                    neg_row[j] += weighted * r[j]
+                    info_row[j] += spread * r[j]
+        for i in range(d):
+            grad[i] += false_mass[i] * one_minus_q[i]
+            # d(1 - q_i)/du_i = -q_i (1 - q_i) puts -q_i grad_i on the diagonal
+            neg_hess[i][i] += exp(log_q[i]) * grad[i]
+        return ll, grad, neg_hess, info
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _u_to_params(kind: str, u: np.ndarray):
+def _u_to_params(kind: str, u: list[float]):
     if kind == "logistic":
         return LogisticParams(tuple(u))
-    return NoisyOrParams(tuple(np.exp(_log_sigmoids(u)[0])))
+    return NoisyOrParams(tuple(math.exp(_log_sigmoids(v)[0]) for v in u))
 
 
 def _cholesky(matrix) -> list[list[float]] | None:
-    """The lower Cholesky factor of a symmetric matrix (its lower triangle is
-    read) as rows of floats, or None unless every pivot is > 0; a NaN fails
-    that test too."""
+    """The lower Cholesky factor of a symmetric matrix, given as rows of which
+    the lower triangle is read, as rows of floats; or None unless every pivot
+    is > 0, and a NaN fails that test too."""
     factor: list[list[float]] = []
-    for i, row in enumerate(np.asarray(matrix, dtype=float).tolist()):
+    for i, row in enumerate(matrix):
         lower: list[float] = []
         for j, above in enumerate(factor):
             total = row[j]
@@ -235,44 +264,57 @@ def _solve(factor: list[list[float]], b) -> list[float]:
     return x
 
 
-def _start(kind, activity, n_false, n_true, prior_info) -> np.ndarray:
+def _start(kind: str, rows, d: int, prior_precision: float) -> list[float]:
     """Where a fit starts: one weighted least squares step, ``(A'WA + I /
     sigma^2) s = A'Wy``.  With ``p = (n_false + 1/2) / (n + 1)`` per observed
     configuration, logistic fits the log odds of x = false with weights
     ``n p (1 - p)``, noisy-or fits ``log p`` (linear in log q) with weights
     ``n p / (1 - p)``, its log q clamped at -1e-3 and mapped to logit q."""
-    n = n_false + n_true
-    p = (n_false + 0.5) / (n + 1.0)
-    if kind == "logistic":
-        y, w = np.log((n_false + 0.5) / (n_true + 0.5)), n * p * (1.0 - p)
-    else:
-        y, w = np.log(p), n * p / (1.0 - p)
-    weighted = activity.T * w
+    normal, rhs = _lower(d), [0.0] * d
+    for active, lower, n_false, n_true in rows:
+        n = n_false + n_true
+        p = (n_false + 0.5) / (n + 1.0)
+        if kind == "logistic":
+            y, w = math.log((n_false + 0.5) / (n_true + 0.5)), n * p * (1.0 - p)
+        else:
+            y, w = math.log(p), n * p / (1.0 - p)
+        for i, below in lower:
+            row = normal[i]
+            for j in below:
+                row[j] += w
+        for i in active:
+            rhs[i] += w * y
+    for i in range(d):
+        normal[i][i] += prior_precision
     # positive definite by the prior term, so the factor exists
-    s = np.array(_solve(_cholesky(weighted @ activity + prior_info), (weighted @ y).tolist()))
+    s = _solve(_cholesky(normal), rhs)
     if kind == "logistic":
         return s
-    s = np.minimum(s, -1e-3)
-    return s - np.log(-np.expm1(s))
+    return [v - math.log(-math.expm1(v)) for v in (min(v, -1e-3) for v in s)]
 
 
 def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
     """The log posterior as one function of u giving value, gradient, -H and
     expected information (positive definite by the prior), and the fit's
     start, from one read of the counts."""
-    activity, n_false, n_true = _blocks(counts)
-    d = activity.shape[1]
+    rows = _blocks(counts)
+    d = len(counts.arities) + 1
     var = prior_scale * prior_scale
-    prior_info = np.eye(d) / var
+    prior_precision = 1.0 / var
     log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
 
-    def evaluate(u: np.ndarray):
-        ll, grad, neg_hess, info = _kernel(kind, u, activity, n_false, n_true)
-        value = float(ll - 0.5 * np.dot(u, u) / var + log_prior_const)
-        neg = neg_hess + prior_info
-        return value, grad - u / var, neg, neg if info is neg_hess else info + prior_info
+    def evaluate(u: list[float]):
+        ll, grad, neg, info = _kernel(kind, u, rows)
+        square = 0.0
+        for i, v in enumerate(u):
+            square += v * v
+            grad[i] -= v / var
+            neg[i][i] += prior_precision
+            if info is not neg:
+                info[i][i] += prior_precision
+        return ll - 0.5 * square / var + log_prior_const, grad, neg, info
 
-    return evaluate, _start(kind, activity, n_false, n_true, prior_info)
+    return evaluate, _start(kind, rows, d, prior_precision)
 
 
 def fit_map(kind: str, counts: CountTable) -> MapFit:
@@ -292,34 +334,33 @@ def fit_map(kind: str, counts: CountTable) -> MapFit:
     return _ascend(kind, evaluate, start)
 
 
-def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
-    """``fit_map``'s ascent of ``evaluate`` from the point ``u``."""
+def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
+    """``fit_map``'s ascent of ``evaluate`` from the point ``u``, where the
+    objective must be finite (``_start``'s points are: every q < 1)."""
     fval, g, neg, info = evaluate(u)
     trace = [fval]
     iterations = 0
     for _ in range(MAX_ITER):
-        gradient = g.tolist()
-        if max(map(abs, gradient)) < TOL:
+        if max(map(abs, g)) < TOL:
             break
         factor = _cholesky(neg)
         newton = factor is not None
         if not newton:
             factor = _cholesky(info)  # positive definite by the prior term
-        solution = _solve(factor, gradient)
-        slope = sum(a * b for a, b in zip(gradient, solution))
-        direction = np.array(solution)
+        direction = _solve(factor, g)
+        slope = sum(a * b for a, b in zip(g, direction))
         if newton and slope < RESOLUTION * abs(fval):
             # the predicted gain is below the objective's float resolution,
             # so backtracking cannot see it; the full Newton step polishes
             # the gradient down to tolerance
-            u = u + direction
+            u = [a + b for a, b in zip(u, direction)]
             fval, g, neg, info = evaluate(u)
         else:
             step = 1.0
             accepted = False
             for _ in range(60):
-                candidate = u + step * direction
-                if (candidate == u).all():
+                candidate = [a + step * b for a, b in zip(u, direction)]
+                if candidate == u:
                     break  # the step rounded away entirely; no progress this way
                 point = evaluate(candidate)
                 if point[0] >= fval + 1e-4 * step * slope:
@@ -330,7 +371,8 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
                 break
         trace.append(fval)
         iterations += 1
-    grad_norm = max(map(abs, g.tolist()))
+    grad_norm = max(map(abs, g))
+    d = len(u)
     fit = MapFit(
         kind=kind,
         params=_u_to_params(kind, u),
@@ -338,7 +380,7 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
-        hessian=-neg,
+        hessian=-np.array([row + [neg[j][i] for j in range(i + 1, d)] for i, row in enumerate(neg)]),
     )
     if grad_norm >= TOL:
         raise FitConvergenceError(
@@ -349,9 +391,10 @@ def _ascend(kind: str, evaluate, u: np.ndarray) -> MapFit:
     return fit
 
 
-def log_det_neg_hessian(hess: np.ndarray) -> float:
-    """log det(-H) via Cholesky; raises LaplaceError if -H is not positive definite."""
-    factor = _cholesky(-np.asarray(hess))
+def log_det_neg_hessian(hess) -> float:
+    """log det(-H) via Cholesky, from the rows of H (its lower triangle is
+    read); raises LaplaceError if -H is not positive definite."""
+    factor = _cholesky([[-v for v in row] for row in hess])
     if factor is None:
         raise LaplaceError("Hessian at the fitted optimum is not negative definite")
     return 2.0 * sum(math.log(row[i]) for i, row in enumerate(factor))
@@ -360,7 +403,7 @@ def log_det_neg_hessian(hess: np.ndarray) -> float:
 def _laplace(fit: MapFit) -> float:
     """The normal expansion of the log marginal around a converged fit."""
     d = len(fit.hessian)
-    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
+    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian.tolist())
 
 
 def laplace_log_marginal(kind: str, counts: CountTable) -> float:

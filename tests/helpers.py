@@ -368,12 +368,77 @@ def to_u(kind: str, params) -> np.ndarray:
 
 def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.ndarray]:
     """Log likelihood and its gradient in unconstrained coordinates."""
-    activity, n_false, n_true = _blocks(counts)
     u = to_u(kind, params)
-    if len(u) != activity.shape[1]:
-        raise ValueError(f"{len(u)} parameters for {activity.shape[1] - 1} parents")
-    ll, grad, _, _ = _kernel(kind, u, activity, n_false, n_true)
-    return ll, grad
+    if len(u) != len(counts.arities) + 1:
+        raise ValueError(f"{len(u)} parameters for {len(counts.arities)} parents")
+    ll, grad, _, _ = _kernel(kind, u.tolist(), _blocks(counts))
+    return ll, np.array(grad)
+
+
+def reference_blocks(counts: CountTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Activity rows (the always-active leak/intercept column first), n_false
+    and n_true, one entry per observed parent configuration in code order;
+    a parent's activity is its bit of the code."""
+    shifts = np.arange(len(counts.arities) - 1, -1, -1)
+    activity = np.ones((len(counts.codes), len(shifts) + 1))
+    activity[:, 1:] = counts.codes[:, None] >> shifts & 1
+    cells = counts.cells.astype(float)
+    return activity, cells[:, 0], cells[:, 1]
+
+
+def _reference_log_sigmoids(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigmoid(t) and log sigmoid(-t) from one log1p(exp(-|t|))."""
+    tail = np.log1p(np.exp(-np.abs(t)))
+    pos = np.maximum(t, 0.0)
+    return (t - pos) - tail, -pos - tail
+
+
+def _reference_log1mexp(s: np.ndarray) -> np.ndarray:
+    """log(1 - exp(s)) for s < 0, stable at both ends."""
+    out = np.empty_like(s, dtype=float)
+    near = s > -math.log(2.0)
+    out[near] = np.log(-np.expm1(s[near]))
+    out[~near] = np.log1p(-np.exp(s[~near]))
+    return out
+
+
+def reference_kernel(
+    kind: str, u: np.ndarray, activity: np.ndarray, n_false: np.ndarray, n_true: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``localmodels._kernel`` in numpy arrays, as the fit computed it before it
+    ran on plain floats: log likelihood, gradient, -H and expected information
+    (full d x d matrices) in unconstrained coordinates, from the
+    ``reference_blocks`` arrays."""
+    if kind == "logistic":
+        t = activity @ u  # log odds of x = false
+        log_p_false, log_p_true = _reference_log_sigmoids(t)
+        p_false, p_true = np.exp(log_p_false), np.exp(log_p_true)
+        ll = n_false @ log_p_false + n_true @ log_p_true
+        grad = (n_false * p_true - n_true * p_false) @ activity
+        weight = (n_false + n_true) * p_false * p_true
+        info = (activity.T * weight) @ activity  # canonical link: -H itself
+        return float(ll), grad, info, info
+    log_q, log_one_minus_q = _reference_log_sigmoids(u)
+    q, one_minus_q = np.exp(log_q), np.exp(log_one_minus_q)
+    s = activity @ log_q  # log Pr(x = false)
+    p_false, p_true = np.exp(s), -np.expm1(s)
+    if not p_true.all():
+        nan = np.full((len(u), len(u)), np.nan)
+        return -math.inf, nan[0], nan, nan
+    ll = n_false @ s + n_true @ _reference_log1mexp(s)
+    r = activity * one_minus_q / p_true[:, None]
+    weight = n_true * p_false
+    grad = n_false @ activity * one_minus_q - weight @ r
+    neg_hess = (r.T * weight) @ r + np.diag(q * grad)
+    info = (r.T * ((n_false + n_true) * p_false * p_true)) @ r
+    return float(ll), grad, neg_hess, info
+
+
+def symmetric(lower) -> np.ndarray:
+    """The full symmetric matrix whose lower triangle is given as rows, as a
+    fit's matrices are kept."""
+    d = len(lower)
+    return np.array([[lower[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)])
 
 
 def noisyor_loglik(params: NoisyOrParams, counts: CountTable) -> float:

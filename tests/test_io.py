@@ -142,9 +142,9 @@ V3_NOISYOR_LOADED_ARCS = {
     (0, 1): 1.0,
     (0, 2): 0.21116998798867417,
     (1, 2): 0.9999999999999977,
-    (0, 3): 0.22006981474684117,
+    (0, 3): 0.22006981474683804,
     (1, 3): 0.20453636844140902,
-    (2, 3): 1.0,
+    (2, 3): 0.9999999999999993,
     (0, 4): 0.0,
     (1, 4): 0.0,
     (2, 4): 0.0,
@@ -162,10 +162,10 @@ V3_NOISYOR_CONTINUED_ARCS = {
     (0, 3): 0.2563851089612816,
     (1, 3): 0.24595584406407367,
     (2, 3): 0.999999999999996,
-    (0, 4): 0.2410000141589277,
-    (1, 4): 0.2297648038220173,
-    (2, 4): 0.241762213362417,
-    (3, 4): 0.07381385227202068,
+    (0, 4): 0.24100001415892403,
+    (1, 4): 0.22976480382201964,
+    (2, 4): 0.24176221336241474,
+    (3, 4): 0.07381385227202172,
     (0, 5): 0.22998712509859462,
     (1, 5): 0.24975843837919876,
     (2, 5): 0.2531453054771265,
@@ -241,7 +241,7 @@ GOLDEN_LOADED_ARCS = {
         (0, 4): 0.038982363205436646,
         (1, 4): 0.0,
         (2, 4): 0.0,
-        (3, 4): 0.21055113137180081,
+        (3, 4): 0.21055113137180678,
         (0, 5): 0.0,
         (1, 5): 0.0,
         (2, 5): 0.0,
@@ -269,18 +269,18 @@ GOLDEN_LOADED_ARCS = {
         (0, 1): 1.0,
         (0, 2): 0.24800075601641897,
         (1, 2): 1.0,
-        (0, 3): 0.2460582763409454,
+        (0, 3): 0.24605827634095062,
         (1, 3): 0.25397639785597803,
-        (2, 3): 0.9999999999999977,
+        (2, 3): 1.0,
         (0, 4): 0.08742553207876567,
-        (1, 4): 0.20259726174503898,
-        (2, 4): 0.26080375420766305,
-        (3, 4): 0.09902992823627219,
+        (1, 4): 0.20259726174503753,
+        (2, 4): 0.2608037542076616,
+        (3, 4): 0.09902992823626938,
         (0, 5): 0.20228520665671995,
-        (1, 5): 0.3955978403575722,
+        (1, 5): 0.39559784035756584,
         (2, 5): 0.17388540197698338,
-        (3, 5): 1.0,
-        (4, 5): 1.0,
+        (3, 5): 0.9999999999999937,
+        (4, 5): 0.9999999999999937,
     },
 }
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnrefine import PriorConfig, SearchParams, localmodels, observe_batch, refine
+from bnrefine.domain import CountTable
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.localmodels import (
@@ -38,6 +39,9 @@ from helpers import (
     noisyor_loglik,
     noisyor_loglik_grad,
     quadrature_marginal_1d,
+    reference_blocks,
+    reference_kernel,
+    symmetric,
     table_laplace_log_marginal,
     table_log_ml,
     to_u,
@@ -259,6 +263,12 @@ def per_row_loglik(kind, u, x, rows):
     return total
 
 
+def kernel_arrays(kind, u, blocks):
+    """``_kernel`` at the array u, its gradient and matrices as full arrays."""
+    ll, grad, neg_hess, info = _kernel(kind, np.asarray(u, dtype=float).tolist(), blocks)
+    return ll, np.array(grad), symmetric(neg_hess), symmetric(info)
+
+
 def central_differences(fn, u, h=1e-5):
     """Columns d fn / d u_j by central differences: the reference for the analytic derivatives."""
     columns = []
@@ -274,7 +284,7 @@ class TestKernel:
     @given(boolean_blocks(u_bound=5.0), st.sampled_from(["noisy-or", "logistic"]))
     def test_loglik_matches_per_row_sum(self, data, kind):
         x, rows, u = data
-        ll, _, _, _ = _kernel(kind, u, *_blocks(boolean_counts(x, rows)))
+        ll, _, _, _ = _kernel(kind, u.tolist(), _blocks(boolean_counts(x, rows)))
         assert ll == pytest.approx(per_row_loglik(kind, u, x, rows), rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -282,10 +292,10 @@ class TestKernel:
     def test_derivatives_match_central_differences(self, data, kind):
         x, rows, u = data
         blocks = _blocks(boolean_counts(x, rows))
-        _, grad, neg_hess, _ = _kernel(kind, u, *blocks)
-        fd_grad = central_differences(lambda v: _kernel(kind, v, *blocks)[0], u)
+        _, grad, neg_hess, _ = kernel_arrays(kind, u, blocks)
+        fd_grad = central_differences(lambda v: kernel_arrays(kind, v, blocks)[0], u)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-6)
-        fd_hess = central_differences(lambda v: _kernel(kind, v, *blocks)[1], u)
+        fd_hess = central_differences(lambda v: kernel_arrays(kind, v, blocks)[1], u)
         np.testing.assert_allclose(-neg_hess, (fd_hess + fd_hess.T) / 2.0, rtol=1e-6, atol=1e-6)
 
     def test_noisyor_hessian_is_stable_near_the_bounds(self):
@@ -295,8 +305,8 @@ class TestKernel:
         blocks = _blocks(boolean_counts(x, rows))
         for u in ([700.0, 400.0, -3.0], [-700.0, 2.0, 400.0], [400.0, -400.0, 700.0]):
             u = np.array(u)
-            _, _, neg_hess, _ = _kernel("noisy-or", u, *blocks)
-            fd_hess = central_differences(lambda v: _kernel("noisy-or", v, *blocks)[1], u)
+            _, _, neg_hess, _ = kernel_arrays("noisy-or", u, blocks)
+            fd_hess = central_differences(lambda v: kernel_arrays("noisy-or", v, blocks)[1], u)
             assert np.all(np.isfinite(neg_hess))
             np.testing.assert_allclose(-neg_hess, (fd_hess + fd_hess.T) / 2.0, rtol=1e-6, atol=1e-6)
 
@@ -307,14 +317,15 @@ class TestKernel:
         x, rows = sample_noisyor((0.7, 0.4, 0.6), 200, seed=50)
         blocks = _blocks(boolean_counts(x, rows))
         for u in ([800.0, 800.0, 800.0], [800.0, -3.0, 2.0]):
-            ll, _, _, _ = _kernel("noisy-or", np.array(u), *blocks)
+            ll, _, _, _ = _kernel("noisy-or", u, blocks)
             assert ll == -math.inf
 
     @settings(max_examples=150, deadline=None)
     @given(boolean_blocks(u_bound=5.0), st.sampled_from(["noisy-or", "logistic"]))
     def test_information_is_minus_the_hessian_at_expected_counts(self, data, kind):
         x, rows, u = data
-        activity, n_false, n_true = _blocks(boolean_counts(x, rows))
+        counts = boolean_counts(x, rows)
+        activity, n_false, n_true = reference_blocks(counts)
         n = n_false + n_true
         if kind == "logistic":
             t = activity @ u
@@ -322,8 +333,13 @@ class TestKernel:
         else:
             s = -(activity @ np.log1p(np.exp(-u)))
             p_false, p_true = np.exp(s), -np.expm1(s)
-        _, _, _, info = _kernel(kind, u, activity, n_false, n_true)
-        _, _, neg_hess, _ = _kernel(kind, u, activity, n * p_false, n * p_true)
+        blocks = _blocks(counts)
+        expected = [
+            (active, lower, float(e_false), float(e_true))
+            for (active, lower, _, _), e_false, e_true in zip(blocks, n * p_false, n * p_true)
+        ]
+        _, _, _, info = kernel_arrays(kind, u, blocks)
+        _, _, neg_hess, _ = kernel_arrays(kind, u, expected)
         np.testing.assert_allclose(info, neg_hess, rtol=1e-12)
 
     def test_information_is_positive_definite_near_the_bounds(self):
@@ -336,10 +352,101 @@ class TestKernel:
             evaluate, _ = _log_posterior(kind, counts, 10.0)
             for u in ([700.0, 400.0, -3.0], [-700.0, 2.0, 400.0], [400.0, -400.0, 700.0],
                       [-700.0, -400.0, -500.0], [700.0, 500.0, 400.0]):
-                info = evaluate(np.array(u))[3]
-                assert np.all(np.isfinite(info))
-                np.linalg.cholesky(info)  # raises unless positive definite
+                info = evaluate(u)[3]
+                assert np.all(np.isfinite(symmetric(info)))
+                np.linalg.cholesky(symmetric(info))  # raises unless positive definite
                 assert _cholesky(info) is not None  # the factor a fit steps with
+
+
+@st.composite
+def count_tables(draw, max_parents=5):
+    """A boolean family's count table, up to ``max_parents`` parents, some of
+    whose configurations go unobserved; at times one count column is all 0."""
+    n_parents = draw(st.integers(0, max_parents))
+    codes = sorted(draw(st.sets(st.integers(0, 2**n_parents - 1), min_size=1)))
+    zero = draw(st.sampled_from([None, 0, 1]))
+    cells = []
+    for _ in codes:
+        row = [draw(st.integers(0, 60)), draw(st.integers(0, 60))]
+        if zero is not None:
+            row[zero] = 0
+        if not any(row):
+            row[1 - (zero or 0)] = 1
+        cells.append(row)
+    return CountTable.from_rows(
+        (2,) * n_parents, np.array(codes, dtype=np.int64), np.array(cells, dtype=np.int64)
+    )
+
+
+class TestFloatKernel:
+    # the fit runs on plain floats; the numpy kernel it replaced is the reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_tables(), st.sampled_from(["noisy-or", "logistic"]), st.data())
+    def test_matches_the_numpy_reference(self, counts, kind, data):
+        d = len(counts.arities) + 1
+        u = data.draw(st.lists(st.floats(-30.0, 30.0), min_size=d, max_size=d))
+        got = kernel_arrays(kind, u, _blocks(counts))
+        expected = reference_kernel(kind, np.array(u), *reference_blocks(counts))
+        assert math.isclose(got[0], expected[0], rel_tol=1e-12, abs_tol=1e-12)
+        for value, reference in zip(got[1:], expected[1:]):
+            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-12)
+
+    def test_plain_floats_raise_where_numpy_warned(self):
+        # numpy answered these with inf or nan and a RuntimeWarning; plain
+        # floats raise, so the fit path must guard every place they could occur
+        with pytest.raises(ZeroDivisionError):
+            _ = 1.0 / 0.0
+        with pytest.raises(ValueError):
+            math.log(0.0)
+        with pytest.raises(OverflowError):
+            math.exp(1000.0)
+
+    @pytest.mark.parametrize("kind", ["noisy-or", "logistic"])
+    def test_extreme_points_raise_only_fit_errors(self, kind):
+        x, rows = sample_noisyor((0.7, 0.4, 0.6), 200, seed=50)
+        counts = boolean_counts(x, rows)
+        blocks = _blocks(counts)
+        evaluate, _ = _log_posterior(kind, counts, localmodels.PRIOR_SCALE)
+        optimum = fit_map(kind, counts).log_posterior
+        starts = [
+            point
+            for v in (40.0, -40.0, 745.0, -745.0, 1e3, -1e3)
+            for point in ([v, v, v], [v, 0.0, 0.0], [0.0, v, -v], [v, -3.0, 2.0])
+        ]
+        # the all-q-near-1 noisy-or start, where -H is indefinite
+        starts += [to_u("noisy-or", NoisyOrParams((q,) * 3)).tolist() for q in (0.99, 1 - 1e-6, 1 - 1e-12)]
+        underflows = backed_off = 0
+        for u in starts:
+            ll, grad, neg_hess, info = _kernel(kind, u, blocks)
+            if ll == -math.inf:
+                # the noisy-or underflow branch: the leak's q (always active)
+                # rounded to 1, so some Pr(x = true) is 0; fit_map never starts
+                # there (its start keeps every q below exp(-1e-3))
+                assert kind == "noisy-or" and u[0] == 1e3
+                assert np.isnan(grad).all()
+                assert np.isnan(symmetric(neg_hess)).all() and np.isnan(symmetric(info)).all()
+                underflows += 1
+                continue
+            values = []
+
+            def traced(point):
+                values.append(evaluate(point))
+                return values[-1]
+
+            try:
+                fit = _ascend(kind, traced, u)
+                localmodels._laplace(fit)
+            except (FitConvergenceError, LaplaceError):
+                continue
+            # a trial point in the underflow branch is -inf, so the line
+            # search halves its step and never accepts it
+            backed_off += [value for value, _, _, _ in values].count(-math.inf)
+            assert all(map(math.isfinite, fit.trace))
+            resolution = localmodels.RESOLUTION
+            assert all(b >= a - resolution * abs(a) for a, b in zip(fit.trace, fit.trace[1:]))
+            assert fit.log_posterior == pytest.approx(optimum, rel=1e-9)
+        assert (underflows, backed_off > 0) == ((3, True) if kind == "noisy-or" else (0, False))
 
 
 @st.composite
@@ -376,14 +483,14 @@ class TestFactorization:
     @given(spd_matrices())
     def test_factor_solve_and_log_det_match_numpy(self, system):
         matrix, rhs = system
-        factor = _cholesky(matrix)
+        factor = _cholesky(matrix.tolist())
         reference = np.linalg.cholesky(matrix)
         assert np.linalg.norm(dense(factor) - reference) <= 1e-12 * np.linalg.norm(reference)
         solution, expected = np.array(_solve(factor, rhs.tolist())), np.linalg.solve(matrix, rhs)
         assert np.linalg.norm(solution - expected) <= 1e-12 * max(np.linalg.norm(expected), 1e-300)
         sign, log_det = np.linalg.slogdet(matrix)
         assert sign == 1.0
-        assert math.isclose(log_det_neg_hessian(-matrix), log_det, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(log_det_neg_hessian((-matrix).tolist()), log_det, rel_tol=1e-12, abs_tol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(spd_matrices(), st.data())
@@ -406,11 +513,11 @@ class TestFactorization:
         else:
             j = data.draw(st.integers(0, k - 1))
             broken[k, j] = broken[j, k] = math.nan
-        assert _cholesky(matrix) is not None and numpy_factors(matrix)
-        assert _cholesky(broken) is None
+        assert _cholesky(matrix.tolist()) is not None and numpy_factors(matrix)
+        assert _cholesky(broken.tolist()) is None
         assert not numpy_factors(broken)
         with pytest.raises(LaplaceError):
-            log_det_neg_hessian(-broken)
+            log_det_neg_hessian((-broken).tolist())
 
     def test_exactly_singular_and_semidefinite_matrices_have_no_factor(self):
         for matrix in ([[1.0, 1.0], [1.0, 1.0]], [[0.0]], [[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 5.0]]):
@@ -432,7 +539,7 @@ class TestFitMap:
         counts = boolean_counts(x, rows)
         fit = fit_map("noisy-or", counts)
         evaluate, _ = _log_posterior("noisy-or", counts, localmodels.PRIOR_SCALE)
-        again = _ascend("noisy-or", evaluate, to_u("noisy-or", fit.params))
+        again = _ascend("noisy-or", evaluate, to_u("noisy-or", fit.params).tolist())
         assert again.iterations <= 2
         assert again.log_posterior == pytest.approx(fit.log_posterior, abs=1e-9)
 
@@ -456,9 +563,9 @@ class TestFitMap:
         # solve against the expected information instead
         x, rows = sample_noisyor((0.6, 0.2, 0.8), 300, seed=38)
         counts = boolean_counts(x, rows)
-        start = to_u("noisy-or", NoisyOrParams((0.99, 0.99, 0.99)))
+        start = to_u("noisy-or", NoisyOrParams((0.99, 0.99, 0.99))).tolist()
         evaluate, _ = _log_posterior("noisy-or", counts, 10.0)
-        assert np.min(np.linalg.eigvalsh(evaluate(start)[2])) < 0
+        assert np.min(np.linalg.eigvalsh(symmetric(evaluate(start)[2]))) < 0
         fit = _ascend("noisy-or", evaluate, start)
         assert fit.iterations > 0 and fit.gradient_norm < 1e-8
         assert all(b >= a for a, b in zip(fit.trace, fit.trace[1:]))
@@ -537,7 +644,7 @@ class TestLaplace:
 
     def test_degenerate_curvature_is_an_error(self):
         with pytest.raises(LaplaceError):
-            log_det_neg_hessian(np.zeros((2, 2)))
+            log_det_neg_hessian([[0.0, 0.0], [0.0, 0.0]])
 
     def test_marginal_stays_below_zero_on_toy_data(self):
         # proper prior + likelihood <= 1 means the marginal cannot exceed 1
