@@ -14,6 +14,7 @@ from bnrefine import (
     ArcPriorMatrix,
     ConcreteNetwork,
     DomainSchema,
+    NodeStatus,
     PriorConfig,
     SearchParams,
     all_arc_posteriors,
@@ -52,6 +53,7 @@ from helpers import (
     node_state,
     sampled_net,
     scored_best,
+    table_log_ml,
 )
 
 LIST_LOG_SESSION = (
@@ -194,6 +196,15 @@ V5_SESSION = Path(__file__).parent / "data" / "session_v5.json"
 # not refined, so asleep nodes lag the log; it holds logistic and noisy-or warm
 # starts, alive and asleep, closed and expanded nodes and dead keys
 V6_SESSION = Path(__file__).parent / "data" / "session_v6.json"
+
+# written by the release with session version 7 that still had the hysteresis
+# factor: the criterion-6 oscillation stream of tests/test_acceptance.py for
+# parent a and child b, _oscillation_batches(ln 0.1, n_batches=2): 46 warm-up
+# rows, then an upward batch of 7 rows and a downward one of 4, each followed by
+# a default refine (c_alive 0.1, d_open 0.01, e_dead 0.001, hysteresis 0.5);
+# after the downward batch b's set {a} scored ln 0.1 - 0.19 below b's root, and
+# the file stores it alive, alive only by the hysteresis factor
+V7_SESSION = Path(__file__).parent / "data" / "session_v7.json"
 # what that release answers after loading it and one default refine
 V5_REFINED_ARCS = {
     (0, 1): 1.0,
@@ -282,6 +293,7 @@ GOLDEN_LOADED_ARCS = {
         (3, 5): 0.9999999999999937,
         (4, 5): 0.9999999999999937,
     },
+    "session_v7.json": {(0, 1): 0.07634971742631823},
 }
 
 
@@ -600,6 +612,17 @@ class TestSession:
         text = serialize_session(net)
         assert json.loads(text)["version"] == 7
         assert serialize_session(session_from_document(json.loads(text))) == text
+
+    def test_a_loaded_status_is_the_stored_one(self):
+        # a session stores each set's status: loading neither re-aims nor
+        # rescores, so b's set {a} stays alive below ln c_alive + best
+        net = load_session(V7_SESSION)
+        lattice = net.lattices[1]
+        node = lattice.nodes[0b1]
+        assert node.status is NodeStatus.ALIVE
+        gap = scored_best(net, lattice) - node.log_prior - table_log_ml(node)
+        assert -gap < math.log(SearchParams().c_alive)
+        assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS["session_v7.json"]
 
     @pytest.mark.parametrize("last_refine_n", [0, 100, 120, 10**6])
     def test_a_stored_last_refine_n_is_ignored(self, last_refine_n):
