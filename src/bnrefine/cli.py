@@ -31,7 +31,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d-open", type=float, default=defaults.d_open)
     parser.add_argument("--e-dead", type=float, default=defaults.e_dead)
     parser.add_argument("--kappa", type=float, default=defaults.dead_kappa)
-    parser.add_argument("--hysteresis", type=float, default=defaults.hysteresis)
     parser.add_argument("--budget", type=int, default=defaults.budget)
     parser.add_argument(
         "--model", choices=engine.SCORING_MODELS, default=None,
@@ -135,7 +134,6 @@ def _run(args: argparse.Namespace, out) -> int:
             c_alive=args.c_alive,
             d_open=args.d_open,
             e_dead=args.e_dead,
-            hysteresis=args.hysteresis,
             dead_kappa=args.kappa,
             budget=args.budget,
         )

@@ -29,9 +29,7 @@ Two kinds of update:
   nodes within a factor c_alive of the best are alive, unexpanded nodes
   within d_open are open (the search will expand them), nodes below
   e_dead whose sample mass clears ``dead_kappa * m_x * |v(parents)|``
-  are killed for good.  A hysteresis factor guards status alone: a node
-  is admitted alive at c_alive but demoted to asleep only after falling
-  below c_alive * hysteresis.  Expansion state has no hysteresis.
+  are killed for good.
 
 Each pass over a lattice re-aims it (syncs every stored node, takes the
 best score over them under the active model, rethresholds) and then
@@ -44,7 +42,7 @@ nodes, and re-aiming a lattice that is already aimed changes nothing.
 
 So a re-aim is skipped when nothing it reads has changed.  Each lattice
 keeps, in memory only, the stamp of its last re-aim (``ParentLattice.aim``:
-the log's length, the scoring model, the five thresholds and how many
+the log's length, the scoring model, the four thresholds and how many
 nodes are stored and dead); only this module reads or writes it.
 ``refine`` passes over a lattice whose stamp matches without re-aiming
 it; the public ``rethreshold`` always re-aims.
@@ -89,7 +87,6 @@ class SearchParams:
     c_alive: float = 0.1
     d_open: float = 0.01
     e_dead: float = 0.001
-    hysteresis: float = 0.5
     dead_kappa: float = 5.0
     budget: int | None = None
 
@@ -100,8 +97,6 @@ class SearchParams:
                 "thresholds must satisfy 1 > c_alive >= d_open >= e_dead > 0, got "
                 f"{self.c_alive}, {self.d_open}, {self.e_dead}"
             )
-        if not 0.0 < self.hysteresis <= 1.0:
-            raise ConfigurationError(f"hysteresis must be in (0, 1], got {self.hysteresis}")
         # dead_kappa = 0 is permitted but unsafe: nodes may die on no evidence.
         if not self.dead_kappa >= 0:  # NaN too: it would never kill
             raise ConfigurationError(f"dead_kappa must be nonnegative, got {self.dead_kappa}")
@@ -268,27 +263,19 @@ def _rethreshold_lattice(
     """Recompute every stored node's status and expansion state against ``best``,
     or kill it.
 
-    A node is admitted alive at the plain threshold (boundary inclusive), and
-    an alive node is demoted only after falling below threshold times the
-    hysteresis factor.  A node not yet expanded is open exactly when it
-    clears ``d_open`` (boundary inclusive), so every open node is one the
-    search will expand; an expanded node stays expanded.  Aiming twice at
-    the same best changes nothing.
+    A node is alive exactly when it clears ``c_alive``, and a node not yet
+    expanded is open exactly when it clears ``d_open`` (both boundaries
+    inclusive), so every open node is one the search will expand; an
+    expanded node stays expanded.  Aiming twice at the same best changes
+    nothing.
     """
-    log_c, log_d, log_e, log_h = (
-        math.log(t) for t in (params.c_alive, params.d_open, params.e_dead, params.hysteresis)
-    )
+    log_c, log_d, log_e = (math.log(t) for t in (params.c_alive, params.d_open, params.e_dead))
     for node in list(lattice.nodes.values()):
         score = _node_score(net, lattice, node)
         if score < log_e + best and dead_condition(node, params.dead_kappa):
             kill(lattice, node.key)
             continue
-        if score >= log_c + best:
-            node.status = NodeStatus.ALIVE
-        elif node.status is NodeStatus.ALIVE and score >= log_c + log_h + best:
-            pass  # hysteresis: admitted nodes survive small dips
-        else:
-            node.status = NodeStatus.ASLEEP
+        node.status = NodeStatus.ALIVE if score >= log_c + best else NodeStatus.ASLEEP
         if node.expansion is not ExpansionFlag.EXPANDED:  # an expanded node never reopens
             node.expansion = ExpansionFlag.OPEN if score >= log_d + best else ExpansionFlag.CLOSED
 
@@ -321,7 +308,6 @@ def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParam
         params.c_alive,
         params.d_open,
         params.e_dead,
-        params.hysteresis,
         params.dead_kappa,
     )
 

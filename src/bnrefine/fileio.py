@@ -19,7 +19,8 @@ key, its status and expansion state and the number of log rows it has
 absorbed.  It stores nothing it can derive: no prior, concentration or
 parents (they follow from the key and the spec), and no counts, scores or
 fits (loading recounts each set from the log), so none of them can
-disagree with the spec or the log.
+disagree with the spec or the log.  The status is kept: deriving it would
+score every stored set, and a set left asleep lags the log.
 """
 
 from __future__ import annotations

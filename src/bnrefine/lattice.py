@@ -30,8 +30,8 @@ kept by ``query``) and the stamp of its last re-aim (``aim``, kept by
 
 Lifecycle:
 
-- alive:  currently a reasonable parent set; included in posteriors.
-- asleep: shelved for now, revivable when the score landscape shifts.
+- alive:  cleared ``c_alive`` at the last re-aim; included in posteriors.
+- asleep: below ``c_alive`` at the last re-aim; wakes if its score rises.
 - dead:   pruned for good by ``kill``, which keeps only its key (``dead``);
           ``insert_node`` refuses it, so it is never stored again.
 

@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from bnrefine import SearchParams, all_arc_posteriors, observe, observe_batch, refine
+from bnrefine import (
+    NodeStatus,
+    SearchParams,
+    all_arc_posteriors,
+    observe,
+    observe_batch,
+    refine,
+)
 from bnrefine.fileio import load_session, save_session, serialize_session
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, fit_map, laplace_log_marginal
 from bnrefine.oracle import exhaustive_posterior
@@ -118,8 +125,7 @@ def crit5_run():
 
 def _oscillation_batches(ln_c: float, n_batches: int, margin: float = 0.15):
     """Craft mini-batches for two binary variables (parent a, child b) whose
-    exact score gap between parent sets {a} and {} crosses ln_c each batch,
-    while staying above the hysteresis-0.5 demotion bound ln_c + ln(0.5)."""
+    exact score gap between parent sets {a} and {} crosses ln_c each batch."""
     with_parent = np.zeros((2, 2), dtype=np.int64)  # one count row per value of a
     empty = np.zeros(2, dtype=np.int64)
     state = {"delta": 0.0}
@@ -157,32 +163,30 @@ def _oscillation_batches(ln_c: float, n_batches: int, margin: float = 0.15):
 
 @pytest.fixture(scope="module")
 def crit6_run():
-    params_c = 0.1
-    warmup, batches = _oscillation_batches(math.log(params_c), n_batches=20)
-    monitors = []
-    changes = {}
-    for hysteresis in (0.5, 1.0):
-        monitor = DeadNodeMonitor()
-        net = fresh_net("ab")
-        observe_batch(net, warmup)
-        params = SearchParams(
-            c_alive=params_c, d_open=0.01, e_dead=0.001, hysteresis=hysteresis
-        )
+    params = SearchParams()  # c_alive 0.1, d_open 0.01, e_dead 0.001
+    ln_c = math.log(params.c_alive)
+    warmup, batches = _oscillation_batches(ln_c, n_batches=20)
+    monitor = DeadNodeMonitor()
+    net = fresh_net("ab")
+    observe_batch(net, warmup)
+    refine(net, params)
+    monitor.check(net)
+    lattice = net.lattices[1]
+    node = lattice.nodes[0b1]
+    changes = 0
+    last = node.status
+    follows = []  # per refine: is {a} alive exactly when it clears ln_c + best?
+    for batch in batches:
+        observe_batch(net, batch)
         refine(net, params)
         monitor.check(net)
-        node = net.lattices[1].nodes[0b1]
-        flips = 0
-        last = node.status
-        for batch in batches:
-            observe_batch(net, batch)
-            refine(net, params)
-            monitor.check(net)
-            if node.status is not last:
-                flips += 1
-                last = node.status
-        changes[hysteresis] = flips
-        monitors.append(monitor)
-    return {"changes": changes, "monitors": monitors}
+        best = max(n.log_prior + table_log_ml(n) for n in lattice.nodes.values())
+        score = node.log_prior + table_log_ml(node)
+        follows.append((node.status is NodeStatus.ALIVE) == (score >= ln_c + best))
+        if node.status is not last:
+            changes += 1
+            last = node.status
+    return {"changes": changes, "follows": follows, "monitor": monitor}
 
 
 # -- criteria ---------------------------------------------------------------
@@ -273,11 +277,11 @@ def test_criterion_05_resumable_search(crit5_run):
     _passed(5, "interrupted and uninterrupted searches end byte-identical")
 
 
-def test_criterion_06_hysteresis(crit6_run):
-    changes = crit6_run["changes"]
-    assert changes[0.5] <= 2, changes
-    assert changes[1.0] >= 10, changes
-    _passed(6, f"status changes {changes[0.5]} with hysteresis vs {changes[1.0]} without")
+def test_criterion_06_status_follows_scores(crit6_run):
+    changes, follows = crit6_run["changes"], crit6_run["follows"]
+    assert changes == len(follows) == 20
+    assert all(follows), follows
+    _passed(6, f"set {{a}} changes status at {changes} of 20 crossings, as its score does")
 
 
 def test_criterion_07_smoothed_networks(crit1_run):

@@ -55,6 +55,15 @@ class TestBasics:
         params = refine.call_args.args[1]
         assert dataclasses.asdict(params) == dataclasses.asdict(SearchParams())
 
+    def test_the_removed_hysteresis_flag_is_a_usage_error(self, tmp_path, spec_path, capsys):
+        session = str(tmp_path / "s.json")
+        assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
+        code, _, _ = run(["refine", "--session", session, "--hysteresis", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --hysteresis 0.5" in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag_fails(self):
         code, _, _ = run(["init", "--spec", "x.json"])
         assert code != 0

@@ -64,9 +64,6 @@ INVALID_PARAMS = [
     ({"e_dead": 0.0}, "thresholds must satisfy"),
     ({"c_alive": math.nan}, "thresholds must satisfy"),
     ({"e_dead": math.nan}, "thresholds must satisfy"),
-    ({"hysteresis": 0.0}, "hysteresis must be in"),
-    ({"hysteresis": 1.5}, "hysteresis must be in"),
-    ({"hysteresis": math.nan}, "hysteresis must be in"),
     ({"dead_kappa": -1.0}, "dead_kappa must be nonnegative, got -1.0"),
     ({"dead_kappa": math.nan}, "dead_kappa must be nonnegative, got nan"),
     ({"budget": -1}, "budget must be nonnegative, got -1"),
@@ -365,14 +362,13 @@ class TestRefine:
             net.schema.name(lat.x): len(lat.dead) for lat in net.lattices
         }
 
-    def test_an_open_node_in_the_hysteresis_band_is_closed_unexpanded(self):
+    def test_an_open_node_that_falls_below_d_open_is_closed_unexpanded(self):
         # a, b and c are independent, so b's set {a} falls behind its root as
-        # rows arrive: at 16 rows it is within d_open of the best, at 160 within
-        # [d_open * hysteresis, d_open), where a re-aim closes it: expansion
-        # state has no hysteresis
+        # rows arrive: at 16 rows it is within d_open of the best, at 160 below
+        # it, where a re-aim closes it
         rows = list(itertools.product((0, 1), repeat=3))
         net = fresh_net("abc")
-        params = SearchParams(d_open=0.07, e_dead=1e-9, hysteresis=0.5)
+        params = SearchParams(d_open=0.07, e_dead=1e-9)
         observe_batch(net, rows * 2)
         report = refine(net, replace(params, budget=2))  # a's root, then b's
         b, c = net.lattices[1], net.lattices[2]
@@ -384,8 +380,7 @@ class TestRefine:
         rethreshold(aimed, params)
         node = aimed.lattices[1].nodes[1]
         gap = scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
-        log_d = math.log(params.d_open)
-        assert log_d + math.log(params.hysteresis) <= -gap < log_d
+        assert -gap < math.log(params.d_open)
         assert node.expansion is ExpansionFlag.CLOSED
         report = refine(net, replace(params, budget=1))
         assert b.nodes[1].expansion is ExpansionFlag.CLOSED
@@ -559,7 +554,6 @@ class TestAim:
                 ("c_alive", 0.2),
                 ("d_open", 0.05),
                 ("e_dead", 0.005),
-                ("hysteresis", 0.9),
                 ("dead_kappa", 1.0),
             ]:
                 params = replace(params, **{field: value})
@@ -623,7 +617,7 @@ class TestRethreshold:
 
     def test_boundary_is_inclusive(self):
         net = self._two_var_net()
-        params = SearchParams(c_alive=0.5, d_open=0.4, e_dead=1e-9, hysteresis=1.0)
+        params = SearchParams(c_alive=0.5, d_open=0.4, e_dead=1e-9)
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
@@ -633,35 +627,17 @@ class TestRethreshold:
         rethreshold(net, params)
         assert node.status is NodeStatus.ALIVE
 
-    def test_hysteresis_one_is_pure_threshold(self):
+    def test_status_is_a_pure_threshold(self):
         net = self._two_var_net()
-        params = SearchParams(c_alive=0.5, d_open=0.4, e_dead=1e-9, hysteresis=1.0)
+        params = SearchParams(c_alive=0.5, d_open=0.4, e_dead=1e-9)
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
+        # an alive node just below the alive boundary is demoted at once
         log_ml = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior - 1e-6
         node.scores["table"] = (node.synced_through, log_ml)
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
-
-    def test_oscillation_with_hysteresis_changes_status_at_most_once(self):
-        net = self._two_var_net()
-        params = SearchParams(c_alive=0.5, d_open=0.4, e_dead=1e-9, hysteresis=0.5)
-        lattice = net.lattices[1]
-        node = lattice.nodes[0b1]
-        node.status = NodeStatus.ASLEEP
-        boundary = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior
-        changes = 0
-        last = node.status
-        for step in range(12):
-            log_ml = boundary + (1e-4 if step % 2 == 0 else -1e-4)
-            node.scores["table"] = (node.synced_through, log_ml)
-            rethreshold(net, params)
-            if node.status is not last:
-                changes += 1
-                last = node.status
-        assert changes <= 1
-        assert node.status is NodeStatus.ALIVE
 
     def test_public_rethreshold_catches_stale_nodes_up(self):
         # ranking asleep nodes by counts that lag the log used to kill

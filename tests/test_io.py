@@ -97,8 +97,8 @@ V1_CONTINUED_ARCS = {
 # model, 120 of 200 rows of seed 12, one refine with budget 8, which fitted lattices
 # u, v, w and x and left y and z with table scores only
 V2_SESSION = Path(__file__).parent / "data" / "session_v2.json"
-# what that release answers after loading it, and after it also observes rows
-# 120-199 and refines
+# what the current release answers after loading it, and after it also observes
+# rows 120-199 and refines
 V2_LOADED_ARCS = {
     (0, 1): 1.0,
     (0, 2): 0.1044821577150821,
@@ -118,8 +118,8 @@ V2_LOADED_ARCS = {
 }
 V2_CONTINUED_ARCS = {
     (0, 1): 1.0,
-    (0, 2): 0.05373701827813166,
-    (1, 2): 0.9999999999999947,
+    (0, 2): 0.0,
+    (1, 2): 1.0,
     (0, 3): 0.0,
     (1, 3): 0.0,
     (2, 3): 1.0,
@@ -184,10 +184,10 @@ V4_SESSION = Path(__file__).parent / "data" / "session_v4.json"
 
 # written by the release with session version 5: chain_v_truth under the table
 # model, 120 rows of seed 1, refine(budget=6) after the first 60 rows, then
-# d_open 0.005, e_dead 0.0005, hysteresis 0.2 and budget 3 after 100; the last 20
-# rows were observed and not refined, so every lattice's last_refine_n (100 for
-# u-x, 0 for y and z) lags the log; it holds alive and asleep, open, closed and
-# expanded nodes and dead keys
+# d_open 0.005, e_dead 0.0005, hysteresis 0.2 (an option since removed) and
+# budget 3 after 100; the last 20 rows were observed and not refined, so every
+# lattice's last_refine_n (100 for u-x, 0 for y and z) lags the log; it holds
+# alive and asleep, open, closed and expanded nodes and dead keys
 V5_SESSION = Path(__file__).parent / "data" / "session_v5.json"
 
 # written by the release with session version 6: chain_v_truth, 350 rows of seed
@@ -196,23 +196,15 @@ V5_SESSION = Path(__file__).parent / "data" / "session_v5.json"
 # not refined, so asleep nodes lag the log; it holds logistic and noisy-or warm
 # starts, alive and asleep, closed and expanded nodes and dead keys
 V6_SESSION = Path(__file__).parent / "data" / "session_v6.json"
-
-# written by the release with session version 7 that still had the hysteresis
-# factor: the criterion-6 oscillation stream of tests/test_acceptance.py for
-# parent a and child b, _oscillation_batches(ln 0.1, n_batches=2): 46 warm-up
-# rows, then an upward batch of 7 rows and a downward one of 4, each followed by
-# a default refine (c_alive 0.1, d_open 0.01, e_dead 0.001, hysteresis 0.5);
-# after the downward batch b's set {a} scored ln 0.1 - 0.19 below b's root, and
-# the file stores it alive, alive only by the hysteresis factor
-V7_SESSION = Path(__file__).parent / "data" / "session_v7.json"
-# what that release answers after loading it and one default refine
+# what the current release answers after loading the version 5 session and one
+# default refine
 V5_REFINED_ARCS = {
     (0, 1): 1.0,
     (0, 2): 0.0909432088620994,
     (1, 2): 0.9999999999999977,
-    (0, 3): 0.27341853872528515,
-    (1, 3): 0.06521675629363011,
-    (2, 3): 0.934783243706367,
+    (0, 3): 0.2924940520341327,
+    (1, 3): 0.0,
+    (2, 3): 1.0,
     (0, 4): 0.08196482007077961,
     (1, 4): 0.11998884876768602,
     (2, 4): 0.0,
@@ -223,6 +215,18 @@ V5_REFINED_ARCS = {
     (3, 5): 0.3852486711666809,
     (4, 5): 0.9999999999999969,
 }
+
+# written by the release with session version 7 that still had the hysteresis
+# factor: the criterion-6 oscillation stream of tests/test_acceptance.py for
+# parent a and child b, _oscillation_batches(ln 0.1, n_batches=2): 46 warm-up
+# rows, then an upward batch of 7 rows and a downward one of 4, each followed by
+# a default refine (c_alive 0.1, d_open 0.01, e_dead 0.001, hysteresis 0.5);
+# after the downward batch b's set {a} scored its root's score + ln 0.1 - 0.19,
+# and the file stores it alive, alive only by the hysteresis factor
+V7_SESSION = Path(__file__).parent / "data" / "session_v7.json"
+# after one default refine, which demotes {a}: a set is alive exactly when it
+# clears ln c_alive + best
+V7_REFINED_ARCS = {(0, 1): 0.0}
 
 # every committed session, and what the release that wrote the newest of them
 # answers on loading each one
@@ -613,9 +617,10 @@ class TestSession:
         assert json.loads(text)["version"] == 7
         assert serialize_session(session_from_document(json.loads(text))) == text
 
-    def test_a_loaded_status_is_the_stored_one(self):
+    def test_a_loaded_status_is_the_stored_one_until_a_refine(self):
         # a session stores each set's status: loading neither re-aims nor
-        # rescores, so b's set {a} stays alive below ln c_alive + best
+        # rescores, so b's set {a} stays alive below ln c_alive + best until
+        # the first refine re-aims b and demotes it
         net = load_session(V7_SESSION)
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
@@ -623,6 +628,9 @@ class TestSession:
         gap = scored_best(net, lattice) - node.log_prior - table_log_ml(node)
         assert -gap < math.log(SearchParams().c_alive)
         assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS["session_v7.json"]
+        refine(net, SearchParams())
+        assert node.status is NodeStatus.ASLEEP
+        assert all_arc_posteriors(net).entries == V7_REFINED_ARCS
 
     @pytest.mark.parametrize("last_refine_n", [0, 100, 120, 10**6])
     def test_a_stored_last_refine_n_is_ignored(self, last_refine_n):

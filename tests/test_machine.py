@@ -5,7 +5,8 @@ stream (batches each observed and searched under one budget), then takes
 random steps: observe, ``refine``, ``rethreshold``, a model switch, save/load.
 A twin takes the same steps but is never saved or loaded, and refines as if
 no lattice remembered its last re-aim.  Each check below is run after every
-step; the open-set rule also after every re-aim, inside a search as well.
+step; the open-set and alive rules also after every re-aim, inside a search
+as well.
 """
 
 import copy
@@ -21,6 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from bnrefine import (
     ArcPriorMatrix,
     ExpansionFlag,
+    NodeStatus,
     PriorConfig,
     SearchParams,
     all_arc_posteriors,
@@ -47,14 +49,13 @@ from helpers import (
     table_rows,
 )
 
-# the searches the machine switches between: the default, each of its five
+# the searches the machine switches between: the default, each of its four
 # thresholds changed alone, and two permissive ones
 THRESHOLDS = [
     SearchParams(),
     SearchParams(c_alive=0.2),
     SearchParams(d_open=0.05),
     SearchParams(e_dead=0.005),
-    SearchParams(hysteresis=0.1),
     SearchParams(dead_kappa=1.0),
     SearchParams(c_alive=1e-6, d_open=1e-6, e_dead=1e-7),
     SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12),
@@ -81,20 +82,27 @@ def _unaimed_refine(net, params):
         return refine(net, params)
 
 
-def _assert_open_sets_clear_d_open(net, lattice, params):
-    open_from = math.log(params.d_open) + engine._cached_best(net, lattice)
+def _assert_sets_clear_their_thresholds(net, lattice, params):
+    """Every open set clears ``d_open``, and a set is alive exactly when it
+    clears ``c_alive``, both against the best of the lattice's last re-aim."""
+    best = engine._cached_best(net, lattice)
+    open_from = math.log(params.d_open) + best
+    alive_from = math.log(params.c_alive) + best
     for node in lattice.nodes.values():
+        score = engine._node_score(net, lattice, node)
         if node.expansion is ExpansionFlag.OPEN:
-            assert engine._node_score(net, lattice, node) >= open_from, (lattice.x, node.key)
+            assert score >= open_from, (lattice.x, node.key)
+        assert (node.status is NodeStatus.ALIVE) == (score >= alive_from), (lattice.x, node.key)
 
 
 def _checked_catch_up(net, lattice, params, catch_up=engine._catch_up):
     catch_up(net, lattice, params)
-    _assert_open_sets_clear_d_open(net, lattice, params)
+    _assert_sets_clear_their_thresholds(net, lattice, params)
 
 
 def _checked(operation, net, params):
-    """``operation(net, params)``, checking the open-set rule after every re-aim."""
+    """``operation(net, params)``, checking the open-set and alive rules after
+    every re-aim."""
     with mock.patch.object(engine, "_catch_up", _checked_catch_up):
         return operation(net, params)
 
@@ -166,10 +174,10 @@ class LatticeMachine(RuleBasedStateMachine):
         assert node_state(self.net) == node_state(self.twin)
 
     @invariant()
-    def an_open_set_is_one_the_search_will_expand(self):
+    def open_and_alive_sets_clear_their_thresholds(self):
         for lattice in self.net.lattices:
             if lattice.aim == engine._aim_stamp(self.net, lattice, self.params):
-                _assert_open_sets_clear_d_open(self.net, lattice, self.params)
+                _assert_sets_clear_their_thresholds(self.net, lattice, self.params)
 
     @invariant()
     def counts_and_table_scores_equal_a_recount(self):
