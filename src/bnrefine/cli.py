@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 domain/data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import engine, fileio, query
@@ -213,8 +214,9 @@ def cli_dispatch(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # argparse prints help and usage errors to the process's streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:

@@ -8,9 +8,12 @@ single source of truth, and examples enter a node in one of two ways:
   parent configuration, to its ``CountTable`` as one block (a loaded
   session recounts its nodes from the log through the same code);
 - an expansion counts every fresh child of the expanded node on the whole
-  log in one pass (``_count_children``): each row is coded once by the
-  expanded node's configuration and x's value, and one ``np.bincount``
-  counts all children at once.  The children enter synced and unscored.
+  log at once (``_count_children``), from a bit index of the log: one
+  packed bitset of rows per (variable, value).  ANDing bitsets gives the
+  rows of each (configuration, x value), and a popcount of each against
+  an added parent's value bitsets counts a child's cell, so an expansion
+  costs what it adds times n/64 words, not a code per row and
+  predecessor.  The children enter synced and unscored.
 
 Either way a node's counts are those of ``example_log[:synced_through]``,
 laid out alike.  Under every model a score is a function of those counts,
@@ -46,10 +49,17 @@ the log's length, the scoring model, the four thresholds and how many
 nodes are stored and dead); only this module reads or writes it.
 ``refine`` passes over a lattice whose stamp matches without re-aiming
 it; the public ``rethreshold`` always re-aims.
+
+The network keeps the bit index the same way (``CombinedNetwork.bit_index``,
+never saved or compared; a loaded session starts without one).  Both rest
+on the log only growing: an expansion that finds the log longer than the
+index packs only the rows from the index's last partial word onward.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -119,6 +129,8 @@ class CombinedNetwork:
     lattices: list[ParentLattice]
     example_log: np.ndarray | None = None
     scoring_model: str = "table"
+    # the log's bit index (``_BitIndex``), kept by this module only
+    bit_index: _BitIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = () if self.example_log is None else self.example_log
@@ -359,52 +371,110 @@ def _expand(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> 
     return len(keys)
 
 
-# index cells in one block of log rows an expansion counts
+# cells of one block: the words an expansion's count ANDs at once, or the
+# (row, bitset) bits the bit index packs at once
 _BLOCK_CELLS = 1 << 16
+
+
+class _BitIndex:
+    """The rows of the example log as one packed bitset per (variable, value):
+    row ``offsets[v] + value`` of ``words`` has bit r set when log row r
+    holds ``value`` at variable v, 64 rows to a ``uint64`` word.  Rows past
+    the log are clear.  ``words`` keeps spare columns, doubling when full,
+    so extending the index copies what it holds only O(log n) times."""
+
+    __slots__ = ("offsets", "variables", "values", "words", "rows")
+
+    def __init__(self, schema: DomainSchema) -> None:
+        arities = [schema.arity(v) for v in range(len(schema))]
+        self.offsets = [0, *itertools.accumulate(arities)]
+        self.variables = np.repeat(np.arange(len(arities)), arities)
+        self.values = np.concatenate([np.arange(a) for a in arities])
+        self.words = np.zeros((self.offsets[-1], 0), dtype=np.uint64)
+        self.rows = 0
+
+
+def _bit_index(net: CombinedNetwork) -> _BitIndex:
+    """The network's bit index, first extended to the whole log.
+
+    Only the log rows from the index's last partial word onward are
+    packed: the log only grows, so the words before stay exact."""
+    index = net.bit_index
+    if index is None:
+        index = net.bit_index = _BitIndex(net.schema)
+    n = net.n_total
+    if index.rows == n:
+        return index
+    n_words = -(-n // 64)
+    if n_words > index.words.shape[1]:
+        grown = np.zeros((len(index.values), max(n_words, 2 * index.words.shape[1])), np.uint64)
+        grown[:, : index.words.shape[1]] = index.words
+        index.words = grown
+    step = 64 * max(1, _BLOCK_CELLS // (64 * len(index.values)))
+    for start in range(index.rows // 64 * 64, n, step):
+        block = net.example_log[start : start + step]
+        bits = np.zeros((len(index.values), -(-len(block) // 64) * 64), dtype=bool)
+        bits[:, : len(block)] = (block[:, index.variables] == index.values).T
+        packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        index.words[:, start // 64 : start // 64 + packed.shape[1]] = packed
+    index.rows = n
+    return index
 
 
 def _count_children(
     net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, keys: list[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The count rows of each child ``keys[j]`` of a node synced with the
-    whole log, on the whole log, in one pass: one (codes, cells) pair of
-    int64 arrays per child, in ``keys`` order, laid out as ``CountTable.add``
-    lays them out (ascending codes, non-empty rows only).
+    whole log, on the whole log, at once: one (codes, cells) pair of int64
+    arrays per child, in ``keys`` order, laid out as ``CountTable.add`` lays
+    them out (ascending codes, non-empty rows only).
 
-    Each log row is coded once by (the node's configuration, x's value), and
-    then once per predecessor y by (y, y's value): one ``np.bincount`` of
-    those codes counts every child's rows at once, each value of its added
-    parent included.  It runs over blocks of ``_BLOCK_CELLS // x`` rows, so
-    its memory does not grow with the log.  The counts are then laid out
-    child by child: a child's code is the node's code split at the added
-    parent's place value, with the parent's value between.
+    The counts come from the network's bit index of the log (``_bit_index``).
+    ANDing the bitsets of a configuration's parent values with those of x's
+    values gives one row mask per (observed configuration, x value); the
+    popcount of each mask ANDed with each value bitset of each child's
+    added parent counts every child's rows at once.  That costs
+    configurations x added values x n/64 words, not a code per log row and
+    predecessor, and it runs over blocks of the words, so its memory does
+    not grow with the log.  The counts are then laid out child by child: a
+    child's code is the node's code split at the added parent's place value,
+    with the parent's value between.
     """
     x, arities = lattice.x, lattice.arities
     m_x = arities[x]
-    base_codes = node.counts.codes.tolist()
+    index = _bit_index(net)
+    offsets = index.offsets
+    base = node.counts.codes
+    base_codes = base.tolist()
     n_configs = len(base_codes)
-    seen_all = n_configs == math.prod(node.counts.arities)
-    top = max(arities[:x])  # cells per predecessor: room for every value
-    offsets = np.arange(0, x * top, top)
-    counts = np.zeros(n_configs * m_x * x * top, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // x)
-    for start in range(0, net.n_total, step):
-        block = net.example_log[start : start + step]
-        config = config_codes(block, node.parents, net.schema)
-        if not seen_all:  # the index of each code among the observed ones
-            config = np.searchsorted(node.counts.codes, config)
-        cells = block[:, :x] + offsets
-        cells += ((config * m_x + block[:, x]) * (x * top))[:, None]
-        counts += np.bincount(cells.ravel(), minlength=len(counts))
-    # by_parent[y][v][k]: the counts of x's values at configuration k with y = v
-    by_parent = counts.reshape(n_configs, m_x, x, top).transpose(2, 3, 0, 1).tolist()
-    tables = []
-    for key in keys:
-        y = lattice.candidates[(key ^ node.key).bit_length() - 1]
-        arity, by_value = arities[y], by_parent[y]
-        place = math.prod(arities[p] for p in node.parents if p > y)
-        codes: list[int] = []
-        rows: list[list[int]] = []
+    # the index row of each parent's value in each observed configuration,
+    # and places[i]: the place value of a parent inserted before parent i
+    digits, places = [], [1]
+    for p in reversed(node.parents):
+        digits.append(offsets[p] + base % arities[p])
+        base = base // arities[p]
+        places.insert(0, places[0] * arities[p])
+    added = [lattice.candidates[(key ^ node.key).bit_length() - 1] for key in keys]
+    value_rows = np.array([r for y in added for r in range(offsets[y], offsets[y + 1])])
+    # counts[r, k, v]: the rows with index row r, configuration k and x = v
+    counts = np.zeros((len(value_rows), n_configs, m_x), dtype=np.int64)
+    n_words = -(-net.n_total // 64)
+    step = max(1, _BLOCK_CELLS // max(1, counts.size))
+    for start in range(0, n_words, step):
+        words = index.words[:, start : min(start + step, n_words)]
+        masks = words[offsets[x] : offsets[x + 1]]  # (configuration, x value, word)
+        for rows in digits:
+            masks = masks & words[rows][:, None]
+        both = masks.reshape(-1, words.shape[1]) & words[value_rows][:, None]
+        counts += np.bitwise_count(both).sum(-1, dtype=np.int64).reshape(counts.shape)
+    counts = counts.reshape(-1, m_x)  # row r * n_configs + k
+    filled = counts.any(1).tolist()
+    codes: list[int] = []
+    picks: list[int] = []
+    ends = []
+    first = 0  # where this child's added parent's values start in value_rows
+    for y in added:
+        arity, place = arities[y], places[bisect.bisect(node.parents, y)]
         k = 0
         while k < n_configs:  # the configurations sharing their code above y
             high = base_codes[k] // place
@@ -412,15 +482,16 @@ def _count_children(
             while stop < n_configs and base_codes[stop] // place == high:
                 stop += 1
             for v in range(arity):
+                at = (first + v) * n_configs
                 for j in range(k, stop):
-                    row = by_value[v][j]
-                    if any(row):
+                    if filled[at + j]:
                         codes.append((high * arity + v) * place + base_codes[j] % place)
-                        rows.append(row)
+                        picks.append(at + j)
             k = stop
-        cells = np.array(rows, dtype=np.int64).reshape(len(rows), m_x)
-        tables.append((np.array(codes, dtype=np.int64), cells))
-    return tables
+        first += arity
+        ends.append(len(codes))
+    all_codes, all_cells = np.array(codes, dtype=np.int64), counts[picks]
+    return [(all_codes[s:e], all_cells[s:e]) for s, e in zip([0, *ends], ends)]
 
 
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:

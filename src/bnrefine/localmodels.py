@@ -336,8 +336,11 @@ def fit_map(kind: str, counts: CountTable) -> MapFit:
 
 def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
     """``fit_map``'s ascent of ``evaluate`` from the point ``u``, where the
-    objective must be finite (``_start``'s points are: every q < 1)."""
+    objective must be finite (``_start``'s points are: every q < 1); a
+    ``ValueError`` naming the start says where it is not."""
     fval, g, neg, info = evaluate(u)
+    if not math.isfinite(fval):
+        raise ValueError(f"{kind} fit cannot start at u = {u}: its log posterior is {fval}")
     trace = [fval]
     iterations = 0
     for _ in range(MAX_ITER):

@@ -58,11 +58,18 @@ class TestBasics:
     def test_the_removed_hysteresis_flag_is_a_usage_error(self, tmp_path, spec_path, capsys):
         session = str(tmp_path / "s.json")
         assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
-        code, _, _ = run(["refine", "--session", session, "--hysteresis", "0.5"])
-        err = capsys.readouterr().err
+        code, out, err = run(["refine", "--session", session, "--hysteresis", "0.5"])
+        assert capsys.readouterr() == ("", "")  # all of it went to the streams passed
         assert code == 2
+        assert out == ""
         assert "unrecognized arguments: --hysteresis 0.5" in err
         assert "Traceback" not in err
+
+    def test_help_goes_to_the_out_stream(self, capsys):
+        code, out, err = run(["refine", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ") and "--c-alive" in out
+        assert capsys.readouterr() == ("", "")
 
     def test_missing_required_flag_fails(self):
         code, _, _ = run(["init", "--spec", "x.json"])

@@ -1,7 +1,8 @@
 import copy
 import itertools
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from bnrefine import (
     ArcPriorMatrix,
+    CombinedNetwork,
     ConfigurationError,
     DomainSchema,
     ExampleError,
@@ -32,7 +34,7 @@ from bnrefine import (
 )
 from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS, dead_condition
-from bnrefine.fileio import serialize_session
+from bnrefine.fileio import serialize_session, session_from_document
 from bnrefine.lattice import insert_node, kill
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -420,9 +422,10 @@ class TestExpansion:
     def test_children_counted_in_one_pass_equal_the_per_child_count(
         self, predecessors, m_x, n_rows, block, seed, data
     ):
-        # every fresh child of an expansion is counted in one pass over the
-        # log (in blocks of ``block`` cells, one row each at the least) and
-        # built from the expanded set, unscored: it must equal the child
+        # every fresh child of an expansion is counted from the log's bit
+        # index (packed and counted in blocks of ``block`` cells, one word
+        # each at the least) and built from the expanded set, unscored: it
+        # must equal the child
         # insert_node builds and sync_node counts, bit for bit, and score
         # as that child does under every model its family allows
         x = len(predecessors)
@@ -489,6 +492,86 @@ class TestExpansion:
                 score = engine._node_score(net, lattice, child)
                 want_score = engine._node_score(reference, reference.lattices[x], want)
                 assert score.hex() == want_score.hex(), kind
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(2, 4), min_size=2, max_size=5),
+        st.lists(
+            st.tuples(st.sampled_from([0, 1, 5, 63, 64, 65, 127, 128, 129]), st.booleans()),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1, 7, 64, 1 << 16]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_children_counted_from_a_log_grown_between_expansions(
+        self, arities, batches, block, seed, data
+    ):
+        # the bit index is extended, never rebuilt, as the log grows by
+        # batches of 0 rows or ending before, on or after a 64-row word
+        # boundary; after each batch that asks for one, one set of a drawn
+        # lattice is expanded, and each fresh child must equal the child
+        # insert_node builds and sync_node counts on the log so far.  Each
+        # column draws values below a drawn bound, so some values and
+        # configurations are never observed.
+        labels = "abcd"
+        schema = DomainSchema(
+            tuple(VariableSpec(f"v{i}", tuple(labels[:a])) for i, a in enumerate(arities))
+        )
+        config = PriorConfig(1.0)
+        net = init(schema, ArcPriorMatrix(default_prior=0.5), config)
+        rng = np.random.default_rng(seed)
+        highs = [data.draw(st.integers(1, a), label=f"values of v{i}") for i, a in enumerate(arities)]
+        with mock.patch.object(engine, "_BLOCK_CELLS", block):
+            for n_rows, expand in batches:
+                observe_batch(net, np.column_stack([rng.integers(0, h, size=n_rows) for h in highs]))
+                if not expand:
+                    continue
+                x = data.draw(st.integers(1, len(arities) - 1), label="lattice")
+                lattice = net.lattices[x]
+                unexpanded = sorted(
+                    k for k, n in lattice.nodes.items() if n.expansion is not ExpansionFlag.EXPANDED
+                )
+                if not unexpanded:
+                    continue
+                node = lattice.nodes[data.draw(st.sampled_from(unexpanded), label="expanded set")]
+                sync_node(net, lattice, node)
+                node.expansion = ExpansionFlag.EXPANDED
+                before = set(lattice.nodes)
+                if engine._expand(net, lattice, node):  # counted: the index is extended
+                    assert net.bit_index.rows == net.n_total
+                reference = init(schema, ArcPriorMatrix(default_prior=0.5), config)
+                observe_batch(reference, net.example_log)
+                for key in lattice.nodes.keys() - before:
+                    child = lattice.nodes[key]
+                    want = insert_node(reference.lattices[x], key)
+                    sync_node(reference, reference.lattices[x], want)
+                    assert child.parents == want.parents
+                    assert child.counts == want.counts
+                    assert child.synced_through == net.n_total == child.counts.total
+
+    def test_the_bit_index_is_kept_in_memory_only(self):
+        # an index changes no session byte and takes no part in ==; a
+        # loaded session starts without one, builds its own at its first
+        # expansion, and refines to the same bytes as the session it was
+        # saved from
+        net, _ = sampled_net(five_var_truth(), 130, seed=5)
+        refine(net, SearchParams(budget=3))
+        assert net.bit_index is not None and net.bit_index.rows == 130
+        assert "bit_index" not in {f.name for f in fields(CombinedNetwork) if f.compare}
+        assert "bit_index" not in repr(net)
+        text = serialize_session(net)
+        loaded = session_from_document(json.loads(text))
+        assert loaded.bit_index is None
+        assert serialize_session(loaded) == text
+        more = forward_sample(five_var_truth(), 70, seed=6)
+        for session in (net, loaded):
+            observe_batch(session, more)
+            refine(session, SearchParams())
+        assert loaded.bit_index.rows == net.bit_index.rows == 200
+        assert serialize_session(loaded) == serialize_session(net)
+        assert net.lattices == loaded.lattices
 
 
 class TestAim:

@@ -587,6 +587,14 @@ class TestFitMap:
         fit = _ascend(kind, evaluate, start)
         assert fit.gradient_norm < localmodels.TOL and fit == fit_map(kind, counts)
 
+    def test_a_start_where_the_objective_is_minus_infinity_is_named(self):
+        # past u ~ 745 every Pr(x = true) underflows: no curvature has a
+        # Cholesky factor there, and the first solve met None
+        x, rows = sample_noisyor((0.7, 0.4, 0.6), 200, seed=50)
+        evaluate, _ = _log_posterior("noisy-or", boolean_counts(x, rows), localmodels.PRIOR_SCALE)
+        with pytest.raises(ValueError, match=r"noisy-or fit cannot start at u = \[1000.0, 0.0, 0.0\]"):
+            _ascend("noisy-or", evaluate, [1000.0, 0.0, 0.0])
+
     def test_iteration_cap_reports_error_with_best(self, monkeypatch):
         x, rows = sample_noisyor((0.6, 0.3), 200, seed=39)
         monkeypatch.setattr(localmodels, "MAX_ITER", 1)

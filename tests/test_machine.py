@@ -205,13 +205,16 @@ class LatticeMachine(RuleBasedStateMachine):
         assert all_arc_posteriors(self.twin).entries == reference
 
     def teardown(self):
-        # with no set dead, a permissive search that kills nothing stores every
-        # set, so the table model's arc posteriors are the exact ones
+        # with no set dead, a search that kills nothing and opens every set
+        # within 1e-300 of the best, below any score gap these few rows can
+        # make, stores every set (a closed set would hide its children's
+        # mass), so the table model's arc posteriors are the exact ones
         net = getattr(self, "net", None)
         if net is None or any(lattice.dead for lattice in net.lattices):
             return
         net.scoring_model = "table"
-        refine(net, replace(THRESHOLDS[-1], dead_kappa=math.inf))
+        floor = 1e-300
+        refine(net, SearchParams(c_alive=floor, d_open=floor, e_dead=floor, dead_kappa=math.inf))
         data = self.rows[: net.n_total]
         for x in range(len(net.schema)):
             exact = exhaustive_posterior(x, data, net.priors, net.config, net.schema)
