@@ -53,7 +53,8 @@ def main(argv=None) -> int:
     print(f"\n{'parent set':<20} {'table':>12} {'noisy-or':>12} {'logistic':>12}")
     for key in sorted(net.lattices[child].nodes):
         node = net.lattices[child].nodes[key]
-        # scoring a restricted model syncs the node's counts with the log first
+        # every set has absorbed the whole log, and a restricted model is
+        # fitted to the counts as they stand
         restricted = [
             score_node_with_model(net, child, node, kind).log_marginal
             for kind in ("noisy-or", "logistic")

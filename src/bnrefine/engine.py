@@ -61,7 +61,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,14 +120,15 @@ class CombinedNetwork:
 
     ``example_log`` is an (n, V) array of value indices whose dtype is the
     schema's ``value_dtype``; any examples given here are validated and
-    converted by ``DomainSchema.encode_rows``.
+    converted by ``DomainSchema.encode_rows``.  ``==`` compares the log's
+    values and the other fields, caches left out.
     """
 
     schema: DomainSchema
     priors: ArcPriorMatrix
     config: PriorConfig
     lattices: list[ParentLattice]
-    example_log: np.ndarray | None = None
+    example_log: np.ndarray | None = field(default=None, compare=False)  # == compares its values
     scoring_model: str = "table"
     # the log's bit index (``_BitIndex``), kept by this module only
     bit_index: _BitIndex | None = field(default=None, init=False, compare=False, repr=False)
@@ -139,6 +140,13 @@ class CombinedNetwork:
     @property
     def n_total(self) -> int:
         return self.example_log.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CombinedNetwork):
+            return NotImplemented
+        return np.array_equal(self.example_log, other.example_log) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
+        )
 
 
 @dataclass
@@ -167,7 +175,6 @@ class NetworkStats:
     stored: dict[str, int]
     alive: dict[str, int]
     dead: dict[str, int]
-    open: dict[str, int]
 
     @property
     def total_stored(self) -> int:
@@ -518,7 +525,8 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
 
 def best_network(net: CombinedNetwork) -> ConcreteNetwork:
     """Point estimate: each variable's top-scoring alive parent set with its
-    posterior-mean CPT.  Ties break deterministically toward the smaller key."""
+    posterior-mean CPT, from counts that hold the whole log (an alive set's,
+    by rule 4 of ``check_lattice``).  Ties break toward the smaller key."""
     parents: list[tuple[int, ...]] = []
     tables = []
     for lattice in net.lattices:
@@ -528,7 +536,6 @@ def best_network(net: CombinedNetwork) -> ConcreteNetwork:
                 f"no alive parent set for {net.schema.name(lattice.x)!r}"
             )
         node = min(alive, key=lambda n: (-_node_score(net, lattice, n), n.key))
-        sync_node(net, lattice, node)
         parents.append(node.parents)
         tables.append(expected_theta(node.counts, node.alpha_x))
     return ConcreteNetwork(schema=net.schema, parents=tuple(parents), tables=tuple(tables))
@@ -538,13 +545,9 @@ def network_stats(net: CombinedNetwork) -> NetworkStats:
     stored: dict[str, int] = {}
     alive: dict[str, int] = {}
     dead: dict[str, int] = {}
-    open_: dict[str, int] = {}
     for lattice in net.lattices:
         name = net.schema.name(lattice.x)
         stored[name] = len(lattice.nodes)
         alive[name] = sum(1 for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE)
         dead[name] = len(lattice.dead)
-        open_[name] = sum(
-            1 for n in lattice.nodes.values() if n.expansion is ExpansionFlag.OPEN
-        )
-    return NetworkStats(stored=stored, alive=alive, dead=dead, open=open_)
+    return NetworkStats(stored=stored, alive=alive, dead=dead)

@@ -85,8 +85,8 @@ class LatticeNode:
     status: NodeStatus = NodeStatus.ASLEEP
     expansion: ExpansionFlag = ExpansionFlag.CLOSED
     synced_through: int = 0       # examples absorbed into counts
-    # model -> (synced_through when scored, log marginal likelihood of those counts)
-    scores: dict[str, tuple[int, float]] = field(default_factory=dict)
+    # a cache: model -> (synced_through when scored, log marginal likelihood of those counts)
+    scores: dict[str, tuple[int, float]] = field(default_factory=dict, compare=False)
 
 
 @dataclass

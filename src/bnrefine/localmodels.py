@@ -33,12 +33,12 @@ from an earlier fit, so a score is a function of the counts alone.
 A fit is plain Python float arithmetic from its count rows to its
 marginal: ``_blocks`` reads the ``CountTable`` once, and the kernels, the
 start, each step (``_cholesky``, ``_solve``) and the log determinant work
-on floats and on the rows of lower triangles; only ``MapFit.hessian`` is
-built as an array.  With d = 1 + the number of parents (2 to 5 on the demo
-network) and at most 2^(d-1) rows, a numpy call costs more in dispatch
-than in arithmetic.  Floats raise where numpy warned (division by zero,
-log(0), exp overflow), so the noisy-or kernel returns -inf once
-Pr(x = true) underflows, and the line search backs off from it.
+on floats and on the rows of lower triangles, ``MapFit.hessian`` included.
+With d = 1 + the number of parents (2 to 5 on the demo network) and at
+most 2^(d-1) rows, a numpy call costs more in dispatch than in arithmetic.
+Floats raise where numpy warned (division by zero, log(0), exp overflow),
+so the noisy-or kernel returns -inf once Pr(x = true) underflows, and the
+line search backs off from it.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .domain import CountTable
-from .engine import CombinedNetwork, sync_node
+from .engine import CombinedNetwork
 from .lattice import LatticeNode
 
 LN_2 = math.log(2.0)
@@ -103,18 +101,17 @@ class LogisticParams:
 
 @dataclass(frozen=True)
 class MapFit:
-    kind: str
     params: NoisyOrParams | LogisticParams
     log_posterior: float
     gradient_norm: float
     iterations: int
     trace: tuple[float, ...]
-    hessian: np.ndarray = field(compare=False)  # observed, of the log posterior at params
+    # observed, of the log posterior at params: the rows of its lower triangle
+    hessian: tuple[tuple[float, ...], ...] = field(compare=False)
 
 
 @dataclass(frozen=True)
 class LocalModelScore:
-    kind: str
     params: tuple[float, ...] | None
     log_marginal: float
 
@@ -375,15 +372,13 @@ def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
         trace.append(fval)
         iterations += 1
     grad_norm = max(map(abs, g))
-    d = len(u)
     fit = MapFit(
-        kind=kind,
         params=_u_to_params(kind, u),
         log_posterior=fval,
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
-        hessian=-np.array([row + [neg[j][i] for j in range(i + 1, d)] for i, row in enumerate(neg)]),
+        hessian=tuple(tuple(-v for v in row) for row in neg),
     )
     if grad_norm >= TOL:
         raise FitConvergenceError(
@@ -406,7 +401,7 @@ def log_det_neg_hessian(hess) -> float:
 def _laplace(fit: MapFit) -> float:
     """The normal expansion of the log marginal around a converged fit."""
     d = len(fit.hessian)
-    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian.tolist())
+    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
 
 
 def laplace_log_marginal(kind: str, counts: CountTable) -> float:
@@ -418,25 +413,26 @@ def laplace_log_marginal(kind: str, counts: CountTable) -> float:
 
 
 def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
-    """The node's counts, synced with the example log, for a boolean family.
+    """The node's counts, for a boolean family.
 
-    The second value label of a variable is its "true" state, so each count
-    row is ``[n_false, n_true]``.
+    The counts are read as they stand, and nothing is synced: the search
+    scores a set only after ``engine._catch_up`` has synced it with the
+    whole log.  The second value label of a variable is its "true" state,
+    so each count row is ``[n_false, n_true]``.
     """
     schema = net.schema
     bad = [v for v in (x, *node.parents) if schema.arity(v) != 2]
     if bad:
         names = ", ".join(schema.name(v) for v in bad)
         raise UnsupportedModelError(f"noisy-or/logistic need boolean variables; not boolean: {names}")
-    sync_node(net, net.lattices[x], node)
     return node.counts
 
 
 def score_node_with_model(
     net: CombinedNetwork, x: int, node: LatticeNode, kind: str
 ) -> LocalModelScore:
-    """Score one lattice node's counts, synced with the log first, under a
-    restricted model (noisy-or or logistic).
+    """Score one lattice node's counts under a restricted model (noisy-or or
+    logistic), as they stand.
 
     The model's parameters are fitted once, from a start computed from the
     counts, and the normal-expansion marginal is taken there; with no counts
@@ -450,7 +446,7 @@ def score_node_with_model(
         raise ValueError(f"{kind!r} is not a restricted model (noisy-or or logistic)")
     counts = boolean_node_data(net, x, node)
     if not counts.total:
-        return LocalModelScore(kind=kind, params=None, log_marginal=0.0)
+        return LocalModelScore(params=None, log_marginal=0.0)
     fit = fit_map(kind, counts)
     natural = fit.params.tau if kind == "logistic" else fit.params.q
-    return LocalModelScore(kind=kind, params=natural, log_marginal=_laplace(fit))
+    return LocalModelScore(params=natural, log_marginal=_laplace(fit))

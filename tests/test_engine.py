@@ -571,7 +571,7 @@ class TestExpansion:
             refine(session, SearchParams())
         assert loaded.bit_index.rows == net.bit_index.rows == 200
         assert serialize_session(loaded) == serialize_session(net)
-        assert net.lattices == loaded.lattices
+        assert net == loaded
 
 
 class TestAim:

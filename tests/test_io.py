@@ -562,8 +562,30 @@ class TestSession:
             observe_batch(net, data[100:])
             if query:
                 all_arc_posteriors(net)
+                best_network(net)
+                sample_smoothed(net, 1)
             sessions.append(serialize_session(net))
         assert sessions[0] == sessions[1]
+
+    def test_a_network_equals_its_copy_and_its_loaded_session(self):
+        # == compares the log by value and every persistent field, and no
+        # cache: neither the cached scores nor the bit index are saved
+        def loaded(net):
+            return session_from_document(json.loads(serialize_session(net)))
+
+        net, data = sampled_net(five_var_truth(), 130, seed=5)
+        refine(net, SearchParams(budget=3))
+        assert any(n.scores for lattice in net.lattices for n in lattice.nodes.values())
+        assert copy.deepcopy(net) == net and loaded(net) == net
+        refine(net, SearchParams())
+        observe_batch(net, forward_sample(five_var_truth(), 40, seed=6))
+        assert any(
+            n.synced_through < net.n_total for lattice in net.lattices for n in lattice.nodes.values()
+        )
+        assert copy.deepcopy(net) == net and loaded(net) == net
+        longer = loaded(net)
+        observe_batch(longer, data[:1])
+        assert longer != net and net != longer
 
     def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
         net_a, _ = sampled_net(five_var_truth(), 150, seed=6)

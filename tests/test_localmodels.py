@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnrefine import PriorConfig, SearchParams, localmodels, observe_batch, refine
+from bnrefine import NodeStatus, PriorConfig, SearchParams, localmodels, observe_batch, refine
 from bnrefine.domain import CountTable
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.kernels import log_marginal_likelihood
@@ -708,14 +708,23 @@ class TestScoreNodeWithModel:
             assert abs(approx - exact) < 1.0
 
     def test_boolean_node_data_reads_the_log_columns(self):
+        # scoring syncs nothing: a set that lags the log is read at its own
+        # prefix, and every set the search scores has absorbed the whole log
         net = self._noisyor_net(50, seed=43)
-        observe_batch(net, net.example_log[:10])  # asleep nodes now lag the log
+        lattice = net.lattices[3]
+        lagging = lattice.nodes[0b011]
+        lagging.status = NodeStatus.ASLEEP  # observe_batch syncs alive sets only
+        observe_batch(net, net.example_log[:10])
         log = net.example_log
-        for node in net.lattices[3].nodes.values():
+        for node in lattice.nodes.values():
             counts = boolean_node_data(net, 3, node)
-            assert counts is node.counts and node.synced_through == net.n_total
-            assert counts == boolean_counts(log[:, 3] == 1, log[:, list(node.parents)] == 1)
-        assert boolean_node_data(net, 3, net.lattices[3].nodes[0]).codes.tolist() == [0]
+            score = score_node_with_model(net, 3, node, "noisy-or")
+            rows = log[: node.synced_through]
+            assert counts is node.counts
+            assert score.log_marginal == laplace_log_marginal("noisy-or", counts)
+            assert counts == boolean_counts(rows[:, 3] == 1, rows[:, list(node.parents)] == 1)
+            assert node.synced_through == (50 if node is lagging else net.n_total)
+        assert boolean_node_data(net, 3, lattice.nodes[0]).codes.tolist() == [0]
 
     def test_non_boolean_variable_is_rejected(self):
         from bnrefine import ArcPriorMatrix, DomainSchema, VariableSpec, init
