@@ -22,7 +22,7 @@ from bnrefine import (
     refine,
 )
 from bnrefine.kernels import log_marginal_likelihood
-from bnrefine.localmodels import score_node_with_model
+from bnrefine.localmodels import fit_map, score_node_with_model
 
 
 def main(argv=None) -> int:
@@ -56,8 +56,7 @@ def main(argv=None) -> int:
         # every set has absorbed the whole log, and a restricted model is
         # fitted to the counts as they stand
         restricted = [
-            score_node_with_model(net, child, node, kind).log_marginal
-            for kind in ("noisy-or", "logistic")
+            score_node_with_model(net, child, node, kind) for kind in ("noisy-or", "logistic")
         ]
         scores = [log_marginal_likelihood(node.counts.cells, node.alpha_x), *restricted]
         label = "{" + ",".join(schema.name(p) for p in node.parents) + "}"
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
         ]
         print(f"{label:<20}" + "".join(cells))
     full = net.lattices[child].nodes[(1 << k) - 1]
-    fitted = score_node_with_model(net, child, full, "noisy-or").params
+    fitted = fit_map("noisy-or", full.counts).params.q
     print(f"\nfitted q at the full parent set = {np.round(fitted, 3).tolist()}")
     return 0
 

@@ -72,6 +72,7 @@ from .domain import (
     DomainSchema,
     Example,
     PriorConfig,
+    _is_index_type,
     config_codes,
 )
 from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
@@ -110,6 +111,9 @@ class SearchParams:
         # dead_kappa = 0 is permitted but unsafe: nodes may die on no evidence.
         if not self.dead_kappa >= 0:  # NaN too: it would never kill
             raise ConfigurationError(f"dead_kappa must be nonnegative, got {self.dead_kappa}")
+        # a budget counts expansions: 1.5 would buy two, and NaN, which compares false, no bound
+        if self.budget is not None and not _is_index_type(type(self.budget)):
+            raise ConfigurationError(f"budget must be an integer or None, got {self.budget!r}")
         if self.budget is not None and self.budget < 0:
             raise ConfigurationError(f"budget must be nonnegative, got {self.budget}")
 
@@ -255,7 +259,7 @@ def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode)
     else:
         from . import localmodels  # deferred: localmodels imports engine helpers
 
-        log_ml = localmodels.score_node_with_model(net, lattice.x, node, kind).log_marginal
+        log_ml = localmodels.score_node_with_model(net, lattice.x, node, kind)
     node.scores[kind] = (node.synced_through, log_ml)
     return node.log_prior + log_ml
 

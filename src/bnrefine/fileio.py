@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import os
-import tempfile
+import stat
 
 import numpy as np
 
@@ -78,14 +78,21 @@ class CsvFormatError(ValueError):
 
 def _atomic_write(path: str, data: str) -> None:
     """Write ``data`` to a temp file beside ``path``, then replace ``path``
-    with it.  A failure leaves no temp file and is raised as an ``OSError``
-    naming ``path``, never the temp file the user did not ask for."""
+    with it.  The file keeps the mode a plain write would leave: an existing
+    file's own, or 0666 less the umask for a new one.  A failure leaves no
+    temp file and is raised as an ``OSError`` naming ``path``, never the
+    temp file the user did not ask for."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bnrefine-")
+        name = os.path.join(directory, f".bnrefine-{os.urandom(8).hex()}")
+        # not mkstemp, whose file is 0600 whatever the umask
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(data)
+        if os.path.exists(path):  # a new file took its mode from the umask
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except OSError as error:
         raise OSError(error.errno, error.strerror, path) from error

@@ -17,7 +17,7 @@ boolean child x with boolean parents x_1..x_n:
 Both likelihoods depend on the data only through the node's ``CountTable``:
 one row ``[n_false, n_true]`` per observed parent configuration, at most
 2^n rows however many examples were seen.  Every function here takes those
-counts, and one kernel per model turns them into the log likelihood, its
+counts, and one kernel per model turns them into the log posterior, its
 gradient and its Hessian, so the cost of a fit depends on the number of
 observed parent configurations, not on the number of examples.
 
@@ -31,14 +31,16 @@ fit starts from a point computed from the same counts (``_start``), never
 from an earlier fit, so a score is a function of the counts alone.
 
 A fit is plain Python float arithmetic from its count rows to its
-marginal: ``_blocks`` reads the ``CountTable`` once, and the kernels, the
+marginal: ``_blocks`` reads the ``CountTable`` once, and the kernel, the
 start, each step (``_cholesky``, ``_solve``) and the log determinant work
-on floats and on the rows of lower triangles, ``MapFit.hessian`` included.
-With d = 1 + the number of parents (2 to 5 on the demo network) and at
-most 2^(d-1) rows, a numpy call costs more in dispatch than in arithmetic.
-Floats raise where numpy warned (division by zero, log(0), exp overflow),
-so the noisy-or kernel returns -inf once Pr(x = true) underflows, and the
-line search backs off from it.
+on floats and on the rows of lower triangles.  The kernel returns the log
+posterior itself, the normal prior added in, and ``_ascend`` factors -H
+once at the optimum, so the fit carries the log determinant its Laplace
+term needs.  With d = 1 + the number of parents (2 to 5 on the demo
+network) and at most 2^(d-1) rows, a numpy call costs more in dispatch
+than in arithmetic.  Floats raise where numpy warned (division by zero,
+log(0), exp overflow), so the noisy-or kernel returns -inf once
+Pr(x = true) underflows, and the line search backs off from it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domain import CountTable
 from .engine import CombinedNetwork
@@ -84,7 +86,6 @@ class NoisyOrParams:
     q: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", tuple(float(v) for v in self.q))
         if not self.q or any(not 0.0 < v < 1.0 for v in self.q):
             raise ValueError(f"noisy-or parameters must lie strictly in (0,1): {self.q}")
 
@@ -94,26 +95,20 @@ class LogisticParams:
     tau: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
         if not self.tau or any(not math.isfinite(v) for v in self.tau):
             raise ValueError(f"logistic parameters must be finite: {self.tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MapFit:
     params: NoisyOrParams | LogisticParams
     log_posterior: float
     gradient_norm: float
     iterations: int
     trace: tuple[float, ...]
-    # observed, of the log posterior at params: the rows of its lower triangle
-    hessian: tuple[tuple[float, ...], ...] = field(compare=False)
-
-
-@dataclass(frozen=True)
-class LocalModelScore:
-    params: tuple[float, ...] | None
-    log_marginal: float
+    # log det(-H) of the log posterior at params, from its Cholesky factor;
+    # None where -H has none, and then the Laplace expansion raises
+    log_det: float | None
 
 
 def _blocks(counts: CountTable) -> list[tuple[tuple[int, ...], tuple, float, float]]:
@@ -151,15 +146,20 @@ def _lower(d: int, value: float = 0.0) -> list[list[float]]:
     return [[value] * (i + 1) for i in range(d)]
 
 
-def _kernel(kind: str, u: list[float], rows) -> tuple[float, list, list, list]:
-    """Log likelihood, gradient, -H and expected information (-H at the
-    expected counts, positive semidefinite) in unconstrained coordinates
-    (tau for logistic, logit q for noisy-or) from the ``_blocks`` rows; each
-    matrix is the rows of its lower triangle.
+def _kernel(kind: str, u: list[float], rows, prior) -> tuple[float, list, list, list]:
+    """Log posterior, gradient, -H and expected information (-H at the
+    expected counts, positive definite under a proper prior) in unconstrained
+    coordinates (tau for logistic, logit q for noisy-or) from the
+    ``_blocks`` rows and ``_log_posterior``'s prior; each matrix is the rows
+    of its lower triangle.
 
     Both models take their log probabilities from ``_log_sigmoids``, one
-    log1p(exp(-|t|)) per entry, and the probabilities as their exponentials."""
+    log1p(exp(-|t|)) per entry, and the probabilities as their exponentials.
+    The prior, ``(variance, precision, log normalizer)`` of the normal on
+    each coordinate, is added after the likelihood's sums."""
+    var, precision, log_normalizer = prior
     d = len(u)
+    square = 0.0
     ll, grad, info = 0.0, [0.0] * d, _lower(d)
     exp = math.exp
     if kind == "logistic":
@@ -177,7 +177,12 @@ def _kernel(kind: str, u: list[float], rows) -> tuple[float, list, list, list]:
                 row = info[i]
                 for j in below:
                     row[j] += weight
-        return ll, grad, info, info  # canonical link: -H itself
+        for i, v in enumerate(u):
+            square += v * v
+            grad[i] -= v / var
+            info[i][i] += precision
+        # canonical link: -H itself
+        return ll - 0.5 * square / var + log_normalizer, grad, info, info
     if kind == "noisy-or":
         log_q, log_one_minus_q = zip(*map(_log_sigmoids, u))
         one_minus_q = [exp(v) for v in log_one_minus_q]
@@ -208,11 +213,15 @@ def _kernel(kind: str, u: list[float], rows) -> tuple[float, list, list, list]:
                 for j in below:
                     neg_row[j] += weighted * r[j]
                     info_row[j] += spread * r[j]
-        for i in range(d):
+        for i, v in enumerate(u):
+            square += v * v
             grad[i] += false_mass[i] * one_minus_q[i]
             # d(1 - q_i)/du_i = -q_i (1 - q_i) puts -q_i grad_i on the diagonal
             neg_hess[i][i] += exp(log_q[i]) * grad[i]
-        return ll, grad, neg_hess, info
+            grad[i] -= v / var
+            neg_hess[i][i] += precision
+            info[i][i] += precision
+        return ll - 0.5 * square / var + log_normalizer, grad, neg_hess, info
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -291,27 +300,14 @@ def _start(kind: str, rows, d: int, prior_precision: float) -> list[float]:
 
 
 def _log_posterior(kind: str, counts: CountTable, prior_scale: float):
-    """The log posterior as one function of u giving value, gradient, -H and
-    expected information (positive definite by the prior), and the fit's
-    start, from one read of the counts."""
+    """The log posterior as ``_kernel`` reads it, from one read of the
+    counts: the ``_blocks`` rows, the normal prior of standard deviation
+    ``prior_scale`` per coordinate, and the fit's start."""
     rows = _blocks(counts)
     d = len(counts.arities) + 1
     var = prior_scale * prior_scale
-    prior_precision = 1.0 / var
-    log_prior_const = -0.5 * d * math.log(2.0 * math.pi * var)
-
-    def evaluate(u: list[float]):
-        ll, grad, neg, info = _kernel(kind, u, rows)
-        square = 0.0
-        for i, v in enumerate(u):
-            square += v * v
-            grad[i] -= v / var
-            neg[i][i] += prior_precision
-            if info is not neg:
-                info[i][i] += prior_precision
-        return ll - 0.5 * square / var + log_prior_const, grad, neg, info
-
-    return evaluate, _start(kind, rows, d, prior_precision)
+    prior = (var, 1.0 / var, -0.5 * d * math.log(2.0 * math.pi * var))
+    return rows, prior, _start(kind, rows, d, prior[1])
 
 
 def fit_map(kind: str, counts: CountTable) -> MapFit:
@@ -322,20 +318,19 @@ def fit_map(kind: str, counts: CountTable) -> MapFit:
     every direction ascends.  The objective (log likelihood plus normal log
     prior) is non-decreasing across iterations, up to its float resolution;
     convergence means the gradient's max-norm fell below ``TOL`` within
-    ``MAX_ITER`` iterations.  The fit carries the observed Hessian at its
-    point.  Deterministic given the counts and the module's constants.
+    ``MAX_ITER`` iterations.  The fit carries log det(-H) at its point.
+    Deterministic given the counts and the module's constants.
     """
-    if not counts.total:
+    if not len(counts.codes):
         raise ValueError("fit_map requires at least one data row")
-    evaluate, start = _log_posterior(kind, counts, PRIOR_SCALE)
-    return _ascend(kind, evaluate, start)
+    return _ascend(kind, *_log_posterior(kind, counts, PRIOR_SCALE))
 
 
-def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
-    """``fit_map``'s ascent of ``evaluate`` from the point ``u``, where the
-    objective must be finite (``_start``'s points are: every q < 1); a
+def _ascend(kind: str, rows, prior, u: list[float]) -> MapFit:
+    """``fit_map``'s ascent of the log posterior from the point ``u``, where
+    it must be finite (``_start``'s points are: every q < 1); a
     ``ValueError`` naming the start says where it is not."""
-    fval, g, neg, info = evaluate(u)
+    fval, g, neg, info = _kernel(kind, u, rows, prior)
     if not math.isfinite(fval):
         raise ValueError(f"{kind} fit cannot start at u = {u}: its log posterior is {fval}")
     trace = [fval]
@@ -354,7 +349,7 @@ def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
             # so backtracking cannot see it; the full Newton step polishes
             # the gradient down to tolerance
             u = [a + b for a, b in zip(u, direction)]
-            fval, g, neg, info = evaluate(u)
+            fval, g, neg, info = _kernel(kind, u, rows, prior)
         else:
             step = 1.0
             accepted = False
@@ -362,7 +357,7 @@ def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
                 candidate = [a + step * b for a, b in zip(u, direction)]
                 if candidate == u:
                     break  # the step rounded away entirely; no progress this way
-                point = evaluate(candidate)
+                point = _kernel(kind, candidate, rows, prior)
                 if point[0] >= fval + 1e-4 * step * slope:
                     u, (fval, g, neg, info), accepted = candidate, point, True
                     break
@@ -378,7 +373,7 @@ def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
         gradient_norm=grad_norm,
         iterations=iterations,
         trace=tuple(trace),
-        hessian=tuple(tuple(-v for v in row) for row in neg),
+        log_det=_log_det(neg),
     )
     if grad_norm >= TOL:
         raise FitConvergenceError(
@@ -389,19 +384,22 @@ def _ascend(kind: str, evaluate, u: list[float]) -> MapFit:
     return fit
 
 
-def log_det_neg_hessian(hess) -> float:
-    """log det(-H) via Cholesky, from the rows of H (its lower triangle is
-    read); raises LaplaceError if -H is not positive definite."""
-    factor = _cholesky([[-v for v in row] for row in hess])
+def _log_det(matrix) -> float | None:
+    """log det of a symmetric matrix via its Cholesky factor, from rows of
+    which the lower triangle is read; None where it has no factor."""
+    factor = _cholesky(matrix)
     if factor is None:
-        raise LaplaceError("Hessian at the fitted optimum is not negative definite")
+        return None
     return 2.0 * sum(math.log(row[i]) for i, row in enumerate(factor))
 
 
 def _laplace(fit: MapFit) -> float:
-    """The normal expansion of the log marginal around a converged fit."""
-    d = len(fit.hessian)
-    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * log_det_neg_hessian(fit.hessian)
+    """The normal expansion of the log marginal around a converged fit;
+    raises LaplaceError if -H is not positive definite there."""
+    if fit.log_det is None:
+        raise LaplaceError("Hessian at the fitted optimum is not negative definite")
+    d = len(fit.params.q if isinstance(fit.params, NoisyOrParams) else fit.params.tau)
+    return fit.log_posterior + 0.5 * d * LN_2PI - 0.5 * fit.log_det
 
 
 def laplace_log_marginal(kind: str, counts: CountTable) -> float:
@@ -428,11 +426,9 @@ def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountT
     return node.counts
 
 
-def score_node_with_model(
-    net: CombinedNetwork, x: int, node: LatticeNode, kind: str
-) -> LocalModelScore:
-    """Score one lattice node's counts under a restricted model (noisy-or or
-    logistic), as they stand.
+def score_node_with_model(net: CombinedNetwork, x: int, node: LatticeNode, kind: str) -> float:
+    """The log marginal of one lattice node's counts under a restricted
+    model (noisy-or or logistic), as they stand.
 
     The model's parameters are fitted once, from a start computed from the
     counts, and the normal-expansion marginal is taken there; with no counts
@@ -445,8 +441,6 @@ def score_node_with_model(
     if kind not in ("noisy-or", "logistic"):
         raise ValueError(f"{kind!r} is not a restricted model (noisy-or or logistic)")
     counts = boolean_node_data(net, x, node)
-    if not counts.total:
-        return LocalModelScore(params=None, log_marginal=0.0)
-    fit = fit_map(kind, counts)
-    natural = fit.params.tau if kind == "logistic" else fit.params.q
-    return LocalModelScore(params=natural, log_marginal=_laplace(fit))
+    if not len(counts.codes):
+        return 0.0
+    return _laplace(fit_map(kind, counts))

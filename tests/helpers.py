@@ -358,6 +358,11 @@ def boolean_counts(x_values, parent_rows) -> CountTable:
     return counts
 
 
+# the improper flat prior, under which ``_kernel``'s log posterior is the log
+# likelihood: its variance and precision add exact zeros to each coordinate
+FLAT_PRIOR = (math.inf, 0.0, 0.0)
+
+
 def to_u(kind: str, params) -> np.ndarray:
     """Natural parameters (tau, or noisy-or's q) in unconstrained coordinates."""
     if kind == "logistic":
@@ -371,7 +376,7 @@ def _natural_loglik(kind: str, params, counts: CountTable) -> tuple[float, np.nd
     u = to_u(kind, params)
     if len(u) != len(counts.arities) + 1:
         raise ValueError(f"{len(u)} parameters for {len(counts.arities)} parents")
-    ll, grad, _, _ = _kernel(kind, u.tolist(), _blocks(counts))
+    ll, grad, _, _ = _kernel(kind, u.tolist(), _blocks(counts), FLAT_PRIOR)
     return ll, np.array(grad)
 
 

@@ -69,6 +69,9 @@ INVALID_PARAMS = [
     ({"dead_kappa": -1.0}, "dead_kappa must be nonnegative, got -1.0"),
     ({"dead_kappa": math.nan}, "dead_kappa must be nonnegative, got nan"),
     ({"budget": -1}, "budget must be nonnegative, got -1"),
+    ({"budget": 1.5}, "budget must be an integer or None, got 1.5"),
+    ({"budget": math.nan}, "budget must be an integer or None, got nan"),
+    ({"budget": True}, "budget must be an integer or None, got True"),
 ]
 
 
@@ -347,6 +350,16 @@ class TestRefine:
         net, _ = sampled_net(five_var_truth(), 100, seed=16)
         report = refine(net, SearchParams(budget=4))
         assert report.expansions <= 4
+
+    def test_an_integer_budget_of_one_expands_one_set(self):
+        # budget validation rejects floats and bools; an integer of either
+        # kind still buys exactly one expansion per call
+        net, _ = sampled_net(five_var_truth(), 100, seed=16)
+        twin = copy.deepcopy(net)
+        report = refine(net, SearchParams(budget=1))
+        assert report.expansions == 1 and not report.exhausted
+        assert refine(twin, SearchParams(budget=np.int64(1))) == report
+        assert serialize_session(twin) == serialize_session(net)
 
     def test_dead_nodes_stay_dead_and_unexpanded(self):
         net, _ = sampled_net(five_var_truth(), 400, seed=17)

@@ -529,6 +529,24 @@ class TestForwardSample:
 
 
 class TestSession:
+    def test_a_saved_file_takes_the_mode_of_a_plain_write(self, tmp_path):
+        # every file went through mkstemp's 0600 temp file, whatever the umask,
+        # and an overwrite changed the mode of the file it replaced
+        net = fresh_net("abc")
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("{}")
+        existing.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            save_session(new, net)
+            save_session(existing, net)
+        finally:
+            os.umask(umask)
+        assert oct(new.stat().st_mode & 0o777) == oct(0o644)
+        assert oct(existing.stat().st_mode & 0o777) == oct(0o640)
+        assert load_session(existing) == load_session(new)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json", "new.json"]
+
     def test_fresh_round_trip(self, tmp_path):
         net = fresh_net("abc")
         path = tmp_path / "s.json"
