@@ -11,15 +11,18 @@ order; ``DomainSchema.encode_rows`` validates a block of them at once and
 codes it as an (n, V) integer array.  A parent configuration is its
 mixed-radix code (``config_codes``, which defines it, for whole arrays);
 sufficient statistics live in sparse ``CountTable`` objects, one count row
-per observed code.  ``CountTable.add`` counts a block by direct index into
-the dense code space when that space is small next to the block, and by
-sorting the codes otherwise; either way only the observed codes are stored.
+per observed code.  ``count_cells`` counts one block into many tables at
+once: by direct index into the dense code space of each table whose space
+is small next to the block, all such tables through one shared
+``np.bincount``, and by sorting the codes of every other table; either way
+only the observed codes are stored.  ``CountTable.add`` is its one-table
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, count
 from math import inf, prod
 
 import numpy as np
@@ -100,32 +103,52 @@ class DomainSchema:
         ``examples`` is an iterable of examples; an integer (n, V) array is
         read row by row like any other.  Every example needs one value per
         variable, each an integer index (``bool`` excluded) in
-        ``[0, arity)``; one bad value rejects the whole block with an
-        ``ExampleError`` naming the first one.  An
-        accepted block runs no Python loop per value: the set of value types
-        is checked, then the whole array against the arities.  Only a
-        rejected block is walked row by row, to name its first bad value.
+        ``[0, arity)``; one bad example rejects the whole block with an
+        ``ExampleError`` naming the first fault.  An accepted block costs
+        one Python-level pass over its values, which collects their types;
+        the conversion and the range check run in C: ``bytearray`` when the
+        log is ``uint8`` (it takes exactly the integers 0..255), else
+        ``np.fromiter``, then one comparison against the arities.  Only a
+        rejected block is walked example by example, to name its first
+        fault.
         """
-        width = len(self.variables)
-        rows = list(map(tuple, examples))
-        fits = set(map(len, rows)) <= {width} and all(
-            map(_is_index_type, set(map(type, chain.from_iterable(rows))))
-        )
-        block = np.empty((0, width), dtype=np.int64)
-        if fits:
-            try:
-                block = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
-            except OverflowError:  # an integer beyond int64 is out of range
-                fits = False
-            block = block.reshape(-1, width)
-        if fits:
-            fits = not ((block < 0) | (block >= self._arities)).any()  # type: ignore[attr-defined]
-        if not fits:
-            raise ExampleError(next(filter(None, map(self._example_fault, rows))))
-        return block.astype(self.value_dtype)
+        examples = list(examples)
+        block = self._encoded(examples)
+        if block is None:
+            raise ExampleError(next(filter(None, map(self._example_fault, count(), examples))))
+        return block
 
-    def _example_fault(self, example) -> str | None:
+    def _encoded(self, examples: list) -> np.ndarray | None:
+        """The examples as an (n, V) array of ``value_dtype``, or None if one is faulty."""
+        width = len(self.variables)
+        try:
+            rows = list(map(tuple, examples))
+        except TypeError:  # an example that is not a sequence
+            return None
+        if not set(map(len, rows)) <= {width}:
+            return None
+        flat = list(chain.from_iterable(rows))
+        if not all(map(_is_index_type, set(map(type, flat)))):
+            return None
+        dtype = self.value_dtype
+        try:
+            if dtype == np.uint8:
+                block = np.frombuffer(bytearray(flat), dtype)
+            else:
+                block = np.fromiter(flat, np.int64, len(flat))
+        except (OverflowError, ValueError):  # an integer beyond the dtype is out of range
+            return None
+        block = block.reshape(len(rows), width)
+        if ((block < 0) | (block >= self._arities)).any():  # type: ignore[attr-defined]
+            return None
+        return block.astype(dtype, copy=False)
+
+    def _example_fault(self, position: int, example) -> str | None:
         """What is wrong with one example, or None: walked on the error path only."""
+        try:
+            example = tuple(example)
+        except TypeError:
+            return f"example {position} is not a sequence of values: {example!r}"
         if len(example) != len(self.variables):
             return f"example has {len(example)} values, schema has {len(self.variables)}"
         for x, value in enumerate(example):
@@ -198,8 +221,8 @@ class CountTable:
     the count of each value of the variable under ``codes[i]``.
     Configurations never observed are absent and implicitly all-zero, so
     storage grows with the observed configurations only, whichever way
-    ``add`` counted them: by direct index when the parents have few
-    configurations, by sorting the codes when they have many.
+    ``count_cells`` counted them: by direct index when the parents have
+    few configurations, by sorting the codes when they have many.
     """
 
     __slots__ = ("arities", "codes", "cells")
@@ -211,8 +234,8 @@ class CountTable:
 
     @classmethod
     def from_rows(cls, arities: tuple[int, ...], codes: np.ndarray, cells: np.ndarray) -> CountTable:
-        """The table of count rows already laid out as ``add`` lays them out:
-        ascending int64 ``codes``, one non-zero int64 row of ``cells`` each."""
+        """The table of count rows already laid out as ``count_cells`` lays
+        them out: ascending int64 ``codes``, one non-zero int64 row of ``cells`` each."""
         table = cls.__new__(cls)
         table.arities, table.codes, table.cells = arities, codes, cells
         return table
@@ -227,30 +250,9 @@ class CountTable:
         return int(self.cells.sum())
 
     def add(self, codes: np.ndarray, values: np.ndarray) -> None:
-        """Count one example per (configuration code, value) pair, as one block.
-
-        When the dense cell space (every configuration times ``m_x``) is
-        at most four times the block, or 1024 cells, laying it all out
-        costs less than sorting the block: the block is counted by direct
-        index into it, the old rows are added by code, and only the
-        non-empty rows are kept.  Otherwise the old and new codes are
-        merged by sorting, and only the observed configurations are ever
-        laid out.  Both give the same table: ascending int64 codes, one
-        non-zero int64 row each.
-        """
-        m_x, old = self.m_x, len(self.codes)
-        space = prod(self.arities) * m_x
-        if space <= max(4 * len(codes), 1024):
-            cells = np.bincount(codes * m_x + values, minlength=space).reshape(-1, m_x)
-            cells[self.codes] += self.cells
-            merged = np.flatnonzero(cells.any(axis=1)).astype(np.int64, copy=False)
-            self.codes, self.cells = merged, cells[merged]
-            return
-        merged, inverse = np.unique(np.concatenate((self.codes, codes)), return_inverse=True)
-        cells = np.bincount(inverse[old:] * m_x + values, minlength=len(merged) * m_x)
-        cells = cells.reshape(len(merged), m_x)
-        cells[inverse[:old]] += self.cells
-        self.codes, self.cells = merged, cells
+        """Count one example per (configuration code, value) pair, as one
+        block: ``count_cells`` of this table alone."""
+        count_cells([self], (np.asarray(codes, dtype=np.int64) * self.m_x + values)[:, None])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):
@@ -260,6 +262,71 @@ class CountTable:
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.cells, other.cells)
         )
+
+
+def count_cells(tables: list[CountTable], cells: np.ndarray) -> None:
+    """Count one block of examples into many tables at once.
+
+    ``cells`` is an (n, len(tables)) int64 array: ``cells[i, j]`` is the
+    cell of example i in ``tables[j]``, its configuration code times
+    ``m_x`` plus its value.  A table whose dense cell space (every
+    configuration times ``m_x``) is at most four times the block, or 1024
+    cells, costs less to lay out whole than to sort the block.  All such
+    tables are laid out end to end, those of one ``m_x`` together, and
+    counted by one ``np.bincount``; then each run of one ``m_x`` adds its
+    tables' old rows by code and keeps its non-empty rows, all with one
+    call per step, however many tables it holds.  Every other table
+    merges its old and new codes by sorting, so only its observed
+    configurations are ever laid out.  Both give the same table: ascending
+    int64 codes, one non-zero int64 row each.
+    """
+    n = len(cells)
+    runs: dict[int, list[tuple[int, int]]] = {}  # m_x -> (index, space) of its dense tables
+    sorting = []
+    for j, table in enumerate(tables):
+        space = prod(table.arities) * table.m_x
+        if space <= max(4 * n, 1024):
+            runs.setdefault(table.m_x, []).append((j, space))
+        else:
+            sorting.append(j)
+    dense = [j for run in runs.values() for j, _ in run]
+    if dense:
+        # firsts[k]: the first cell of dense table k, in dense order
+        firsts = [0, *accumulate(space for run in runs.values() for _, space in run)]
+        block = cells if dense == list(range(len(tables))) else cells[:, dense]
+        laid_out = np.bincount((block + firsts[:-1]).ravel(), minlength=firsts[-1])
+        k = 0
+        for m_x, run in runs.items():
+            _keep_rows([tables[j] for j, _ in run], laid_out, firsts[k : k + len(run) + 1], m_x)
+            k += len(run)
+    for j in sorting:
+        table = tables[j]
+        m_x, old = table.m_x, len(table.codes)
+        codes, values = np.divmod(cells[:, j], m_x)
+        merged, inverse = np.unique(np.concatenate((table.codes, codes)), return_inverse=True)
+        counts = np.bincount(inverse[old:] * m_x + values, minlength=len(merged) * m_x)
+        counts = counts.reshape(len(merged), m_x)
+        counts[inverse[:old]] += table.cells
+        table.codes, table.cells = merged, counts
+
+
+def _keep_rows(run: list[CountTable], laid_out: np.ndarray, firsts: list[int], m_x: int) -> None:
+    """Add the old rows of a run of tables of one ``m_x``, whose new counts
+    fill ``laid_out[firsts[0]:firsts[-1]]`` end to end, and store each
+    table's non-empty rows.  Each table gets arrays of its own: a view
+    would keep the whole run's rows alive as long as any table of it
+    kept its view."""
+    counts = laid_out[firsts[0] : firsts[-1]].reshape(-1, m_x)
+    starts = (np.array(firsts[:-1]) - firsts[0]) // m_x  # each table's first row
+    old = np.concatenate([table.codes for table in run])
+    old += np.repeat(starts, [len(table.codes) for table in run])
+    counts[old] += np.concatenate([table.cells for table in run])
+    kept = np.flatnonzero(counts.any(axis=1))
+    owner = np.searchsorted(starts, kept, side="right") - 1
+    codes, cells = (kept - starts[owner]).astype(np.int64, copy=False), counts[kept]
+    bounds = np.searchsorted(kept, [*starts.tolist(), len(counts)]).tolist()
+    for table, a, b in zip(run, bounds, bounds[1:]):
+        table.codes, table.cells = codes[a:b].copy(), cells[a:b].copy()
 
 
 def config_count(schema: DomainSchema, parents: tuple[int, ...]) -> int:

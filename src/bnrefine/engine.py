@@ -4,9 +4,14 @@ The combined network holds one parent lattice per variable plus the full
 example log, a 2-D integer array with one row per example.  Counts are the
 single source of truth, and examples enter a node in one of two ways:
 
-- ``sync_node`` adds the rows a stored node has not absorbed yet, coded by
-  parent configuration, to its ``CountTable`` as one block (a loaded
-  session recounts its nodes from the log through the same code);
+- ``_count_rows`` adds a block of log rows to many stored nodes that
+  have absorbed the same prefix at once: one matrix product of the rows
+  with the nodes' place values codes every row for every node, and
+  ``count_cells`` counts the codes into all their ``CountTable``s
+  together.  ``observe_batch`` counts each batch into every alive node
+  with one call, ``_catch_up`` makes one per group of stale nodes that
+  share ``synced_through``, ``sync_node`` one for its node, and a loaded
+  session recounts its nodes from the log through it;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
   packed bitset of rows per (variable, value).  ANDing bitsets gives the
@@ -23,9 +28,9 @@ fit), so it never depends on how the data was split into batches or how
 it was counted.
 Two kinds of update:
 
-- ``observe_batch``: validate a batch, append it to the log, then sync
-  every alive node once.  Asleep nodes are left stale and catch up from
-  the log the next time the search touches their lattice.
+- ``observe_batch``: validate a batch, append it to the log, then count
+  it into every alive node at once.  Asleep nodes are left stale and
+  catch up from the log the next time the search touches their lattice.
 
 - ``refine``: beam search per variable, driven by three thresholds
   relative to the best score found (1 > c_alive >= d_open >= e_dead > 0):
@@ -73,7 +78,7 @@ from .domain import (
     Example,
     PriorConfig,
     _is_index_type,
-    config_codes,
+    count_cells,
 )
 from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
 from .lattice import (
@@ -207,33 +212,72 @@ def observe_batch(net: CombinedNetwork, examples) -> None:
 
     ``examples`` is an iterable of examples or an integer (n, V) array.
     Atomic per batch: the whole batch is validated (``encode_rows``) before
-    any state changes, so one invalid example rejects it.
+    any state changes, so one invalid example rejects it.  The batch is
+    then counted into every alive node at once (``_count_rows``): the alive
+    nodes hold the whole log before it (rule 4 of ``check_lattice``), so
+    they form one group of ``_sync``.
     """
     rows = net.schema.encode_rows(examples)
     if not len(rows):
         return
     net.example_log = np.concatenate((net.example_log, rows))
-    for lattice in net.lattices:
-        for node in lattice.nodes.values():
-            if node.status is NodeStatus.ALIVE:
-                sync_node(net, lattice, node)
+    alive = NodeStatus.ALIVE
+    _sync(net, [(lat, n) for lat in net.lattices for n in lat.nodes.values() if n.status is alive])
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Count the logged examples the node has not absorbed yet."""
-    _count_rows(net, lattice, node, net.n_total)
+    """Count the logged examples a node stored in ``lattice`` has not absorbed yet."""
+    if lattice.nodes.get(node.key) is not node:
+        raise LatticeStateError("node is not stored in this lattice")
+    _count_rows(net, [(lattice, node)], net.n_total)
+
+
+def _sync(net: CombinedNetwork, pairs: list[tuple[ParentLattice, LatticeNode]]) -> None:
+    """Sync every (lattice, node) pair with the whole log: one ``_count_rows``
+    per group of them that have absorbed the same prefix."""
+    groups: dict[int, list[tuple[ParentLattice, LatticeNode]]] = {}
+    for pair in pairs:
+        groups.setdefault(pair[1].synced_through, []).append(pair)
+    for group in groups.values():
+        _count_rows(net, group, net.n_total)
 
 
 def _count_rows(
-    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, stop: int
+    net: CombinedNetwork, pairs: list[tuple[ParentLattice, LatticeNode]], stop: int
 ) -> None:
-    """Count log rows ``synced_through:stop`` into the node as one block, coded by
-    parent configuration (``config_codes``).  Session loading recounts stored
-    nodes here too."""
-    block = net.example_log[node.synced_through : stop]
-    if len(block):
-        node.counts.add(config_codes(block, node.parents, net.schema), block[:, lattice.x])
-    node.synced_through = stop
+    """Count log rows ``synced_through:stop`` into the node of every
+    (lattice, node) pair at once; every node has absorbed the same prefix.
+
+    One matrix product of the rows with each node's place values (its
+    parents' and its variable's, as ``config_codes`` and ``CountTable``
+    code them) gives every node's cell codes, which ``count_cells`` counts
+    into all the tables together.  The work runs over blocks of rows and of
+    nodes, so its transient arrays stay within ``_BLOCK_CELLS`` cells
+    however long the log and however many nodes: a dense table lays out at
+    most ``max(4 * rows, 1024)`` cells (``count_cells``).  ``observe_batch``,
+    ``sync_node``, ``_catch_up`` and session loading all count here.
+    """
+    start = pairs[0][1].synced_through
+    if stop > start:
+        places = []
+        for lattice, node in pairs:
+            row, place, arities = [0] * len(net.schema), 1, lattice.arities
+            for v in (lattice.x, *reversed(node.parents)):
+                row[v] = place
+                place *= arities[v]
+            places.append(row)
+        places = np.array(places, dtype=np.int64)
+        # rows x variables (the block as int64), rows x sets (cell codes) and
+        # the dense tables' layout each stay within _BLOCK_CELLS
+        rows = max(1, min(stop - start, _BLOCK_CELLS // max(4, len(net.schema))))
+        sets = max(1, _BLOCK_CELLS // max(4 * rows, 1024))
+        for first in range(0, len(pairs), sets):
+            tables = [node.counts for _, node in pairs[first : first + sets]]
+            weights = places[first : first + sets].T
+            for at in range(start, stop, rows):
+                count_cells(tables, net.example_log[at : min(at + rows, stop)] @ weights)
+    for _, node in pairs:
+        node.synced_through = stop
 
 
 def dead_condition(node: LatticeNode, dead_kappa: float) -> bool:
@@ -309,9 +353,7 @@ def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams
     absorbed the same examples.  The lattice's ``aim`` remembers the stamp
     of what the re-aim read and left (``_aim_stamp``), taken after the
     rethreshold, which can kill nodes."""
-    for node in lattice.nodes.values():
-        if node.synced_through != net.n_total:
-            sync_node(net, lattice, node)
+    _sync(net, [(lattice, n) for n in lattice.nodes.values() if n.synced_through != net.n_total])
     best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
     _rethreshold_lattice(net, lattice, best, params)
     lattice.aim = _aim_stamp(net, lattice, params)

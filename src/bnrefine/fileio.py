@@ -362,8 +362,12 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     if len(set(keys)) < len(keys) or len(set(dead)) < len(dead):
         raise SessionFormatError(f"{where}: a node key is repeated")
     lattice.nodes = {}  # the stored nodes replace the fresh root
+    recount: dict[int, list] = {}  # synced_through -> the (lattice, node) pairs to count to it
     for d in stored:
-        _node_from_doc(d, version, lattice, net)
+        node, synced = _node_from_doc(d, version, lattice, net)
+        recount.setdefault(synced, []).append((lattice, node))
+    for synced, pairs in recount.items():
+        _count_rows(net, pairs, synced)
     lattice.dead = set(dead)
     try:
         check_lattice(lattice, net.n_total)
@@ -372,8 +376,11 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     return lattice
 
 
-def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork) -> None:
-    """Store a node, its counts recounted from ``example_log[:synced_through]``."""
+def _node_from_doc(
+    doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork
+) -> tuple[LatticeNode, int]:
+    """Store a node with no rows counted yet; returns it and its ``synced_through``,
+    the rows of ``example_log`` its counts are recounted from."""
     where = f"lattice {net.schema.name(lattice.x)!r}"
     synced = doc["synced_through"]
     if type(synced) is not int or not 0 <= synced <= net.n_total:
@@ -388,7 +395,7 @@ def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: Combine
         raise SessionFormatError(f"{where}: {err}") from None
     node = insert_node(lattice, doc["key"])
     node.status, node.expansion = status, expansion
-    _count_rows(net, lattice, node, synced)
+    return node, synced
 
 
 def _expansion_from_flags(doc: dict) -> str:

@@ -14,9 +14,11 @@ SCHEMA = DomainSchema(
 )
 
 
-def reference_fault(schema, example):
+def reference_fault(schema, position, example):
     """The rule checked one value at a time, as ``validate_example`` did
     before examples were validated as whole blocks: the oracle here."""
+    if not isinstance(example, (tuple, list, np.ndarray)) or np.ndim(example) == 0:
+        return f"example {position} is not a sequence of values: {example!r}"
     example = tuple(example)
     if len(example) != len(schema):
         return f"example has {len(example)} values, schema has {len(schema)}"
@@ -48,7 +50,9 @@ rows = st.one_of(
     st.lists(values, max_size=4),
     st.lists(st.integers(0, 1), min_size=3, max_size=3),
 )
-list_blocks = st.lists(rows.map(tuple), max_size=6)
+# an example that is not a sequence: a bare value where a row belongs
+not_sequences = st.one_of(st.integers(-2, 6), st.none(), st.integers(0, 4).map(np.int64))
+list_blocks = st.lists(st.one_of(rows.map(tuple), rows.map(tuple), not_sequences), max_size=6)
 array_blocks = st.tuples(
     st.sampled_from([np.int64, np.uint8, np.int8, bool, float]),
     st.integers(0, 5),
@@ -64,7 +68,7 @@ class TestEncodeRows:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(list_blocks, array_blocks))
     def test_accepts_and_rejects_exactly_as_the_one_row_rule(self, block):
-        faults = [f for f in (reference_fault(SCHEMA, row) for row in block) if f]
+        faults = [f for f in (reference_fault(SCHEMA, i, row) for i, row in enumerate(block)) if f]
         if faults:
             with pytest.raises(ExampleError) as err:
                 SCHEMA.encode_rows(block)
@@ -75,7 +79,7 @@ class TestEncodeRows:
             assert encoded.shape == (len(block), len(SCHEMA))
             assert encoded.tolist() == [[int(v) for v in row] for row in block]
         for row in block:
-            fault = reference_fault(SCHEMA, row)
+            fault = reference_fault(SCHEMA, 0, row)
             if fault is None:
                 SCHEMA.encode_rows([row])
             else:
@@ -99,3 +103,31 @@ class TestEncodeRows:
     def test_generator_of_lists_is_accepted(self):
         encoded = SCHEMA.encode_rows([v, 2, 4] for v in (0, 1))
         assert encoded.tolist() == [[0, 2, 4], [1, 2, 4]]
+
+    @pytest.mark.parametrize(
+        "block, fault",
+        [
+            ((0, 1), "example 0 is not a sequence of values: 0"),
+            ([5], "example 0 is not a sequence of values: 5"),
+            ([(1, 2, 4), None], "example 1 is not a sequence of values: None"),
+            (np.array([1, 2, 4]), "example 0 is not a sequence of values: np.int64(1)"),
+        ],
+    )
+    def test_an_example_that_is_not_a_sequence_is_named(self, block, fault):
+        with pytest.raises(ExampleError) as err:
+            SCHEMA.encode_rows(block)
+        assert str(err.value) == fault
+
+    def test_a_wide_log_takes_the_same_rule(self):
+        wide = DomainSchema(SCHEMA.variables + (VariableSpec("d", tuple(map(str, range(300)))),))
+        assert wide.value_dtype == np.uint16
+        assert wide.encode_rows([(1, 2, 4, 299), (0, 0, 0, 0)]).tolist() == [[1, 2, 4, 299], [0, 0, 0, 0]]
+        for example, fault in [
+            ((1, 2, 4, 300), "value index 300 out of range for 'd' (arity 300)"),
+            ((1, 2, 4, -1), "value index -1 out of range for 'd' (arity 300)"),
+            ((1, 2, 5, 0), "value index 5 out of range for 'c' (arity 5)"),
+            ((1, 2, 4, 2**64), f"value index {2**64} out of range for 'd' (arity 300)"),
+        ]:
+            with pytest.raises(ExampleError) as err:
+                wide.encode_rows([(0, 0, 0, 0), example])
+            assert str(err.value) == fault

@@ -34,8 +34,9 @@ from bnrefine import (
 )
 from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS, dead_condition
-from bnrefine.fileio import serialize_session, session_from_document
-from bnrefine.lattice import insert_node, kill
+from bnrefine.domain import CountTable, config_codes
+from bnrefine.fileio import serialize_session, session_from_document, session_to_document
+from bnrefine.lattice import LatticeStateError, insert_node, kill
 from bnrefine.oracle import exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
@@ -57,6 +58,19 @@ from helpers import (
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
+
+
+def recount(net, lattice, node) -> CountTable:
+    """The node's table recounted from ``example_log[:synced_through]`` alone:
+    cell codes by ``config_codes``, rows by ``np.unique``."""
+    rows = net.example_log[: node.synced_through]
+    m_x = lattice.arities[lattice.x]
+    cells = config_codes(rows, node.parents, net.schema) * m_x + rows[:, lattice.x]
+    found, counts = np.unique(cells, return_counts=True)
+    codes = np.unique(found // m_x)
+    table = np.zeros((len(codes), m_x), dtype=np.int64)
+    table[np.searchsorted(codes, found // m_x), found % m_x] = counts
+    return CountTable.from_rows(node.counts.arities, codes, table)
 
 # SearchParams fields no search may run with, and the error each one raises
 INVALID_PARAMS = [
@@ -254,6 +268,76 @@ class TestSync:
                 assert node.synced_through == net.n_total
                 assert counts == table_rows(node.counts)
                 assert table_log_ml(node) == log_ml
+
+
+    def test_a_node_of_another_lattice_is_refused(self):
+        # a lagging set of lattice c must not absorb lattice a's values
+        net = fresh_net("abc")
+        observe_batch(net, [(0, 1, 0)] * 30 + [(1, 0, 0)] * 30)
+        node = insert_node(net.lattices[2], 0b01)
+        sync_node(net, net.lattices[2], node)
+        observe_batch(net, [(1, 0, 1)] * 10)
+        before = table_rows(node.counts)
+        for lattice in (net.lattices[0], net.lattices[1]):
+            with pytest.raises(LatticeStateError, match="not stored in this lattice"):
+                sync_node(net, lattice, node)
+        assert table_rows(node.counts) == before and node.synced_through == 60
+        kill(net.lattices[2], node.key)
+        with pytest.raises(LatticeStateError, match="not stored in this lattice"):
+            sync_node(net, net.lattices[2], node)
+        fresh = insert_node(net.lattices[1], 0b1)
+        sync_node(net, net.lattices[1], fresh)
+        assert table_rows(fresh.counts) == {(0,): [0, 30], (1,): [40, 0]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 4), min_size=2, max_size=4),
+        st.integers(0, 4),
+        st.sampled_from([1, 7, 64, 1 << 16]),
+        st.data(),
+    )
+    def test_many_sets_counted_at_once_equal_a_recount(self, arities, wide_at, block, data):
+        # every way rows are counted into stored sets (observe_batch into the
+        # alive ones, _catch_up per group sharing synced_through, sync_node,
+        # session loading) counts many sets at once, dense and sorting tables
+        # in one call: each set must hold its own rows of the log, counted
+        # as config_codes and np.unique count them.  A 300-valued variable
+        # makes the log uint16, and sets with it as a parent sort.
+        arities = arities[:wide_at] + [300] + arities[wide_at:]
+        schema = DomainSchema(
+            tuple(VariableSpec(f"v{i}", tuple(map(str, range(a)))) for i, a in enumerate(arities))
+        )
+        assert schema.value_dtype == np.uint16
+        net = init(schema, ArcPriorMatrix(), PriorConfig())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        params = SearchParams(c_alive=1e-300, d_open=1e-300, e_dead=1e-300, dead_kappa=math.inf)
+
+        def check(net):
+            for lattice in net.lattices:
+                for node in lattice.nodes.values():
+                    assert node.counts == recount(net, lattice, node), (lattice.x, node.key)
+                    assert node.counts.codes.dtype == node.counts.cells.dtype == np.int64
+
+        with mock.patch.object(engine, "_BLOCK_CELLS", block):
+            for step in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=8), label="steps"):
+                if step <= 1:  # a batch into the alive sets
+                    n = data.draw(st.sampled_from([0, 1, 63, 64, 65]), label="rows")
+                    observe_batch(net, np.column_stack([rng.integers(0, a, n) for a in arities]))
+                elif step == 2:  # new sets, stale until synced
+                    lattice = net.lattices[data.draw(st.integers(0, len(arities) - 1), label="x")]
+                    key = data.draw(st.integers(0, 2 ** len(lattice.candidates) - 1), label="key")
+                    insert_node(lattice, key)
+                elif step == 3:  # one set synced alone
+                    stored = [(lat, n) for lat in net.lattices for n in lat.nodes.values()]
+                    lattice, node = data.draw(st.sampled_from(stored), label="synced set")
+                    sync_node(net, lattice, node)
+                else:  # a lattice caught up: its stale sets grouped by synced_through
+                    lattice = net.lattices[data.draw(st.integers(0, len(arities) - 1), label="x")]
+                    engine._catch_up(net, lattice, params)
+                check(net)
+            loaded = session_from_document(session_to_document(net))
+        check(loaded)
+        assert loaded.lattices == net.lattices
 
 
 class TestDeadCondition:
