@@ -15,8 +15,7 @@ per observed code.  ``count_cells`` counts one block into many tables at
 once: by direct index into the dense code space of each table whose space
 is small next to the block, all such tables through one shared
 ``np.bincount``, and by sorting the codes of every other table; either way
-only the observed codes are stored.  ``CountTable.add`` is its one-table
-case.
+only the observed codes are stored.
 """
 
 from __future__ import annotations
@@ -248,11 +247,6 @@ class CountTable:
     def total(self) -> int:
         """The number of examples the table has absorbed."""
         return int(self.cells.sum())
-
-    def add(self, codes: np.ndarray, values: np.ndarray) -> None:
-        """Count one example per (configuration code, value) pair, as one
-        block: ``count_cells`` of this table alone."""
-        count_cells([self], (np.asarray(codes, dtype=np.int64) * self.m_x + values)[:, None])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):

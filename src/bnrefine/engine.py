@@ -2,35 +2,35 @@
 
 The combined network holds one parent lattice per variable plus the full
 example log, a 2-D integer array with one row per example.  Counts are the
-single source of truth, and examples enter a node in one of two ways:
+single source of truth, and every stored node holds the counts of the
+whole log between operations (rule 3 of ``lattice.check_lattice``).
+Examples enter a node in one of two ways:
 
-- ``_count_rows`` adds a block of log rows to many stored nodes that
-  have absorbed the same prefix at once: one matrix product of the rows
-  with the nodes' place values codes every row for every node, and
-  ``count_cells`` counts the codes into all their ``CountTable``s
-  together.  ``observe_batch`` counts each batch into every alive node
-  with one call, ``_catch_up`` makes one per group of stale nodes that
-  share ``synced_through``, ``sync_node`` one for its node, and a loaded
-  session recounts its nodes from the log through it;
+- ``_count_rows`` adds the log rows from a given start to many nodes at
+  once: one matrix product of the rows with the nodes' place values codes
+  every row for every node, and ``count_cells`` counts the codes into all
+  their ``CountTable``s together.  ``observe_batch`` counts each batch
+  into every stored node with one call, a loaded session counts each
+  lattice's nodes on the whole log with one, and ``sync_node`` counts the
+  log into a node ``insert_node`` has just stored;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
   packed bitset of rows per (variable, value).  ANDing bitsets gives the
   rows of each (configuration, x value), and a popcount of each against
   an added parent's value bitsets counts a child's cell, so an expansion
   costs what it adds times n/64 words, not a code per row and
-  predecessor.  The children enter synced and unscored.
+  predecessor.  The children enter counted and unscored.
 
-Either way a node's counts are those of ``example_log[:synced_through]``,
-laid out alike.  Under every model a score is a function of those counts,
-computed lazily and cached by ``_node_score`` (a noisy-or or logistic fit
-starts from a point computed from the same counts, never from an earlier
-fit), so it never depends on how the data was split into batches or how
-it was counted.
+Either way a node's counts are those of the whole log, laid out alike.
+Under every model a score is a function of those counts, computed lazily
+and cached by ``_node_score`` against the log's length (a noisy-or or
+logistic fit starts from a point computed from the same counts, never
+from an earlier fit), so it never depends on how the data was split into
+batches or how it was counted.
 Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then count
-  it into every alive node at once.  Asleep nodes are left stale and
-  catch up from the log the next time the search touches their lattice.
+  it into every stored node at once.
 
 - ``refine``: beam search per variable, driven by three thresholds
   relative to the best score found (1 > c_alive >= d_open >= e_dead > 0):
@@ -39,8 +39,8 @@ Two kinds of update:
   e_dead whose sample mass clears ``dead_kappa * m_x * |v(parents)|``
   are killed for good.
 
-Each pass over a lattice re-aims it (syncs every stored node, takes the
-best score over them under the active model, rethresholds) and then
+Each pass over a lattice re-aims it (``_re_aim``: takes the best score
+over every stored node under the active model, rethresholds) and then
 expands its best open node, by score with ties broken by ascending
 parent-set key.  The search is resumable:
 stopping after any expansion budget and calling ``refine`` again
@@ -208,45 +208,36 @@ def observe(net: CombinedNetwork, example: Example) -> None:
 
 
 def observe_batch(net: CombinedNetwork, examples) -> None:
-    """Absorb a batch of examples into the log and every alive node.
+    """Absorb a batch of examples into the log and every stored node.
 
     ``examples`` is an iterable of examples or an integer (n, V) array.
     Atomic per batch: the whole batch is validated (``encode_rows``) before
     any state changes, so one invalid example rejects it.  The batch is
-    then counted into every alive node at once (``_count_rows``): the alive
-    nodes hold the whole log before it (rule 4 of ``check_lattice``), so
-    they form one group of ``_sync``.
+    then counted into every stored node at once (``_count_rows``): each
+    holds the whole log before it (rule 3 of ``check_lattice``).
     """
     rows = net.schema.encode_rows(examples)
     if not len(rows):
         return
+    start = net.n_total
     net.example_log = np.concatenate((net.example_log, rows))
-    alive = NodeStatus.ALIVE
-    _sync(net, [(lat, n) for lat in net.lattices for n in lat.nodes.values() if n.status is alive])
+    _count_rows(net, [(lat, n) for lat in net.lattices for n in lat.nodes.values()], start)
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Count the logged examples a node stored in ``lattice`` has not absorbed yet."""
+    """Count the logged examples past ``node.counts.total`` into a node
+    stored in ``lattice``: the whole log, for one ``insert_node`` has just
+    stored, and nothing for any other."""
     if lattice.nodes.get(node.key) is not node:
         raise LatticeStateError("node is not stored in this lattice")
-    _count_rows(net, [(lattice, node)], net.n_total)
-
-
-def _sync(net: CombinedNetwork, pairs: list[tuple[ParentLattice, LatticeNode]]) -> None:
-    """Sync every (lattice, node) pair with the whole log: one ``_count_rows``
-    per group of them that have absorbed the same prefix."""
-    groups: dict[int, list[tuple[ParentLattice, LatticeNode]]] = {}
-    for pair in pairs:
-        groups.setdefault(pair[1].synced_through, []).append(pair)
-    for group in groups.values():
-        _count_rows(net, group, net.n_total)
+    _count_rows(net, [(lattice, node)], node.counts.total)
 
 
 def _count_rows(
-    net: CombinedNetwork, pairs: list[tuple[ParentLattice, LatticeNode]], stop: int
+    net: CombinedNetwork, pairs: list[tuple[ParentLattice, LatticeNode]], start: int
 ) -> None:
-    """Count log rows ``synced_through:stop`` into the node of every
-    (lattice, node) pair at once; every node has absorbed the same prefix.
+    """Count log rows ``start:`` into the node of every (lattice, node) pair
+    at once; every node holds the counts of the rows before ``start``.
 
     One matrix product of the rows with each node's place values (its
     parents' and its variable's, as ``config_codes`` and ``CountTable``
@@ -255,9 +246,9 @@ def _count_rows(
     nodes, so its transient arrays stay within ``_BLOCK_CELLS`` cells
     however long the log and however many nodes: a dense table lays out at
     most ``max(4 * rows, 1024)`` cells (``count_cells``).  ``observe_batch``,
-    ``sync_node``, ``_catch_up`` and session loading all count here.
+    ``sync_node`` and session loading all count here.
     """
-    start = pairs[0][1].synced_through
+    stop = net.n_total
     if stop > start:
         places = []
         for lattice, node in pairs:
@@ -276,27 +267,25 @@ def _count_rows(
             weights = places[first : first + sets].T
             for at in range(start, stop, rows):
                 count_cells(tables, net.example_log[at : min(at + rows, stop)] @ weights)
-    for _, node in pairs:
-        node.synced_through = stop
 
 
-def dead_condition(node: LatticeNode, dead_kappa: float) -> bool:
-    """Whether the node has seen enough data for a kill decision to be stable.
+def dead_condition(net: CombinedNetwork, node: LatticeNode, dead_kappa: float) -> bool:
+    """Whether a stored node has seen enough data for a kill decision to be stable.
 
     True once the absorbed sample mass reaches dead_kappa * m_x * |v(parents)|,
-    read from the shape of the node's counts.  The mass is ``synced_through``,
+    read from the shape of the node's counts.  The mass is the log's length,
     which equals ``counts.total`` (see ``lattice``) without summing the cells.
     """
     counts = node.counts
-    return node.synced_through >= dead_kappa * counts.m_x * math.prod(counts.arities)
+    return net.n_total >= dead_kappa * counts.m_x * math.prod(counts.arities)
 
 
 def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> float:
     """The score everything ranks by: log prior plus the active model's
     marginal of the node's counts, cached in ``node.scores`` until they change."""
-    kind = net.scoring_model
+    kind, n = net.scoring_model, net.n_total
     cached = node.scores.get(kind)
-    if cached is not None and cached[0] == node.synced_through:
+    if cached is not None and cached[0] == n:
         return node.log_prior + cached[1]
     if kind == "table":
         log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
@@ -304,14 +293,14 @@ def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode)
         from . import localmodels  # deferred: localmodels imports engine helpers
 
         log_ml = localmodels.score_node_with_model(net, lattice.x, node, kind)
-    node.scores[kind] = (node.synced_through, log_ml)
+    node.scores[kind] = (n, log_ml)
     return node.log_prior + log_ml
 
 
 def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     """The best score of the lattice's alive nodes from the cached scores,
     computing nothing: a score may lag the log, and a node never scored
-    under the model is -inf.  Right after ``_catch_up`` every stored node
+    under the model is -inf.  Right after ``_re_aim`` every stored node
     is scored on the whole log, and the best one is alive (its score clears
     ``log c_alive + best``), so it is then the exact best."""
     kind = net.scoring_model
@@ -321,41 +310,28 @@ def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     )
 
 
-def _rethreshold_lattice(
-    net: CombinedNetwork,
-    lattice: ParentLattice,
-    best: float,
-    params: SearchParams,
-) -> None:
-    """Recompute every stored node's status and expansion state against ``best``,
-    or kill it.
+def _re_aim(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
+    """Recompute every stored node's status and expansion state against the
+    best score over them under the active model, or kill it.
 
     A node is alive exactly when it clears ``c_alive``, and a node not yet
     expanded is open exactly when it clears ``d_open`` (both boundaries
     inclusive), so every open node is one the search will expand; an
-    expanded node stays expanded.  Aiming twice at the same best changes
-    nothing.
+    expanded node stays expanded.  Re-aiming twice changes nothing.  The
+    lattice's ``aim`` remembers the stamp of what the re-aim read and left
+    (``_aim_stamp``), taken after the kills.
     """
+    nodes = list(lattice.nodes.values())
+    scores = [_node_score(net, lattice, node) for node in nodes]
+    best = max(scores)
     log_c, log_d, log_e = (math.log(t) for t in (params.c_alive, params.d_open, params.e_dead))
-    for node in list(lattice.nodes.values()):
-        score = _node_score(net, lattice, node)
-        if score < log_e + best and dead_condition(node, params.dead_kappa):
+    for node, score in zip(nodes, scores):
+        if score < log_e + best and dead_condition(net, node, params.dead_kappa):
             kill(lattice, node.key)
             continue
         node.status = NodeStatus.ALIVE if score >= log_c + best else NodeStatus.ASLEEP
         if node.expansion is not ExpansionFlag.EXPANDED:  # an expanded node never reopens
             node.expansion = ExpansionFlag.OPEN if score >= log_d + best else ExpansionFlag.CLOSED
-
-
-def _catch_up(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:
-    """Sync every stored node with the log and re-aim every status at the best
-    score over them under the active model, so all the scores compared have
-    absorbed the same examples.  The lattice's ``aim`` remembers the stamp
-    of what the re-aim read and left (``_aim_stamp``), taken after the
-    rethreshold, which can kill nodes."""
-    _sync(net, [(lattice, n) for n in lattice.nodes.values() if n.synced_through != net.n_total])
-    best = max(_node_score(net, lattice, n) for n in lattice.nodes.values())
-    _rethreshold_lattice(net, lattice, best, params)
     lattice.aim = _aim_stamp(net, lattice, params)
 
 
@@ -378,10 +354,10 @@ def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParam
 
 
 def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
-    """Catch every lattice up with the log and re-aim its statuses at its best
-    score, whether or not its stamp matches."""
+    """Re-aim every lattice's statuses at its best score, whether or not its
+    stamp matches."""
     for lattice in net.lattices:
-        _catch_up(net, lattice, params)
+        _re_aim(net, lattice, params)
 
 
 def _refine_lattice(
@@ -396,7 +372,7 @@ def _refine_lattice(
     is_open = ExpansionFlag.OPEN
     while True:
         if lattice.aim != _aim_stamp(net, lattice, params):
-            _catch_up(net, lattice, params)
+            _re_aim(net, lattice, params)
         open_nodes = [n for n in lattice.nodes.values() if n.expansion is is_open]
         if not open_nodes:
             return budget_left
@@ -412,15 +388,15 @@ def _refine_lattice(
 
 
 def _expand(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> int:
-    """Store every child of a node synced with the whole log that is neither
-    stored nor dead, counted on the whole log in one pass (``_count_children``);
+    """Store every child of a node that is neither stored nor dead, counted
+    on the whole log in one pass (``_count_children``);
     returns how many.  The children enter unscored, and the next re-aim
     scores them through ``_node_score`` like every other stored node.
     """
     keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
     if keys:
         tables = _count_children(net, lattice, node, keys)
-        insert_children(lattice, node, keys, tables, net.n_total)
+        insert_children(lattice, node, keys, tables)
     return len(keys)
 
 
@@ -477,10 +453,10 @@ def _bit_index(net: CombinedNetwork) -> _BitIndex:
 def _count_children(
     net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, keys: list[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The count rows of each child ``keys[j]`` of a node synced with the
-    whole log, on the whole log, at once: one (codes, cells) pair of int64
-    arrays per child, in ``keys`` order, laid out as ``CountTable.add`` lays
-    them out (ascending codes, non-empty rows only).
+    """The count rows of each child ``keys[j]`` of a stored node, on the
+    whole log, at once: one (codes, cells) pair of int64 arrays per child,
+    in ``keys`` order, laid out as ``count_cells`` lays them out (ascending
+    codes, non-empty rows only).
 
     The counts come from the network's bit index of the log (``_bit_index``).
     ANDing the bitsets of a configuration's parent values with those of x's
@@ -555,7 +531,7 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
     """
     report = SearchReport()
     if params.budget == 0:
-        report.exhausted = False  # a zero budget searches nothing, not even syncing
+        report.exhausted = False  # a zero budget searches nothing, not even scoring
     else:
         budget_left: int | None = params.budget
         for lattice in net.lattices:
@@ -564,15 +540,15 @@ def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
             report.nodes_killed += len(lattice.dead) - dead_before
             if budget_left == 0 and not report.exhausted:
                 break
-    for lattice in net.lattices:  # a searched lattice's cache is fresh (_catch_up)
+    for lattice in net.lattices:  # a searched lattice's cache is fresh (_re_aim)
         report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)
     return report
 
 
 def best_network(net: CombinedNetwork) -> ConcreteNetwork:
     """Point estimate: each variable's top-scoring alive parent set with its
-    posterior-mean CPT, from counts that hold the whole log (an alive set's,
-    by rule 4 of ``check_lattice``).  Ties break toward the smaller key."""
+    posterior-mean CPT, from counts that hold the whole log (rule 3 of
+    ``check_lattice``).  Ties break toward the smaller key."""
     parents: list[tuple[int, ...]] = []
     tables = []
     for lattice in net.lattices:

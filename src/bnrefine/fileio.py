@@ -15,12 +15,11 @@ and value labels as cells; parsing is strict, rejecting the whole file on
 the first unknown label or missing cell, with row/column diagnostics.
 
 A session snapshot holds the example log and, per stored parent set, its
-key, its status and expansion state and the number of log rows it has
-absorbed.  It stores nothing it can derive: no prior, concentration or
-parents (they follow from the key and the spec), and no counts, scores or
-fits (loading recounts each set from the log), so none of them can
-disagree with the spec or the log.  The status is kept: deriving it would
-score every stored set, and a set left asleep lags the log.
+key, its status and its expansion state.  It stores nothing it can
+derive: no prior, concentration or parents (they follow from the key and
+the spec), and no counts, scores or fits (loading counts each set on the
+whole log), so none of them can disagree with the spec or the log.  The
+status is kept: deriving it would score every stored set.
 """
 
 from __future__ import annotations
@@ -58,10 +57,11 @@ SESSION_FORMAT = "bnrefine-session"
 NETWORK_FORMAT = "bnrefine-network"
 SMOOTHED_FORMAT = "bnrefine-smoothed"
 FORMAT_VERSION = 1  # spec, network and smoothed documents
-# 7 keeps a node's key, status, expansion and synced_through; 6 also its fits;
-# 5 also each lattice's last_refine_n; 4 also a node's log_prior and open/expanded
-# flags; 3 also model scores; 2 also counts and log_ml; 1 also dead nodes
-SESSION_VERSION = 7
+# 8 keeps a node's key, status and expansion; 7 also the log rows it had
+# absorbed; 6 also its fits; 5 also each lattice's last_refine_n; 4 also a
+# node's log_prior and open/expanded flags; 3 also model scores; 2 also counts
+# and log_ml; 1 also dead nodes
+SESSION_VERSION = 8
 
 
 class SpecFormatError(ValueError):
@@ -277,7 +277,6 @@ def _node_to_doc(node: LatticeNode) -> dict:
         "key": node.key,
         "status": node.status.value,
         "expansion": node.expansion.value,
-        "synced_through": node.synced_through,
     }
 
 
@@ -302,14 +301,17 @@ def session_to_document(net: CombinedNetwork) -> dict:
 
 
 def session_from_document(doc: dict) -> CombinedNetwork:
-    """Rebuild a session; every stored node is recounted from the example log.
+    """Rebuild a session; every stored node is counted on the whole example log.
 
-    Versions 1 to 6 also stored each node's restricted-model fits, 1 to 5
-    each lattice's ``last_refine_n``, 1 to 4 each node's log prior, 1 to 3
-    its restricted-model scores, and 1 and 2 its counts and table score;
-    they are ignored, so a session's priors agree with its spec and its
+    Versions 1 to 7 also stored the number of log rows each node had
+    absorbed, 1 to 6 each node's restricted-model fits, 1 to 5 each
+    lattice's ``last_refine_n``, 1 to 4 each node's log prior, 1 to 3 its
+    restricted-model scores, and 1 and 2 its counts and table score; they
+    are ignored, so a session's priors agree with its spec and its
     statistics and scores with its log, and ``refine`` re-aims every
-    lattice it visits whatever the file says.
+    lattice it visits whatever the file says.  A set an older file left
+    behind the log is asleep, so counting it on the whole log changes no
+    answer.
     """
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
@@ -362,12 +364,9 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     if len(set(keys)) < len(keys) or len(set(dead)) < len(dead):
         raise SessionFormatError(f"{where}: a node key is repeated")
     lattice.nodes = {}  # the stored nodes replace the fresh root
-    recount: dict[int, list] = {}  # synced_through -> the (lattice, node) pairs to count to it
     for d in stored:
-        node, synced = _node_from_doc(d, version, lattice, net)
-        recount.setdefault(synced, []).append((lattice, node))
-    for synced, pairs in recount.items():
-        _count_rows(net, pairs, synced)
+        _node_from_doc(d, version, lattice, net)
+    _count_rows(net, [(lattice, node) for node in lattice.nodes.values()], 0)
     lattice.dead = set(dead)
     try:
         check_lattice(lattice, net.n_total)
@@ -376,18 +375,9 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     return lattice
 
 
-def _node_from_doc(
-    doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork
-) -> tuple[LatticeNode, int]:
-    """Store a node with no rows counted yet; returns it and its ``synced_through``,
-    the rows of ``example_log`` its counts are recounted from."""
+def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork) -> None:
+    """Store the document's node, with no rows counted yet."""
     where = f"lattice {net.schema.name(lattice.x)!r}"
-    synced = doc["synced_through"]
-    if type(synced) is not int or not 0 <= synced <= net.n_total:
-        raise SessionFormatError(
-            f"{where}: synced_through {synced!r} is not a row count of the "
-            f"{net.n_total}-row example log"
-        )
     try:
         status = NodeStatus(doc["status"])
         expansion = ExpansionFlag(doc["expansion"] if version > 4 else _expansion_from_flags(doc))
@@ -395,7 +385,6 @@ def _node_from_doc(
         raise SessionFormatError(f"{where}: {err}") from None
     node = insert_node(lattice, doc["key"])
     node.status, node.expansion = status, expansion
-    return node, synced
 
 
 def _expansion_from_flags(doc: dict) -> str:

@@ -5,10 +5,9 @@ bitset over the variable's *uncertain* predecessors (mandatory parents are
 implicit in every node and excluded from the key, so every stored node has
 a finite structure prior).  A node also carries its sufficient statistics
 (a ``CountTable`` over its parents' configuration codes), its log marginal
-likelihood per scoring model (a function of the counts, cached), the
-number of logged examples its counts have absorbed, a lifecycle status
-and an expansion state.  Subsets and supersets are found from the keys
-themselves; no links between nodes are stored.
+likelihood per scoring model (a function of the counts, cached), a
+lifecycle status and an expansion state.  Subsets and supersets are found
+from the keys themselves; no links between nodes are stored.
 
 A parent set is its key.  The lattice keeps what of the spec a key needs,
 never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
@@ -41,13 +40,13 @@ Independently of status, a stored node's expansion state is one of:
 - closed:   below ``d_open`` at the last re-aim; reopens if its score rises;
 - expanded: its children have been generated; it never reopens.
 
-Between operations a lattice keeps five rules, stated by ``check_lattice`` alone:
+Between operations a lattice keeps four rules, stated by ``check_lattice`` alone:
 
 1. a set is stored, and a stored set is alive;
 2. every stored and dead key names a parent set, and none is both;
-3. ``counts.total == synced_through <= n_total``: counts of ``example_log[:synced_through]``;
-4. every alive set has absorbed the whole log (``observe_batch`` syncs it);
-5. the root (key 0) and every child of an expanded set are stored or dead.
+3. every stored set counts exactly ``n_total`` rows: those of the whole log
+   (``observe_batch`` counts each batch into every stored set);
+4. the root (key 0) and every child of an expanded set are stored or dead.
 """
 
 from __future__ import annotations
@@ -84,8 +83,7 @@ class LatticeNode:
     log_prior: float
     status: NodeStatus = NodeStatus.ASLEEP
     expansion: ExpansionFlag = ExpansionFlag.CLOSED
-    synced_through: int = 0       # examples absorbed into counts
-    # a cache: model -> (synced_through when scored, log marginal likelihood of those counts)
+    # a cache: model -> (the log's length when scored, log marginal likelihood of the counts)
     scores: dict[str, tuple[int, float]] = field(default_factory=dict, compare=False)
 
 
@@ -150,8 +148,9 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     idempotent on duplicates.
 
     Its parents, log prior, concentration and empty counts follow from the
-    key and what the lattice keeps (see above); ``sync_node`` fills the
-    counts from the log.  A dead key is refused: dead is absorbing.
+    key and what the lattice keeps (see above).  The caller fills the
+    counts from the whole log (``sync_node``) before the next operation,
+    as rule 3 asks.  A dead key is refused: dead is absorbing.
     """
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
@@ -186,11 +185,10 @@ def insert_children(
     node: LatticeNode,
     keys: list[int],
     tables: list[tuple],
-    synced_through: int,
 ) -> None:
     """Store the one-parent extensions ``keys`` of a stored node, none of
     them stored or dead, asleep and closed, child ``keys[j]`` holding the
-    count rows ``tables[j]`` (codes, cells) of ``example_log[:synced_through]``.
+    count rows ``tables[j]`` (codes, cells) of the whole log.
 
     Each child is built from ``node`` as ``insert_node`` builds it from its
     key, bit for bit: its parents by one insertion, its concentration by one
@@ -221,7 +219,6 @@ def insert_children(
             alpha_x=lattice.alpha / (product * arities[y]),
             counts=CountTable.from_rows(shape[:at] + (arities[y],) + shape[at:], codes, cells),
             log_prior=log_prior,
-            synced_through=synced_through,
         )
 
 
@@ -258,11 +255,9 @@ def check_lattice(lattice: ParentLattice, n_total: int) -> None:
     if nodes.keys() & dead:
         raise LatticeStateError(f"keys {sorted(nodes.keys() & dead)} are stored and dead")
     for key, node in nodes.items():
-        total, synced = node.counts.total, node.synced_through
-        if not total == synced <= n_total:
-            raise LatticeStateError(f"node {key} counts {total} of {synced} rows, {n_total} logged")
-        if node.status is NodeStatus.ALIVE and synced != n_total:
-            raise LatticeStateError(f"alive node {key} has absorbed {synced} of {n_total} rows")
+        total = node.counts.total
+        if total != n_total:
+            raise LatticeStateError(f"node {key} counts {total} rows, {n_total} logged")
         if node.expansion is ExpansionFlag.EXPANDED:
             lost = [k for k in children_of(lattice, node) if k not in nodes and k not in dead]
             if lost:

@@ -413,10 +413,10 @@ def laplace_log_marginal(kind: str, counts: CountTable) -> float:
 def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
     """The node's counts, for a boolean family.
 
-    The counts are read as they stand, and nothing is synced: the search
-    scores a set only after ``engine._catch_up`` has synced it with the
-    whole log.  The second value label of a variable is its "true" state,
-    so each count row is ``[n_false, n_true]``.
+    The counts are read as they stand: every stored set holds the counts
+    of the whole log (rule 3 of ``lattice.check_lattice``).  The second
+    value label of a variable is its "true" state, so each count row is
+    ``[n_false, n_true]``.
     """
     schema = net.schema
     bad = [v for v in (x, *node.parents) if schema.arity(v) != 2]

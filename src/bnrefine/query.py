@@ -10,11 +10,12 @@ are mandatory and which are candidates, and one pass over its alive nodes'
 keys collects the weights of every candidate at once.
 
 Each lattice remembers its last arc posteriors (``ParentLattice.arc_memo``,
-in memory only) stamped with what they depend on: the active scoring model
-and the key and ``synced_through`` of every alive node.  A node's score is
-a function of exactly these, since the example log only grows and a log
-prior is fixed when its node is built, so a query of a lattice whose stamp
-still matches reads the memo and scores nothing.
+in memory only) stamped with what they depend on: the active scoring
+model, the log's length and the key of every alive node.  A node's score
+is a function of exactly these, since every stored node counts the whole
+log, the log only grows and a log prior is fixed when its node is built,
+so a query of a lattice whose stamp still matches reads the memo and
+scores nothing.
 
 Queries change nothing but the score cache of the nodes they read
 (``engine._node_score``) and the arc posterior memo of the lattices they
@@ -104,7 +105,7 @@ def _lattice_arc_posteriors(
     The result is remembered against the lattice's stamp (see above) and
     returned as it is while the stamp matches: callers must only read it.
     """
-    stamp = (net.scoring_model, [(n.key, n.synced_through) for n in lattice.alive_nodes()])
+    stamp = (net.scoring_model, net.n_total, [n.key for n in lattice.alive_nodes()])
     memo = lattice.arc_memo
     if memo is not None and memo[0] == stamp:
         return memo[1]

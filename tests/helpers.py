@@ -19,7 +19,7 @@ from bnrefine import (
     VariableSpec,
     init,
 )
-from bnrefine.domain import CountTable
+from bnrefine.domain import CountTable, count_cells
 from bnrefine.lattice import LatticeStateError, check_lattice
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel
 from bnrefine.oracle import ExactPosterior, OracleSizeError, exhaustive_posterior
@@ -110,7 +110,6 @@ def node_state(net: CombinedNetwork) -> dict:
             state[(lattice.x, key)] = (
                 node.status,
                 node.expansion,
-                node.synced_through,
                 node.log_prior,
                 table_rows(node.counts),
             )
@@ -145,10 +144,8 @@ def reference_counts(rows, x: int, parents: tuple[int, ...], m_x: int) -> dict:
 
 
 def node_reference_counts(net: CombinedNetwork, x: int, node) -> dict:
-    """``reference_counts`` of the log rows the node has absorbed."""
-    return reference_counts(
-        net.example_log[: node.synced_through], x, node.parents, net.schema.arity(x)
-    )
+    """``reference_counts`` of the node's parent set over the whole log."""
+    return reference_counts(net.example_log, x, node.parents, net.schema.arity(x))
 
 
 def reference_arc_posteriors(net: CombinedNetwork) -> dict:
@@ -354,8 +351,15 @@ def boolean_counts(x_values, parent_rows) -> CountTable:
         raise ValueError(f"{x.shape[0]} child values but {rows.shape[0]} parent rows")
     n_parents = rows.shape[1]
     counts = CountTable(2, (2,) * n_parents)
-    counts.add(rows.astype(np.int64) @ (1 << np.arange(n_parents - 1, -1, -1)), x.astype(np.int64))
+    add_counts(counts, rows.astype(np.int64) @ (1 << np.arange(n_parents - 1, -1, -1)), x)
     return counts
+
+
+def add_counts(table: CountTable, codes, values) -> None:
+    """Count one example per (configuration code, value) pair into ``table``,
+    as one block: ``count_cells`` of this table alone."""
+    cells = np.asarray(codes, dtype=np.int64) * table.m_x + np.asarray(values, dtype=np.int64)
+    count_cells([table], cells[:, None])
 
 
 # the improper flat prior, under which ``_kernel``'s log posterior is the log

@@ -61,9 +61,9 @@ PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
 
 
 def recount(net, lattice, node) -> CountTable:
-    """The node's table recounted from ``example_log[:synced_through]`` alone:
-    cell codes by ``config_codes``, rows by ``np.unique``."""
-    rows = net.example_log[: node.synced_through]
+    """The node's table recounted from the whole log alone: cell codes by
+    ``config_codes``, rows by ``np.unique``."""
+    rows = net.example_log
     m_x = lattice.arities[lattice.x]
     cells = config_codes(rows, node.parents, net.schema) * m_x + rows[:, lattice.x]
     found, counts = np.unique(cells, return_counts=True)
@@ -152,6 +152,8 @@ class TestObserve:
                     assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_node_syncs_to_batch_value(self):
+        # the batch is counted into the asleep node as it is observed: a
+        # sync_node after it has nothing left to count
         net, _ = sampled_net(five_var_truth(), 50, seed=9)
         refine(net, SearchParams())
         lattice = net.lattices[3]
@@ -159,11 +161,27 @@ class TestObserve:
         assert asleep, "scenario needs at least one asleep node"
         observe_batch(net, forward_sample(five_var_truth(), 100, seed=10))
         node = asleep[0]
-        assert node.synced_through < net.n_total
-        sync_node(net, lattice, node)
         counts, log_ml = recompute_node(net, lattice, node)
         assert counts == table_rows(node.counts)
         assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+        before = node_state(net)
+        sync_node(net, lattice, node)
+        assert node_state(net) == before
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_every_stored_set_counts_the_whole_log_after_a_batch(self, model):
+        # asleep sets too: every stored set is counted as a batch is observed
+        net, _ = sampled_net(five_var_truth(), 50, seed=9)
+        net.scoring_model = model
+        refine(net, SearchParams())
+        statuses = {n.status for lattice in net.lattices for n in lattice.nodes.values()}
+        assert statuses == {NodeStatus.ALIVE, NodeStatus.ASLEEP}
+        for seed in (10, 11):
+            observe_batch(net, forward_sample(five_var_truth(), 40, seed=seed))
+            for lattice in net.lattices:
+                for node in lattice.nodes.values():
+                    assert node.counts == recount(net, lattice, node), (lattice.x, node.key)
+                    assert node.counts.total == net.n_total
 
 
 class TestObserveBatch:
@@ -228,7 +246,7 @@ class TestSync:
         lattice = net.lattices[4]
         node = max(lattice.nodes.values(), key=lambda n: n.key)
         counts, log_ml = recompute_node(net, lattice, node)
-        assert node.synced_through == len(data)
+        assert node.counts.total == len(data)
         assert counts == table_rows(node.counts)
         assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
 
@@ -238,13 +256,13 @@ class TestSync:
         lattice = net.lattices[2]
         twin_key = 0b01
         node = lattice.nodes[twin_key]
-        node.status = NodeStatus.ASLEEP  # force it to lag behind
+        node.status = NodeStatus.ASLEEP  # asleep sets are counted like alive ones
         observe_batch(net, forward_sample(five_var_truth(), 100, seed=7))
         sync_node(net, lattice, node)
-        always_alive = net.lattices[2].nodes[0]  # stayed in the update path
+        always_alive = net.lattices[2].nodes[0]
         counts, log_ml = recompute_node(net, lattice, node)
         assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
-        assert node.synced_through == always_alive.synced_through == net.n_total
+        assert node.counts.total == always_alive.counts.total == net.n_total
 
     def test_multivalued_counts_match_a_recount(self):
         schema = DomainSchema(
@@ -265,23 +283,24 @@ class TestSync:
         for lattice in net.lattices:
             for node in lattice.nodes.values():
                 counts, log_ml = recompute_node(net, lattice, node)
-                assert node.synced_through == net.n_total
+                assert node.counts.total == net.n_total
                 assert counts == table_rows(node.counts)
                 assert table_log_ml(node) == log_ml
 
 
     def test_a_node_of_another_lattice_is_refused(self):
-        # a lagging set of lattice c must not absorb lattice a's values
+        # a set of lattice c just stored, with nothing counted yet, must not
+        # absorb lattice a's values
         net = fresh_net("abc")
         observe_batch(net, [(0, 1, 0)] * 30 + [(1, 0, 0)] * 30)
         node = insert_node(net.lattices[2], 0b01)
-        sync_node(net, net.lattices[2], node)
-        observe_batch(net, [(1, 0, 1)] * 10)
-        before = table_rows(node.counts)
         for lattice in (net.lattices[0], net.lattices[1]):
             with pytest.raises(LatticeStateError, match="not stored in this lattice"):
                 sync_node(net, lattice, node)
-        assert table_rows(node.counts) == before and node.synced_through == 60
+        assert node.counts.total == 0
+        sync_node(net, net.lattices[2], node)
+        observe_batch(net, [(1, 0, 1)] * 10)
+        assert table_rows(node.counts) == {(0,): [30, 0], (1,): [30, 10]}
         kill(net.lattices[2], node.key)
         with pytest.raises(LatticeStateError, match="not stored in this lattice"):
             sync_node(net, net.lattices[2], node)
@@ -297,12 +316,13 @@ class TestSync:
         st.data(),
     )
     def test_many_sets_counted_at_once_equal_a_recount(self, arities, wide_at, block, data):
-        # every way rows are counted into stored sets (observe_batch into the
-        # alive ones, _catch_up per group sharing synced_through, sync_node,
-        # session loading) counts many sets at once, dense and sorting tables
-        # in one call: each set must hold its own rows of the log, counted
-        # as config_codes and np.unique count them.  A 300-valued variable
-        # makes the log uint16, and sets with it as a parent sort.
+        # every way rows are counted into stored sets (observe_batch into
+        # every stored set, sync_node into a set just stored, session
+        # loading per lattice) counts through one path, dense and sorting
+        # tables in one call: each set must hold its own rows of the whole
+        # log, counted as config_codes and np.unique count them, through
+        # re-aims too.  A 300-valued variable makes the log uint16, and sets
+        # with it as a parent sort.
         arities = arities[:wide_at] + [300] + arities[wide_at:]
         schema = DomainSchema(
             tuple(VariableSpec(f"v{i}", tuple(map(str, range(a)))) for i, a in enumerate(arities))
@@ -320,20 +340,20 @@ class TestSync:
 
         with mock.patch.object(engine, "_BLOCK_CELLS", block):
             for step in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=8), label="steps"):
-                if step <= 1:  # a batch into the alive sets
+                if step <= 1:  # a batch into every stored set
                     n = data.draw(st.sampled_from([0, 1, 63, 64, 65]), label="rows")
                     observe_batch(net, np.column_stack([rng.integers(0, a, n) for a in arities]))
-                elif step == 2:  # new sets, stale until synced
+                elif step == 2:  # a new set, counted on the whole log
                     lattice = net.lattices[data.draw(st.integers(0, len(arities) - 1), label="x")]
                     key = data.draw(st.integers(0, 2 ** len(lattice.candidates) - 1), label="key")
-                    insert_node(lattice, key)
-                elif step == 3:  # one set synced alone
+                    sync_node(net, lattice, insert_node(lattice, key))
+                elif step == 3:  # a set synced again: nothing left to count
                     stored = [(lat, n) for lat in net.lattices for n in lat.nodes.values()]
                     lattice, node = data.draw(st.sampled_from(stored), label="synced set")
                     sync_node(net, lattice, node)
-                else:  # a lattice caught up: its stale sets grouped by synced_through
+                else:  # a lattice re-aimed: its sets scored, nothing counted
                     lattice = net.lattices[data.draw(st.integers(0, len(arities) - 1), label="x")]
-                    engine._catch_up(net, lattice, params)
+                    engine._re_aim(net, lattice, params)
                 check(net)
             loaded = session_from_document(session_to_document(net))
         check(loaded)
@@ -343,7 +363,7 @@ class TestSync:
 class TestDeadCondition:
     def test_zero_observations(self):
         net = fresh_net("ab")
-        assert not dead_condition(net.lattices[1].nodes[0], 5.0)
+        assert not dead_condition(net, net.lattices[1].nodes[0], 5.0)
 
     def test_threshold_is_kappa_times_table_size(self):
         net = fresh_net("ab")
@@ -351,9 +371,9 @@ class TestDeadCondition:
         refine(net, PERMISSIVE)
         node = net.lattices[1].nodes[0b1]  # binary child, one binary parent
         assert node.counts.total == 19
-        assert not dead_condition(node, 5.0)
+        assert not dead_condition(net, node, 5.0)
         observe(net, (1, 0))
-        assert dead_condition(node, 5.0)
+        assert dead_condition(net, node, 5.0)
 
     @pytest.mark.parametrize("kappa", [0.7, 1.3, 1 / 3, 2.9])
     def test_threshold_on_a_mixed_arity_set_is_the_schema_formula(self, kappa):
@@ -363,15 +383,14 @@ class TestDeadCondition:
         assert node.parents == (0, 2)
         threshold = dead_threshold_reference(node, schema, 3, kappa)
         for total in range(math.ceil(threshold) + 2):  # one row at a time, across it
-            assert node.counts.total == node.synced_through == total
-            assert dead_condition(node, kappa) == (total >= threshold)
+            assert node.counts.total == net.n_total == total
+            assert dead_condition(net, node, kappa) == (total >= threshold)
             observe(net, (0, 0, 0, 0))
-            sync_node(net, net.lattices[3], node)
-        assert dead_condition(node, kappa)
+        assert dead_condition(net, node, kappa)
 
     def test_kappa_zero_always_true(self):
         net = fresh_net("ab")
-        assert dead_condition(net.lattices[1].nodes[0], 0.0)
+        assert dead_condition(net, net.lattices[1].nodes[0], 0.0)
 
 
 class TestRefine:
@@ -567,7 +586,7 @@ class TestExpansion:
         with mock.patch.object(engine, "_BLOCK_CELLS", block):
             assert engine._expand(net, lattice, node) == len(fresh)
         assert lattice.nodes.keys() == before | set(fresh)
-        assert all(lattice.nodes[s.key] is s and s.synced_through == 0 for s in stored)
+        assert all(lattice.nodes[s.key] is s and s.counts.total == 0 for s in stored)
         assert lattice.dead == set(dead)
         for key in fresh:
             child = lattice.nodes[key]
@@ -579,7 +598,7 @@ class TestExpansion:
             assert child.counts == want.counts
             assert child.counts.codes.dtype == child.counts.cells.dtype == np.int64
             assert child.counts.cells.shape[1] == m_x
-            assert child.synced_through == n_rows == child.counts.total
+            assert child.counts.total == n_rows
             assert child.status is NodeStatus.ASLEEP
             assert child.expansion is ExpansionFlag.CLOSED
             assert child.scores == {}
@@ -646,7 +665,7 @@ class TestExpansion:
                     sync_node(reference, reference.lattices[x], want)
                     assert child.parents == want.parents
                     assert child.counts == want.counts
-                    assert child.synced_through == net.n_total == child.counts.total
+                    assert child.counts.total == net.n_total
 
     def test_the_bit_index_is_kept_in_memory_only(self):
         # an index changes no session byte and takes no part in ==; a
@@ -706,7 +725,7 @@ class TestAim:
         params = SearchParams()
         refine(net, params)
         calls = []
-        real = engine._catch_up
+        real = engine._re_aim
 
         def counted(net, lattice, params):
             calls.append(lattice.x)
@@ -721,7 +740,7 @@ class TestAim:
             refine(net, params)
             return first == [0, 1, 2, 3, 4] and calls == []
 
-        with mock.patch.object(engine, "_catch_up", counted):
+        with mock.patch.object(engine, "_re_aim", counted):
             assert refine(net, params).expansions == 0
             observe_batch(net, data[:0])
             refine(net, params)
@@ -802,7 +821,7 @@ class TestRethreshold:
         node = lattice.nodes[0b1]
         # pin the node exactly on the alive boundary
         log_ml = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior
-        node.scores["table"] = (node.synced_through, log_ml)
+        node.scores["table"] = (net.n_total, log_ml)
         node.status = NodeStatus.ASLEEP
         rethreshold(net, params)
         assert node.status is NodeStatus.ALIVE
@@ -815,13 +834,14 @@ class TestRethreshold:
         node.status = NodeStatus.ALIVE
         # an alive node just below the alive boundary is demoted at once
         log_ml = math.log(params.c_alive) + scored_best(net, lattice) - node.log_prior - 1e-6
-        node.scores["table"] = (node.synced_through, log_ml)
+        node.scores["table"] = (net.n_total, log_ml)
         rethreshold(net, params)
         assert node.status is NodeStatus.ASLEEP
 
     def test_public_rethreshold_catches_stale_nodes_up(self):
-        # ranking asleep nodes by counts that lag the log used to kill
-        # every node synced at n = 2000 and wake nodes synced at n = 200
+        # ranking asleep nodes by counts that lagged the log used to kill
+        # every node synced at n = 2000 and wake nodes synced at n = 200;
+        # every stored node now counts the whole log the re-aim ranks on
         truth = chain_v_truth()
         priors = ArcPriorMatrix(entries={(0, 1): 1.0, (0, 5): 0.0}, default_prior=0.5)
         net = init(truth.schema, priors, PriorConfig(alpha=1.0))
@@ -833,7 +853,7 @@ class TestRethreshold:
         for lattice in net.lattices:
             alive = lattice.alive_nodes()
             assert alive
-            assert all(node.synced_through == net.n_total for node in alive)
+            assert all(node.counts.total == net.n_total for node in lattice.nodes.values())
 
 
 class TestBestNetwork:
@@ -862,7 +882,7 @@ class TestBestNetwork:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior  # exact score tie, bit for bit
-        node.scores["table"] = (node.synced_through, table_log_ml(lattice.nodes[0]))
+        node.scores["table"] = (net.n_total, table_log_ml(lattice.nodes[0]))
         assert best_network(net).parents[1] == ()
 
 

@@ -305,10 +305,16 @@ VERSION_SESSIONS = {2: V2_SESSION, 4: V4_SESSION, 6: V6_SESSION}
 
 
 def session_doc(version: int) -> dict:
-    """A session document with restricted fits: 2, 4 and 6 as committed, 7 the
-    version-6 golden resaved."""
-    if version == 7:
+    """A session document with restricted fits: 2, 4 and 6 as committed, 8 the
+    version-6 golden resaved, and 7 that document as version 7 wrote it, each
+    node with the number of log rows it had absorbed."""
+    if version in (7, 8):
         doc = json.loads(serialize_session(load_session(V6_SESSION)))
+        if version == 7:
+            doc["version"] = 7
+            for lattice in doc["lattices"]:
+                for node in lattice["nodes"]:
+                    node["synced_through"] = len(doc["example_log"])
     else:
         doc = json.loads(VERSION_SESSIONS[version].read_text(encoding="utf-8"))
     assert doc["version"] == version
@@ -597,9 +603,9 @@ class TestSession:
         assert copy.deepcopy(net) == net and loaded(net) == net
         refine(net, SearchParams())
         observe_batch(net, forward_sample(five_var_truth(), 40, seed=6))
-        assert any(
-            n.synced_through < net.n_total for lattice in net.lattices for n in lattice.nodes.values()
-        )
+        stored = [n for lattice in net.lattices for n in lattice.nodes.values()]
+        assert any(n.status is NodeStatus.ASLEEP for n in stored)
+        assert all(n.counts.total == net.n_total for n in stored)
         assert copy.deepcopy(net) == net and loaded(net) == net
         longer = loaded(net)
         observe_batch(longer, data[:1])
@@ -627,10 +633,10 @@ class TestSession:
         refine(net, SearchParams())
         for lattice in net.lattices:
             for node in lattice.nodes.values():
-                assert node.synced_through == 8
+                assert node.counts.total == 8
         save_session(path, net)
         text = path.read_text(encoding="utf-8")
-        assert json.loads(text)["version"] == 7
+        assert json.loads(text)["version"] == 8
         assert serialize_session(load_session(path)) == text
 
     def test_version_2_session_loads_and_continues(self):
@@ -642,7 +648,7 @@ class TestSession:
         refine(net, SearchParams())
         assert all_arc_posteriors(net).entries == V2_CONTINUED_ARCS
         resaved = json.loads(serialize_session(net))
-        assert resaved["version"] == 7
+        assert resaved["version"] == 8
         for lattice in resaved["lattices"]:
             for node in lattice["nodes"]:
                 assert "counts" not in node and "log_ml" not in node and "fits" not in node
@@ -654,8 +660,21 @@ class TestSession:
         net = load_session(path)
         assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS[path.name]
         text = serialize_session(net)
-        assert json.loads(text)["version"] == 7
+        assert json.loads(text)["version"] == 8
         assert serialize_session(session_from_document(json.loads(text))) == text
+
+    def test_a_node_document_holds_its_key_status_and_expansion_only(self):
+        # no count, score, fit, prior or absorbed-row count: loading counts
+        # every stored set on the whole log, asleep ones too
+        net, _ = sampled_net(five_var_truth(), 120, seed=5)
+        refine(net, SearchParams())
+        observe_batch(net, forward_sample(five_var_truth(), 40, seed=6))
+        doc = json.loads(serialize_session(net))
+        assert doc["version"] == 8
+        nodes = [n for lattice in doc["lattices"] for n in lattice["nodes"]]
+        assert {n["status"] for n in nodes} == {"alive", "asleep"}
+        assert all(n.keys() == {"key", "status", "expansion"} for n in nodes)
+        assert session_from_document(doc) == net
 
     def test_a_loaded_status_is_the_stored_one_until_a_refine(self):
         # a session stores each set's status: loading neither re-aims nor
@@ -720,7 +739,7 @@ class TestSession:
         ):
             session_from_document(doc)
 
-    @pytest.mark.parametrize("version", [2, 4, 6, 7])
+    @pytest.mark.parametrize("version", [2, 4, 6, 7, 8])
     def test_status_dead_is_a_version_1_encoding_only(self, version):
         # at version 4 this node loaded silently as a dead key
         doc = session_doc(version)
@@ -789,15 +808,21 @@ class TestSession:
         assert "bnrefine.engine" in loaded and "bnrefine.fileio" in loaded
         assert "bnrefine.localmodels" not in loaded
 
-    @pytest.mark.parametrize("synced", [-3, 2.7, True, 7])
-    def test_synced_through_outside_the_log_is_a_session_format_error(self, synced):
-        # -3, 2.7 and true used to load, and a refine then counted 9, 10 and 11
-        # rows of the 6-row log
+    @pytest.mark.parametrize("synced", [-3, 2.7, True, 7, 2])
+    def test_a_stored_synced_through_is_ignored(self, synced):
+        # versions 1 to 7 stored the log rows each set had absorbed; -3, 2.7
+        # and true once loaded and had a refine count 9, 10 and 11 rows of the
+        # 6-row log, 7 was refused, and 2 put an alive set behind the log.
+        # Every set is now counted on the whole log whatever the file says.
+        unedited = session_from_document(json.loads(LIST_LOG_SESSION))
         doc = json.loads(LIST_LOG_SESSION)
-        doc["lattices"][2]["nodes"][0]["synced_through"] = synced
-        message = f"lattice 'c': synced_through {synced!r} is not a row count of the 6-row"
-        with pytest.raises(SessionFormatError, match=message):
-            session_from_document(doc)
+        node = doc["lattices"][2]["nodes"][0]
+        assert node["status"] == "alive" and node["synced_through"] == 6
+        node["synced_through"] = synced
+        net = session_from_document(doc)
+        assert node_state(net) == node_state(unedited)
+        assert serialize_session(net) == serialize_session(unedited)
+        assert all(n.counts.total == 6 for lattice in net.lattices for n in lattice.nodes.values())
 
     def test_stored_counts_and_log_ml_are_recounted_from_the_log(self):
         # loaded unchecked, this log_ml moved the a->b posterior from 0.696 to
@@ -838,16 +863,14 @@ class TestSession:
             ("stored and dead", r"keys \[1\] are stored and dead"),
             ("no stored node", "no stored node"),
             ("every set asleep", "no alive node"),
-            ("an alive set behind the log", "alive node 0 has absorbed 19 of 20 rows"),
             ("a child of an expanded set dropped", r"expanded node 0 has children \[1\] neither"),
             ("the root dropped", "the root, node key 0, is neither stored nor dead"),
         ],
     )
     def test_malformed_node_keys_are_a_session_format_error(self, tmp_path, fault, message):
         # the first two used to load and move the a->b arc posterior; of the
-        # last four, which loaded too, the first failed its first query, the
-        # second answered other posteriors than the saved session, and no
-        # permissive refine of the last two stored the dropped set again
+        # last three, which loaded too, the first failed its first query, and
+        # no permissive refine of the last two stored the dropped set again
         net = fresh_net("ab")
         observe_batch(net, [(0, 0), (1, 1), (1, 1), (0, 1)] * 5)
         refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
@@ -872,8 +895,6 @@ class TestSession:
         elif fault == "every set asleep":
             for node in lattice["nodes"]:
                 node["status"] = "asleep"
-        elif fault == "an alive set behind the log":
-            lattice["nodes"][0]["synced_through"] = 19
         elif fault == "a child of an expanded set dropped":
             del lattice["nodes"][1]
         else:

@@ -24,6 +24,7 @@ from bnrefine.kernels import (
 from bnrefine.oracle import alpha_for, log_structure_prior
 
 from helpers import (
+    add_counts,
     binary_schema,
     full_joint_enumeration,
     log_beta_multi,
@@ -38,15 +39,15 @@ def table_from_rows(m_x, arities, rows):
     counts = CountTable(m_x, arities)
     for code, row in rows.items():
         values = np.repeat(np.arange(m_x), row)
-        counts.add(np.full(len(values), code), values)
+        add_counts(counts, np.full(len(values), code), values)
     return counts
 
 
 class TestCountTable:
     def test_blocks_merge_into_ascending_codes(self):
         counts = CountTable(3, (2, 3))
-        counts.add(np.array([4, 1, 4]), np.array([0, 2, 0]))
-        counts.add(np.array([0, 4]), np.array([1, 1]))
+        add_counts(counts, np.array([4, 1, 4]), np.array([0, 2, 0]))
+        add_counts(counts, np.array([0, 4]), np.array([1, 1]))
         assert counts.codes.tolist() == [0, 1, 4]
         assert counts.cells.tolist() == [[0, 1, 0], [0, 0, 1], [2, 1, 0]]
         assert counts.total == 5 and counts.m_x == 3
@@ -60,9 +61,9 @@ class TestCountTable:
         whole, split = CountTable(3, (6,)), CountTable(3, (6,))
         codes = np.array([c for c, _ in pairs], dtype=np.int64)
         values = np.array([v for _, v in pairs], dtype=np.int64)
-        whole.add(codes, values)
-        split.add(codes[:cut], values[:cut])
-        split.add(codes[cut:], values[cut:])
+        add_counts(whole, codes, values)
+        add_counts(split, codes[:cut], values[:cut])
+        add_counts(split, codes[cut:], values[cut:])
         reference = {}
         for code, value in pairs:
             reference.setdefault(code, [0, 0, 0])[value] += 1
@@ -96,7 +97,7 @@ class TestCountTable:
             # configurations that earlier blocks saw
             caps = [int(rng.integers(1, a + 1)) for a in arities] + [m_x]
             block = np.stack([rng.integers(0, cap, size) for cap in caps], axis=1)
-            table.add(config_codes(block, parents, schema), block[:, x])
+            add_counts(table, config_codes(block, parents, schema), block[:, x])
             seen = np.concatenate((seen, block))
             assert table_rows(table) == reference_counts(seen, x, parents, m_x)
             assert table.codes.dtype == np.int64 and table.cells.dtype == np.int64

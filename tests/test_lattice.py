@@ -49,7 +49,7 @@ class TestNewLattice:
         assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
         assert node.counts.arities == (2, 2) and node.counts.total == 0
         assert node.status is NodeStatus.ASLEEP and node.expansion is ExpansionFlag.CLOSED
-        assert node.synced_through == 0 and node.scores == {}
+        assert node.scores == {}
 
     def test_all_forbidden_leaves_a_bare_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 0.0, (1, 3): 0.0, (2, 3): 0.0})
@@ -188,7 +188,7 @@ class TestStatus:
         lattice, schema, priors = make_lattice()
         net = CombinedNetwork(schema, priors, PriorConfig(1.0), [lattice])
         node = insert_node(lattice, 0b001)
-        node.scores["table"] = (node.synced_through, 5.0)  # force it above the root
+        node.scores["table"] = (net.n_total, 5.0)  # force it above the root
         node.status = NodeStatus.ALIVE
         root = lattice.nodes[0]
         full_scan = max(node.log_prior + 5.0, root.log_prior + table_log_ml(root))

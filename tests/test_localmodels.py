@@ -739,7 +739,7 @@ class TestScoreNodeWithModel:
         node = net.lattices[3].nodes[0b111]
         with pytest.raises(ValueError, match="not a restricted model"):
             score_node_with_model(net, 3, node, kind)
-        assert node.scores["table"] == (node.synced_through, table_log_ml(node))
+        assert node.scores["table"] == (net.n_total, table_log_ml(node))
         empty = fresh_net("abcx")  # raised before the zero-count shortcut
         with pytest.raises(ValueError, match="not a restricted model"):
             score_node_with_model(empty, 3, empty.lattices[3].nodes[0], kind)
@@ -767,22 +767,20 @@ class TestScoreNodeWithModel:
             assert abs(approx - exact) < 1.0
 
     def test_boolean_node_data_reads_the_log_columns(self):
-        # scoring syncs nothing: a set that lags the log is read at its own
-        # prefix, and every set the search scores has absorbed the whole log
+        # scoring counts nothing: every stored set, an asleep one too, holds
+        # the counts of the whole log, as observe_batch left them
         net = self._noisyor_net(50, seed=43)
         lattice = net.lattices[3]
-        lagging = lattice.nodes[0b011]
-        lagging.status = NodeStatus.ASLEEP  # observe_batch syncs alive sets only
+        lattice.nodes[0b011].status = NodeStatus.ASLEEP  # counted like the alive sets
         observe_batch(net, net.example_log[:10])
-        log = net.example_log
+        rows = net.example_log
         for node in lattice.nodes.values():
             counts = boolean_node_data(net, 3, node)
             score = score_node_with_model(net, 3, node, "noisy-or")
-            rows = log[: node.synced_through]
             assert counts is node.counts
             assert score == laplace_log_marginal("noisy-or", counts)
             assert counts == boolean_counts(rows[:, 3] == 1, rows[:, list(node.parents)] == 1)
-            assert node.synced_through == (50 if node is lagging else net.n_total)
+            assert counts.total == net.n_total == 60
         assert boolean_node_data(net, 3, lattice.nodes[0]).codes.tolist() == [0]
 
     def test_non_boolean_variable_is_rejected(self):

@@ -95,15 +95,15 @@ def _assert_sets_clear_their_thresholds(net, lattice, params):
         assert (node.status is NodeStatus.ALIVE) == (score >= alive_from), (lattice.x, node.key)
 
 
-def _checked_catch_up(net, lattice, params, catch_up=engine._catch_up):
-    catch_up(net, lattice, params)
+def _checked_re_aim(net, lattice, params, re_aim=engine._re_aim):
+    re_aim(net, lattice, params)
     _assert_sets_clear_their_thresholds(net, lattice, params)
 
 
 def _checked(operation, net, params):
     """``operation(net, params)``, checking the open-set and alive rules after
     every re-aim."""
-    with mock.patch.object(engine, "_catch_up", _checked_catch_up):
+    with mock.patch.object(engine, "_re_aim", _checked_re_aim):
         return operation(net, params)
 
 
@@ -130,7 +130,7 @@ class LatticeMachine(RuleBasedStateMachine):
             _checked(refine, self.net, self.params)
         self.twin = copy.deepcopy(self.net)
         self.monitors = (DeadNodeMonitor(), DeadNodeMonitor())
-        self.recounts = {}  # (x, key, rows absorbed) -> (counts, table log ml)
+        self.recounts = {}  # (x, key, rows logged) -> (counts, table log ml)
 
     @rule(size=st.integers(0, MAX_BATCH))
     def observe(self, size):
@@ -143,10 +143,6 @@ class LatticeMachine(RuleBasedStateMachine):
         self.params = replace(thresholds or self.params, budget=budget)
         report = _checked(refine, self.net, self.params)
         assert report == _checked(_unaimed_refine, self.twin, self.params)
-        if budget is None:
-            for lattice in self.net.lattices:
-                for node in lattice.nodes.values():
-                    assert node.synced_through == self.net.n_total, (lattice.x, node.key)
 
     @rule(thresholds=st.sampled_from(THRESHOLDS))
     def re_aim(self, thresholds):
@@ -180,12 +176,13 @@ class LatticeMachine(RuleBasedStateMachine):
                 _assert_sets_clear_their_thresholds(self.net, lattice, self.params)
 
     @invariant()
-    def counts_and_table_scores_equal_a_recount(self):
+    def every_stored_set_equals_a_whole_log_recount(self):
+        # asleep sets too: observe_batch counts every batch into every stored set
         net = self.net
         for lattice in net.lattices:
             m_x = net.schema.arity(lattice.x)
             for node in lattice.nodes.values():
-                at = (lattice.x, node.key, node.synced_through)
+                at = (lattice.x, node.key, net.n_total)
                 if at not in self.recounts:
                     counts = node_reference_counts(net, lattice.x, node)
                     self.recounts[at] = counts, reference_log_ml(counts, node.alpha_x, m_x)
@@ -193,7 +190,7 @@ class LatticeMachine(RuleBasedStateMachine):
                 assert table_rows(node.counts) == counts, at
                 assert table_log_ml(node) == log_ml, at
                 cached = node.scores.get("table")
-                if cached is not None and cached[0] == node.synced_through:
+                if cached is not None and cached[0] == net.n_total:
                     assert cached[1] == log_ml, at
 
     @invariant()

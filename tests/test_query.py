@@ -80,7 +80,7 @@ class TestArcPosterior:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior
-        node.scores["table"] = (node.synced_through, table_log_ml(lattice.nodes[0]))
+        node.scores["table"] = (net.n_total, table_log_ml(lattice.nodes[0]))
         assert arc_posterior(net, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_lattice_without_an_alive_node_is_an_error(self):
@@ -171,7 +171,7 @@ class TestArcPosteriorMatrix:
         refine(net, SearchParams())
         before = all_arc_posteriors(net).entries
         for node in net.lattices[3].nodes.values():
-            node.scores["table"] = (node.synced_through, table_log_ml(node) + 123.456)
+            node.scores["table"] = (net.n_total, table_log_ml(node) + 123.456)
         net.lattices[3].arc_memo = None  # the scores changed behind the memo's stamp
         after = all_arc_posteriors(net).entries
         for pair, p in before.items():
