@@ -21,8 +21,8 @@ from bnrefine import (
     observe_batch,
     refine,
 )
-from bnrefine.kernels import log_marginal_likelihood
-from bnrefine.localmodels import fit_map, score_node_with_model
+from bnrefine.engine import SCORING_MODELS, family_log_ml
+from bnrefine.localmodels import fit_map
 
 
 def main(argv=None) -> int:
@@ -49,23 +49,23 @@ def main(argv=None) -> int:
     # expand every parent set and kill none, so that all of them are tabulated
     refine(net, SearchParams(c_alive=1e-12, d_open=1e-300, e_dead=1e-300, dead_kappa=float("inf")))
 
-    child = k
+    child, lattice = k, net.lattices[k]
     print(f"\n{'parent set':<20} {'table':>12} {'noisy-or':>12} {'logistic':>12}")
-    for key in sorted(net.lattices[child].nodes):
-        node = net.lattices[child].nodes[key]
-        # every set has absorbed the whole log, and a restricted model is
-        # fitted to the counts as they stand
-        restricted = [
-            score_node_with_model(net, child, node, kind) for kind in ("noisy-or", "logistic")
+    for key in sorted(lattice.nodes):
+        node = lattice.nodes[key]
+        # every set has absorbed the whole log, and each model scores the
+        # counts as they stand
+        scores = [
+            family_log_ml(kind, node.counts, lattice.alpha, schema, child, node.parents)
+            for kind in SCORING_MODELS
         ]
-        scores = [log_marginal_likelihood(node.counts.cells, node.alpha_x), *restricted]
         label = "{" + ",".join(schema.name(p) for p in node.parents) + "}"
         best = max(range(3), key=lambda i: scores[i])
         cells = [
             f"{s:12.2f}" + ("*" if i == best else " ") for i, s in enumerate(scores)
         ]
         print(f"{label:<20}" + "".join(cells))
-    full = net.lattices[child].nodes[(1 << k) - 1]
+    full = lattice.nodes[(1 << k) - 1]
     fitted = fit_map("noisy-or", full.counts).params.q
     print(f"\nfitted q at the full parent set = {np.round(fitted, 3).tolist()}")
     return 0

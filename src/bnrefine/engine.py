@@ -11,8 +11,8 @@ Examples enter a node in one of two ways:
   every row for every node, and ``count_cells`` counts the codes into all
   their ``CountTable``s together.  ``observe_batch`` counts each batch
   into every stored node with one call, a loaded session counts each
-  lattice's nodes on the whole log with one, and ``sync_node`` counts the
-  log into a node ``insert_node`` has just stored;
+  lattice's nodes on the whole log with one, and ``sync_node`` recounts
+  one node, such as one ``insert_node`` has just stored, on the whole log;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
   packed bitset of rows per (variable, value).  ANDing bitsets gives the
@@ -22,11 +22,11 @@ Examples enter a node in one of two ways:
   predecessor.  The children enter counted and unscored.
 
 Either way a node's counts are those of the whole log, laid out alike.
-Under every model a score is a function of those counts, computed lazily
-and cached by ``_node_score`` against the log's length (a noisy-or or
-logistic fit starts from a point computed from the same counts, never
-from an earlier fit), so it never depends on how the data was split into
-batches or how it was counted.
+Under every model a parent set's log marginal likelihood is a function of
+its count table, the lattice's ``alpha`` and the model (``family_log_ml``;
+a restricted model's boolean check reads the family's variables), cached
+per node by ``_node_score`` against the log's length, so a score never
+depends on how the data was split into batches or how it was counted.
 Two kinds of update:
 
 - ``observe_batch``: validate a batch, append it to the log, then count
@@ -74,13 +74,14 @@ from .domain import (
     ArcPriorMatrix,
     ConcreteNetwork,
     ConfigurationError,
+    CountTable,
     DomainSchema,
     Example,
     PriorConfig,
     _is_index_type,
     count_cells,
 )
-from .kernels import NEG_INF, expected_theta, log_marginal_likelihood
+from .kernels import NEG_INF, concentration, expected_theta, log_marginal_likelihood
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
@@ -225,12 +226,14 @@ def observe_batch(net: CombinedNetwork, examples) -> None:
 
 
 def sync_node(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> None:
-    """Count the logged examples past ``node.counts.total`` into a node
-    stored in ``lattice``: the whole log, for one ``insert_node`` has just
-    stored, and nothing for any other."""
+    """Recount a node stored in ``lattice`` on the whole log, from empty
+    counts, and drop its cached scores: it then holds the whole log even if
+    a batch was counted into it after ``insert_node`` stored it empty."""
     if lattice.nodes.get(node.key) is not node:
         raise LatticeStateError("node is not stored in this lattice")
-    _count_rows(net, [(lattice, node)], node.counts.total)
+    node.counts = CountTable(node.counts.m_x, node.counts.arities)
+    node.scores.clear()
+    _count_rows(net, [(lattice, node)], 0)
 
 
 def _count_rows(
@@ -280,19 +283,29 @@ def dead_condition(net: CombinedNetwork, node: LatticeNode, dead_kappa: float) -
     return net.n_total >= dead_kappa * counts.m_x * math.prod(counts.arities)
 
 
+def family_log_ml(
+    kind: str, counts: CountTable, alpha: float, schema: DomainSchema, x: int, parents: tuple
+) -> float:
+    """Log marginal likelihood under model ``kind`` of x's count table given
+    ``parents`` and the lattice's ``alpha``: the table model's exactly, a
+    restricted model's by one fit of a family checked boolean (``localmodels``)."""
+    if kind == "table":
+        return log_marginal_likelihood(counts.cells, concentration(counts, alpha))
+    from . import localmodels  # deferred: a table session never loads the fits
+
+    return localmodels.score_node_with_model(
+        kind, localmodels.boolean_node_data(schema, x, parents, counts)
+    )
+
+
 def _node_score(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> float:
     """The score everything ranks by: log prior plus the active model's
-    marginal of the node's counts, cached in ``node.scores`` until they change."""
+    ``family_log_ml`` of the node's counts, cached in ``node.scores``."""
     kind, n = net.scoring_model, net.n_total
     cached = node.scores.get(kind)
     if cached is not None and cached[0] == n:
         return node.log_prior + cached[1]
-    if kind == "table":
-        log_ml = log_marginal_likelihood(node.counts.cells, node.alpha_x)
-    else:
-        from . import localmodels  # deferred: localmodels imports engine helpers
-
-        log_ml = localmodels.score_node_with_model(net, lattice.x, node, kind)
+    log_ml = family_log_ml(kind, node.counts, lattice.alpha, net.schema, lattice.x, node.parents)
     node.scores[kind] = (n, log_ml)
     return node.log_prior + log_ml
 
@@ -559,7 +572,7 @@ def best_network(net: CombinedNetwork) -> ConcreteNetwork:
             )
         node = min(alive, key=lambda n: (-_node_score(net, lattice, n), n.key))
         parents.append(node.parents)
-        tables.append(expected_theta(node.counts, node.alpha_x))
+        tables.append(expected_theta(node.counts, concentration(node.counts, lattice.alpha)))
     return ConcreteNetwork(schema=net.schema, parents=tuple(parents), tables=tuple(tables))
 
 

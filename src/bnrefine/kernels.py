@@ -7,7 +7,7 @@ products over hundreds of examples underflow float64.  The key quantities:
       Beta_C(n_1, ..., n_C) = prod_i Gamma(n_i) / Gamma(sum_i n_i)
 
 - the per-variable concentration alpha_x = alpha / (m_x * |v(parents)|),
-  which each lattice node carries (``lattice.insert_node``)
+  read from a count table's shape (``concentration``)
 
 - the marginal likelihood of one variable's data under a symmetric
   Dirichlet(alpha_x) prior on each CPT row:
@@ -28,6 +28,12 @@ import numpy as np
 from .domain import ConcreteNetwork, CountTable, config_codes
 
 NEG_INF = float("-inf")
+
+
+def concentration(counts: CountTable, alpha: float) -> float:
+    """alpha_x of a count table: one integer product of its shape (1 for no
+    parents), then one division, so equal shapes give equal bits."""
+    return alpha / (counts.m_x * math.prod(counts.arities))
 
 
 def _log_beta_symmetric(alpha_x: float, m_x: int) -> float:

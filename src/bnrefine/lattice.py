@@ -11,16 +11,15 @@ from the keys themselves; no links between nodes are stored.
 
 A parent set is its key.  The lattice keeps what of the spec a key needs,
 never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
-the arities of the variable and its predecessors; and ``alpha``.
+the arities of the variable and its predecessors; and ``alpha``, which
+every score splits over a node's count table (``kernels.concentration``).
 ``insert_node`` derives in one pass over the candidates the node's parents
-(mandatory plus chosen, ascending), its count shape, its concentration
-``alpha / (m_x * |v(parents)|)`` (the integer product of the parents'
-arities, 1 for none, so score-equivalent structures score equally) and its
-log prior: the first term of each chosen candidate and the second of each
-other, summed in ascending order.  ``oracle.log_structure_prior`` sums
-over every predecessor and adds only exact zeros besides, so the two agree
-bit for bit.  ``insert_children``, the only other place a node is built,
-builds an expanded node's children from it to the same bits.
+(mandatory plus chosen, ascending), its count shape and its log prior: the
+first term of each chosen candidate and the second of each other, summed
+in ascending order.  ``oracle.log_structure_prior`` sums over every
+predecessor and adds only exact zeros besides, so the two agree bit for
+bit.  ``insert_children``, the only other place a node is built, builds an
+expanded node's children from it to the same bits, counted.
 
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the state they were computed from (``arc_memo``,
@@ -78,7 +77,6 @@ class ExpansionFlag(enum.Enum):
 class LatticeNode:
     key: int                      # bitset over the lattice's candidate parents
     parents: tuple[int, ...]      # full parent set: mandatory + chosen, sorted
-    alpha_x: float
     counts: CountTable
     log_prior: float
     status: NodeStatus = NodeStatus.ASLEEP
@@ -147,9 +145,9 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     """Store parent set ``key``, asleep, closed and with no examples absorbed;
     idempotent on duplicates.
 
-    Its parents, log prior, concentration and empty counts follow from the
-    key and what the lattice keeps (see above).  The caller fills the
-    counts from the whole log (``sync_node``) before the next operation,
+    Its parents, log prior and empty counts follow from the key and what
+    the lattice keeps (see above).  The caller counts it on the whole log
+    (``engine.sync_node`` recounts from empty) before the next operation,
     as rule 3 asks.  A dead key is refused: dead is absorbing.
     """
     if key in lattice.dead:
@@ -167,13 +165,10 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
             log_prior += log_out
     parents.sort()
     arities = lattice.arities
-    shape = tuple(arities[p] for p in parents)
-    m_x = arities[lattice.x]
     node = LatticeNode(
         key=key,
         parents=tuple(parents),
-        alpha_x=lattice.alpha / (m_x * math.prod(shape)),
-        counts=CountTable(m_x, shape),
+        counts=CountTable(arities[lattice.x], tuple(arities[p] for p in parents)),
         log_prior=log_prior,
     )
     lattice.nodes[key] = node
@@ -191,14 +186,12 @@ def insert_children(
     count rows ``tables[j]`` (codes, cells) of the whole log.
 
     Each child is built from ``node`` as ``insert_node`` builds it from its
-    key, bit for bit: its parents by one insertion, its concentration by one
-    division by the same integer product, and its log prior as the same
-    ascending sum of kept terms, which shares the node's sum up to the
-    added candidate.
+    key, bit for bit: its parents by one insertion, and its log prior as
+    the same ascending sum of kept terms, which shares the node's sum up to
+    the added candidate.
     """
     arities = lattice.arities
     parents, shape = node.parents, node.counts.arities
-    product = arities[lattice.x] * math.prod(shape)
     terms = [
         log_in if node.key >> i & 1 else log_out
         for i, (log_in, log_out) in enumerate(lattice.prior_terms)
@@ -216,7 +209,6 @@ def insert_children(
         lattice.nodes[key] = LatticeNode(
             key=key,
             parents=parents[:at] + (y,) + parents[at:],
-            alpha_x=lattice.alpha / (product * arities[y]),
             counts=CountTable.from_rows(shape[:at] + (arities[y],) + shape[at:], codes, cells),
             log_prior=log_prior,
         )

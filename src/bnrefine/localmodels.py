@@ -14,12 +14,12 @@ boolean child x with boolean parents x_1..x_n:
   which is plain logistic regression on parent indicators.  The two forms
   approximate each other when the product is small.
 
-Both likelihoods depend on the data only through the node's ``CountTable``:
+Both likelihoods depend on the data only through the family's ``CountTable``:
 one row ``[n_false, n_true]`` per observed parent configuration, at most
 2^n rows however many examples were seen.  Every function here takes those
-counts, and one kernel per model turns them into the log posterior, its
-gradient and its Hessian, so the cost of a fit depends on the number of
-observed parent configurations, not on the number of examples.
+counts, never a node, and one kernel per model turns them into the log
+posterior, its gradient and its Hessian, so the cost of a fit depends on
+the number of observed parent configurations, not on the number of examples.
 
 Parameters are fitted by maximum posterior in unconstrained coordinates
 (tau for logistic, logit q for noisy-or) under an independent normal prior
@@ -50,9 +50,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import CountTable
-from .engine import CombinedNetwork
-from .lattice import LatticeNode
+from .domain import CountTable, DomainSchema
 
 LN_2 = math.log(2.0)
 LN_2PI = math.log(2.0 * math.pi)
@@ -410,37 +408,26 @@ def laplace_log_marginal(kind: str, counts: CountTable) -> float:
     return _laplace(fit_map(kind, counts))
 
 
-def boolean_node_data(net: CombinedNetwork, x: int, node: LatticeNode) -> CountTable:
-    """The node's counts, for a boolean family.
-
-    The counts are read as they stand: every stored set holds the counts
-    of the whole log (rule 3 of ``lattice.check_lattice``).  The second
-    value label of a variable is its "true" state, so each count row is
-    ``[n_false, n_true]``.
-    """
-    schema = net.schema
-    bad = [v for v in (x, *node.parents) if schema.arity(v) != 2]
+def boolean_node_data(
+    schema: DomainSchema, x: int, parents: tuple[int, ...], counts: CountTable
+) -> CountTable:
+    """The count table of x given ``parents`` as it stands, once the family
+    is checked boolean (an error names each variable that is not).  The
+    second value label is "true", so each count row is ``[n_false, n_true]``."""
+    bad = [v for v in (x, *parents) if schema.arity(v) != 2]
     if bad:
         names = ", ".join(schema.name(v) for v in bad)
         raise UnsupportedModelError(f"noisy-or/logistic need boolean variables; not boolean: {names}")
-    return node.counts
+    return counts
 
 
-def score_node_with_model(net: CombinedNetwork, x: int, node: LatticeNode, kind: str) -> float:
-    """The log marginal of one lattice node's counts under a restricted
-    model (noisy-or or logistic), as they stand.
-
-    The model's parameters are fitted once, from a start computed from the
-    counts, and the normal-expansion marginal is taken there; with no counts
-    there is nothing to fit, and the marginal is 0 because the parameter
-    prior integrates to 1.  The table
-    model's exact marginal is ``kernels.log_marginal_likelihood`` of the
-    counts.  The search's cache, ``node.scores``, is written by
-    ``engine._node_score`` alone.
-    """
+def score_node_with_model(kind: str, counts: CountTable) -> float:
+    """The log marginal of a boolean family's counts under a restricted
+    model (noisy-or or logistic): ``laplace_log_marginal``, one fit.  With
+    no counts there is nothing to fit, and the marginal is 0 because the
+    parameter prior integrates to 1."""
     if kind not in ("noisy-or", "logistic"):
         raise ValueError(f"{kind!r} is not a restricted model (noisy-or or logistic)")
-    counts = boolean_node_data(net, x, node)
     if not len(counts.codes):
         return 0.0
-    return _laplace(fit_map(kind, counts))
+    return laplace_log_marginal(kind, counts)

@@ -6,9 +6,10 @@ variable and normalizes exactly; a hard size guard fails fast instead of
 degrading, so nothing here is meant to run on large inputs.  It rests on
 the model's formulas written out from the spec, one value at a time,
 independently of how the program computes them: a parent set's
-concentration (``alpha_for``) and log prior over every predecessor
-(``log_structure_prior``), which ``lattice.insert_node`` derives from a
-key, and its counts, tallied example by example (``_counts_for``).
+concentration (``alpha_for``; ``kernels.concentration`` reads it from a
+count table) and log prior over every predecessor (``log_structure_prior``;
+``lattice.insert_node`` derives it from a key), and its counts, tallied
+example by example (``_counts_for``).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 
 from .domain import ConcreteNetwork, DomainSchema, config_codes
 from .engine import CombinedNetwork, _node_score
-from .kernels import expected_theta, log_sum_exp, rows_log_likelihood
+from .kernels import concentration, expected_theta, log_sum_exp, rows_log_likelihood
 from .lattice import LatticeNode, LatticeStateError, ParentLattice, alive_leaves
 
 
@@ -197,7 +197,7 @@ def _merged_variable(
     configs[:, list(leaf_parents)] = np.indices(arities).reshape(len(arities), len(configs)).T
     table = np.zeros((len(configs), schema.arity(x)))
     for node, w in zip(family, within):
-        theta = expected_theta(node.counts, node.alpha_x)
+        theta = expected_theta(node.counts, concentration(node.counts, lattice.alpha))
         table += w * theta[config_codes(configs, node.parents, schema)]
     # the weights are normalized, so any sum above 1 is rounding (as in _lattice_arc_posteriors)
     arc_probs = {

@@ -171,11 +171,12 @@ def reference_arc_posteriors(net: CombinedNetwork) -> dict:
     return entries
 
 
-def table_log_ml(node) -> float:
-    """The node's table-model log marginal likelihood, computed from its counts."""
-    from bnrefine.kernels import log_marginal_likelihood
+def table_log_ml(lattice, node) -> float:
+    """The table-model log marginal likelihood of a node of ``lattice``,
+    computed from its counts at the lattice's concentration."""
+    from bnrefine.kernels import concentration, log_marginal_likelihood
 
-    return log_marginal_likelihood(node.counts.cells, node.alpha_x)
+    return log_marginal_likelihood(node.counts.cells, concentration(node.counts, lattice.alpha))
 
 
 def reference_log_ml(counts: dict, alpha_x: float, m_x: int) -> float:

@@ -23,7 +23,7 @@ from bnrefine import (
 )
 from bnrefine.fileio import load_session, save_session, serialize_session
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, fit_map, laplace_log_marginal
-from bnrefine.oracle import exhaustive_posterior
+from bnrefine.oracle import alpha_for, exhaustive_posterior
 from bnrefine.query import draw_index, leaf_masses, sample_smoothed
 from bnrefine.sampling import forward_sample
 
@@ -180,8 +180,8 @@ def crit6_run():
         observe_batch(net, batch)
         refine(net, params)
         monitor.check(net)
-        best = max(n.log_prior + table_log_ml(n) for n in lattice.nodes.values())
-        score = node.log_prior + table_log_ml(node)
+        best = max(n.log_prior + table_log_ml(lattice, n) for n in lattice.nodes.values())
+        score = node.log_prior + table_log_ml(lattice, node)
         follows.append((node.status is NodeStatus.ALIVE) == (score >= ln_c + best))
         if node.status is not last:
             changes += 1
@@ -199,7 +199,7 @@ def test_criterion_01_oracle_equivalence(crit1_run):
         lattice = net.lattices[x]
         for node in lattice.nodes.values():
             want = exact.log_scores[frozenset(node.parents)]
-            assert node.log_prior + table_log_ml(node) == pytest.approx(want, abs=1e-9)
+            assert node.log_prior + table_log_ml(lattice, node) == pytest.approx(want, abs=1e-9)
         top = max(exact.posterior.values())
         alive = {frozenset(n.parents) for n in lattice.alive_nodes()}
         for subset, mass in exact.posterior.items():
@@ -217,13 +217,13 @@ def test_criterion_02_incremental_equals_batch(crit2_run):
         for key, node_s in lat_s.nodes.items():
             node_b = lat_b.nodes[key]
             assert node_s.counts == node_b.counts
-            assert table_log_ml(node_s) == pytest.approx(table_log_ml(node_b), abs=1e-9)
+            log_ml = table_log_ml(lat_s, node_s)
+            assert log_ml == pytest.approx(table_log_ml(lat_b, node_b), abs=1e-9)
             # both match a from-scratch rescoring of the retained log
             counts = node_reference_counts(single, lat_s.x, node_s)
             assert table_rows(node_s.counts) == counts
-            assert table_log_ml(node_s) == pytest.approx(
-                reference_log_ml(counts, node_s.alpha_x, 2), abs=1e-9
-            )
+            alpha_x = alpha_for(lat_s.x, node_s.parents, single.config, single.schema)
+            assert log_ml == pytest.approx(reference_log_ml(counts, alpha_x, 2), abs=1e-9)
     arcs_s = all_arc_posteriors(single).entries
     arcs_b = all_arc_posteriors(batched).entries
     for pair, p in arcs_s.items():
@@ -299,7 +299,7 @@ def test_criterion_07_smoothed_networks(crit1_run):
                     posterior_mean(
                         node_reference_counts(net, x, n),
                         tuple(cfg[var.leaf.index(p)] for p in n.parents),
-                        n.alpha_x,
+                        alpha_for(x, n.parents, net.config, net.schema),
                         2,
                     )
                     for n in family

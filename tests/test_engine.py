@@ -36,8 +36,9 @@ from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS, dead_condition
 from bnrefine.domain import CountTable, config_codes
 from bnrefine.fileio import serialize_session, session_from_document, session_to_document
+from bnrefine.kernels import concentration
 from bnrefine.lattice import LatticeStateError, insert_node, kill
-from bnrefine.oracle import exhaustive_posterior
+from bnrefine.oracle import alpha_for, exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
 from helpers import (
@@ -92,7 +93,8 @@ INVALID_PARAMS = [
 def recompute_node(net, lattice, node):
     """Batch oracle: score the node's parent set from scratch over the log."""
     counts = node_reference_counts(net, lattice.x, node)
-    return counts, reference_log_ml(counts, node.alpha_x, net.schema.arity(lattice.x))
+    alpha_x = alpha_for(lattice.x, node.parents, net.config, net.schema)
+    return counts, reference_log_ml(counts, alpha_x, net.schema.arity(lattice.x))
 
 
 class TestInit:
@@ -101,7 +103,7 @@ class TestInit:
         assert len(net.lattices) == 3
         for lattice in net.lattices:
             assert set(lattice.nodes) == {0}
-            assert table_log_ml(lattice.nodes[0]) == 0.0
+            assert table_log_ml(lattice, lattice.nodes[0]) == 0.0
 
     def test_first_variable_never_gains_parents(self):
         net = fresh_net("abc")
@@ -128,7 +130,8 @@ class TestObserve:
     def test_first_observation_moves_root_by_log_half(self):
         net = fresh_net("a")
         observe(net, (1,))
-        assert table_log_ml(net.lattices[0].nodes[0]) == pytest.approx(math.log(0.5))
+        lattice = net.lattices[0]
+        assert table_log_ml(lattice, lattice.nodes[0]) == pytest.approx(math.log(0.5))
 
     def test_rejection_leaves_state_untouched(self):
         net = fresh_net("ab")
@@ -149,7 +152,7 @@ class TestObserve:
                 if node.status is NodeStatus.ALIVE:
                     counts, log_ml = recompute_node(net, lattice, node)
                     assert counts == table_rows(node.counts)
-                    assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+                    assert table_log_ml(lattice, node) == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_node_syncs_to_batch_value(self):
         # the batch is counted into the asleep node as it is observed: a
@@ -163,7 +166,7 @@ class TestObserve:
         node = asleep[0]
         counts, log_ml = recompute_node(net, lattice, node)
         assert counts == table_rows(node.counts)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(lattice, node) == pytest.approx(log_ml, abs=1e-9)
         before = node_state(net)
         sync_node(net, lattice, node)
         assert node_state(net) == before
@@ -248,7 +251,7 @@ class TestSync:
         counts, log_ml = recompute_node(net, lattice, node)
         assert node.counts.total == len(data)
         assert counts == table_rows(node.counts)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(lattice, node) == pytest.approx(log_ml, abs=1e-9)
 
     def test_asleep_twin_catches_up(self):
         net, _ = sampled_net(five_var_truth(), 20, seed=6)
@@ -261,7 +264,7 @@ class TestSync:
         sync_node(net, lattice, node)
         always_alive = net.lattices[2].nodes[0]
         counts, log_ml = recompute_node(net, lattice, node)
-        assert table_log_ml(node) == pytest.approx(log_ml, abs=1e-9)
+        assert table_log_ml(lattice, node) == pytest.approx(log_ml, abs=1e-9)
         assert node.counts.total == always_alive.counts.total == net.n_total
 
     def test_multivalued_counts_match_a_recount(self):
@@ -285,8 +288,26 @@ class TestSync:
                 counts, log_ml = recompute_node(net, lattice, node)
                 assert node.counts.total == net.n_total
                 assert counts == table_rows(node.counts)
-                assert table_log_ml(node) == log_ml
+                assert table_log_ml(lattice, node) == log_ml
 
+
+    def test_a_set_stored_before_a_batch_is_recounted_on_the_whole_log(self):
+        # observe_batch counts a batch into a set insert_node stored before
+        # it; sync_node then recounts the set from empty counts, not from
+        # its total on, and drops the score cached on the wrong counts
+        net = fresh_net("abc")
+        observe_batch(net, [(0, 1, 0)] * 30)
+        lattice = net.lattices[2]
+        node = insert_node(lattice, 0b01)
+        observe_batch(net, [(1, 0, 1)] * 10)
+        assert node.counts.cells.tolist() == [[0, 10]]
+        engine._node_score(net, lattice, node)
+        sync_node(net, lattice, node)
+        assert node.counts.cells.tolist() == [[30, 0], [0, 10]]
+        assert node.counts == recount(net, lattice, node)
+        assert node.scores == {}
+        want = node.log_prior + table_log_ml(lattice, node)
+        assert engine._node_score(net, lattice, node) == want
 
     def test_a_node_of_another_lattice_is_refused(self):
         # a set of lattice c just stored, with nothing counted yet, must not
@@ -408,9 +429,10 @@ class TestRefine:
         refine(net, greedy)
         for x in range(5):
             exact = exhaustive_posterior(x, data, net.priors, net.config, net.schema)
+            lattice = net.lattices[x]
             best = min(
-                net.lattices[x].alive_nodes(),
-                key=lambda n: (-(n.log_prior + table_log_ml(n)), n.key),
+                lattice.alive_nodes(),
+                key=lambda n: (-(n.log_prior + table_log_ml(lattice, n)), n.key),
             )
             assert frozenset(best.parents) == map_set(exact)
 
@@ -422,7 +444,7 @@ class TestRefine:
             lattice = net.lattices[x]
             for node in lattice.nodes.values():
                 want = exact.log_scores[frozenset(node.parents)]
-                assert node.log_prior + table_log_ml(node) == pytest.approx(want, abs=1e-9)
+                assert node.log_prior + table_log_ml(lattice, node) == pytest.approx(want, abs=1e-9)
             top = max(exact.posterior.values())
             alive = {frozenset(n.parents) for n in lattice.alive_nodes()}
             for subset, mass in exact.posterior.items():
@@ -496,8 +518,9 @@ class TestRefine:
         observe_batch(net, rows * 18)
         aimed = copy.deepcopy(net)
         rethreshold(aimed, params)
-        node = aimed.lattices[1].nodes[1]
-        gap = scored_best(aimed, aimed.lattices[1]) - node.log_prior - table_log_ml(node)
+        lattice = aimed.lattices[1]
+        node = lattice.nodes[1]
+        gap = scored_best(aimed, lattice) - node.log_prior - table_log_ml(lattice, node)
         assert -gap < math.log(params.d_open)
         assert node.expansion is ExpansionFlag.CLOSED
         report = refine(net, replace(params, budget=1))
@@ -541,9 +564,10 @@ class TestExpansion:
         # every fresh child of an expansion is counted from the log's bit
         # index (packed and counted in blocks of ``block`` cells, one word
         # each at the least) and built from the expanded set, unscored: it
-        # must equal the child
-        # insert_node builds and sync_node counts, bit for bit, and score
-        # as that child does under every model its family allows
+        # must equal the child insert_node builds and sync_node counts, bit
+        # for bit, and score as that child does under every model its
+        # family allows, and as its count table alone scores with its log
+        # prior
         x = len(predecessors)
         labels = "abcd"
         schema = DomainSchema(
@@ -593,7 +617,8 @@ class TestExpansion:
             want = insert_node(reference.lattices[x], key)
             sync_node(reference, reference.lattices[x], want)
             assert child.parents == want.parents
-            assert child.alpha_x.hex() == want.alpha_x.hex()
+            want_alpha = alpha_for(x, want.parents, config, schema)
+            assert concentration(child.counts, lattice.alpha).hex() == want_alpha.hex()
             assert child.log_prior.hex() == want.log_prior.hex()
             assert child.counts == want.counts
             assert child.counts.codes.dtype == child.counts.cells.dtype == np.int64
@@ -607,7 +632,11 @@ class TestExpansion:
                 net.scoring_model = reference.scoring_model = kind
                 score = engine._node_score(net, lattice, child)
                 want_score = engine._node_score(reference, reference.lattices[x], want)
-                assert score.hex() == want_score.hex(), kind
+                # a function of the bare table: no node, no network
+                from_counts = child.log_prior + engine.family_log_ml(
+                    kind, child.counts, config.alpha, schema, x, child.parents
+                )
+                assert score.hex() == want_score.hex() == from_counts.hex(), kind
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -882,7 +911,7 @@ class TestBestNetwork:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior  # exact score tie, bit for bit
-        node.scores["table"] = (net.n_total, table_log_ml(lattice.nodes[0]))
+        node.scores["table"] = (net.n_total, table_log_ml(lattice, lattice.nodes[0]))
         assert best_network(net).parents[1] == ()
 
 

@@ -684,7 +684,7 @@ class TestSession:
         lattice = net.lattices[1]
         node = lattice.nodes[0b1]
         assert node.status is NodeStatus.ALIVE
-        gap = scored_best(net, lattice) - node.log_prior - table_log_ml(node)
+        gap = scored_best(net, lattice) - node.log_prior - table_log_ml(lattice, node)
         assert -gap < math.log(SearchParams().c_alive)
         assert all_arc_posteriors(net).entries == GOLDEN_LOADED_ARCS["session_v7.json"]
         refine(net, SearchParams())

@@ -15,6 +15,7 @@ from bnrefine.lattice import (
     kill,
     new_lattice,
 )
+from bnrefine.kernels import concentration
 from bnrefine.oracle import alpha_for, log_structure_prior
 
 from helpers import binary_schema, scored_best, table_log_ml
@@ -33,7 +34,7 @@ class TestNewLattice:
         assert lattice.nodes[0].parents == ()
         assert lattice.nodes[0].status is NodeStatus.ALIVE
         assert lattice.nodes[0].expansion is ExpansionFlag.OPEN
-        assert table_log_ml(lattice.nodes[0]) == 0.0
+        assert table_log_ml(lattice, lattice.nodes[0]) == 0.0
 
     def test_mandatory_arc_joins_the_root(self):
         lattice, _, _ = make_lattice(entries={(0, 3): 1.0})
@@ -46,7 +47,8 @@ class TestNewLattice:
         node = insert_node(lattice, 0b10)  # candidates (1, 2): choose 2
         assert node.parents == (0, 2)
         assert node.log_prior == log_structure_prior(3, (0, 2), priors, schema)
-        assert node.alpha_x == alpha_for(3, (0, 2), PriorConfig(1.0), schema)
+        want = alpha_for(3, (0, 2), PriorConfig(1.0), schema)
+        assert concentration(node.counts, lattice.alpha).hex() == want.hex()
         assert node.counts.arities == (2, 2) and node.counts.total == 0
         assert node.status is NodeStatus.ASLEEP and node.expansion is ExpansionFlag.CLOSED
         assert node.scores == {}
@@ -90,7 +92,8 @@ class TestPriorTerms:
             chosen = tuple(c for i, c in enumerate(candidates) if key >> i & 1)
             parents = tuple(sorted(mandatory + chosen))
             assert node.parents == parents
-            assert node.alpha_x == alpha_for(x, parents, config, schema)
+            want = alpha_for(x, parents, config, schema)
+            assert concentration(node.counts, lattice.alpha).hex() == want.hex()
             assert node.counts.arities == tuple(schema.arity(p) for p in parents)
             assert node.counts.m_x == m_x
             expected = log_structure_prior(x, parents, priors, schema)
@@ -191,7 +194,7 @@ class TestStatus:
         node.scores["table"] = (net.n_total, 5.0)  # force it above the root
         node.status = NodeStatus.ALIVE
         root = lattice.nodes[0]
-        full_scan = max(node.log_prior + 5.0, root.log_prior + table_log_ml(root))
+        full_scan = max(node.log_prior + 5.0, root.log_prior + table_log_ml(lattice, root))
         assert scored_best(net, lattice) == full_scan == node.log_prior + 5.0
         node.status = NodeStatus.ASLEEP
-        assert scored_best(net, lattice) == root.log_prior + table_log_ml(root)
+        assert scored_best(net, lattice) == root.log_prior + table_log_ml(lattice, root)

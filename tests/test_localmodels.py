@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bnrefine import NodeStatus, PriorConfig, SearchParams, localmodels, observe_batch, refine
 from bnrefine.domain import CountTable
-from bnrefine.engine import SCORING_MODELS
+from bnrefine.engine import SCORING_MODELS, family_log_ml
 from bnrefine.kernels import log_marginal_likelihood
 from bnrefine.localmodels import (
     FitConvergenceError,
@@ -736,19 +736,20 @@ class TestScoreNodeWithModel:
     def test_only_restricted_kinds_are_scored(self, kind):
         # the table's exact score is the engine's, from the counts
         net = self._noisyor_net(200, seed=44)
-        node = net.lattices[3].nodes[0b111]
+        lattice = net.lattices[3]
+        node = lattice.nodes[0b111]
         with pytest.raises(ValueError, match="not a restricted model"):
-            score_node_with_model(net, 3, node, kind)
-        assert node.scores["table"] == (net.n_total, table_log_ml(node))
-        empty = fresh_net("abcx")  # raised before the zero-count shortcut
+            score_node_with_model(kind, node.counts)
+        assert node.scores["table"] == (net.n_total, table_log_ml(lattice, node))
         with pytest.raises(ValueError, match="not a restricted model"):
-            score_node_with_model(empty, 3, empty.lattices[3].nodes[0], kind)
+            score_node_with_model(kind, CountTable(2, ()))  # before the zero-count shortcut
 
     def test_noisyor_beats_table_on_noisyor_data(self):
         net = self._noisyor_net(500, seed=45)
-        node = net.lattices[3].nodes[0b111]  # all three parents
-        noisy = score_node_with_model(net, 3, node, "noisy-or")
-        table = table_log_ml(node)
+        lattice = net.lattices[3]
+        node = lattice.nodes[0b111]  # all three parents
+        noisy = score_node_with_model("noisy-or", node.counts)
+        table = table_log_ml(lattice, node)
         assert noisy > table
         # a function of the counts; the search's cache is left alone
         assert "noisy-or" not in node.scores
@@ -758,9 +759,10 @@ class TestScoreNodeWithModel:
         # scale 2.5 puts roughly the same prior density near the MAP as the
         # symmetric Dirichlet, making the three marginals comparable
         net = self._noisyor_net(300, seed=46)
-        node = net.lattices[3].nodes[0]
-        counts = boolean_node_data(net, 3, node)
-        exact = table_log_ml(node)
+        lattice = net.lattices[3]
+        node = lattice.nodes[0]
+        counts = boolean_node_data(net.schema, 3, node.parents, node.counts)
+        exact = table_log_ml(lattice, node)
         monkeypatch.setattr(localmodels, "PRIOR_SCALE", 2.5)
         for kind in ("noisy-or", "logistic"):
             approx = laplace_log_marginal(kind, counts)
@@ -775,13 +777,13 @@ class TestScoreNodeWithModel:
         observe_batch(net, net.example_log[:10])
         rows = net.example_log
         for node in lattice.nodes.values():
-            counts = boolean_node_data(net, 3, node)
-            score = score_node_with_model(net, 3, node, "noisy-or")
+            counts = boolean_node_data(net.schema, 3, node.parents, node.counts)
+            score = score_node_with_model("noisy-or", counts)
             assert counts is node.counts
             assert score == laplace_log_marginal("noisy-or", counts)
             assert counts == boolean_counts(rows[:, 3] == 1, rows[:, list(node.parents)] == 1)
             assert counts.total == net.n_total == 60
-        assert boolean_node_data(net, 3, lattice.nodes[0]).codes.tolist() == [0]
+        assert lattice.nodes[0].counts.codes.tolist() == [0]
 
     def test_non_boolean_variable_is_rejected(self):
         from bnrefine import ArcPriorMatrix, DomainSchema, VariableSpec, init
@@ -790,15 +792,22 @@ class TestScoreNodeWithModel:
             (VariableSpec("a", ("x", "y", "z")), VariableSpec("b", ("f", "t")))
         )
         net = init(schema, ArcPriorMatrix(), PriorConfig())
-        with pytest.raises(UnsupportedModelError):  # also with no rows to fit
-            score_node_with_model(net, 0, net.lattices[0].nodes[0], "noisy-or")
+        root = net.lattices[0].nodes[0]
+        with pytest.raises(UnsupportedModelError, match="not boolean: a$"):  # no rows to fit
+            family_log_ml("noisy-or", root.counts, 1.0, schema, 0, ())
         observe_batch(net, [(0, 1), (2, 0), (1, 1)])
-        with pytest.raises(UnsupportedModelError):
-            score_node_with_model(net, 0, net.lattices[0].nodes[0], "noisy-or")
+        with pytest.raises(UnsupportedModelError, match="not boolean: a$"):
+            family_log_ml("noisy-or", root.counts, 1.0, schema, 0, ())
         refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
         parent_node = net.lattices[1].nodes[0b1]  # boolean child, ternary parent
-        with pytest.raises(UnsupportedModelError):
-            score_node_with_model(net, 1, parent_node, "logistic")
+        with pytest.raises(UnsupportedModelError, match="not boolean: a$"):
+            family_log_ml("logistic", parent_node.counts, 1.0, schema, 1, parent_node.parents)
+        # the check reads the family alone, and names each of its non-boolean variables
+        wide = DomainSchema((*schema.variables, VariableSpec("c", ("p", "q", "r"))))
+        with pytest.raises(UnsupportedModelError, match="not boolean: c, a$"):
+            boolean_node_data(wide, 2, (0, 1), CountTable(3, (3, 2)))
+        table = CountTable(2, ())
+        assert boolean_node_data(wide, 1, (), table) is table
 
 
 class TestModelDrivenSearch:
@@ -834,7 +843,8 @@ class TestModelDrivenSearch:
             alive = [n for n in lattice.nodes.values() if n.status is NodeStatus.ALIVE]
             best = max(n.log_prior + n.scores[model][1] for n in alive)
             assert report.best_scores[net.schema.name(lattice.x)] == best
-        table_best = max(n.log_prior + table_log_ml(n) for n in net.lattices[2].alive_nodes())
+        lattice = net.lattices[2]
+        table_best = max(n.log_prior + table_log_ml(lattice, n) for n in lattice.alive_nodes())
         assert report.best_scores["x"] != table_best
 
     @staticmethod

@@ -35,7 +35,7 @@ from bnrefine import (
 from bnrefine import engine
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.fileio import serialize_session, session_from_document
-from bnrefine.oracle import exhaustive_posterior
+from bnrefine.oracle import alpha_for, exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
 from helpers import (
@@ -185,10 +185,11 @@ class LatticeMachine(RuleBasedStateMachine):
                 at = (lattice.x, node.key, net.n_total)
                 if at not in self.recounts:
                     counts = node_reference_counts(net, lattice.x, node)
-                    self.recounts[at] = counts, reference_log_ml(counts, node.alpha_x, m_x)
+                    alpha_x = alpha_for(lattice.x, node.parents, net.config, net.schema)
+                    self.recounts[at] = counts, reference_log_ml(counts, alpha_x, m_x)
                 counts, log_ml = self.recounts[at]
                 assert table_rows(node.counts) == counts, at
-                assert table_log_ml(node) == log_ml, at
+                assert table_log_ml(lattice, node) == log_ml, at
                 cached = node.scores.get("table")
                 if cached is not None and cached[0] == net.n_total:
                     assert cached[1] == log_ml, at

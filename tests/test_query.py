@@ -20,6 +20,7 @@ from bnrefine import (
 )
 from bnrefine.engine import SCORING_MODELS
 from bnrefine.lattice import LatticeStateError
+from bnrefine.oracle import alpha_for
 from bnrefine.query import _alive_weights, draw_index, leaf_masses
 from bnrefine.sampling import forward_sample
 
@@ -80,7 +81,7 @@ class TestArcPosterior:
         node = lattice.nodes[0b1]
         node.status = NodeStatus.ALIVE
         node.log_prior = lattice.nodes[0].log_prior
-        node.scores["table"] = (net.n_total, table_log_ml(lattice.nodes[0]))
+        node.scores["table"] = (net.n_total, table_log_ml(lattice, lattice.nodes[0]))
         assert arc_posterior(net, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_lattice_without_an_alive_node_is_an_error(self):
@@ -170,8 +171,9 @@ class TestArcPosteriorMatrix:
         net, _ = sampled_net(five_var_truth(), 150, seed=24)
         refine(net, SearchParams())
         before = all_arc_posteriors(net).entries
-        for node in net.lattices[3].nodes.values():
-            node.scores["table"] = (net.n_total, table_log_ml(node) + 123.456)
+        lattice = net.lattices[3]
+        for node in lattice.nodes.values():
+            node.scores["table"] = (net.n_total, table_log_ml(lattice, node) + 123.456)
         net.lattices[3].arc_memo = None  # the scores changed behind the memo's stamp
         after = all_arc_posteriors(net).entries
         for pair, p in before.items():
@@ -187,7 +189,8 @@ class TestSmoothed:
         assert var.leaf == ()
         assert var.mass == pytest.approx(1.0)
         root = net.lattices[1].nodes[0]
-        expected = posterior_mean(node_reference_counts(net, 1, root), (), root.alpha_x, 2)
+        alpha_x = alpha_for(1, (), net.config, net.schema)
+        expected = posterior_mean(node_reference_counts(net, 1, root), (), alpha_x, 2)
         assert np.allclose(var.table[0], expected)
 
     def test_two_set_merge_is_the_stated_mixture(self):
@@ -203,9 +206,11 @@ class TestSmoothed:
         assert var.leaf == (0,)
         root_counts, node_counts = (node_reference_counts(net, 1, n) for n in (root, node))
         for j in (0, 1):
-            expected = weights[0] * posterior_mean(root_counts, (), root.alpha_x, 2) + weights[
-                1
-            ] * posterior_mean(node_counts, (j,), node.alpha_x, 2)
+            expected = weights[0] * posterior_mean(
+                root_counts, (), alpha_for(1, (), net.config, net.schema), 2
+            ) + weights[1] * posterior_mean(
+                node_counts, (j,), alpha_for(1, (0,), net.config, net.schema), 2
+            )
             assert np.allclose(var.table[j], expected, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -235,7 +240,7 @@ class TestSmoothed:
                         posterior_mean(
                             node_reference_counts(net, x, n),
                             tuple(cfg[var.leaf.index(p)] for p in n.parents),
-                            n.alpha_x,
+                            alpha_for(x, n.parents, net.config, net.schema),
                             2,
                         )
                         for n in family
