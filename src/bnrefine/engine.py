@@ -19,7 +19,9 @@ Examples enter a node in one of two ways:
   rows of each (configuration, x value), and a popcount of each against
   an added parent's value bitsets counts a child's cell, so an expansion
   costs what it adds times n/64 words, not a code per row and
-  predecessor.  The children enter counted and unscored.
+  predecessor.  Every child is scored at birth (``_expand``); one the
+  next re-aim would kill goes straight to ``dead`` and is never laid out
+  or built, and the others enter counted and scored.
 
 Either way a node's counts are those of the whole log, laid out alike.
 Under every model a parent set's log marginal likelihood is a function of
@@ -63,7 +65,6 @@ index packs only the rows from the index's last partial word onward.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -81,15 +82,23 @@ from .domain import (
     _is_index_type,
     count_cells,
 )
-from .kernels import NEG_INF, concentration, expected_theta, log_marginal_likelihood
+from .kernels import (
+    NEG_INF,
+    concentration,
+    expected_theta,
+    log_marginal_likelihood,
+    log_marginal_likelihoods,
+)
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
     LatticeStateError,
     NodeStatus,
     ParentLattice,
+    child_log_priors,
+    child_parents,
+    child_tables,
     children_of,
-    insert_children,
     kill,
     new_lattice,
 )
@@ -171,6 +180,10 @@ class SearchReport:
     budget, or a budget spent before reaching it) nothing is computed: the
     entry may lag the log, and it is -inf if no alive set is scored yet, as
     after loading.
+
+    ``nodes_created`` counts every child an expansion scored, stored or
+    not; ``nodes_killed`` counts every set moved to ``dead``, children
+    killed at birth included.
     """
 
     expansions: int = 0
@@ -272,15 +285,17 @@ def _count_rows(
                 count_cells(tables, net.example_log[at : min(at + rows, stop)] @ weights)
 
 
-def dead_condition(net: CombinedNetwork, node: LatticeNode, dead_kappa: float) -> bool:
-    """Whether a stored node has seen enough data for a kill decision to be stable.
+def dead_condition(net: CombinedNetwork, m_x: int, configs: int, dead_kappa: float) -> bool:
+    """Whether a parent set whose count table has ``m_x`` values and
+    ``configs`` parent configurations has seen enough data for a kill
+    decision to be stable.
 
     True once the absorbed sample mass reaches dead_kappa * m_x * |v(parents)|,
-    read from the shape of the node's counts.  The mass is the log's length,
+    read from the table's shape alone, so a re-aim and an expansion (for a
+    child not yet built) apply the same rule.  The mass is the log's length,
     which equals ``counts.total`` (see ``lattice``) without summing the cells.
     """
-    counts = node.counts
-    return net.n_total >= dead_kappa * counts.m_x * math.prod(counts.arities)
+    return net.n_total >= dead_kappa * m_x * configs
 
 
 def family_log_ml(
@@ -339,7 +354,9 @@ def _re_aim(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) 
     best = max(scores)
     log_c, log_d, log_e = (math.log(t) for t in (params.c_alive, params.d_open, params.e_dead))
     for node, score in zip(nodes, scores):
-        if score < log_e + best and dead_condition(net, node, params.dead_kappa):
+        if score < log_e + best and dead_condition(
+            net, node.counts.m_x, math.prod(node.counts.arities), params.dead_kappa
+        ):
             kill(lattice, node.key)
             continue
         node.status = NodeStatus.ALIVE if score >= log_c + best else NodeStatus.ASLEEP
@@ -393,23 +410,68 @@ def _refine_lattice(
             report.exhausted = False
             return 0
         node = min(open_nodes, key=lambda n: (-_node_score(net, lattice, n), n.key))
-        node.expansion = ExpansionFlag.EXPANDED
         report.expansions += 1
         if budget_left is not None:
             budget_left -= 1
-        report.nodes_created += _expand(net, lattice, node)
+        report.nodes_created += _expand(net, lattice, node, params)
 
 
-def _expand(net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode) -> int:
-    """Store every child of a node that is neither stored nor dead, counted
-    on the whole log in one pass (``_count_children``);
-    returns how many.  The children enter unscored, and the next re-aim
-    scores them through ``_node_score`` like every other stored node.
+def _expand(
+    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, params: SearchParams
+) -> int:
+    """Expand a stored node: score every child neither stored nor dead at
+    birth, send those the next re-aim would kill to ``dead``, store the
+    others scored, then mark the node expanded; returns how many children.
+
+    The table model scores all children with one ``log_marginal_likelihoods``
+    call from their count rows and lays out only the survivors; a
+    restricted fit reads a child's codes, so there every child is laid out
+    first.  ``best`` is taken over the stored sets and the children, so the
+    next re-aim finds the same best and kills no survivor.  If a score
+    raises, nothing is stored and the node stays unexpanded (rule 4).
     """
     keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
     if keys:
-        tables = _count_children(net, lattice, node, keys)
-        insert_children(lattice, node, keys, tables)
+        kind, m_x, alpha = net.scoring_model, lattice.arities[lattice.x], lattice.alpha
+        added = [lattice.candidates[(key ^ node.key).bit_length() - 1] for key in keys]
+        values = [lattice.arities[y] for y in added]  # the arity of each added parent
+        counts = _count_children(net, lattice, node, added)
+        edges = [0, *itertools.accumulate(len(node.counts.codes) * v for v in values)]
+        configs = math.prod(node.counts.arities)
+        tables = None  # under the table model only the survivors are laid out
+        if kind == "table":
+            filled = counts.any(1)
+            flags = filled.tolist()
+            log_mls = log_marginal_likelihoods(
+                counts[filled],
+                [sum(flags[a:b]) for a, b in zip(edges, edges[1:])],  # each child's non-empty rows
+                # kernels.concentration's integer product, so the same bits
+                [alpha / (m_x * (configs * v)) for v in values],
+            )
+        else:
+            tables = child_tables(lattice, node, added, counts, edges, range(len(keys)))
+            log_mls = [
+                family_log_ml(kind, tables[j], alpha, net.schema, lattice.x, child_parents(node, y))
+                for j, y in enumerate(added)
+            ]
+        log_priors = child_log_priors(lattice, node, keys)
+        scores = [p + m for p, m in zip(log_priors, log_mls)]
+        stored = (_node_score(net, lattice, s) for s in lattice.nodes.values())
+        dies_below = math.log(params.e_dead) + max(itertools.chain(stored, scores))
+        live = []
+        for j, (key, v) in enumerate(zip(keys, values)):
+            if scores[j] < dies_below and dead_condition(net, m_x, configs * v, params.dead_kappa):
+                lattice.dead.add(key)
+            else:
+                live.append(j)
+        if tables is None and live:
+            tables = child_tables(lattice, node, added, counts, edges, live)
+        for j in live:
+            lattice.nodes[keys[j]] = LatticeNode(
+                keys[j], child_parents(node, added[j]), tables[j], log_priors[j],
+                scores={kind: (net.n_total, log_mls[j])},
+            )
+    node.expansion = ExpansionFlag.EXPANDED
     return len(keys)
 
 
@@ -464,12 +526,16 @@ def _bit_index(net: CombinedNetwork) -> _BitIndex:
 
 
 def _count_children(
-    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, keys: list[int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The count rows of each child ``keys[j]`` of a stored node, on the
-    whole log, at once: one (codes, cells) pair of int64 arrays per child,
-    in ``keys`` order, laid out as ``count_cells`` lays them out (ascending
-    codes, non-empty rows only).
+    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, added: list[int]
+) -> np.ndarray:
+    """The count rows, on the whole log, of every child of a stored node
+    that adds one parent ``added[j]``, at once: an int64 array of rows of
+    ``m_x`` counts, child by child in ``added`` order, each child's
+    ``arity * configurations`` rows by the added parent's value, then by
+    the node's observed configuration.  Empty rows are kept: ``_expand``
+    scores every child from this array under the table model and lays out
+    (``lattice.child_tables``) only the children that survive their birth,
+    so a child that dies is never laid out or built.
 
     The counts come from the network's bit index of the log (``_bit_index``).
     ANDing the bitsets of a configuration's parent values with those of x's
@@ -478,28 +544,21 @@ def _count_children(
     added parent counts every child's rows at once.  That costs
     configurations x added values x n/64 words, not a code per log row and
     predecessor, and it runs over blocks of the words, so its memory does
-    not grow with the log.  The counts are then laid out child by child: a
-    child's code is the node's code split at the added parent's place value,
-    with the parent's value between.
+    not grow with the log.
     """
     x, arities = lattice.x, lattice.arities
     m_x = arities[x]
     index = _bit_index(net)
     offsets = index.offsets
     base = node.counts.codes
-    base_codes = base.tolist()
-    n_configs = len(base_codes)
-    # the index row of each parent's value in each observed configuration,
-    # and places[i]: the place value of a parent inserted before parent i
-    digits, places = [], [1]
+    # the index row of each parent's value in each observed configuration
+    digits = []
     for p in reversed(node.parents):
         digits.append(offsets[p] + base % arities[p])
         base = base // arities[p]
-        places.insert(0, places[0] * arities[p])
-    added = [lattice.candidates[(key ^ node.key).bit_length() - 1] for key in keys]
     value_rows = np.array([r for y in added for r in range(offsets[y], offsets[y + 1])])
     # counts[r, k, v]: the rows with index row r, configuration k and x = v
-    counts = np.zeros((len(value_rows), n_configs, m_x), dtype=np.int64)
+    counts = np.zeros((len(value_rows), len(node.counts.codes), m_x), dtype=np.int64)
     n_words = -(-net.n_total // 64)
     step = max(1, _BLOCK_CELLS // max(1, counts.size))
     for start in range(0, n_words, step):
@@ -509,31 +568,7 @@ def _count_children(
             masks = masks & words[rows][:, None]
         both = masks.reshape(-1, words.shape[1]) & words[value_rows][:, None]
         counts += np.bitwise_count(both).sum(-1, dtype=np.int64).reshape(counts.shape)
-    counts = counts.reshape(-1, m_x)  # row r * n_configs + k
-    filled = counts.any(1).tolist()
-    codes: list[int] = []
-    picks: list[int] = []
-    ends = []
-    first = 0  # where this child's added parent's values start in value_rows
-    for y in added:
-        arity, place = arities[y], places[bisect.bisect(node.parents, y)]
-        k = 0
-        while k < n_configs:  # the configurations sharing their code above y
-            high = base_codes[k] // place
-            stop = k + 1
-            while stop < n_configs and base_codes[stop] // place == high:
-                stop += 1
-            for v in range(arity):
-                at = (first + v) * n_configs
-                for j in range(k, stop):
-                    if filled[at + j]:
-                        codes.append((high * arity + v) * place + base_codes[j] % place)
-                        picks.append(at + j)
-            k = stop
-        first += arity
-        ends.append(len(codes))
-    all_codes, all_cells = np.array(codes, dtype=np.int64), counts[picks]
-    return [(all_codes[s:e], all_cells[s:e]) for s, e in zip([0, *ends], ends)]
+    return counts.reshape(-1, m_x)
 
 
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:

@@ -18,8 +18,13 @@ every score splits over a node's count table (``kernels.concentration``).
 first term of each chosen candidate and the second of each other, summed
 in ascending order.  ``oracle.log_structure_prior`` sums over every
 predecessor and adds only exact zeros besides, so the two agree bit for
-bit.  ``insert_children``, the only other place a node is built, builds an
-expanded node's children from it to the same bits, counted.
+bit.  The only other place a node is built is ``engine._expand``: it scores
+every child of an expanded node at birth and builds only the children that
+outlive it, counted and scored; the others go straight to ``dead``.  It
+derives a child from the expanded node, to the same bits as ``insert_node``
+from the child's key: its parents by one insertion (``child_parents``),
+its log prior as the same ascending sum (``child_log_priors``) and its
+counts laid out from the expansion's count rows (``child_tables``).
 
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the state they were computed from (``arc_memo``,
@@ -53,7 +58,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
 
@@ -175,23 +183,16 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     return node
 
 
-def insert_children(
-    lattice: ParentLattice,
-    node: LatticeNode,
-    keys: list[int],
-    tables: list[tuple],
-) -> None:
-    """Store the one-parent extensions ``keys`` of a stored node, none of
-    them stored or dead, asleep and closed, child ``keys[j]`` holding the
-    count rows ``tables[j]`` (codes, cells) of the whole log.
+def child_parents(node: LatticeNode, y: int) -> tuple[int, ...]:
+    """The parents of the one-parent extension of a node that adds ``y``, ascending."""
+    at = bisect.bisect(node.parents, y)
+    return node.parents[:at] + (y,) + node.parents[at:]
 
-    Each child is built from ``node`` as ``insert_node`` builds it from its
-    key, bit for bit: its parents by one insertion, and its log prior as
-    the same ascending sum of kept terms, which shares the node's sum up to
-    the added candidate.
-    """
-    arities = lattice.arities
-    parents, shape = node.parents, node.counts.arities
+
+def child_log_priors(lattice: ParentLattice, node: LatticeNode, keys: list[int]) -> list[float]:
+    """The log prior of each one-parent extension ``keys[j]`` of a stored
+    node, bit for bit as ``insert_node`` sums it: the kept terms in
+    ascending order, which share the node's sum up to the added candidate."""
     terms = [
         log_in if node.key >> i & 1 else log_out
         for i, (log_in, log_out) in enumerate(lattice.prior_terms)
@@ -199,19 +200,55 @@ def insert_children(
     partial = [0.0]  # partial[i]: insert_node's running sum after i terms
     for term in terms:
         partial.append(partial[-1] + term)
-    for key, (codes, cells) in zip(keys, tables):
+    log_priors = []
+    for key in keys:
         i = (key ^ node.key).bit_length() - 1
         log_prior = partial[i] + lattice.prior_terms[i][0]
         for term in terms[i + 1 :]:
             log_prior += term
-        y = lattice.candidates[i]
-        at = bisect.bisect(parents, y)
-        lattice.nodes[key] = LatticeNode(
-            key=key,
-            parents=parents[:at] + (y,) + parents[at:],
-            counts=CountTable.from_rows(shape[:at] + (arities[y],) + shape[at:], codes, cells),
-            log_prior=log_prior,
-        )
+        log_priors.append(log_prior)
+    return log_priors
+
+
+def child_tables(
+    lattice: ParentLattice,
+    node: LatticeNode,
+    added: list[int],
+    counts: np.ndarray,
+    edges: list[int],
+    chosen: Iterable[int],
+) -> dict[int, CountTable]:
+    """The count tables of the one-parent extensions ``chosen`` of a stored
+    node, by index j: extension j adds parent ``added[j]``, and its count
+    rows are ``counts[edges[j] : edges[j + 1]]``, one per (added value v,
+    node's configuration k) at row v * configurations + k, empty rows
+    included (``engine._count_children``).  Each is laid out as
+    ``count_cells`` lays a table out: a child's code is the node's code
+    split at the added parent's place value, with the parent's value
+    between, so ascending codes need no sort."""
+    base, shape, flags = node.counts.codes.tolist(), node.counts.arities, counts.any(1).tolist()
+    n, codes, rows, parts = len(base), [], [], []
+    for j in chosen:
+        at = bisect.bisect(node.parents, added[j])
+        arity, place = lattice.arities[added[j]], math.prod(shape[at:])
+        k = 0
+        while k < n:  # the configurations sharing their code above the added parent
+            high, stop = base[k] // place, k + 1
+            while stop < n and base[stop] // place == high:
+                stop += 1
+            for v in range(arity):
+                first = edges[j] + v * n  # the row of the added value v in configuration 0
+                for i in range(k, stop):
+                    if flags[first + i]:
+                        codes.append((high * arity + v) * place + base[i] % place)
+                        rows.append(first + i)
+            k = stop
+        parts.append((j, shape[:at] + (arity,) + shape[at:], len(codes)))
+    codes, cells, start, tables = np.array(codes, dtype=np.int64), counts[rows], 0, {}
+    for j, child_shape, end in parts:
+        tables[j] = CountTable.from_rows(child_shape, codes[start:end], cells[start:end])
+        start = end
+    return tables
 
 
 def alive_leaves(lattice: ParentLattice) -> list[LatticeNode]:

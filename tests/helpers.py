@@ -15,12 +15,14 @@ from bnrefine import (
     ConcreteNetwork,
     DomainSchema,
     Example,
+    ExpansionFlag,
     PriorConfig,
     VariableSpec,
     init,
+    sync_node,
 )
 from bnrefine.domain import CountTable, count_cells
-from bnrefine.lattice import LatticeStateError, check_lattice
+from bnrefine.lattice import LatticeStateError, check_lattice, children_of, insert_node
 from bnrefine.localmodels import LogisticParams, NoisyOrParams, _blocks, _kernel
 from bnrefine.oracle import ExactPosterior, OracleSizeError, exhaustive_posterior
 from bnrefine.sampling import forward_sample
@@ -169,6 +171,24 @@ def reference_arc_posteriors(net: CombinedNetwork) -> dict:
                     1.0, math.fsum(w for n, w in zip(alive, weights) if n.key & bit)
                 )
     return entries
+
+
+def expand_storing_every_child(net: CombinedNetwork, lattice, node, params) -> int:
+    """An expansion that stores every child neither stored nor dead
+    (``insert_node``, then ``sync_node``), marks the node expanded and
+    re-aims the lattice, which scores the children and kills those below
+    ``e_dead``; returns how many children.  ``engine._expand`` followed by
+    ``_re_aim`` must leave the lattice exactly as this does."""
+    from bnrefine.engine import _re_aim
+
+    keys = [
+        k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes
+    ]
+    for key in keys:
+        sync_node(net, lattice, insert_node(lattice, key))
+    node.expansion = ExpansionFlag.EXPANDED
+    _re_aim(net, lattice, params)
+    return len(keys)
 
 
 def table_log_ml(lattice, node) -> float:

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import traceback
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -37,7 +38,7 @@ from bnrefine.engine import SCORING_MODELS, dead_condition
 from bnrefine.domain import CountTable, config_codes
 from bnrefine.fileio import serialize_session, session_from_document, session_to_document
 from bnrefine.kernels import concentration
-from bnrefine.lattice import LatticeStateError, insert_node, kill
+from bnrefine.lattice import LatticeStateError, check_lattice, insert_node, kill
 from bnrefine.oracle import alpha_for, exhaustive_posterior
 from bnrefine.sampling import forward_sample
 
@@ -45,6 +46,7 @@ from helpers import (
     binary_schema,
     chain_v_truth,
     dead_threshold_reference,
+    expand_storing_every_child,
     five_var_truth,
     fresh_net,
     map_set,
@@ -59,6 +61,9 @@ from helpers import (
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
+# an expansion under these kills no child at birth: no score spread on the
+# small logs below reaches 690 nats (log 1e-300)
+NOTHING_DIES = SearchParams(c_alive=1e-300, d_open=1e-300, e_dead=1e-300)
 
 
 def recount(net, lattice, node) -> CountTable:
@@ -381,10 +386,15 @@ class TestSync:
         assert loaded.lattices == net.lattices
 
 
+def set_dead_condition(net, node, dead_kappa):
+    """``dead_condition`` of a stored set, read from its count table's shape."""
+    return dead_condition(net, node.counts.m_x, math.prod(node.counts.arities), dead_kappa)
+
+
 class TestDeadCondition:
     def test_zero_observations(self):
         net = fresh_net("ab")
-        assert not dead_condition(net, net.lattices[1].nodes[0], 5.0)
+        assert not set_dead_condition(net, net.lattices[1].nodes[0], 5.0)
 
     def test_threshold_is_kappa_times_table_size(self):
         net = fresh_net("ab")
@@ -392,9 +402,9 @@ class TestDeadCondition:
         refine(net, PERMISSIVE)
         node = net.lattices[1].nodes[0b1]  # binary child, one binary parent
         assert node.counts.total == 19
-        assert not dead_condition(net, node, 5.0)
+        assert not set_dead_condition(net, node, 5.0)
         observe(net, (1, 0))
-        assert dead_condition(net, node, 5.0)
+        assert set_dead_condition(net, node, 5.0)
 
     @pytest.mark.parametrize("kappa", [0.7, 1.3, 1 / 3, 2.9])
     def test_threshold_on_a_mixed_arity_set_is_the_schema_formula(self, kappa):
@@ -405,13 +415,13 @@ class TestDeadCondition:
         threshold = dead_threshold_reference(node, schema, 3, kappa)
         for total in range(math.ceil(threshold) + 2):  # one row at a time, across it
             assert node.counts.total == net.n_total == total
-            assert dead_condition(net, node, kappa) == (total >= threshold)
+            assert set_dead_condition(net, node, kappa) == (total >= threshold)
             observe(net, (0, 0, 0, 0))
-        assert dead_condition(net, node, kappa)
+        assert set_dead_condition(net, node, kappa)
 
     def test_kappa_zero_always_true(self):
         net = fresh_net("ab")
-        assert dead_condition(net, net.lattices[1].nodes[0], 0.0)
+        assert set_dead_condition(net, net.lattices[1].nodes[0], 0.0)
 
 
 class TestRefine:
@@ -563,11 +573,12 @@ class TestExpansion:
     ):
         # every fresh child of an expansion is counted from the log's bit
         # index (packed and counted in blocks of ``block`` cells, one word
-        # each at the least) and built from the expanded set, unscored: it
-        # must equal the child insert_node builds and sync_node counts, bit
-        # for bit, and score as that child does under every model its
-        # family allows, and as its count table alone scores with its log
-        # prior
+        # each at the least), scored at birth under the active model and,
+        # as none dies here, built from the expanded set: it must equal the
+        # child insert_node builds and sync_node counts, bit for bit, and
+        # score (its birth score, cached, under the active model) as that
+        # child does under every model its family allows, and as its count
+        # table alone scores with its log prior
         x = len(predecessors)
         labels = "abcd"
         schema = DomainSchema(
@@ -604,11 +615,15 @@ class TestExpansion:
                 insert_node(lattice, key)
                 kill(lattice, key)
                 dead.append(key)
-        model = data.draw(st.sampled_from(SCORING_MODELS), label="model")
-        net.scoring_model = model  # no model scores children as they enter
+        boolean_net = all(a == 2 for a in arities)
+        model = data.draw(
+            st.sampled_from(SCORING_MODELS if boolean_net else ("table",)), label="model"
+        )
+        net.scoring_model = model  # every child is scored at birth under it
         before = set(lattice.nodes)
         with mock.patch.object(engine, "_BLOCK_CELLS", block):
-            assert engine._expand(net, lattice, node) == len(fresh)
+            assert engine._expand(net, lattice, node, NOTHING_DIES) == len(fresh)
+        assert node.expansion is ExpansionFlag.EXPANDED
         assert lattice.nodes.keys() == before | set(fresh)
         assert all(lattice.nodes[s.key] is s and s.counts.total == 0 for s in stored)
         assert lattice.dead == set(dead)
@@ -626,7 +641,7 @@ class TestExpansion:
             assert child.counts.total == n_rows
             assert child.status is NodeStatus.ASLEEP
             assert child.expansion is ExpansionFlag.CLOSED
-            assert child.scores == {}
+            assert child.scores.keys() == {model} and child.scores[model][0] == n_rows
             boolean = all(arities[v] == 2 for v in (x, *child.parents))
             for kind in SCORING_MODELS if boolean else ("table",):
                 net.scoring_model = reference.scoring_model = kind
@@ -656,8 +671,9 @@ class TestExpansion:
         # the bit index is extended, never rebuilt, as the log grows by
         # batches of 0 rows or ending before, on or after a 64-row word
         # boundary; after each batch that asks for one, one set of a drawn
-        # lattice is expanded, and each fresh child must equal the child
-        # insert_node builds and sync_node counts on the log so far.  Each
+        # lattice is expanded at thresholds where no child dies, and each
+        # fresh child must equal the child insert_node builds and sync_node
+        # counts on the log so far.  Each
         # column draws values below a drawn bound, so some values and
         # configurations are never observed.
         labels = "abcd"
@@ -682,9 +698,10 @@ class TestExpansion:
                     continue
                 node = lattice.nodes[data.draw(st.sampled_from(unexpanded), label="expanded set")]
                 sync_node(net, lattice, node)
-                node.expansion = ExpansionFlag.EXPANDED
                 before = set(lattice.nodes)
-                if engine._expand(net, lattice, node):  # counted: the index is extended
+                # counted: the index is extended
+                if engine._expand(net, lattice, node, NOTHING_DIES):
+                    assert lattice.dead == set()
                     assert net.bit_index.rows == net.n_total
                 reference = init(schema, ArcPriorMatrix(default_prior=0.5), config)
                 observe_batch(reference, net.example_log)
@@ -695,6 +712,148 @@ class TestExpansion:
                     assert child.parents == want.parents
                     assert child.counts == want.counts
                     assert child.counts.total == net.n_total
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(SCORING_MODELS),
+        st.lists(st.integers(2, 3), min_size=2, max_size=5),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.one_of(st.just(0), st.just(1), st.integers(2, 120)),
+        st.lists(st.sampled_from([0.9, 0.5, 0.2, 0.05, 0.01, 1e-3]), min_size=3, max_size=3),
+        st.sampled_from([0.0, 0.3, 1.0, 5.0]),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_an_expansion_leaves_what_storing_every_child_then_re_aiming_leaves(
+        self, model, arities, prior, n_rows, thresholds, kappa, budget, seed, data
+    ):
+        # children scored at birth, every one the re-aim would kill killed
+        # at once, and the re-aim after: the same stored and dead keys (stored
+        # in the same order), statuses, expansion states, counts and cached
+        # scores, by float.hex, as storing every child and then re-aiming
+        if model != "table":
+            arities = [2] * len(arities)  # a restricted model scores boolean families only
+        c, d, e = sorted(thresholds, reverse=True)
+        params = SearchParams(c_alive=c, d_open=d, e_dead=e, dead_kappa=kappa)
+        labels = "abc"
+        schema = DomainSchema(
+            tuple(VariableSpec(f"v{i}", tuple(labels[:a])) for i, a in enumerate(arities))
+        )
+        net = init(schema, ArcPriorMatrix(default_prior=prior), PriorConfig(1.0))
+        net.scoring_model = model
+        rng = np.random.default_rng(seed)
+        columns = []
+        for a in arities:  # each column copies an earlier one now and then, so sets differ
+            fresh = rng.integers(0, a, size=n_rows)
+            if columns:
+                copied = columns[rng.integers(len(columns))] % a
+                fresh = np.where(rng.random(n_rows) < 0.6, copied, fresh)
+            columns.append(fresh)
+        observe_batch(net, np.column_stack(columns))
+        refine(net, replace(params, budget=budget))
+        x = data.draw(st.integers(0, len(arities) - 1), label="lattice")
+        lattice = net.lattices[x]
+        unexpanded = [
+            k for k, n in lattice.nodes.items() if n.expansion is not ExpansionFlag.EXPANDED
+        ]
+        key = data.draw(st.sampled_from(sorted(unexpanded or lattice.nodes)), label="expanded set")
+        if lattice.candidates and data.draw(st.booleans(), label="expand a set not stored"):
+            key = data.draw(st.integers(0, 2 ** len(lattice.candidates) - 1), label="any set")
+            if key in lattice.dead:
+                key = 0 if 0 in lattice.nodes else next(iter(lattice.nodes))
+            elif key not in lattice.nodes:
+                sync_node(net, lattice, insert_node(lattice, key))
+        reference = copy.deepcopy(net)
+        before = set(lattice.nodes)
+        created = engine._expand(net, lattice, lattice.nodes[key], params)
+        born = lattice.nodes.keys() - before
+        engine._re_aim(net, lattice, params)
+        assert born <= lattice.nodes.keys()  # the re-aim kills no child that outlived its birth
+        want = reference.lattices[x]
+        assert created == expand_storing_every_child(reference, want, want.nodes[key], params)
+        assert lattice.dead == want.dead
+        assert list(lattice.nodes) == list(want.nodes)
+        for got, node in zip(lattice.nodes.values(), want.nodes.values()):
+            assert (got.status, got.expansion) == (node.status, node.expansion), got.key
+            assert got.log_prior.hex() == node.log_prior.hex()
+            assert got.counts == node.counts
+            assert {k: (n, v.hex()) for k, (n, v) in got.scores.items()} == {
+                k: (n, v.hex()) for k, (n, v) in node.scores.items()
+            }, got.key
+        check_lattice(lattice, net.n_total)
+
+    def test_a_child_below_the_stored_best_dies_at_birth(self):
+        # c independent of a and b, all priors 1/2: the root of c's lattice
+        # outscores both children by the same margin.  With e_dead halfway
+        # there, both die at birth, bound by the stored best rather than the
+        # children's, and are never built; a refine's report counts them as
+        # created and as killed
+        net = fresh_net("abc")
+        observe_batch(net, list(itertools.product(range(2), repeat=3)) * 10)
+        lattice = net.lattices[2]
+        root = lattice.nodes[0]
+        probe = copy.deepcopy(net)
+        seen = probe.lattices[2]
+        expand_storing_every_child(probe, seen, seen.nodes[0], NOTHING_DIES)
+        scores = [engine._node_score(probe, seen, n) for n in seen.nodes.values()]
+        assert scores[1] == scores[2] < scores[0]
+        e = math.exp((scores[1] - scores[0]) / 2)
+        params = SearchParams(c_alive=e, d_open=e, e_dead=e, dead_kappa=0.0)
+        engine._re_aim(net, lattice, params)
+        assert engine._expand(net, lattice, root, params) == 2
+        assert lattice.dead == {0b01, 0b10} and list(lattice.nodes) == [0]
+        assert root.expansion is ExpansionFlag.EXPANDED
+        report = refine(net, params)
+        stats = network_stats(net)
+        assert report.nodes_created + len(net.lattices) + 2 == stats.total_stored + sum(
+            stats.dead.values()
+        )
+        assert report.nodes_killed == sum(stats.dead.values()) - 2
+
+    def test_a_score_that_raises_mid_refine_leaves_every_lattice_whole(self):
+        # a logistic score that raises on its k-th call, for k across the
+        # whole search, some inside an expansion: after each raise every
+        # lattice keeps the rules of check_lattice, and a refine that then
+        # runs unpatched ends in the bytes of one never interrupted
+        net, _ = sampled_net(chain_v_truth(), 150, seed=4)
+        net.scoring_model = "logistic"
+        refine(net, SearchParams(budget=3))
+        observe_batch(net, forward_sample(chain_v_truth(), 150, seed=5))
+        uninterrupted = copy.deepcopy(net)
+        real = engine.family_log_ml
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        with mock.patch.object(engine, "family_log_ml", counted):
+            refine(uninterrupted, SearchParams())
+        want = serialize_session(uninterrupted)
+        raised_in_expansion = 0
+        for k in sorted({1 + calls * i // 20 for i in range(20)}):
+            session = copy.deepcopy(net)
+            seen = 0
+
+            def failing(*args):
+                nonlocal seen
+                seen += 1
+                if seen == k:
+                    raise RuntimeError("score failed")
+                return real(*args)
+
+            with mock.patch.object(engine, "family_log_ml", failing):
+                with pytest.raises(RuntimeError, match="score failed") as raised:
+                    refine(session, SearchParams())
+            frames = {frame.name for frame in traceback.extract_tb(raised.value.__traceback__)}
+            raised_in_expansion += "_expand" in frames
+            for lattice in session.lattices:
+                check_lattice(lattice, session.n_total)
+            refine(session, SearchParams())
+            assert serialize_session(session) == want, k
+        assert raised_in_expansion >= 10
 
     def test_the_bit_index_is_kept_in_memory_only(self):
         # an index changes no session byte and takes no part in ==; a

@@ -18,6 +18,7 @@ from bnrefine.domain import config_codes
 from bnrefine.kernels import (
     expected_theta,
     log_marginal_likelihood,
+    log_marginal_likelihoods,
     log_sum_exp,
     rows_log_likelihood,
 )
@@ -182,6 +183,35 @@ class TestMarginalLikelihood:
                 row[value] += 1
             batch = log_marginal_likelihood(np.array(list(rows.values())), alpha_x)
             assert sequential == pytest.approx(batch, rel=1e-9, abs=1e-9)
+
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(2, 4),
+        st.lists(
+            st.tuples(st.integers(0, 6), st.floats(min_value=0.01, max_value=50.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_grouped_tables_score_as_each_table_alone(self, m_x, groups, seed):
+        # several tables scored in one call, each group's rows shuffled, give
+        # each table's own score bit for bit; an empty group scores 0.0
+        rng = np.random.default_rng(seed)
+        tables = [rng.integers(0, 5, size=(size, m_x)) for size, _ in groups]
+        shuffled = np.concatenate([rng.permutation(t) for t in tables]).reshape(-1, m_x)
+        alphas = [alpha for _, alpha in groups]
+        got = log_marginal_likelihoods(shuffled, [len(t) for t in tables], alphas)
+        assert len(got) == len(groups)
+        for score, table, alpha in zip(got, tables, alphas):
+            assert score.hex() == log_marginal_likelihood(table, alpha).hex()
+            if not len(table):
+                assert score == 0.0
+
+    def test_grouped_tables_reject_a_nonpositive_concentration(self):
+        with pytest.raises(ValueError):
+            log_marginal_likelihoods(np.ones((2, 2), dtype=np.int64), [1, 1], [0.5, 0.0])
 
 
 class TestStructurePrior:
