@@ -153,11 +153,10 @@ def _run(args: argparse.Namespace, out) -> int:
     if args.command == "arcs":
         net = fileio.load_session(args.session)
         matrix = query.all_arc_posteriors(net)
+        dot = export_dot(matrix, args.grey_mapping, args.threshold) if args.dot else None
         _print_arc_table(matrix.named_entries(), out)
-        if args.dot:
-            fileio._atomic_write(
-                args.dot, export_dot(matrix, args.grey_mapping, args.threshold)
-            )
+        if dot is not None:
+            fileio._atomic_write(args.dot, dot)
         return 0
 
     if args.command == "smooth":

@@ -7,7 +7,7 @@ nearly white.  Two intensity mappings:
 - log: intensity (log p - log p_min) / (-log p_min), clamped to [0, 1]
   with p_min = 1e-3, spreading the usable grey range over three decades.
 
-Arcs below a display threshold (default 0.01) are omitted.  Output bytes
+Arcs below a display threshold in [0, 1] (default 0.01) are omitted.  Output bytes
 are deterministic for identical input.
 """
 
@@ -57,7 +57,12 @@ def export_dot(
     mapping: str = "linear",
     threshold: float = DISPLAY_THRESHOLD,
 ) -> str:
-    """Render an arc-posterior matrix or a smoothed network as DOT text."""
+    """Render an arc-posterior matrix or a smoothed network as DOT text.
+
+    Raises ``ValueError`` for a threshold outside [0, 1], NaN included.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"display threshold {threshold} outside [0, 1]")
     if isinstance(source, ArcPosteriorMatrix):
         schema = source.schema
         edges = [

@@ -207,7 +207,16 @@ class NetworkStats:
 def init(
     schema: DomainSchema, priors: ArcPriorMatrix, config: PriorConfig
 ) -> CombinedNetwork:
-    """Network primed with the expert's arc beliefs: one root-only lattice per variable."""
+    """Network primed with the expert's arc beliefs: one root-only lattice per variable.
+
+    Raises ``ConfigurationError`` naming the first arc prior, in ascending
+    order, whose parent or child is not a position of the schema.
+    """
+    beyond = sorted((y, x) for y, x in priors.entries if y < 0 or x >= len(schema))
+    if beyond:
+        raise ConfigurationError(
+            f"arc prior for {beyond[0]} names a position outside the {len(schema)} variables"
+        )
     return CombinedNetwork(
         schema=schema,
         priors=priors,

@@ -27,9 +27,10 @@ its log prior as the same ascending sum (``child_log_priors``) and its
 counts laid out from the expansion's count rows (``child_tables``).
 
 In memory only, never saved or compared, the lattice also remembers its
-last arc posteriors with the state they were computed from (``arc_memo``,
-kept by ``query``) and the stamp of its last re-aim (``aim``, kept by
-``engine``).
+last arc posteriors with the stamp of what they depend on (``arc_memo``,
+kept by ``query``: the key of its one alive set alone, or else the model,
+the log's length and every alive key) and the stamp of its last re-aim
+(``aim``, kept by ``engine``).
 
 Lifecycle:
 

@@ -10,12 +10,16 @@ are mandatory and which are candidates, and one pass over its alive nodes'
 keys collects the weights of every candidate at once.
 
 Each lattice remembers its last arc posteriors (``ParentLattice.arc_memo``,
-in memory only) stamped with what they depend on: the active scoring
-model, the log's length and the key of every alive node.  A node's score
-is a function of exactly these, since every stored node counts the whole
-log, the log only grows and a log prior is fixed when its node is built,
-so a query of a lattice whose stamp still matches reads the memo and
-scores nothing.
+in memory only) stamped with what they depend on.  With two or more alive
+nodes that is the active scoring model, the log's length and the key of
+every alive node: a node's score is a function of exactly these, since
+every stored node counts the whole log, the log only grows and a log
+prior is fixed when its node is built.  With one alive node it is that
+node's key alone: its candidate parents then read 1 and the others 0
+whatever its score, -inf and NaN included, so a lattice that has
+converged to one set keeps its memo as the log grows.
+A query of a lattice whose stamp still matches reads the memo and
+normalizes nothing.
 
 Queries change nothing but the score cache of the nodes they read
 (``engine._node_score``) and the arc posterior memo of the lattices they
@@ -104,8 +108,17 @@ def _lattice_arc_posteriors(
     since the weights are normalized and any excess over 1 is rounding.
     The result is remembered against the lattice's stamp (see above) and
     returned as it is while the stamp matches: callers must only read it.
+    A lone alive set is stamped with its key alone, a bare int that no
+    multi-set stamp equals, and is still scored on the whole log, as a
+    recompute would score it.  Should the alive window go, the lone alive
+    set becomes the lone stored set.
     """
-    stamp = (net.scoring_model, net.n_total, [n.key for n in lattice.alive_nodes()])
+    alive = lattice.alive_nodes()
+    if len(alive) == 1:
+        _node_score(net, lattice, alive[0])
+        stamp = alive[0].key
+    else:
+        stamp = (net.scoring_model, net.n_total, [n.key for n in alive])
     memo = lattice.arc_memo
     if memo is not None and memo[0] == stamp:
         return memo[1]

@@ -309,6 +309,21 @@ class TestPipeline:
                     "--grey-mapping", "log"])[0] == 0
         assert '"u" -> "v"' in dot.read_text()
 
+    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "2"])
+    def test_arcs_with_a_threshold_outside_the_unit_interval_exits_one(
+        self, tmp_path, spec_path, threshold
+    ):
+        # NaN used to draw every arc, 0.000 ones included, and 2 none
+        session = str(tmp_path / "s.json")
+        assert run(["init", "--spec", spec_path, "--out", session])[0] == 0
+        dot = tmp_path / "arcs.dot"
+        code, out, err = run(
+            ["arcs", "--session", session, "--dot", str(dot), "--threshold", threshold]
+        )
+        assert code == 1
+        assert err.startswith("error: display threshold ") and "outside [0, 1]" in err
+        assert out == "" and not dot.exists()
+
     def test_refine_with_a_new_model_re_aims_every_lattice(self, tmp_path, spec_path, truth_path):
         # the second refine kept statuses aimed at the table model's best
         from bnrefine import refine, rethreshold

@@ -130,6 +130,18 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             ArcPriorMatrix(entries={(2, 0): 0.5})
 
+    @pytest.mark.parametrize(
+        "entries, named",
+        [
+            ({(-1, 2): 0.0}, r"\(-1, 2\)"),  # used to save as an arc c -> c
+            ({(1, 7): 1.0}, r"\(1, 7\)"),  # used to fail to save with an IndexError
+            ({(0, 4): 0.5, (-2, 1): 0.5, (0, 1): 0.5}, r"\(-2, 1\)"),
+        ],
+    )
+    def test_prior_entry_outside_the_schema_rejected(self, entries, named):
+        with pytest.raises(ConfigurationError, match=rf"^arc prior for {named} names a position"):
+            init(binary_schema("abc"), ArcPriorMatrix(entries=entries), PriorConfig())
+
 
 class TestObserve:
     def test_first_observation_moves_root_by_log_half(self):

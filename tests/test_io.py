@@ -1043,6 +1043,23 @@ class TestDotExport:
             edge = f'"{y_name}" -> "{x_name}"'
             assert (edge in text) == (p >= 0.5)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -0.01, 1.01, 2.0, math.inf])
+    def test_threshold_outside_the_unit_interval_is_an_error(self, threshold):
+        # NaN used to draw every arc, 0.000 ones included, and 2 none
+        net, _ = sampled_net(five_var_truth(), 100, seed=8)
+        refine(net, SearchParams())
+        with pytest.raises(ValueError, match=r"^display threshold .* outside \[0, 1\]$"):
+            export_dot(all_arc_posteriors(net), threshold=threshold)
+
+    def test_thresholds_at_the_ends_of_the_unit_interval(self):
+        schema = binary_schema("abc")
+        from bnrefine import init
+
+        net = init(schema, ArcPriorMatrix(entries={(0, 2): 1.0}), PriorConfig())
+        matrix = all_arc_posteriors(net)
+        assert export_dot(matrix, threshold=0.0).count("->") == 3
+        assert export_dot(matrix, threshold=1.0).count("->") == 1
+
     def test_log_mapping_endpoints(self):
         from bnrefine.dotexport import _grey_level
 

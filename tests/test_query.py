@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,6 +179,61 @@ class TestArcPosteriorMatrix:
         after = all_arc_posteriors(net).entries
         for pair, p in before.items():
             assert after[pair] == pytest.approx(p, abs=1e-9)
+
+
+def converged_net(model: str):
+    """An "ab" network whose lattice for b holds one alive set, {a}, with its
+    root asleep, after a refine; its arc posteriors are then queried once."""
+    net = fresh_net("ab")
+    net.scoring_model = model
+    observe_batch(net, [(0, 0), (1, 1)] * 4)
+    refine(net, SearchParams())
+    assert [n.key for n in net.lattices[1].alive_nodes()] == [0b1]
+    assert net.lattices[1].nodes[0].status is NodeStatus.ASLEEP
+    all_arc_posteriors(net)
+    return net
+
+
+def recomputed_arc_posteriors(net) -> dict:
+    for lattice in net.lattices:
+        lattice.arc_memo = None
+    return all_arc_posteriors(net).entries
+
+
+INDEPENDENT = [(0, 0), (0, 1), (1, 0), (1, 1)] * 10  # b does not depend on a
+
+
+class TestArcMemo:
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_one_alive_set_answers_from_the_memo_after_a_batch(self, model):
+        net = converged_net(model)
+        observe_batch(net, INDEPENDENT)
+        with mock.patch("bnrefine.query._alive_weights", wraps=_alive_weights) as spy:
+            entries = all_arc_posteriors(net).entries
+        assert all(call.args[1] is not net.lattices[1] for call in spy.call_args_list)
+        assert entries[(0, 1)] == 1.0
+        assert list(entries.items()) == list(recomputed_arc_posteriors(net).items())
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_a_memo_hit_scores_the_alive_set_on_the_whole_log(self, model):
+        net = converged_net(model)
+        observe_batch(net, INDEPENDENT)
+        node = net.lattices[1].nodes[0b1]
+        assert node.scores[model][0] < net.n_total
+        all_arc_posteriors(net)
+        assert node.scores[model][0] == net.n_total
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_a_second_alive_set_recomputes(self, model):
+        net = converged_net(model)
+        observe_batch(net, INDEPENDENT)
+        refine(net, SearchParams())
+        assert len(net.lattices[1].alive_nodes()) == 2
+        with mock.patch("bnrefine.query._alive_weights", wraps=_alive_weights) as spy:
+            entries = all_arc_posteriors(net).entries
+        assert any(call.args[1] is net.lattices[1] for call in spy.call_args_list)
+        assert 0.0 < entries[(0, 1)] < 1.0
+        assert list(entries.items()) == list(recomputed_arc_posteriors(net).items())
 
 
 class TestSmoothed:
