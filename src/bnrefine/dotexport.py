@@ -22,17 +22,15 @@ DISPLAY_THRESHOLD = 0.01
 
 
 def _grey_level(p: float, mapping: str) -> int:
-    """DOT grey index in 0..100 (0 = black); full black exactly at p = 1."""
+    """DOT grey index in 0..100 (0 = black) under ``mapping``, "linear" or
+    "log" (``export_dot`` checks it); full black exactly at p = 1."""
     if mapping == "linear":
         intensity = p
-    elif mapping == "log":
-        if p <= 0:
-            intensity = 0.0
-        else:
-            intensity = (math.log(p) - math.log(LOG_P_MIN)) / (-math.log(LOG_P_MIN))
-            intensity = min(max(intensity, 0.0), 1.0)
+    elif p <= 0:
+        intensity = 0.0
     else:
-        raise ValueError(f"unknown grey mapping {mapping!r}")
+        intensity = (math.log(p) - math.log(LOG_P_MIN)) / (-math.log(LOG_P_MIN))
+        intensity = min(max(intensity, 0.0), 1.0)
     return round(100 * (1.0 - intensity))
 
 
@@ -59,8 +57,11 @@ def export_dot(
 ) -> str:
     """Render an arc-posterior matrix or a smoothed network as DOT text.
 
-    Raises ``ValueError`` for a threshold outside [0, 1], NaN included.
+    Raises ``ValueError`` for an unknown grey mapping, and for a threshold
+    outside [0, 1], NaN included.
     """
+    if mapping not in ("linear", "log"):
+        raise ValueError(f"unknown grey mapping {mapping!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"display threshold {threshold} outside [0, 1]")
     if isinstance(source, ArcPosteriorMatrix):

@@ -10,9 +10,9 @@ Examples enter a node in one of two ways:
   once: one matrix product of the rows with the nodes' place values codes
   every row for every node, and ``count_cells`` counts the codes into all
   their ``CountTable``s together.  ``observe_batch`` counts each batch
-  into every stored node with one call, a loaded session counts each
-  lattice's nodes on the whole log with one, and ``sync_node`` recounts
-  one node, such as one ``insert_node`` has just stored, on the whole log;
+  into every stored node with one call (a loaded session is one batch:
+  its whole log), and ``sync_node`` recounts one node, such as one
+  ``insert_node`` has just stored, on the whole log;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
   packed bitset of rows per (variable, value).  ANDing bitsets gives the
@@ -138,23 +138,22 @@ class CombinedNetwork:
     """All parent lattices plus the retained example log and global priors.
 
     ``example_log`` is an (n, V) array of value indices whose dtype is the
-    schema's ``value_dtype``; any examples given here are validated and
-    converted by ``DomainSchema.encode_rows``.  ``==`` compares the log's
-    values and the other fields, caches left out.
+    schema's ``value_dtype``.  It starts empty: ``observe_batch`` is the
+    only way rows enter it.  ``==`` compares the log's values and the
+    other fields, caches left out.
     """
 
     schema: DomainSchema
     priors: ArcPriorMatrix
     config: PriorConfig
     lattices: list[ParentLattice]
-    example_log: np.ndarray | None = field(default=None, compare=False)  # == compares its values
+    example_log: np.ndarray = field(init=False, compare=False)  # == compares its values
     scoring_model: str = "table"
     # the log's bit index (``_BitIndex``), kept by this module only
     bit_index: _BitIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = () if self.example_log is None else self.example_log
-        self.example_log = self.schema.encode_rows(rows)
+        self.example_log = self.schema.encode_rows(())
 
     @property
     def n_total(self) -> int:
@@ -270,8 +269,8 @@ def _count_rows(
     into all the tables together.  The work runs over blocks of rows and of
     nodes, so its transient arrays stay within ``_BLOCK_CELLS`` cells
     however long the log and however many nodes: a dense table lays out at
-    most ``max(4 * rows, 1024)`` cells (``count_cells``).  ``observe_batch``,
-    ``sync_node`` and session loading all count here.
+    most ``max(4 * rows, 1024)`` cells (``count_cells``).  ``observe_batch``
+    (and so session loading) and ``sync_node`` count here.
     """
     stop = net.n_total
     if stop > start:

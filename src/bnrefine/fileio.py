@@ -17,9 +17,10 @@ the first unknown label or missing cell, with row/column diagnostics.
 A session snapshot holds the example log and, per stored parent set, its
 key, its status and its expansion state.  It stores nothing it can
 derive: no prior, concentration or parents (they follow from the key and
-the spec), and no counts, scores or fits (loading counts each set on the
-whole log), so none of them can disagree with the spec or the log.  The
-status is kept: deriving it would score every stored set.
+the spec), and no counts, scores or fits (loading feeds the whole log to
+one ``observe_batch``, which counts every stored set), so none of them
+can disagree with the spec or the log.  The status is kept: deriving it
+would score every stored set.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .domain import (
     PriorConfig,
     VariableSpec,
 )
-from .engine import SCORING_MODELS, CombinedNetwork, _count_rows
+from .engine import SCORING_MODELS, CombinedNetwork, init, observe_batch
 from .lattice import (
     ExpansionFlag,
     LatticeNode,
@@ -49,7 +50,6 @@ from .lattice import (
     ParentLattice,
     check_lattice,
     insert_node,
-    new_lattice,
 )
 
 SPEC_FORMAT = "bnrefine-spec"
@@ -115,7 +115,7 @@ def parse_spec(text: str) -> tuple[DomainSchema, ArcPriorMatrix, PriorConfig]:
         raise SpecFormatError(f"not valid JSON: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != SPEC_FORMAT:
         raise SpecFormatError(f"missing format tag {SPEC_FORMAT!r}")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != FORMAT_VERSION or type(doc["version"]) is not int:
         raise SpecFormatError(f"unsupported spec version {doc.get('version')!r}")
 
     schema = _parse_variables(doc.get("variables"), SpecFormatError)
@@ -301,7 +301,9 @@ def session_to_document(net: CombinedNetwork) -> dict:
 
 
 def session_from_document(doc: dict) -> CombinedNetwork:
-    """Rebuild a session; every stored node is counted on the whole example log.
+    """Rebuild a session the way it was built: ``init`` of its spec, its
+    stored sets in place of each lattice's root, then one ``observe_batch``
+    of the whole log, which validates the log and counts every stored set.
 
     Versions 1 to 7 also stored the number of log rows each node had
     absorbed, 1 to 6 each node's restricted-model fits, 1 to 5 each
@@ -316,7 +318,7 @@ def session_from_document(doc: dict) -> CombinedNetwork:
     if not isinstance(doc, dict) or doc.get("format") != SESSION_FORMAT:
         raise SessionFormatError(f"missing format tag {SESSION_FORMAT!r}")
     version = doc.get("version")
-    if version not in range(1, SESSION_VERSION + 1):
+    if version not in range(1, SESSION_VERSION + 1) or type(version) is not int:
         raise SessionFormatError(f"unsupported session version {version!r}")
     try:
         schema, priors, config = parse_spec(json.dumps(doc["spec"]))
@@ -325,17 +327,18 @@ def session_from_document(doc: dict) -> CombinedNetwork:
             raise SessionFormatError(f"unknown scoring model {scoring_model!r}")
         if not isinstance(doc["example_log"], list):
             raise SessionFormatError("example log is not a list of rows")
-        net = CombinedNetwork(
-            schema=schema,
-            priors=priors,
-            config=config,
-            lattices=[],
-            example_log=doc["example_log"],
-            scoring_model=scoring_model,
-        )
-        net.lattices = [_lattice_from_doc(d, version, net) for d in doc["lattices"]]
-        if [lat.x for lat in net.lattices] != list(range(len(schema))):
+        net = init(schema, priors, config)
+        net.scoring_model = scoring_model
+        for lattice_doc in doc["lattices"]:
+            _lattice_from_doc(lattice_doc, version, net)
+        if [d["x"] for d in doc["lattices"]] != list(range(len(schema))):
             raise SessionFormatError("lattices do not cover the schema variables")
+        observe_batch(net, doc["example_log"])
+        for lattice in net.lattices:
+            try:
+                check_lattice(lattice, net.n_total)
+            except LatticeStateError as err:
+                raise SessionFormatError(f"lattice {schema.name(lattice.x)!r}: {err}") from None
         return net
     except SessionFormatError:
         raise
@@ -343,14 +346,15 @@ def session_from_document(doc: dict) -> CombinedNetwork:
         raise SessionFormatError(f"malformed session document: {err}") from None
 
 
-def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLattice:
-    """The document's lattice: its own faults are checked here, the lattice rules
-    once it is built (``check_lattice``)."""
+def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> None:
+    """Store the document's sets and dead keys, uncounted, in the network's
+    lattice ``x`` in place of its fresh root.  The document's own faults are
+    checked here, the lattice rules once the log is counted (``check_lattice``)."""
     schema = net.schema
     x = doc["x"]
     if type(x) is not int or not 0 <= x < len(schema):
         raise SessionFormatError(f"lattice x {x!r} names no variable of the {len(schema)}-variable schema")
-    lattice = new_lattice(x, schema, net.priors, net.config)
+    lattice = net.lattices[x]
     if version == 1:  # a dead parent set was a node with status "dead"
         stored = [d for d in doc["nodes"] if d["status"] != "dead"]
         dead = [d["key"] for d in doc["nodes"] if d["status"] == "dead"]
@@ -366,13 +370,7 @@ def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> ParentLa
     lattice.nodes = {}  # the stored nodes replace the fresh root
     for d in stored:
         _node_from_doc(d, version, lattice, net)
-    _count_rows(net, [(lattice, node) for node in lattice.nodes.values()], 0)
     lattice.dead = set(dead)
-    try:
-        check_lattice(lattice, net.n_total)
-    except LatticeStateError as err:
-        raise SessionFormatError(f"{where}: {err}") from None
-    return lattice
 
 
 def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: CombinedNetwork) -> None:
@@ -432,7 +430,7 @@ def network_to_document(network: ConcreteNetwork) -> dict:
 def network_from_document(doc: dict) -> ConcreteNetwork:
     if not isinstance(doc, dict) or doc.get("format") != NETWORK_FORMAT:
         raise SessionFormatError(f"missing format tag {NETWORK_FORMAT!r}")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != FORMAT_VERSION or type(doc["version"]) is not int:
         raise SessionFormatError(f"unsupported network version {doc.get('version')!r}")
     schema = _parse_variables(doc.get("variables"), SessionFormatError)
     try:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bnrefine import (
     observe_batch,
     refine,
 )
+from bnrefine import fileio
 from bnrefine.dotexport import export_dot
 from bnrefine.fileio import (
     CsvFormatError,
@@ -420,6 +422,8 @@ class TestParseSpec:
             (("arcs",), {"from": "rain"}, r"arcs: \{'from': 'rain'\} is not a list"),
             (("arcs", 0, "from"), ["rain"], r"arcs\[0\]: from \['rain'\] is not a variable name"),
             (("arcs", 1, "to"), {"wet": 1}, r"arcs\[1\]: to \{'wet': 1\} is not a variable name"),
+            (("version",), True, "unsupported spec version True"),
+            (("version",), 1.0, r"unsupported spec version 1\.0"),
         ],
         ids=[
             "prior-true",
@@ -431,12 +435,15 @@ class TestParseSpec:
             "arcs-a-dict",
             "from-a-list",
             "to-a-dict",
+            "version-true",
+            "version-a-float",
         ],
     )
     def test_a_malformed_field_is_named(self, path, value, message):
-        # true loaded as 1.0: a mandatory arc, or a concentration of 1; a
-        # number or null for arcs, or a list or dict for an endpoint, escaped
-        # as a TypeError, and a string or dict arcs was walked item by item
+        # true loaded as 1.0: a mandatory arc, a concentration of 1, or
+        # version 1, as did a version of 1.0; a number or null for arcs, or a
+        # list or dict for an endpoint, escaped as a TypeError, and a string
+        # or dict arcs was walked item by item
         doc = copy.deepcopy(SPEC_DOC)
         *outer, last = path
         target = doc
@@ -610,6 +617,26 @@ class TestSession:
         longer = loaded(net)
         observe_batch(longer, data[:1])
         assert longer != net and net != longer
+
+    @pytest.mark.parametrize("model", ["table", "noisy-or", "logistic"])
+    def test_a_loaded_session_is_its_log_observed_as_one_batch(self, tmp_path, model):
+        # loading is init, the stored sets, then one observe_batch of the
+        # whole log: the network equals the live one it was saved from
+        data = forward_sample(five_var_truth(), 150, seed=9)
+        net = fresh_net("abcde")
+        net.scoring_model = model
+        for start in range(0, 150, 50):
+            observe_batch(net, data[start : start + 50])
+            refine(net, SearchParams())
+        path = tmp_path / "s.json"
+        save_session(path, net)
+        with mock.patch.object(fileio, "observe_batch", wraps=fileio.observe_batch) as spy:
+            loaded = load_session(path)
+        assert spy.call_count == 1
+        (target, rows), _ = spy.call_args
+        assert target is loaded and rows == json.loads(path.read_text())["example_log"]
+        assert loaded == net
+        assert all_arc_posteriors(loaded).entries == all_arc_posteriors(net).entries
 
     def test_mid_search_round_trip_then_refine_matches_uninterrupted(self, tmp_path):
         net_a, _ = sampled_net(five_var_truth(), 150, seed=6)
@@ -927,14 +954,16 @@ class TestSession:
             load_session(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
+        # true loaded as version 1 and 8.0 as version 8
         net = fresh_net("ab")
         path = tmp_path / "s.json"
         save_session(path, net)
         doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SessionFormatError, match="version"):
-            load_session(path)
+        for version in (99, True, 8.0):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SessionFormatError, match=f"unsupported session version {version!r}"):
+                load_session(path)
 
     @pytest.mark.parametrize(
         "log, message",
@@ -998,6 +1027,12 @@ class TestNetworkDocument:
         with pytest.raises(SpecFormatError, match=message):
             parse_spec(json.dumps(spec))
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_integer(self, version):
+        # both loaded as version 1
+        doc = dict(network_to_document(five_var_truth()), version=version)
+        with pytest.raises(SessionFormatError, match=f"unsupported network version {version!r}"):
+            network_from_document(doc)
 
     def test_a_repeated_parent_is_a_session_format_error(self, tmp_path):
         # parents ["a", "a"] loaded with a 4-row CPT, and forward_sample and
@@ -1050,6 +1085,12 @@ class TestDotExport:
         refine(net, SearchParams())
         with pytest.raises(ValueError, match=r"^display threshold .* outside \[0, 1\]$"):
             export_dot(all_arc_posteriors(net), threshold=threshold)
+
+    def test_unknown_grey_mapping_is_an_error(self):
+        # it was checked only when an arc was drawn, so a matrix with none
+        # above the threshold rendered under any mapping
+        with pytest.raises(ValueError, match="unknown grey mapping 'bogus'"):
+            export_dot(all_arc_posteriors(fresh_net("ab")), "bogus")
 
     def test_thresholds_at_the_ends_of_the_unit_interval(self):
         schema = binary_schema("abc")
