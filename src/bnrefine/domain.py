@@ -15,7 +15,8 @@ per observed code.  ``count_cells`` counts one block into many tables at
 once: by direct index into the dense code space of each table whose space
 is small next to the block, all such tables through one shared
 ``np.bincount``, and by sorting the codes of every other table; either way
-only the observed codes are stored.
+only the observed codes are stored.  The tables of one shared count hold
+views of its arrays, not copies, until the next block recounts them.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class DomainSchema:
             raise ConfigurationError("variable names must be unique")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_arities", np.array([v.arity for v in self.variables]))
+        top = max((v.arity for v in self.variables), default=2) - 1
+        object.__setattr__(self, "_value_dtype", np.min_scalar_type(top))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -90,7 +93,7 @@ class DomainSchema:
     @property
     def value_dtype(self) -> np.dtype:
         """Narrowest unsigned integer type that holds every value index."""
-        return np.min_scalar_type(max((v.arity for v in self.variables), default=2) - 1)
+        return self._value_dtype  # type: ignore[attr-defined]
 
     def predecessors(self, x: int) -> range:
         """Variables allowed to be parents of ``x`` (all earlier positions)."""
@@ -104,12 +107,14 @@ class DomainSchema:
         variable, each an integer index (``bool`` excluded) in
         ``[0, arity)``; one bad example rejects the whole block with an
         ``ExampleError`` naming the first fault.  An accepted block costs
-        one Python-level pass over its values, which collects their types;
-        the conversion and the range check run in C: ``bytearray`` when the
-        log is ``uint8`` (it takes exactly the integers 0..255), else
-        ``np.fromiter``, then one comparison against the arities.  Only a
-        rejected block is walked example by example, to name its first
-        fault.
+        one Python-level pass over its values, ``map(type, ...)``; a block
+        of plain ``int`` passes on their count alone, and only a block
+        holding another type checks each distinct type.  The conversion
+        and the range check run in C: ``bytearray`` when the log is
+        ``uint8`` (it takes exactly the integers 0..255, so only the upper
+        bound is left to test), else ``np.fromiter`` and a test of both
+        bounds, against the arities.  Only a rejected block is walked
+        example by example, to name its first fault.
         """
         examples = list(examples)
         block = self._encoded(examples)
@@ -127,18 +132,23 @@ class DomainSchema:
         if not set(map(len, rows)) <= {width}:
             return None
         flat = list(chain.from_iterable(rows))
-        if not all(map(_is_index_type, set(map(type, flat)))):
+        kinds = list(map(type, flat))
+        if kinds.count(int) != len(kinds) and not all(map(_is_index_type, set(kinds))):
             return None
-        dtype = self.value_dtype
+        dtype = self._value_dtype  # type: ignore[attr-defined]
+        as_bytes = dtype == np.uint8
         try:
-            if dtype == np.uint8:
+            if as_bytes:  # bytearray takes exactly the integers 0..255
                 block = np.frombuffer(bytearray(flat), dtype)
             else:
                 block = np.fromiter(flat, np.int64, len(flat))
         except (OverflowError, ValueError):  # an integer beyond the dtype is out of range
             return None
         block = block.reshape(len(rows), width)
-        if ((block < 0) | (block >= self._arities)).any():  # type: ignore[attr-defined]
+        beyond = block >= self._arities  # type: ignore[attr-defined]
+        if not as_bytes:  # a uint8 block has no value below 0
+            beyond |= block < 0
+        if beyond.any():
             return None
         return block.astype(dtype, copy=False)
 
@@ -307,9 +317,10 @@ def count_cells(tables: list[CountTable], cells: np.ndarray) -> None:
 def _keep_rows(run: list[CountTable], laid_out: np.ndarray, firsts: list[int], m_x: int) -> None:
     """Add the old rows of a run of tables of one ``m_x``, whose new counts
     fill ``laid_out[firsts[0]:firsts[-1]]`` end to end, and store each
-    table's non-empty rows.  Each table gets arrays of its own: a view
-    would keep the whole run's rows alive as long as any table of it
-    kept its view."""
+    table's non-empty rows as views of the run's two arrays.  A view keeps
+    the whole run's rows alive while any table of the run holds it; every
+    stored table is recounted into fresh arrays at the next batch
+    (``engine.observe_batch``), so a run lives at most until then."""
     counts = laid_out[firsts[0] : firsts[-1]].reshape(-1, m_x)
     starts = (np.array(firsts[:-1]) - firsts[0]) // m_x  # each table's first row
     old = np.concatenate([table.codes for table in run])
@@ -320,7 +331,7 @@ def _keep_rows(run: list[CountTable], laid_out: np.ndarray, firsts: list[int], m
     codes, cells = (kept - starts[owner]).astype(np.int64, copy=False), counts[kept]
     bounds = np.searchsorted(kept, [*starts.tolist(), len(counts)]).tolist()
     for table, a, b in zip(run, bounds, bounds[1:]):
-        table.codes, table.cells = codes[a:b].copy(), cells[a:b].copy()
+        table.codes, table.cells = codes[a:b], cells[a:b]
 
 
 def config_count(schema: DomainSchema, parents: tuple[int, ...]) -> int:

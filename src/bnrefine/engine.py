@@ -9,9 +9,12 @@ Examples enter a node in one of two ways:
 - ``_count_rows`` adds the log rows from a given start to many nodes at
   once: one matrix product of the rows with the nodes' place values codes
   every row for every node, and ``count_cells`` counts the codes into all
-  their ``CountTable``s together.  ``observe_batch`` counts each batch
-  into every stored node with one call (a loaded session is one batch:
-  its whole log), and ``sync_node`` recounts one node, such as one
+  their ``CountTable``s together.  The product runs in float64, through
+  BLAS, whenever every node has at most 2**53 cells, where float sums of
+  integers are exact, and in int64 otherwise; ``init`` refuses a root past
+  2**63 cells, which no int64 code indexes.  ``observe_batch`` counts each
+  batch into every stored node with one call (a loaded session is one
+  batch: its whole log), and ``sync_node`` recounts one node, such as one
   ``insert_node`` has just stored, on the whole log;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
@@ -209,19 +212,25 @@ def init(
     """Network primed with the expert's arc beliefs: one root-only lattice per variable.
 
     Raises ``ConfigurationError`` naming the first arc prior, in ascending
-    order, whose parent or child is not a position of the schema.
+    order, whose parent or child is not a position of the schema, or the
+    first variable whose root has more than 2**63 cells (its arity times
+    its mandatory parents' configurations): no int64 code indexes them all.
     """
     beyond = sorted((y, x) for y, x in priors.entries if y < 0 or x >= len(schema))
     if beyond:
         raise ConfigurationError(
             f"arc prior for {beyond[0]} names a position outside the {len(schema)} variables"
         )
-    return CombinedNetwork(
-        schema=schema,
-        priors=priors,
-        config=config,
-        lattices=[new_lattice(x, schema, priors, config) for x in range(len(schema))],
-    )
+    lattices = [new_lattice(x, schema, priors, config) for x in range(len(schema))]
+    for lattice in lattices:
+        root = lattice.nodes[0].counts
+        cells = math.prod(root.arities) * root.m_x
+        if cells > 1 << 63:
+            raise ConfigurationError(
+                f"variable {schema.name(lattice.x)!r} with its {len(root.arities)} mandatory "
+                f"parents has {cells} count cells, more than the 2**63 an int64 code indexes"
+            )
+    return CombinedNetwork(schema=schema, priors=priors, config=config, lattices=lattices)
 
 
 def observe(net: CombinedNetwork, example: Example) -> None:
@@ -266,7 +275,11 @@ def _count_rows(
     One matrix product of the rows with each node's place values (its
     parents' and its variable's, as ``config_codes`` and ``CountTable``
     code them) gives every node's cell codes, which ``count_cells`` counts
-    into all the tables together.  The work runs over blocks of rows and of
+    into all the tables together.  The product is float64 when no node has
+    more than 2**53 cells: every partial sum is then an integer that
+    float64 holds exactly, so the codes are those of the int64 product,
+    which numpy runs in its own loop where a float one runs through BLAS.
+    Past 2**53 cells it is int64.  The work runs over blocks of rows and of
     nodes, so its transient arrays stay within ``_BLOCK_CELLS`` cells
     however long the log and however many nodes: a dense table lays out at
     most ``max(4 * rows, 1024)`` cells (``count_cells``).  ``observe_batch``
@@ -274,15 +287,17 @@ def _count_rows(
     """
     stop = net.n_total
     if stop > start:
-        places = []
+        places, space = [], 1
         for lattice, node in pairs:
             row, place, arities = [0] * len(net.schema), 1, lattice.arities
             for v in (lattice.x, *reversed(node.parents)):
                 row[v] = place
                 place *= arities[v]
             places.append(row)
-        places = np.array(places, dtype=np.int64)
-        # rows x variables (the block as int64), rows x sets (cell codes) and
+            space = max(space, place)
+        kind = np.float64 if space <= 1 << 53 else np.int64
+        places = np.array(places, dtype=kind)
+        # rows x variables (the block as kind), rows x sets (cell codes) and
         # the dense tables' layout each stay within _BLOCK_CELLS
         rows = max(1, min(stop - start, _BLOCK_CELLS // max(4, len(net.schema))))
         sets = max(1, _BLOCK_CELLS // max(4 * rows, 1024))
@@ -290,7 +305,8 @@ def _count_rows(
             tables = [node.counts for _, node in pairs[first : first + sets]]
             weights = places[first : first + sets].T
             for at in range(start, stop, rows):
-                count_cells(tables, net.example_log[at : min(at + rows, stop)] @ weights)
+                block = net.example_log[at : min(at + rows, stop)].astype(kind)
+                count_cells(tables, (block @ weights).astype(np.int64, copy=False))
 
 
 def dead_condition(net: CombinedNetwork, m_x: int, configs: int, dead_kappa: float) -> bool:
@@ -339,11 +355,13 @@ def _cached_best(net: CombinedNetwork, lattice: ParentLattice) -> float:
     under the model is -inf.  Right after ``_re_aim`` every stored node
     is scored on the whole log, and the best one is alive (its score clears
     ``log c_alive + best``), so it is then the exact best."""
-    kind = net.scoring_model
-    return max(
-        (n.log_prior + n.scores[kind][1] for n in lattice.alive_nodes() if kind in n.scores),
-        default=NEG_INF,
-    )
+    kind, alive = net.scoring_model, NodeStatus.ALIVE
+    scores = [
+        n.log_prior + n.scores[kind][1]
+        for n in lattice.nodes.values()
+        if n.status is alive and kind in n.scores
+    ]
+    return max(scores, default=NEG_INF)
 
 
 def _re_aim(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> None:

@@ -84,6 +84,17 @@ class TestBasics:
         assert code == 1
         assert "nope" in err
 
+    def test_a_root_no_int64_code_indexes_exits_one(self, tmp_path):
+        # 63 mandatory boolean parents: observe used to die with a traceback
+        spec = tmp_path / "spec.json"
+        priors = ArcPriorMatrix({(y, 63): 1.0 for y in range(63)}, default_prior=0.0)
+        save_spec(spec, binary_schema([f"v{i}" for i in range(64)]), priors, PriorConfig())
+        session = tmp_path / "s.json"
+        code, out, err = run(["init", "--spec", str(spec), "--out", str(session)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: variable 'v63' with its 63 mandatory parents")
+        assert err.count("\n") == 1 and not session.exists()
+
     def test_a_csv_with_a_byte_order_mark_observes_as_one_without(self, tmp_path, spec_path, truth_path):
         # a spreadsheet's "CSV UTF-8" starts with a byte-order mark, which
         # was read into the first header name and refused

@@ -78,6 +78,14 @@ def recount(net, lattice, node) -> CountTable:
     table[np.searchsorted(codes, found // m_x), found % m_x] = counts
     return CountTable.from_rows(node.counts.arities, codes, table)
 
+
+def mandatory_root(k: int):
+    """The spec of k + 1 boolean variables, the last with every other as a
+    mandatory parent and no uncertain one: its root has 2**(k + 1) cells."""
+    priors = ArcPriorMatrix({(y, k): 1.0 for y in range(k)}, default_prior=0.0)
+    return binary_schema([f"v{i}" for i in range(k + 1)]), priors, PriorConfig()
+
+
 # SearchParams fields no search may run with, and the error each one raises
 INVALID_PARAMS = [
     ({"c_alive": 1.0}, "thresholds must satisfy"),
@@ -141,6 +149,20 @@ class TestInit:
     def test_prior_entry_outside_the_schema_rejected(self, entries, named):
         with pytest.raises(ConfigurationError, match=rf"^arc prior for {named} names a position"):
             init(binary_schema("abc"), ArcPriorMatrix(entries=entries), PriorConfig())
+
+    def test_a_root_no_int64_code_indexes_is_rejected(self):
+        # k mandatory boolean parents give the root 2**(k + 1) cells; at 63
+        # the first batch used to raise a bare OverflowError from counting
+        # after the log had grown, leaving the root's counts behind it
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^variable 'v63' with its 63 mandatory parents has {2**64} count cells",
+        ):
+            init(*mandatory_root(63))
+        net = init(*mandatory_root(62))  # 2**63 cells: the most an int64 code indexes
+        observe_batch(net, np.random.default_rng(1).integers(0, 2, (5, 63)))
+        lattice = net.lattices[62]
+        assert lattice.nodes[0].counts == recount(net, lattice, lattice.nodes[0])
 
 
 class TestObserve:
@@ -249,6 +271,49 @@ class TestObserveBatch:
         observe_batch(net, [(1, 299), (0, 7)])
         assert net.example_log.dtype == np.uint16
         assert net.example_log.tolist() == [[1, 299], [0, 7]]
+
+
+    def test_a_root_past_the_float_product_counts_exactly(self):
+        # 54 mandatory boolean parents give the root 2**55 cells: past the
+        # 2**53 a float64 product codes exactly, so its rows are coded by
+        # the int64 product, in a batch, on loading and by sync_node
+        k = 54
+        net = init(*mandatory_root(k))
+        rows = np.random.default_rng(2).integers(0, 2, (200, k + 1))
+        observe_batch(net, rows[:120])
+        observe_batch(net, rows[120:])
+        lattice = net.lattices[k]
+        node = lattice.nodes[0]
+        assert node.counts == recount(net, lattice, node)
+        loaded = session_from_document(session_to_document(net))
+        assert loaded.lattices[k].nodes[0].counts == node.counts
+        sync_node(net, lattice, node)
+        assert node.counts == recount(net, lattice, node)
+
+    @pytest.mark.parametrize("model", SCORING_MODELS)
+    def test_no_table_keeps_the_arrays_of_an_earlier_batch(self, model):
+        # the tables of one dense count hold views of its arrays; every
+        # stored table is recounted into fresh arrays at the next batch, so
+        # no table keeps a buffer (a view's base) of the batch before alive,
+        # through expansions and kills between batches
+        def buffers(net):
+            tables = [n.counts for lat in net.lattices for n in lat.nodes.values()]
+            return [a if a.base is None else a.base for t in tables for a in (t.codes, t.cells)]
+
+        net = init(five_var_truth().schema, ArcPriorMatrix(), PriorConfig())
+        net.scoring_model = model
+        data = forward_sample(five_var_truth(), 400, seed=3)
+        held, expansions, kills, shared = [], 0, 0, 0
+        for at in range(0, len(data), 50):
+            observe_batch(net, data[at : at + 50])
+            stored = buffers(net)
+            shared += len(stored) - len({id(b) for b in stored})
+            assert not any(np.shares_memory(a, b) for a in stored for b in held)
+            report = refine(net, SearchParams())
+            expansions += report.expansions
+            kills += report.nodes_killed
+            held = stored + buffers(net)
+        assert expansions and kills and shared
 
 
 class TestSync:
