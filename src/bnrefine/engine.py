@@ -11,11 +11,11 @@ Examples enter a node in one of two ways:
   every row for every node, and ``count_cells`` counts the codes into all
   their ``CountTable``s together.  The product runs in float64, through
   BLAS, whenever every node has at most 2**53 cells, where float sums of
-  integers are exact, and in int64 otherwise; ``init`` refuses a root past
-  2**63 cells, which no int64 code indexes.  ``observe_batch`` counts each
-  batch into every stored node with one call (a loaded session is one
-  batch: its whole log), and ``sync_node`` recounts one node, such as one
-  ``insert_node`` has just stored, on the whole log;
+  integers are exact, and in int64 otherwise; no stored node has more
+  than ``lattice.MAX_CELLS`` (2**63), which no int64 code indexes.
+  ``observe_batch`` counts each batch into every stored node with one call
+  (a loaded session is one batch: its whole log), and ``sync_node``
+  recounts one node, such as one ``insert_node`` has just stored;
 - an expansion counts every fresh child of the expanded node on the whole
   log at once (``_count_children``), from a bit index of the log: one
   packed bitset of rows per (variable, value).  ANDing bitsets gives the
@@ -47,7 +47,7 @@ Two kinds of update:
 Each pass over a lattice re-aims it (``_re_aim``: takes the best score
 over every stored node under the active model, rethresholds) and then
 expands its best open node, by score with ties broken by ascending
-parent-set key.  The search is resumable:
+parent-set key, against the best of that re-aim.  The search is resumable:
 stopping after any expansion budget and calling ``refine`` again
 converges to the state a single uninterrupted call produces, because the
 open nodes are the only queue, the expansion states persist on the
@@ -56,7 +56,8 @@ nodes, and re-aiming a lattice that is already aimed changes nothing.
 So a re-aim is skipped when nothing it reads has changed.  Each lattice
 keeps, in memory only, the stamp of its last re-aim (``ParentLattice.aim``:
 the log's length, the scoring model, the four thresholds and how many
-nodes are stored and dead); only this module reads or writes it.
+nodes are stored and dead) beside the best score it found; only this
+module reads or writes it.
 ``refine`` passes over a lattice whose stamp matches without re-aiming
 it; the public ``rethreshold`` always re-aims.
 
@@ -99,9 +100,9 @@ from .lattice import (
     NodeStatus,
     ParentLattice,
     child_log_priors,
-    child_parents,
     child_tables,
     children_of,
+    insert_node,
     kill,
     new_lattice,
 )
@@ -213,8 +214,7 @@ def init(
 
     Raises ``ConfigurationError`` naming the first arc prior, in ascending
     order, whose parent or child is not a position of the schema, or the
-    first variable whose root has more than 2**63 cells (its arity times
-    its mandatory parents' configurations): no int64 code indexes them all.
+    first variable whose root has more than 2**63 cells (``new_lattice``).
     """
     beyond = sorted((y, x) for y, x in priors.entries if y < 0 or x >= len(schema))
     if beyond:
@@ -222,14 +222,6 @@ def init(
             f"arc prior for {beyond[0]} names a position outside the {len(schema)} variables"
         )
     lattices = [new_lattice(x, schema, priors, config) for x in range(len(schema))]
-    for lattice in lattices:
-        root = lattice.nodes[0].counts
-        cells = math.prod(root.arities) * root.m_x
-        if cells > 1 << 63:
-            raise ConfigurationError(
-                f"variable {schema.name(lattice.x)!r} with its {len(root.arities)} mandatory "
-                f"parents has {cells} count cells, more than the 2**63 an int64 code indexes"
-            )
     return CombinedNetwork(schema=schema, priors=priors, config=config, lattices=lattices)
 
 
@@ -373,7 +365,7 @@ def _re_aim(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) 
     inclusive), so every open node is one the search will expand; an
     expanded node stays expanded.  Re-aiming twice changes nothing.  The
     lattice's ``aim`` remembers the stamp of what the re-aim read and left
-    (``_aim_stamp``), taken after the kills.
+    (``_aim_stamp``), taken after the kills, and the best score.
     """
     nodes = list(lattice.nodes.values())
     scores = [_node_score(net, lattice, node) for node in nodes]
@@ -388,7 +380,7 @@ def _re_aim(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) 
         node.status = NodeStatus.ALIVE if score >= log_c + best else NodeStatus.ASLEEP
         if node.expansion is not ExpansionFlag.EXPANDED:  # an expanded node never reopens
             node.expansion = ExpansionFlag.OPEN if score >= log_d + best else ExpansionFlag.CLOSED
-    lattice.aim = _aim_stamp(net, lattice, params)
+    lattice.aim = (_aim_stamp(net, lattice, params), best)
 
 
 def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParams) -> tuple:
@@ -396,7 +388,7 @@ def _aim_stamp(net: CombinedNetwork, lattice: ParentLattice, params: SearchParam
     thresholds, and how many nodes are stored and dead.  An insert grows
     ``nodes`` and a kill moves a key from ``nodes`` to ``dead``, which
     never shrinks, so every insert or kill changes the last pair.  While
-    a lattice's ``aim`` equals it, re-aiming again would change nothing."""
+    a lattice's ``aim`` holds it, re-aiming again would change nothing."""
     return (
         net.n_total,
         net.scoring_model,
@@ -427,7 +419,7 @@ def _refine_lattice(
     returns the remaining budget."""
     is_open = ExpansionFlag.OPEN
     while True:
-        if lattice.aim != _aim_stamp(net, lattice, params):
+        if lattice.aim[0] != _aim_stamp(net, lattice, params):
             _re_aim(net, lattice, params)
         open_nodes = [n for n in lattice.nodes.values() if n.expansion is is_open]
         if not open_nodes:
@@ -439,11 +431,11 @@ def _refine_lattice(
         report.expansions += 1
         if budget_left is not None:
             budget_left -= 1
-        report.nodes_created += _expand(net, lattice, node, params)
+        report.nodes_created += _expand(net, lattice, node, params, lattice.aim[1])
 
 
 def _expand(
-    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, params: SearchParams
+    net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, params: SearchParams, best: float
 ) -> int:
     """Expand a stored node: score every child neither stored nor dead at
     birth, send those the next re-aim would kill to ``dead``, store the
@@ -452,9 +444,10 @@ def _expand(
     The table model scores all children with one ``log_marginal_likelihoods``
     call from their count rows and lays out only the survivors; a
     restricted fit reads a child's codes, so there every child is laid out
-    first.  ``best`` is taken over the stored sets and the children, so the
-    next re-aim finds the same best and kills no survivor.  If a score
-    raises, nothing is stored and the node stays unexpanded (rule 4).
+    first.  The kills are bound by ``best``, the stored sets' best score
+    (that of the lattice's last re-aim), and the children's, so the next
+    re-aim finds the same best and kills no survivor.  If a score raises,
+    nothing is stored and the node stays unexpanded (rule 4).
     """
     keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
     if keys:
@@ -477,13 +470,12 @@ def _expand(
         else:
             tables = child_tables(lattice, node, added, counts, edges, range(len(keys)))
             log_mls = [
-                family_log_ml(kind, tables[j], alpha, net.schema, lattice.x, child_parents(node, y))
-                for j, y in enumerate(added)
+                family_log_ml(kind, tables[j], alpha, net.schema, lattice.x, parents)
+                for j, parents in enumerate(tuple(sorted(node.parents + (y,))) for y in added)
             ]
         log_priors = child_log_priors(lattice, node, keys)
         scores = [p + m for p, m in zip(log_priors, log_mls)]
-        stored = (_node_score(net, lattice, s) for s in lattice.nodes.values())
-        dies_below = math.log(params.e_dead) + max(itertools.chain(stored, scores))
+        dies_below = math.log(params.e_dead) + max(best, *scores)
         live = []
         for j, (key, v) in enumerate(zip(keys, values)):
             if scores[j] < dies_below and dead_condition(net, m_x, configs * v, params.dead_kappa):
@@ -493,10 +485,8 @@ def _expand(
         if tables is None and live:
             tables = child_tables(lattice, node, added, counts, edges, live)
         for j in live:
-            lattice.nodes[keys[j]] = LatticeNode(
-                keys[j], child_parents(node, added[j]), tables[j], log_priors[j],
-                scores={kind: (net.n_total, log_mls[j])},
-            )
+            child = insert_node(lattice, keys[j])
+            child.counts, child.scores[kind] = tables[j], (net.n_total, log_mls[j])
     node.expansion = ExpansionFlag.EXPANDED
     return len(keys)
 

@@ -379,9 +379,9 @@ def _node_from_doc(doc: dict, version: int, lattice: ParentLattice, net: Combine
     try:
         status = NodeStatus(doc["status"])
         expansion = ExpansionFlag(doc["expansion"] if version > 4 else _expansion_from_flags(doc))
-    except ValueError as err:
+        node = insert_node(lattice, doc["key"])
+    except (ValueError, LatticeStateError) as err:
         raise SessionFormatError(f"{where}: {err}") from None
-    node = insert_node(lattice, doc["key"])
     node.status, node.expansion = status, expansion
 
 

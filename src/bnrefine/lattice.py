@@ -13,24 +13,23 @@ A parent set is its key.  The lattice keeps what of the spec a key needs,
 never saved: per candidate, ``(log p, log1p(-p))`` of its arc prior p;
 the arities of the variable and its predecessors; and ``alpha``, which
 every score splits over a node's count table (``kernels.concentration``).
-``insert_node`` derives in one pass over the candidates the node's parents
-(mandatory plus chosen, ascending), its count shape and its log prior: the
-first term of each chosen candidate and the second of each other, summed
-in ascending order.  ``oracle.log_structure_prior`` sums over every
-predecessor and adds only exact zeros besides, so the two agree bit for
-bit.  The only other place a node is built is ``engine._expand``: it scores
-every child of an expanded node at birth and builds only the children that
-outlive it, counted and scored; the others go straight to ``dead``.  It
-derives a child from the expanded node, to the same bits as ``insert_node``
-from the child's key: its parents by one insertion (``child_parents``),
-its log prior as the same ascending sum (``child_log_priors``) and its
-counts laid out from the expansion's count rows (``child_tables``).
+``insert_node``, the only place a node is built, derives in one pass over
+the candidates the node's parents (mandatory plus chosen, ascending), its
+count shape and its log prior: the first term of each chosen candidate and
+the second of each other, summed in ascending order.
+``oracle.log_structure_prior`` sums over every predecessor and adds only
+exact zeros besides, so the two agree bit for bit.  ``insert_node``
+refuses a set past ``MAX_CELLS`` count cells and ``children_of`` proposes
+none, so ``init``, a search and a session load store none.  An expansion
+(``engine._expand``) scores each child before storing survivors, from the
+node: its log prior as the same sum (``child_log_priors``), its counts
+laid out from the expansion's count rows (``child_tables``).
 
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the stamp of what they depend on (``arc_memo``,
 kept by ``query``: the key of its one alive set alone, or else the model,
 the log's length and every alive key) and the stamp of its last re-aim
-(``aim``, kept by ``engine``).
+with the best score that re-aim found (``aim``, kept by ``engine``).
 
 Lifecycle:
 
@@ -51,7 +50,8 @@ Between operations a lattice keeps four rules, stated by ``check_lattice`` alone
 2. every stored and dead key names a parent set, and none is both;
 3. every stored set counts exactly ``n_total`` rows: those of the whole log
    (``observe_batch`` counts each batch into every stored set);
-4. the root (key 0) and every child of an expanded set are stored or dead.
+4. the root (key 0) and every child (``children_of``) of an expanded set
+   are stored or dead.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ArcPriorMatrix, CountTable, DomainSchema, PriorConfig
+from .domain import ArcPriorMatrix, ConfigurationError, CountTable, DomainSchema, PriorConfig
+
+# the most count cells a stored set may have: no int64 code indexes more
+MAX_CELLS = 1 << 63
 
 
 class LatticeStateError(RuntimeError):
@@ -107,8 +110,8 @@ class ParentLattice:
     dead: set[int] = field(default_factory=set)  # keys of the pruned sets
     # (stamp, arc posteriors keyed (y, x)) of the last query, kept by query.py only
     arc_memo: tuple | None = field(default=None, compare=False, repr=False)
-    # the stamp of the last re-aim, kept by engine.py only
-    aim: tuple | None = field(default=None, compare=False, repr=False)
+    # (stamp, best score) of the last re-aim, kept by engine.py only
+    aim: tuple = field(default=(None, None), compare=False, repr=False)
 
     def alive_nodes(self) -> list[LatticeNode]:
         return [n for n in self.nodes.values() if n.status is NodeStatus.ALIVE]
@@ -121,6 +124,7 @@ def new_lattice(
 
     The root carries no data yet (log marginal likelihood 0) and its log
     prior already accounts for every uncertain predecessor being excluded.
+    A root past ``MAX_CELLS`` count cells is a ``ConfigurationError``.
     """
     candidates = priors.candidate_parents(x, schema)
     lattice = ParentLattice(
@@ -133,20 +137,28 @@ def new_lattice(
         arities=tuple(schema.arity(y) for y in range(x + 1)),
         alpha=config.alpha,
     )
-    root = insert_node(lattice, 0)
+    try:
+        root = insert_node(lattice, 0)
+    except LatticeStateError as err:  # "<cells> count cells for parent set 0x0, past ..."
+        where = f"variable {schema.name(x)!r} with its {len(lattice.mandatory)} mandatory parents"
+        raise ConfigurationError(f"{where} has {err}") from None
     root.status = NodeStatus.ALIVE
     root.expansion = ExpansionFlag.OPEN
     return lattice
 
 
 def children_of(lattice: ParentLattice, node: LatticeNode) -> list[int]:
-    """Keys of all one-parent extensions of a stored node, by ascending position."""
+    """Keys of the one-parent extensions of a stored node with at most
+    ``MAX_CELLS`` count cells, by ascending position: the search never
+    proposes a set ``insert_node`` would refuse."""
     if lattice.nodes.get(node.key) is not node:
         raise LatticeStateError("node is not stored in this lattice")
+    key, arities = node.key, lattice.arities
+    room = MAX_CELLS // (math.prod(node.counts.arities) * arities[lattice.x])  # widest addition
     return [
-        node.key | (1 << i)
-        for i in range(len(lattice.candidates))
-        if not node.key >> i & 1
+        key | 1 << i
+        for i, y in enumerate(lattice.candidates)
+        if not key >> i & 1 and arities[y] <= room
     ]
 
 
@@ -157,7 +169,8 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     Its parents, log prior and empty counts follow from the key and what
     the lattice keeps (see above).  The caller counts it on the whole log
     (``engine.sync_node`` recounts from empty) before the next operation,
-    as rule 3 asks.  A dead key is refused: dead is absorbing.
+    as rule 3 asks.  A dead key is refused: dead is absorbing, and so is a
+    set past ``MAX_CELLS`` count cells, which no int64 code indexes.
     """
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
@@ -174,20 +187,16 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
             log_prior += log_out
     parents.sort()
     arities = lattice.arities
-    node = LatticeNode(
-        key=key,
-        parents=tuple(parents),
-        counts=CountTable(arities[lattice.x], tuple(arities[p] for p in parents)),
-        log_prior=log_prior,
+    shape = tuple(arities[p] for p in parents)
+    cells = math.prod(shape) * arities[lattice.x]
+    if cells > MAX_CELLS:
+        raise LatticeStateError(
+            f"{cells} count cells for parent set {key:#x}, past the 2**63 an int64 code indexes"
+        )
+    node = lattice.nodes[key] = LatticeNode(
+        key, tuple(parents), CountTable(arities[lattice.x], shape), log_prior
     )
-    lattice.nodes[key] = node
     return node
-
-
-def child_parents(node: LatticeNode, y: int) -> tuple[int, ...]:
-    """The parents of the one-parent extension of a node that adds ``y``, ascending."""
-    at = bisect.bisect(node.parents, y)
-    return node.parents[:at] + (y,) + node.parents[at:]
 
 
 def child_log_priors(lattice: ParentLattice, node: LatticeNode, keys: list[int]) -> list[float]:

@@ -36,6 +36,46 @@ def fresh_net(names: str = "abc", default_prior: float = 0.5, alpha: float = 1.0
     return init(binary_schema(names), ArcPriorMatrix(default_prior=default_prior), PriorConfig(alpha))
 
 
+def mandatory_root(k: int):
+    """The spec of k + 1 boolean variables, the last with every other as a
+    mandatory parent and no uncertain one: its root has 2**(k + 1) cells."""
+    priors = ArcPriorMatrix({(y, k): 1.0 for y in range(k)}, default_prior=0.0)
+    return binary_schema([f"v{i}" for i in range(k + 1)]), priors, PriorConfig()
+
+
+def oversize_child_spec():
+    """``mandatory_root(63)`` with v62 an uncertain parent of v63 (prior 1/2):
+    v63's root has 2**63 cells, the most an int64 code indexes, and the
+    child adding v62 2**64."""
+    schema, priors, config = mandatory_root(63)
+    priors = ArcPriorMatrix({**priors.entries, (62, 63): 0.5}, default_prior=0.0)
+    return schema, priors, config
+
+
+def oversize_session_document() -> dict:
+    """A session document of ``oversize_child_spec`` with one logged row,
+    whose v63 lattice also stores the child adding v62: 2**64 count cells."""
+    from bnrefine import observe_batch
+    from bnrefine.fileio import session_to_document
+
+    net = init(*oversize_child_spec())
+    observe_batch(net, [(0,) * 64])
+    doc = session_to_document(net)
+    doc["lattices"][63]["nodes"].append({"key": 1, "status": "asleep", "expansion": "closed"})
+    return doc
+
+
+def unaimed_refine(net: CombinedNetwork, params):
+    """``refine`` as if no lattice remembered its last re-aim: every pass
+    re-aims, and every expansion judges its children against a fresh best."""
+    from unittest import mock
+
+    from bnrefine import engine
+
+    with mock.patch.object(engine, "_aim_stamp", lambda *_: object()):
+        return engine.refine(net, params)
+
+
 def five_var_truth() -> ConcreteNetwork:
     """Ground truth used by the small oracle-equivalence scenarios."""
     schema = binary_schema("abcde")
@@ -125,6 +165,15 @@ def scored_best(net: CombinedNetwork, lattice) -> float:
     from bnrefine.kernels import NEG_INF
 
     return max((_node_score(net, lattice, n) for n in lattice.alive_nodes()), default=NEG_INF)
+
+
+def stored_best(net: CombinedNetwork, lattice) -> float:
+    """The best score over every stored node of the lattice, scoring each on
+    its counts: what ``engine._expand`` judges children against, and the
+    best a lattice's ``aim`` holds while its stamp matches."""
+    from bnrefine.engine import _node_score
+
+    return max(_node_score(net, lattice, n) for n in lattice.nodes.values())
 
 
 def dead_threshold_reference(node, schema: DomainSchema, x: int, dead_kappa: float) -> float:

@@ -10,7 +10,7 @@ from bnrefine.cli import cli_dispatch
 from bnrefine.fileio import load_network, save_network, save_spec
 from bnrefine import ArcPriorMatrix, PriorConfig, SearchParams
 
-from helpers import binary_schema, chain_v_truth, five_var_truth
+from helpers import binary_schema, chain_v_truth, five_var_truth, oversize_session_document
 
 
 def run(argv):
@@ -201,6 +201,14 @@ class TestBasics:
         code, _, err = run(["arcs", "--session", str(session)])
         assert code == 1
         assert err == "error: lattice x 7 names no variable of the 6-variable schema\n"
+
+    def test_a_session_storing_a_set_no_int64_code_indexes_exits_one(self, tmp_path):
+        # counting its log used to raise a bare OverflowError, with a traceback
+        session = tmp_path / "s.json"
+        session.write_text(json.dumps(oversize_session_document()))
+        code, out, err = run(["arcs", "--session", str(session)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: lattice 'v63': {2**64} count cells") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "field, value, message",

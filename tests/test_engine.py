@@ -49,15 +49,19 @@ from helpers import (
     expand_storing_every_child,
     five_var_truth,
     fresh_net,
+    mandatory_root,
     map_set,
     mixed_arity_network,
     node_reference_counts,
     node_state,
+    oversize_child_spec,
     reference_log_ml,
     sampled_net,
     scored_best,
+    stored_best,
     table_log_ml,
     table_rows,
+    unaimed_refine,
 )
 
 PERMISSIVE = SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12)
@@ -77,13 +81,6 @@ def recount(net, lattice, node) -> CountTable:
     table = np.zeros((len(codes), m_x), dtype=np.int64)
     table[np.searchsorted(codes, found // m_x), found % m_x] = counts
     return CountTable.from_rows(node.counts.arities, codes, table)
-
-
-def mandatory_root(k: int):
-    """The spec of k + 1 boolean variables, the last with every other as a
-    mandatory parent and no uncertain one: its root has 2**(k + 1) cells."""
-    priors = ArcPriorMatrix({(y, k): 1.0 for y in range(k)}, default_prior=0.0)
-    return binary_schema([f"v{i}" for i in range(k + 1)]), priors, PriorConfig()
 
 
 # SearchParams fields no search may run with, and the error each one raises
@@ -163,6 +160,24 @@ class TestInit:
         observe_batch(net, np.random.default_rng(1).integers(0, 2, (5, 63)))
         lattice = net.lattices[62]
         assert lattice.nodes[0].counts == recount(net, lattice, lattice.nodes[0])
+
+    def test_a_search_never_stores_a_set_no_int64_code_indexes(self):
+        # v63's root has 2**63 cells and its one child 2**64: a permissive
+        # search used to store that child, and the next batch raised a bare
+        # OverflowError from counting after the log had grown, leaving every
+        # stored set of v63 behind it
+        net = init(*oversize_child_spec())
+        rows = np.random.default_rng(4).integers(0, 2, (55, 64))
+        observe_batch(net, rows[:50])
+        refine(net, PERMISSIVE)
+        lattice = net.lattices[63]
+        assert list(lattice.nodes) == [0] and lattice.dead == set()
+        assert lattice.nodes[0].expansion is ExpansionFlag.EXPANDED
+        observe_batch(net, rows[50:])
+        for each in net.lattices:
+            check_lattice(each, 55)  # rule 3: the batch is counted into every stored set
+        assert lattice.nodes[0].counts == recount(net, lattice, lattice.nodes[0])
+        assert refine(net, PERMISSIVE).expansions == 0
 
 
 class TestObserve:
@@ -699,7 +714,8 @@ class TestExpansion:
         net.scoring_model = model  # every child is scored at birth under it
         before = set(lattice.nodes)
         with mock.patch.object(engine, "_BLOCK_CELLS", block):
-            assert engine._expand(net, lattice, node, NOTHING_DIES) == len(fresh)
+            created = engine._expand(net, lattice, node, NOTHING_DIES, stored_best(net, lattice))
+        assert created == len(fresh)
         assert node.expansion is ExpansionFlag.EXPANDED
         assert lattice.nodes.keys() == before | set(fresh)
         assert all(lattice.nodes[s.key] is s and s.counts.total == 0 for s in stored)
@@ -777,7 +793,7 @@ class TestExpansion:
                 sync_node(net, lattice, node)
                 before = set(lattice.nodes)
                 # counted: the index is extended
-                if engine._expand(net, lattice, node, NOTHING_DIES):
+                if engine._expand(net, lattice, node, NOTHING_DIES, stored_best(net, lattice)):
                     assert lattice.dead == set()
                     assert net.bit_index.rows == net.n_total
                 reference = init(schema, ArcPriorMatrix(default_prior=0.5), config)
@@ -843,7 +859,7 @@ class TestExpansion:
                 sync_node(net, lattice, insert_node(lattice, key))
         reference = copy.deepcopy(net)
         before = set(lattice.nodes)
-        created = engine._expand(net, lattice, lattice.nodes[key], params)
+        created = engine._expand(net, lattice, lattice.nodes[key], params, stored_best(net, lattice))
         born = lattice.nodes.keys() - before
         engine._re_aim(net, lattice, params)
         assert born <= lattice.nodes.keys()  # the re-aim kills no child that outlived its birth
@@ -878,7 +894,7 @@ class TestExpansion:
         e = math.exp((scores[1] - scores[0]) / 2)
         params = SearchParams(c_alive=e, d_open=e, e_dead=e, dead_kappa=0.0)
         engine._re_aim(net, lattice, params)
-        assert engine._expand(net, lattice, root, params) == 2
+        assert engine._expand(net, lattice, root, params, lattice.aim[1]) == 2
         assert lattice.dead == {0b01, 0b10} and list(lattice.nodes) == [0]
         assert root.expansion is ExpansionFlag.EXPANDED
         report = refine(net, params)
@@ -961,15 +977,16 @@ class TestAim:
         lattice = net.lattices[4]
         params = SearchParams(dead_kappa=math.inf)  # the re-aims kill nothing
         rethreshold(net, params)
-        assert lattice.aim == engine._aim_stamp(net, lattice, params)
+        # the stamp, and the best the re-aim found, which an expansion judges children against
+        assert lattice.aim == (engine._aim_stamp(net, lattice, params), stored_best(net, lattice))
         insert_node(lattice, 0)  # already stored: nothing changes
-        assert lattice.aim == engine._aim_stamp(net, lattice, params)
+        assert lattice.aim[0] == engine._aim_stamp(net, lattice, params)
         insert_node(lattice, 0b1)
-        assert lattice.aim != engine._aim_stamp(net, lattice, params)
+        assert lattice.aim[0] != engine._aim_stamp(net, lattice, params)
         rethreshold(net, params)
-        assert lattice.aim == engine._aim_stamp(net, lattice, params)
+        assert lattice.aim == (engine._aim_stamp(net, lattice, params), stored_best(net, lattice))
         kill(lattice, 0b1)
-        assert lattice.aim != engine._aim_stamp(net, lattice, params)
+        assert lattice.aim[0] != engine._aim_stamp(net, lattice, params)
 
     def test_an_insert_then_a_kill_of_the_same_set_makes_the_stamp_stale(self):
         # a stamp counting stored sets alone matches here, and would match
@@ -983,7 +1000,7 @@ class TestAim:
         insert_node(lattice, 0b10)
         kill(lattice, 0b10)
         assert set(lattice.nodes) == stored
-        assert lattice.aim != engine._aim_stamp(net, lattice, params)
+        assert lattice.aim[0] != engine._aim_stamp(net, lattice, params)
 
     def test_refine_re_aims_a_lattice_only_when_what_it_reads_changed(self):
         net, data = sampled_net(five_var_truth(), 200, seed=4)
@@ -1022,6 +1039,31 @@ class TestAim:
             ]:
                 params = replace(params, **{field: value})
                 assert re_aims_once(params), field
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_a_tied_search_stores_and_expands_every_set(self, rows):
+        # at 0 rows every score of a lattice ties, so the expansion order
+        # rests on the key tie-break alone, and at one row the scores differ
+        # by rounding alone: all 1,023 parent sets of 10 variables are
+        # stored and expanded, and none dies.  Budget-1 steps end where one search ends, and so does
+        # a search that re-aims before every expansion, whose children are
+        # judged against a best taken afresh rather than the aim's
+        whole, stepped, unaimed = (fresh_net([f"v{i}" for i in range(10)]) for _ in range(3))
+        for net in (whole, stepped, unaimed):
+            observe_batch(net, [(0, 1) * 5][:rows])
+        report = refine(whole, SearchParams())
+        stats = network_stats(whole)
+        assert report.expansions == stats.total_stored == 1023
+        assert sum(stats.dead.values()) == report.nodes_killed == 0
+        assert all(
+            n.expansion is ExpansionFlag.EXPANDED for lat in whole.lattices for n in lat.nodes.values()
+        )
+        while not refine(stepped, SearchParams(budget=1)).exhausted:
+            pass
+        assert unaimed_refine(unaimed, SearchParams()) == report
+        for net in (stepped, unaimed):
+            assert serialize_session(net) == serialize_session(whole)
+            assert node_state(net) == node_state(whole)
 
     def test_public_rethreshold_always_re_aims(self):
         net, _ = sampled_net(five_var_truth(), 200, seed=5)

@@ -53,6 +53,7 @@ from helpers import (
     fresh_net,
     mixed_arity_network,
     node_state,
+    oversize_session_document,
     sampled_net,
     scored_best,
     table_log_ml,
@@ -930,6 +931,16 @@ class TestSession:
         path.write_text(json.dumps(doc))
         with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
             load_session(path)
+
+    def test_a_set_no_int64_code_indexes_is_a_session_format_error(self, tmp_path):
+        # it used to be stored, and counting the log raised a bare OverflowError
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(oversize_session_document()))
+        message = rf"^lattice 'v63': {2**64} count cells for parent set 0x1, past the 2\*\*63"
+        with mock.patch.object(fileio, "observe_batch") as counted:
+            with pytest.raises(SessionFormatError, match=message):
+                load_session(path)
+        counted.assert_not_called()  # refused before any row is counted
 
     @pytest.mark.parametrize("x", [2, 7, -1, True, 1.0, "1"])
     def test_lattice_x_outside_the_schema_is_a_session_format_error(self, tmp_path, x):

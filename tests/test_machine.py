@@ -45,8 +45,10 @@ from helpers import (
     node_state,
     reference_arc_posteriors,
     reference_log_ml,
+    stored_best,
     table_log_ml,
     table_rows,
+    unaimed_refine,
 )
 
 # the searches the machine switches between: the default, each of its four
@@ -73,13 +75,6 @@ PRIORS = [ArcPriorMatrix(), ArcPriorMatrix(entries={(0, 1): 1.0, (2, 4): 0.0})]
 MAX_BATCH = 30
 STREAM = 4  # batches at most before the steps
 STEPS = 12
-
-
-def _unaimed_refine(net, params):
-    """``refine`` as if no lattice remembered its last re-aim: every pass
-    re-aims."""
-    with mock.patch.object(engine, "_aim_stamp", lambda *_: object()):
-        return refine(net, params)
 
 
 def _assert_sets_clear_their_thresholds(net, lattice, params):
@@ -142,7 +137,7 @@ class LatticeMachine(RuleBasedStateMachine):
     def search(self, budget, thresholds):
         self.params = replace(thresholds or self.params, budget=budget)
         report = _checked(refine, self.net, self.params)
-        assert report == _checked(_unaimed_refine, self.twin, self.params)
+        assert report == _checked(unaimed_refine, self.twin, self.params)
 
     @rule(thresholds=st.sampled_from(THRESHOLDS))
     def re_aim(self, thresholds):
@@ -172,7 +167,10 @@ class LatticeMachine(RuleBasedStateMachine):
     @invariant()
     def open_and_alive_sets_clear_their_thresholds(self):
         for lattice in self.net.lattices:
-            if lattice.aim == engine._aim_stamp(self.net, lattice, self.params):
+            stamp, best = lattice.aim
+            if stamp == engine._aim_stamp(self.net, lattice, self.params):
+                # the best an expansion judges children against is still the stored sets' best
+                assert best == stored_best(self.net, lattice), lattice.x
                 _assert_sets_clear_their_thresholds(self.net, lattice, self.params)
 
     @invariant()
