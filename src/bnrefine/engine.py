@@ -409,36 +409,30 @@ def rethreshold(net: CombinedNetwork, params: SearchParams) -> None:
 
 
 def _refine_lattice(
-    net: CombinedNetwork,
-    lattice: ParentLattice,
-    params: SearchParams,
-    budget_left: int | None,
-    report: SearchReport,
-) -> int | None:
-    """Re-aim the lattice and expand its best open node until none is open;
-    returns the remaining budget."""
+    net: CombinedNetwork, lattice: ParentLattice, params: SearchParams, report: SearchReport
+) -> None:
+    """Re-aim the lattice and expand its best open node until none is open,
+    or until ``report.expansions`` reaches the budget, clearing ``report.exhausted``."""
     is_open = ExpansionFlag.OPEN
     while True:
         if lattice.aim[0] != _aim_stamp(net, lattice, params):
             _re_aim(net, lattice, params)
         open_nodes = [n for n in lattice.nodes.values() if n.expansion is is_open]
         if not open_nodes:
-            return budget_left
-        if budget_left is not None and budget_left <= 0:
+            return
+        if report.expansions == params.budget:
             report.exhausted = False
-            return 0
+            return
         node = min(open_nodes, key=lambda n: (-_node_score(net, lattice, n), n.key))
         report.expansions += 1
-        if budget_left is not None:
-            budget_left -= 1
         report.nodes_created += _expand(net, lattice, node, params, lattice.aim[1])
 
 
 def _expand(
     net: CombinedNetwork, lattice: ParentLattice, node: LatticeNode, params: SearchParams, best: float
 ) -> int:
-    """Expand a stored node: score every child neither stored nor dead at
-    birth, send those the next re-aim would kill to ``dead``, store the
+    """Expand a stored node: score every child still to make (``children_of``)
+    at birth, send those the next re-aim would kill to ``dead``, store the
     others scored, then mark the node expanded; returns how many children.
 
     The table model scores all children with one ``log_marginal_likelihoods``
@@ -449,18 +443,18 @@ def _expand(
     re-aim finds the same best and kills no survivor.  If a score raises,
     nothing is stored and the node stays unexpanded (rule 4).
     """
-    keys = [k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes]
+    keys = children_of(lattice, node)
     if keys:
         kind, m_x, alpha = net.scoring_model, lattice.arities[lattice.x], lattice.alpha
         added = [lattice.candidates[(key ^ node.key).bit_length() - 1] for key in keys]
         values = [lattice.arities[y] for y in added]  # the arity of each added parent
         counts = _count_children(net, lattice, node, added)
+        filled = counts.any(1)
+        flags = filled.tolist()
         edges = [0, *itertools.accumulate(len(node.counts.codes) * v for v in values)]
         configs = math.prod(node.counts.arities)
         tables = None  # under the table model only the survivors are laid out
         if kind == "table":
-            filled = counts.any(1)
-            flags = filled.tolist()
             log_mls = log_marginal_likelihoods(
                 counts[filled],
                 [sum(flags[a:b]) for a, b in zip(edges, edges[1:])],  # each child's non-empty rows
@@ -468,7 +462,7 @@ def _expand(
                 [alpha / (m_x * (configs * v)) for v in values],
             )
         else:
-            tables = child_tables(lattice, node, added, counts, edges, range(len(keys)))
+            tables = child_tables(lattice, node, added, counts, flags, edges, range(len(keys)))
             log_mls = [
                 family_log_ml(kind, tables[j], alpha, net.schema, lattice.x, parents)
                 for j, parents in enumerate(tuple(sorted(node.parents + (y,))) for y in added)
@@ -483,7 +477,7 @@ def _expand(
             else:
                 live.append(j)
         if tables is None and live:
-            tables = child_tables(lattice, node, added, counts, edges, live)
+            tables = child_tables(lattice, node, added, counts, flags, edges, live)
         for j in live:
             child = insert_node(lattice, keys[j])
             child.counts, child.scores[kind] = tables[j], (net.n_total, log_mls[j])
@@ -590,19 +584,18 @@ def _count_children(
 def refine(net: CombinedNetwork, params: SearchParams) -> SearchReport:
     """Run the beam search over every lattice, respecting the expansion budget.
 
-    Any-time: with a finite budget the call stops mid-search and a later
-    call picks up exactly where it left off.
+    Any-time: with a finite budget the call stops mid-search (``exhausted``
+    False) and a later call picks up exactly where it left off.
     """
     report = SearchReport()
     if params.budget == 0:
         report.exhausted = False  # a zero budget searches nothing, not even scoring
     else:
-        budget_left: int | None = params.budget
         for lattice in net.lattices:
             dead_before = len(lattice.dead)
-            budget_left = _refine_lattice(net, lattice, params, budget_left, report)
+            _refine_lattice(net, lattice, params, report)
             report.nodes_killed += len(lattice.dead) - dead_before
-            if budget_left == 0 and not report.exhausted:
+            if not report.exhausted:
                 break
     for lattice in net.lattices:  # a searched lattice's cache is fresh (_re_aim)
         report.best_scores[net.schema.name(lattice.x)] = _cached_best(net, lattice)

@@ -304,6 +304,7 @@ def session_from_document(doc: dict) -> CombinedNetwork:
     """Rebuild a session the way it was built: ``init`` of its spec, its
     stored sets in place of each lattice's root, then one ``observe_batch``
     of the whole log, which validates the log and counts every stored set.
+    The lattice rules (``check_lattice``) are checked before any row is counted.
 
     Versions 1 to 7 also stored the number of log rows each node had
     absorbed, 1 to 6 each node's restricted-model fits, 1 to 5 each
@@ -333,12 +334,12 @@ def session_from_document(doc: dict) -> CombinedNetwork:
             _lattice_from_doc(lattice_doc, version, net)
         if [d["x"] for d in doc["lattices"]] != list(range(len(schema))):
             raise SessionFormatError("lattices do not cover the schema variables")
-        observe_batch(net, doc["example_log"])
-        for lattice in net.lattices:
+        for lattice in net.lattices:  # on no rows: the stored sets are still empty
             try:
-                check_lattice(lattice, net.n_total)
+                check_lattice(lattice, 0)
             except LatticeStateError as err:
                 raise SessionFormatError(f"lattice {schema.name(lattice.x)!r}: {err}") from None
+        observe_batch(net, doc["example_log"])
         return net
     except SessionFormatError:
         raise
@@ -349,7 +350,7 @@ def session_from_document(doc: dict) -> CombinedNetwork:
 def _lattice_from_doc(doc: dict, version: int, net: CombinedNetwork) -> None:
     """Store the document's sets and dead keys, uncounted, in the network's
     lattice ``x`` in place of its fresh root.  The document's own faults are
-    checked here, the lattice rules once the log is counted (``check_lattice``)."""
+    checked here, the lattice rules once every lattice is stored (``check_lattice``)."""
     schema = net.schema
     x = doc["x"]
     if type(x) is not int or not 0 <= x < len(schema):

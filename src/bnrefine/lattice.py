@@ -19,11 +19,11 @@ count shape and its log prior: the first term of each chosen candidate and
 the second of each other, summed in ascending order.
 ``oracle.log_structure_prior`` sums over every predecessor and adds only
 exact zeros besides, so the two agree bit for bit.  ``insert_node``
-refuses a set past ``MAX_CELLS`` count cells and ``children_of`` proposes
-none, so ``init``, a search and a session load store none.  An expansion
-(``engine._expand``) scores each child before storing survivors, from the
-node: its log prior as the same sum (``child_log_priors``), its counts
-laid out from the expansion's count rows (``child_tables``).
+refuses a key naming no parent set or a set past ``MAX_CELLS`` count
+cells; ``children_of`` proposes only children still to make, neither
+stored, dead nor past ``MAX_CELLS``.  An expansion (``engine._expand``)
+scores each before storing survivors: its log prior as the same sum
+(``child_log_priors``), its counts laid out from its rows (``child_tables``).
 
 In memory only, never saved or compared, the lattice also remembers its
 last arc posteriors with the stamp of what they depend on (``arc_memo``,
@@ -50,8 +50,8 @@ Between operations a lattice keeps four rules, stated by ``check_lattice`` alone
 2. every stored and dead key names a parent set, and none is both;
 3. every stored set counts exactly ``n_total`` rows: those of the whole log
    (``observe_batch`` counts each batch into every stored set);
-4. the root (key 0) and every child (``children_of``) of an expanded set
-   are stored or dead.
+4. the root (key 0) is stored or dead, and an expanded set has no child
+   left to make (``children_of`` returns none).
 """
 
 from __future__ import annotations
@@ -148,17 +148,18 @@ def new_lattice(
 
 
 def children_of(lattice: ParentLattice, node: LatticeNode) -> list[int]:
-    """Keys of the one-parent extensions of a stored node with at most
-    ``MAX_CELLS`` count cells, by ascending position: the search never
-    proposes a set ``insert_node`` would refuse."""
+    """Keys of the one-parent extensions of a stored node still to make, by
+    ascending position: neither stored nor dead, and with at most
+    ``MAX_CELLS`` count cells, which ``insert_node`` would refuse."""
     if lattice.nodes.get(node.key) is not node:
         raise LatticeStateError("node is not stored in this lattice")
     key, arities = node.key, lattice.arities
     room = MAX_CELLS // (math.prod(node.counts.arities) * arities[lattice.x])  # widest addition
     return [
-        key | 1 << i
+        child
         for i, y in enumerate(lattice.candidates)
         if not key >> i & 1 and arities[y] <= room
+        and (child := key | 1 << i) not in lattice.nodes and child not in lattice.dead
     ]
 
 
@@ -169,9 +170,11 @@ def insert_node(lattice: ParentLattice, key: int) -> LatticeNode:
     Its parents, log prior and empty counts follow from the key and what
     the lattice keeps (see above).  The caller counts it on the whole log
     (``engine.sync_node`` recounts from empty) before the next operation,
-    as rule 3 asks.  A dead key is refused: dead is absorbing, and so is a
-    set past ``MAX_CELLS`` count cells, which no int64 code indexes.
+    as rule 3 asks.  Refused: a key outside ``[0, 2**len(candidates))``; a
+    dead key, as dead is absorbing; a set past ``MAX_CELLS`` count cells.
     """
+    if not 0 <= key < 1 << len(lattice.candidates):
+        raise LatticeStateError(f"node key {key} names no parent set")
     if key in lattice.dead:
         raise LatticeStateError(f"parent set {key:#x} is dead; dead sets are never revived")
     existing = lattice.nodes.get(key)
@@ -225,6 +228,7 @@ def child_tables(
     node: LatticeNode,
     added: list[int],
     counts: np.ndarray,
+    flags: list[bool],
     edges: list[int],
     chosen: Iterable[int],
 ) -> dict[int, CountTable]:
@@ -232,11 +236,11 @@ def child_tables(
     node, by index j: extension j adds parent ``added[j]``, and its count
     rows are ``counts[edges[j] : edges[j + 1]]``, one per (added value v,
     node's configuration k) at row v * configurations + k, empty rows
-    included (``engine._count_children``).  Each is laid out as
-    ``count_cells`` lays a table out: a child's code is the node's code
-    split at the added parent's place value, with the parent's value
-    between, so ascending codes need no sort."""
-    base, shape, flags = node.counts.codes.tolist(), node.counts.arities, counts.any(1).tolist()
+    included (``engine._count_children``), ``flags[r]`` if row r holds a
+    count.  Each is laid out as ``count_cells`` lays a table out: a child's
+    code is the node's code split at the added parent's place value, with
+    the parent's value between, so ascending codes need no sort."""
+    base, shape = node.counts.codes.tolist(), node.counts.arities
     n, codes, rows, parts = len(base), [], [], []
     for j in chosen:
         at = bisect.bisect(node.parents, added[j])
@@ -298,8 +302,7 @@ def check_lattice(lattice: ParentLattice, n_total: int) -> None:
         if total != n_total:
             raise LatticeStateError(f"node {key} counts {total} rows, {n_total} logged")
         if node.expansion is ExpansionFlag.EXPANDED:
-            lost = [k for k in children_of(lattice, node) if k not in nodes and k not in dead]
-            if lost:
+            if lost := children_of(lattice, node):
                 raise LatticeStateError(
                     f"expanded node {key} has children {lost} neither stored nor dead"
                 )

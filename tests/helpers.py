@@ -230,6 +230,7 @@ def expand_storing_every_child(net: CombinedNetwork, lattice, node, params) -> i
     ``_re_aim`` must leave the lattice exactly as this does."""
     from bnrefine.engine import _re_aim
 
+    # filtered here too, so this reference does not lean on children_of's contract
     keys = [
         k for k in children_of(lattice, node) if k not in lattice.dead and k not in lattice.nodes
     ]

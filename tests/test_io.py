@@ -898,7 +898,8 @@ class TestSession:
     def test_malformed_node_keys_are_a_session_format_error(self, tmp_path, fault, message):
         # the first two used to load and move the a->b arc posterior; of the
         # last three, which loaded too, the first failed its first query, and
-        # no permissive refine of the last two stored the dropped set again
+        # no permissive refine of the last two stored the dropped set again.
+        # Each is refused before the log is counted into any set
         net = fresh_net("ab")
         observe_batch(net, [(0, 0), (1, 1), (1, 1), (0, 1)] * 5)
         refine(net, SearchParams(c_alive=1e-12, d_open=1e-12, e_dead=1e-12))
@@ -929,18 +930,26 @@ class TestSession:
             del lattice["nodes"][0]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
-            load_session(path)
+        with mock.patch.object(fileio, "observe_batch", wraps=fileio.observe_batch) as counted:
+            with pytest.raises(SessionFormatError, match=f"lattice 'b': {message}"):
+                load_session(path)
+        counted.assert_not_called()
 
     def test_a_set_no_int64_code_indexes_is_a_session_format_error(self, tmp_path):
-        # it used to be stored, and counting the log raised a bare OverflowError
+        # it used to be stored, and counting the log raised a bare OverflowError;
+        # key -1, read as every candidate chosen, used to meet the same rule
+        doc = oversize_session_document()
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(oversize_session_document()))
-        message = rf"^lattice 'v63': {2**64} count cells for parent set 0x1, past the 2\*\*63"
-        with mock.patch.object(fileio, "observe_batch") as counted:
-            with pytest.raises(SessionFormatError, match=message):
-                load_session(path)
-        counted.assert_not_called()  # refused before any row is counted
+        for key, message in [
+            (1, rf"{2**64} count cells for parent set 0x1, past the 2\*\*63"),
+            (-1, "node key -1 names no parent set$"),
+        ]:
+            doc["lattices"][63]["nodes"][-1]["key"] = key
+            path.write_text(json.dumps(doc))
+            with mock.patch.object(fileio, "observe_batch") as counted:
+                with pytest.raises(SessionFormatError, match=rf"^lattice 'v63': {message}"):
+                    load_session(path)
+            counted.assert_not_called()  # refused before any row is counted
 
     @pytest.mark.parametrize("x", [2, 7, -1, True, 1.0, "1"])
     def test_lattice_x_outside_the_schema_is_a_session_format_error(self, tmp_path, x):

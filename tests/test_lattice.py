@@ -115,6 +115,14 @@ class TestChildren:
         node = insert_node(lattice, 0b01)
         assert children_of(lattice, node) == [0b11]
 
+    def test_stored_and_dead_children_are_not_proposed(self):
+        # only the children still to make: an expansion makes no set twice
+        lattice, _, _ = make_lattice()
+        insert_node(lattice, 0b001)
+        insert_node(lattice, 0b010)
+        kill(lattice, 0b010)
+        assert children_of(lattice, lattice.nodes[0]) == [0b100]
+
     def test_unstored_node_rejected(self):
         lattice, _, _ = make_lattice()
         other, _, _ = make_lattice()
@@ -129,6 +137,13 @@ class TestInsert:
         size = len(lattice.nodes)
         assert insert_node(lattice, 0b001) is first
         assert len(lattice.nodes) == size
+
+    @pytest.mark.parametrize("key", [-1, 1 << 3])
+    def test_a_key_naming_no_parent_set_is_refused(self, key):
+        lattice, _, _ = make_lattice()  # three candidates: keys 0 to 7
+        with pytest.raises(LatticeStateError, match=f"^node key {key} names no parent set$"):
+            insert_node(lattice, key)
+        assert set(lattice.nodes) == {0}
 
 
 class TestAliveLeaves:
